@@ -7,6 +7,7 @@ regression.
 """
 
 import inspect
+import multiprocessing
 import time
 
 import numpy as np
@@ -20,6 +21,7 @@ from repro.core.packet import Packet
 from repro.core.recording import MemoryRecorder
 from repro.core.scene import Scene
 from repro.core.scheduler import ForwardSchedule, ScheduledPacket
+from repro.models.mobility import Bounds, RandomWaypoint
 from repro.models.radio import RadioConfig
 from repro.net import framing, messages
 from repro.obs.telemetry import Telemetry
@@ -175,6 +177,33 @@ def test_neighbor_full_rebuild_100(benchmark):
         )
     tables = ChannelIndexedNeighborTables(scene)
     benchmark(tables.rebuild)
+
+
+def test_mobility_tick_64(benchmark):
+    """One mobility tick: 64 RandomWaypoint nodes on one channel, every
+    one of them moving, ``advance_time(+0.05)`` — trajectory evaluation,
+    64 ``node-moved`` events and the neighbor tables absorbing them.
+
+    Each node roams a 60x60 cell around its lattice home (as in
+    ``benchmarks/e2e``'s mobile mesh), so density — and the work per
+    tick — does not drift with the emulated time the timer happens to
+    run through.
+    """
+    scene = Scene(bounds=Bounds(0.0, 0.0, 480.0, 480.0), seed=2)
+    for i in range(64):
+        node = NodeId(i + 1)
+        x, y = 30.0 + 60.0 * (i % 8), 30.0 + 60.0 * (i // 8)
+        scene.add_node(node, Vec2(x, y), RadioConfig.single(1, 150.0))
+        cell = Bounds(x - 30.0, y - 30.0, x + 30.0, y + 30.0)
+        scene.set_mobility(node, RandomWaypoint(cell, 5.0, 15.0))
+    ChannelIndexedNeighborTables(scene)  # subscribes itself to the scene
+
+    def tick():
+        moved = scene.advance_time(scene.time + 0.05)
+        assert len(moved) == 64
+
+    benchmark(tick)
+    benchmark.extra_info["cpu_count"] = multiprocessing.cpu_count()
 
 
 def test_framing_roundtrip(benchmark):

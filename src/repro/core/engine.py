@@ -336,32 +336,26 @@ class ForwardingEngine:
             )
             np.maximum(t_fwd, t_receipt, out=t_fwd)  # causality floor
             t_fwd_list = t_fwd.tolist()
-            if drop_mask.any():
-                mask_list = drop_mask.tolist()
-                for i, target in enumerate(targets):
-                    if mask_list[i]:
-                        drops.append((target, DropReason.LOSS_MODEL, packet))
-                    else:
-                        tf = t_fwd_list[i]
-                        scheduled.append(
-                            ScheduledPacket(
-                                t_forward=tf,
-                                packet=packet.with_forward(tf),
-                                receiver=target,
-                                sender=sender,
-                            )
-                        )
-            else:
-                for i, target in enumerate(targets):
-                    tf = t_fwd_list[i]
-                    scheduled.append(
-                        ScheduledPacket(
-                            t_forward=tf,
-                            packet=packet.with_forward(tf),
-                            receiver=target,
-                            sender=sender,
-                        )
+            mask_list = drop_mask.tolist() if drop_mask.any() else None
+            # Packet is immutable, so consecutive receivers with the same
+            # forward time share one stamped copy (every receiver, when
+            # the link's bandwidth does not depend on distance).
+            fwd = packet
+            for i, target in enumerate(targets):
+                if mask_list is not None and mask_list[i]:
+                    drops.append((target, DropReason.LOSS_MODEL, packet))
+                    continue
+                tf = t_fwd_list[i]
+                if tf != fwd.t_forward:
+                    fwd = packet.with_forward(tf)
+                scheduled.append(
+                    ScheduledPacket(
+                        t_forward=tf,
+                        packet=fwd,
+                        receiver=target,
+                        sender=sender,
                     )
+                )
         if tr is not None:
             tr.stage("drop_decision", _perf() - _t_drop)
         if scheduled:
@@ -545,6 +539,12 @@ class ForwardingEngine:
         shed: list[ScheduledPacket] = []
         delivered: list[tuple[Packet, NodeId, NodeId]] = []
         finished_traces: list[Trace] = []
+        # Consecutive entries of one fan-out carry the same forwarded
+        # packet object (see ingest) and fall due together: they share
+        # one delivery-stamped copy too.  A local, not an attribute —
+        # flushes run on more than one thread.
+        stamped_from: Optional[Packet] = None
+        stamped: Optional[Packet] = None
         for entry in due:
             tr = None
             if tracer is not None and tracer.active:
@@ -566,18 +566,23 @@ class ForwardingEngine:
                     if tr is not None:
                         tracer.finalize(tr, "deadline-shed")
                     continue
+            t_delivered = entry.t_forward
+            if now is not None and now > t_delivered:
+                t_delivered = now
+            if (
+                entry.packet is not stamped_from
+                or stamped.t_delivered != t_delivered
+            ):
+                stamped_from = entry.packet
+                stamped = stamped_from.stamped(t_delivered=t_delivered)
             if tr is None:
-                packet = self._deliver(
-                    entry, entry.t_forward if now is None else now
-                )
+                packet = self._deliver(entry, stamped)
             else:
                 tr.lag = lag
                 tr.receiver = int(entry.receiver)
                 tr.stage("scan_wakeup", lag)
                 _t0 = _perf()
-                packet = self._deliver(
-                    entry, entry.t_forward if now is None else now
-                )
+                packet = self._deliver(entry, stamped)
                 tr.stage("send", _perf() - _t0)
                 if packet is None:
                     # Dropped at delivery time (node removed/quarantined,
@@ -639,11 +644,13 @@ class ForwardingEngine:
         """When the next scheduled frame becomes due (None when idle)."""
         return self.schedule.peek_time()
 
-    def _deliver(self, entry: ScheduledPacket, now: float) -> Optional[Packet]:
-        """Deliver one due entry; returns the delivered-stamped packet, or
-        None when it cannot be delivered (the drop is recorded here; the
-        delivery record is written by the caller's batched path)."""
-        delivered = entry.packet.stamped(t_delivered=max(now, entry.t_forward))
+    def _deliver(
+        self, entry: ScheduledPacket, delivered: Packet
+    ) -> Optional[Packet]:
+        """Deliver one due entry as ``delivered`` (its delivery-stamped
+        packet); returns it, or None when it cannot be delivered (the
+        drop is recorded here; the delivery record is written by the
+        caller's batched path)."""
         if entry.receiver not in self.scene:
             self._record_drop(
                 entry.packet, entry.sender, entry.receiver,

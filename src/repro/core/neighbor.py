@@ -82,6 +82,11 @@ class UpdateStats:
     ``units_touched`` counts neighbor-table units examined or rewritten;
     ``events`` counts scene events processed.  The indexed scheme's whole
     point is a smaller ``units_touched`` for the same event stream.
+
+    A mobility tick that moves more than one member of channel ``k`` is
+    absorbed as one vectorized rebuild of that channel's table and counts
+    ``|NS(k)|²`` units for it, however many members moved; a single move
+    counts the incremental path's ``2·(|NS(k)|−1)``.
     """
 
     units_touched: int = 0
@@ -197,6 +202,8 @@ class ChannelIndexedNeighborTables(NeighborScheme):
         self._frozen: dict[
             tuple[NodeId, ChannelId], tuple[int, frozenset[NodeId]]
         ] = {}
+        # Identity of the last multi-move tick absorbed (Scene.tick_movers).
+        self._absorbed_tick: Optional[dict[ChannelId, list[NodeId]]] = None
         super().__init__(scene)
 
     # -- reads ---------------------------------------------------------------
@@ -280,9 +287,21 @@ class ChannelIndexedNeighborTables(NeighborScheme):
             self._remove_everywhere(node)
             self._prune_node(node)
         elif kind == "node-moved":
-            # Only the channels the moved node is on can change.
-            for channel in self.scene.channels_of(node):
-                self._refresh_node_on_channel(node, channel)
+            tick = self.scene.tick_movers
+            if tick is None:
+                # Only the channels the moved node is on can change.
+                for channel in self.scene.channels_of(node):
+                    self._refresh_node_on_channel(node, channel)
+            elif tick is not self._absorbed_tick:
+                # First event of a multi-move tick: every position is
+                # final already, so absorb the whole tick here and let
+                # its remaining events pass.
+                self._absorbed_tick = tick
+                for channel, movers in tick.items():
+                    if len(movers) > 1:
+                        self._rebuild_channel(channel)
+                    else:
+                        self._refresh_node_on_channel(movers[0], channel)
         elif kind == "range-set":
             # R(A, k) only appears in A's own row on that radio's channel.
             radio = self.scene.radios(node)[event.details["radio"]]
@@ -339,9 +358,6 @@ class ChannelIndexedNeighborTables(NeighborScheme):
             else:
                 other_row.discard(node)
             self.stats.units_touched += 2  # node->other and other->node units
-        if not table[node] and len(table) == 1:
-            # sole member with empty row — keep the row; table still valid
-            pass
 
     def _refresh_own_row(self, node: NodeId, channel: ChannelId) -> None:
         """Range change: only NT(node, channel) can differ."""

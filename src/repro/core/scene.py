@@ -183,6 +183,12 @@ class Scene:
         # quarantine/restore/remove so the engine's hot path can test
         # membership without taking the scene lock.
         self._quarantined: frozenset[NodeId] = frozenset()
+        # The instant whose mobility is already applied (None: positions
+        # or trajectories changed since, so the next advance re-evaluates).
+        self._evaluated_at: Optional[float] = None
+        # channel -> movers while a multi-move tick's event is being
+        # emitted (see :attr:`tick_movers`).
+        self._tick_movers: Optional[dict[ChannelId, list[NodeId]]] = None
 
     # -- versions (lock-free monotone reads) ---------------------------------
 
@@ -235,9 +241,19 @@ class Scene:
         with self._lock:
             self._listeners.remove(listener)
 
-    def _emit(self, event: SceneEvent) -> None:
-        for listener in list(self._listeners):
-            listener(event)
+    def _emit(
+        self,
+        event: SceneEvent,
+        tick_movers: Optional[dict[ChannelId, list[NodeId]]] = None,
+    ) -> None:
+        # Saved and restored, not cleared: a listener that mutates the
+        # scene re-entrantly emits a plain single event inside the tick.
+        outer, self._tick_movers = self._tick_movers, tick_movers
+        try:
+            for listener in list(self._listeners):
+                listener(event)
+        finally:
+            self._tick_movers = outer
 
     # -- node lifecycle -----------------------------------------------------
 
@@ -353,6 +369,7 @@ class Scene:
             if self.bounds is not None:
                 position = self.bounds.apply(position)
             state.position = position
+            self._evaluated_at = None  # a mobile node snaps back next advance
             self._emit(
                 SceneEvent(
                     self._time,
@@ -453,6 +470,7 @@ class Scene:
             self._sync_time()
             state = self._require(node_id)
             state.mobility_model = model
+            self._evaluated_at = None
             if model is None:
                 state.mobility = None
             else:
@@ -489,6 +507,7 @@ class Scene:
             state = self._require(node_id)
             state.mobility_model = None
             state.mobility = trajectory
+            self._evaluated_at = None
             self._emit(
                 SceneEvent(
                     self._time,
@@ -507,6 +526,21 @@ class Scene:
     def time(self) -> float:
         return self._time
 
+    @property
+    def tick_movers(self) -> Optional[dict[ChannelId, list[NodeId]]]:
+        """Who moved, per channel, in the mobility tick being emitted.
+
+        Non-None only inside the listener calls of an
+        :meth:`advance_time` that moved more than one node; a new dict
+        per tick.  Every position of the tick is already assigned when
+        the first ``node-moved`` goes out, so a listener may absorb the
+        whole tick on that first event (keyed on the dict's identity)
+        and skip the rest — the neighbor tables do.  Single moves
+        (``move_node``, a one-node tick) leave it None and keep the
+        per-event path.
+        """
+        return self._tick_movers
+
     def advance_time(self, t: float) -> list[NodeId]:
         """Advance scene time to ``t``, moving every mobile node.
 
@@ -514,24 +548,34 @@ class Scene:
         this on a fixed tick (real-time stack) or before each forwarding
         decision (virtual stack), so positions used for loss/neighbor
         computations always reflect the configured mobility.
+
+        An instant is evaluated once: a repeated call for the instant
+        already applied returns ``[]`` without touching a trajectory,
+        until ``move_node`` / ``set_mobility`` / ``set_trajectory``
+        change what that instant looks like.  All of a tick's positions
+        are assigned before its first ``node-moved`` is emitted, so
+        listeners never observe a half-moved scene.
         """
         with self._lock:
             if t < self._time:
                 raise SceneError(
                     f"cannot move scene time backwards ({self._time} -> {t})"
                 )
+            if t == self._evaluated_at:
+                return []
             self._time = t
-            moved: list[NodeId] = []
-            touched: set[ChannelId] = set()
+            self._evaluated_at = t
+            events: list[SceneEvent] = []
+            movers: dict[ChannelId, list[NodeId]] = {}
             for node_id, state in self._nodes.items():
                 if state.mobility is None:
                     continue
                 new_pos = state.mobility.position_at(t)
                 if new_pos != state.position:
                     state.position = new_pos
-                    moved.append(node_id)
-                    touched |= state.radios.channels
-                    self._emit(
+                    for channel in state.radios.channels:
+                        movers.setdefault(channel, []).append(node_id)
+                    events.append(
                         SceneEvent(
                             t,
                             "node-moved",
@@ -539,9 +583,12 @@ class Scene:
                             {"x": new_pos.x, "y": new_pos.y},
                         )
                     )
-            if moved:
-                self._bump(touched)
-            return moved
+            if events:
+                batch = movers if len(events) > 1 else None
+                for event in events:
+                    self._emit(event, batch)
+                self._bump(movers)
+            return [event.node for event in events]
 
     # -- queries (the neighborhood model's primitives, §4.2) -------------------
 

@@ -178,6 +178,86 @@ class TestDeliver:
         assert rec.sender == 2 and rec.source == 1
 
 
+class TestSharedStampedCopies:
+    """One stamped ``Packet`` copy serves every receiver of a fan-out
+    that gets the same stamp; the outcome is field-for-field what one
+    copy per receiver gives."""
+
+    @staticmethod
+    def run_broadcast(link):
+        engine, _, _ = build_engine(link=link)
+        delivered = []
+        engine.deliver = lambda rcv, p: delivered.append((rcv, p))
+        entries = engine.ingest(n(2), packet(2, -1, t_origin=1.0))
+        assert [e.receiver for e in entries] == [n(1), n(3)]
+        assert engine.flush_due(now=50.0) == 2
+        return engine, entries, delivered
+
+    @staticmethod
+    def reference(entries, now):
+        """The per-receiver-copy pipeline: every stamp on its own copy."""
+        base = packet(2, -1, t_origin=1.0).stamped(t_receipt=1.0)
+        out = []
+        for e in entries:
+            fwd = base.stamped(t_forward=e.t_forward)
+            out.append((e.receiver, fwd, fwd.stamped(t_delivered=now)))
+        return out
+
+    def test_constant_bandwidth_broadcast_shares_one_copy(self):
+        engine, entries, delivered = self.run_broadcast(None)
+        ref = self.reference(entries, 50.0)
+        assert entries[0].t_forward == entries[1].t_forward
+        assert entries[0].packet is entries[1].packet
+        assert delivered[0][1] is delivered[1][1]
+        assert [(e.receiver, e.packet) for e in entries] == [
+            (r, fwd) for r, fwd, _ in ref
+        ]
+        assert delivered == [(r, done) for r, _, done in ref]
+        assert engine.recorder.packets() == [
+            engine._make_record(done, n(2), r, record_id=i)
+            for i, (r, _, done) in enumerate(ref, start=1)
+        ]
+
+    def test_distance_dependent_bandwidth_stamps_each_receiver(self):
+        link = LinkModel(
+            bandwidth=BandwidthModel(peak=1e6, edge=1e5, radio_range=100.0),
+            delay=DelayModel(base=0.01),
+        )
+        engine, entries, delivered = self.run_broadcast(link)
+        ref = self.reference(entries, 50.0)
+        # n(1) is 50 away, n(3) is 40 away: different serialization time.
+        assert entries[0].t_forward > entries[1].t_forward
+        for e in entries:
+            assert e.packet.t_forward == e.t_forward
+        assert entries[0].packet is not entries[1].packet
+        assert delivered[0][1] is not delivered[1][1]
+        # pop order is by forward time: n(3) first.
+        assert delivered == [(r, done) for r, _, done in reversed(ref)]
+        assert [(rec.receiver, rec.t_forward) for rec in engine.recorder.packets()] == [
+            (3, entries[1].t_forward), (1, entries[0].t_forward),
+        ]
+
+    def test_late_flush_stamps_delivery_time_not_forward_time(self):
+        _, entries, delivered = self.run_broadcast(None)
+        assert {p.t_delivered for _, p in delivered} == {50.0}
+        assert {p.t_forward for _, p in delivered} == {entries[0].t_forward}
+
+    def test_unicasts_of_one_packet_keep_their_own_copies(self):
+        engine, _, _ = build_engine()
+        delivered = []
+        engine.deliver = lambda rcv, p: delivered.append(p)
+        original = packet(2, 1, t_origin=1.0)
+        (a,) = engine.ingest(n(2), original)
+        (b,) = engine.ingest(n(2), original)
+        assert a.packet == b.packet and a.packet is not b.packet
+        assert a.packet is not original and original.t_forward is None
+        assert engine.flush_due(now=50.0) == 2
+        assert delivered[0] == delivered[1]
+        assert delivered[0] is not delivered[1]
+        assert delivered[0].t_forward == a.t_forward
+        assert delivered[0].t_delivered == 50.0
+
+
 class TestOverloadPlane:
     """Admission control, deadline shedding, coalescing, accounting."""
 

@@ -11,7 +11,7 @@ still agree with the ground-truth predicate recomputed from scratch.
 
 import math
 
-import pytest
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -116,6 +116,120 @@ def test_cached_reads_track_mutations(ops):
         for op in ops:
             _apply(scene, op)
             _assert_consistent(scene, schemes)
+    finally:
+        for scheme in schemes:
+            scheme.detach()
+
+
+class Scripted:
+    """A trajectory that stays wherever the test last put it."""
+
+    def __init__(self, pos: Vec2) -> None:
+        self.pos = pos
+
+    def position_at(self, t: float) -> Vec2:
+        return self.pos
+
+
+# One mobility tick: the nodes to move (k of them, 0 <= k <= n) and where.
+_tick = st.tuples(
+    st.just("tick"),
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=len(NODE_POOL) - 1),
+            st.floats(min_value=0.0, max_value=300.0, allow_nan=False),
+            st.floats(min_value=0.0, max_value=300.0, allow_nan=False),
+        ),
+        max_size=len(NODE_POOL),
+        unique_by=lambda move: move[0],
+    ),
+)
+
+
+def _apply_mobile(scene: Scene, trajectories: dict, step) -> None:
+    """``_apply`` on a scene whose every node rides a :class:`Scripted`
+    trajectory, plus the tick step.  A dragged node keeps its script, so
+    the next tick snaps it back (the scene's documented semantics)."""
+    if step[0] == "tick":
+        for ni, x, y in step[1]:
+            trajectory = trajectories.get(NODE_POOL[ni])
+            if trajectory is not None:
+                trajectory.pos = Vec2(x, y)
+        scene.advance_time(scene.time + 0.05)
+        return
+    _apply(scene, step)
+    node = NODE_POOL[step[1]]
+    if node in scene and node not in trajectories:
+        trajectories[node] = Scripted(scene.position(node))
+        scene.set_trajectory(node, trajectories[node])
+    elif node not in scene:
+        trajectories.pop(node, None)
+
+
+def _assert_matches_ground_truth(scene: Scene, schemes) -> None:
+    nodes = scene.node_ids()
+    for scheme in schemes:
+        for node in nodes:
+            for channel in CHANNELS:
+                truth = frozenset(
+                    other for other in nodes
+                    if scene.is_neighbor(node, other, channel)
+                )
+                name = type(scheme).__name__
+                assert scheme.neighbors(node, channel) == truth, (
+                    f"{name}: NT({node}, {channel})"
+                )
+                fan = scheme.fanout(node, channel)
+                fresh = scheme._build_fanout(node, channel)
+                assert fan.radio == fresh.radio
+                assert fan.targets == fresh.targets == tuple(sorted(truth))
+                assert fan.index == fresh.index
+                # Bit-for-bit: the loss draws are a function of these.
+                assert np.array_equal(fan.distances, fresh.distances)
+
+
+@settings(
+    max_examples=120,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(steps=st.lists(st.one_of(_op, _tick), min_size=1, max_size=25))
+def test_ticks_interleaved_with_single_mutations(steps):
+    """Mobility ticks moving any number of nodes, interleaved with every
+    single-node mutation: after each step both schemes equal the scene's
+    own predicate and the cached fan-out equals one built from scratch.
+
+    A listener registered *ahead of* the schemes reads every row and
+    fan-out on each event, as a renderer would.  What it reads mid-tick
+    is cached under the versions current at that moment, so those reads
+    turn stale, and this test fails, unless the scene bumps its versions
+    only after every listener has run.
+    """
+    scene = Scene(seed=7)
+    schemes = []
+
+    def reader(event):
+        for scheme in schemes:
+            for node in scene.node_ids():
+                for channel in CHANNELS:
+                    scheme.neighbors(node, channel)
+                    scheme.fanout(node, channel)
+
+    scene.add_listener(reader)
+    trajectories: dict = {}
+    # Asymmetric ranges from the start: 2 hears 1, 1 does not hear 2.
+    for op in (
+        ("add", 0, 10.0, 10.0, 0, 60.0),
+        ("add", 1, 80.0, 10.0, 0, 120.0),
+        ("add", 2, 40.0, 60.0, 1, 90.0),
+    ):
+        _apply_mobile(scene, trajectories, op)
+    schemes += [ChannelIndexedNeighborTables(scene), SingleTableNeighbors(scene)]
+    try:
+        _assert_matches_ground_truth(scene, schemes)
+        for step in steps:
+            _apply_mobile(scene, trajectories, step)
+            _assert_matches_ground_truth(scene, schemes)
     finally:
         for scheme in schemes:
             scheme.detach()

@@ -193,3 +193,136 @@ class TestTime:
         scene.set_mobility(n(2), ConstantVelocity(5.0, 90.0))
         scene.advance_time(1.0)
         assert "node-moved" in events
+
+
+class CountingTrajectory:
+    """Moves +1 in x per second from ``origin``; counts its evaluations."""
+
+    def __init__(self, origin):
+        self.origin = origin
+        self.calls = 0
+
+    def position_at(self, t):
+        self.calls += 1
+        return Vec2(self.origin.x + t, self.origin.y)
+
+
+class TestAdvanceOncePerInstant:
+    """An instant is evaluated once, a tick is assigned before it is
+    emitted, and neither changes what listeners and callers see."""
+
+    @pytest.fixture
+    def tracked(self, scene):
+        trajectories = {}
+        for node in (n(1), n(2), n(3)):
+            trajectories[node] = CountingTrajectory(scene.position(node))
+            scene.set_trajectory(node, trajectories[node])
+        return trajectories
+
+    def test_same_instant_is_free(self, scene, tracked):
+        assert scene.advance_time(1.0) == [n(1), n(2), n(3)]
+        calls = {node: t.calls for node, t in tracked.items()}
+        events = []
+        scene.add_listener(events.append)
+        version = scene.version
+        assert scene.advance_time(1.0) == []
+        assert scene.advance_time(1.0) == []
+        assert {node: t.calls for node, t in tracked.items()} == calls
+        assert events == [] and scene.version == version
+        assert scene.time == 1.0
+
+    def test_next_instant_evaluates_again(self, scene, tracked):
+        scene.advance_time(1.0)
+        assert scene.advance_time(2.0) == [n(1), n(2), n(3)]
+        assert all(t.calls == 2 for t in tracked.values())
+
+    def test_move_node_snaps_back_at_same_instant(self, scene, tracked):
+        scene.advance_time(1.0)
+        scene.move_node(n(1), Vec2(40, 40))
+        assert scene.position(n(1)) == Vec2(40, 40)
+        assert scene.advance_time(1.0) == [n(1)]
+        assert scene.position(n(1)) == Vec2(1, 0)
+
+    def test_set_mobility_forces_reevaluation(self, scene, tracked):
+        scene.advance_time(1.0)
+        before = tracked[n(2)].calls
+        scene.set_mobility(n(1), ConstantVelocity(10.0, 0.0))
+        assert scene.advance_time(1.0) == []  # new trajectory starts here
+        assert tracked[n(2)].calls == before + 1
+
+    def test_set_trajectory_forces_reevaluation(self, scene, tracked):
+        scene.advance_time(1.0)
+        late = CountingTrajectory(Vec2(5, 5))
+        scene.set_trajectory(n(2), late)
+        assert scene.advance_time(1.0) == [n(2)]
+        assert late.calls == 1 and scene.position(n(2)) == Vec2(6, 5)
+
+    def test_backwards_still_raises(self, scene, tracked):
+        scene.advance_time(2.0)
+        assert scene.advance_time(2.0) == []
+        with pytest.raises(SceneError):
+            scene.advance_time(1.5)
+
+    def test_event_order_and_bumps_per_tick(self, scene, tracked):
+        events = []
+        scene.add_listener(events.append)
+        version = scene.version
+        v1 = scene.channel_version(ChannelId(1))
+        v2 = scene.channel_version(ChannelId(2))
+        scene.advance_time(1.0)
+        assert [(e.kind, e.node, e.time) for e in events] == [
+            ("node-moved", n(1), 1.0),
+            ("node-moved", n(2), 1.0),
+            ("node-moved", n(3), 1.0),
+        ]
+        assert events[1].details == {"x": 51.0, "y": 0.0}
+        # One bump per tick, however many nodes moved.
+        assert scene.version == version + 1
+        assert scene.channel_version(ChannelId(1)) == v1 + 1
+        assert scene.channel_version(ChannelId(2)) == v2 + 1
+
+    def test_listeners_see_the_whole_tick_applied(self, scene, tracked):
+        """The first node-moved of a tick already shows every node at its
+        new position, and the versions still at their old values."""
+        version = scene.version
+        seen = []
+
+        def listener(event):
+            seen.append(
+                (
+                    [scene.position(node).x for node in (n(1), n(2), n(3))],
+                    scene.version,
+                    scene.tick_movers,
+                )
+            )
+
+        scene.add_listener(listener)
+        scene.advance_time(1.0)
+        movers = {ChannelId(1): [n(1), n(2), n(3)], ChannelId(2): [n(3)]}
+        assert seen == [([1.0, 51.0, 1.0], version, movers)] * 3
+        assert seen[0][2] is seen[2][2]  # one object per tick
+        assert scene.tick_movers is None
+
+    def test_single_move_is_not_a_batch(self, scene):
+        seen = []
+        scene.add_listener(lambda e: seen.append(scene.tick_movers))
+        scene.set_trajectory(n(2), CountingTrajectory(Vec2(50, 0)))
+        scene.advance_time(1.0)  # a one-node tick
+        scene.move_node(n(1), Vec2(3, 3))
+        assert seen == [None, None, None]  # mobility-set, 2 x node-moved
+
+    def test_reentrant_move_inside_a_tick_is_a_single_move(self, scene, tracked):
+        seen = []
+
+        def listener(event):
+            seen.append((event.node, scene.tick_movers is not None))
+            if event.node == n(1) and len(seen) == 1:
+                scene.move_node(n(2), Vec2(7, 7))
+
+        scene.add_listener(listener)
+        scene.advance_time(1.0)
+        assert seen == [
+            (n(1), True), (n(2), False), (n(2), True), (n(3), True),
+        ]
+        # The drag invalidated the instant: the trajectory wins it back.
+        assert scene.advance_time(1.0) == [n(2)]
