@@ -37,6 +37,11 @@ Two more ``extra_info`` conventions:
   ``SPEEDUP_MIN_CORES`` cores; an oversubscribed smaller box measures
   scheduler noise, not code, so the gate prints a skip note there.
   Never normalized.
+* ``count_*`` — counts of work the program does per unit of output
+  (e.g. virtual-clock timers armed per delivered frame), taken over a
+  fixed seeded pass so they **repeat exactly** on any machine.  Gated
+  absolutely and without tolerance: the fresh count may not exceed the
+  baseline's.  Never normalized.
 * ``no_time_gate`` — set truthy by whole-scenario benchmarks whose
   wall-clock is load-shape-dependent noise: the min-time comparison is
   skipped for them and only their exported figures are gated.
@@ -97,6 +102,11 @@ def _is_overhead(key: str) -> bool:
     return key.startswith("overhead_")
 
 
+def _is_count(key: str) -> bool:
+    """Keys gated as exactly repeating counts (smaller is better)."""
+    return key.startswith("count_")
+
+
 def load_fresh(path: Path) -> dict[str, dict[str, float]]:
     """Extract {name: {mean_us, min_us}} from a pytest-benchmark JSON."""
     raw = json.loads(path.read_text())
@@ -112,6 +122,7 @@ def load_fresh(path: Path) -> dict[str, dict[str, float]]:
                 _is_absolute(key)
                 or _is_speedup(key)
                 or _is_overhead(key)
+                or _is_count(key)
                 or key == "cpu_count"
             ):
                 entry[key] = float(value)
@@ -247,6 +258,21 @@ def check(args: argparse.Namespace) -> int:
                 failures.append(
                     f"{name}: {key} {have:.3f}x over the "
                     f"{OVERHEAD_BUDGET_X:.2f}x budget ({cores} cores)"
+                )
+        for key in sorted(k for k in base if _is_count(k)):
+            have = got.get(key)
+            if have is None:
+                failures.append(f"{name}: {key} missing from fresh results")
+                continue
+            count_verdict = "ok" if have <= base[key] else "REGRESSED"
+            print(
+                f"  {name:36s} {key} {have:g} vs {base[key]:g}"
+                f"  (exact count)  {count_verdict}"
+            )
+            if have > base[key]:
+                failures.append(
+                    f"{name}: {key} {have:g} exceeds the baseline's "
+                    f"{base[key]:g}"
                 )
         for key in sorted(k for k in base if _is_absolute(k)):
             have = got.get(key)

@@ -21,6 +21,8 @@ from repro.core.packet import Packet
 from repro.core.recording import MemoryRecorder
 from repro.core.scene import Scene
 from repro.core.scheduler import ForwardSchedule, ScheduledPacket
+from repro.core.server import InProcessEmulator
+from repro.models.link import LinkModel, PacketLossModel
 from repro.models.mobility import Bounds, RandomWaypoint
 from repro.models.radio import RadioConfig
 from repro.net import framing, messages
@@ -204,6 +206,61 @@ def test_mobility_tick_64(benchmark):
 
     benchmark(tick)
     benchmark.extra_info["cpu_count"] = multiprocessing.cpu_count()
+
+
+def test_virtual_round_64(benchmark):
+    """One beacon round of a 64-node static mesh through
+    ``InProcessEmulator``, ``run_for`` included: 64 broadcasts under
+    Table 3 loss, the virtual-clock wake-ups that deliver them, and the
+    batched records — the shape of ``benchmarks/e2e``'s
+    ``inproc_static_mesh``.
+
+    ``count_timers_per_1k_deliveries`` is counted over a fixed pass of
+    ten rounds on a fresh seeded emulator, so it repeats exactly whatever
+    number of rounds the timer then runs: ``VirtualClock.call_at`` calls
+    per 1000 delivered frames (1000 when every scheduled entry armed its
+    own timer, one call per round since ``ForwardingEngine.arm_flush``).
+    """
+    link = LinkModel(
+        loss=PacketLossModel(p0=0.1, p1=0.9, d0=50.0, radio_range=200.0)
+    )
+
+    def build():
+        emu = InProcessEmulator(seed=3)
+        hosts = [
+            emu.add_node(
+                Vec2(30.0 + 60.0 * (i % 8), 30.0 + 60.0 * (i // 8)),
+                RadioConfig.single(1, 150.0, link),
+            )
+            for i in range(64)
+        ]
+
+        def one_round():
+            for host in hosts:
+                host.transmit(BROADCAST_NODE, b"b" * 64, channel=ChannelId(1))
+            emu.run_for(0.1)
+
+        return emu, one_round
+
+    emu, one_round = build()
+    armed = [0]
+    call_at = emu.clock.call_at
+
+    def counting_call_at(when, fn):
+        armed[0] += 1
+        return call_at(when, fn)
+
+    emu.clock.call_at = counting_call_at
+    for _ in range(10):
+        one_round()
+    assert emu.engine.ingested == 640
+    benchmark.extra_info["count_timers_per_1k_deliveries"] = round(
+        1000.0 * armed[0] / emu.engine.forwarded, 3
+    )
+    benchmark.extra_info["cpu_count"] = multiprocessing.cpu_count()
+
+    emu, one_round = build()
+    benchmark(one_round)
 
 
 def test_framing_roundtrip(benchmark):

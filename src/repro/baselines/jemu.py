@@ -155,7 +155,4 @@ class JEmuEmulator(InProcessEmulator):
         # The server's view: the packet "arrived" now, after serial
         # reception — this becomes t_receipt and anchors forwarding.
         self.scene.advance_time(self.clock.now())
-        entries = self.engine.ingest(host.node_id, packet)
-        now = self.clock.now()
-        for entry in entries:
-            self.clock.call_at(max(entry.t_forward, now), self._flush_engine)
+        self.engine.arm_flush(self.engine.ingest(host.node_id, packet))

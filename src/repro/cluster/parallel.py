@@ -129,10 +129,7 @@ class ParallelEmulator(InProcessEmulator):
 
         def process() -> None:
             self.scene.advance_time(self.clock.now())
-            entries = self.engine.ingest(host.node_id, packet)
-            t = self.clock.now()
-            for entry in entries:
-                self.clock.call_at(max(entry.t_forward, t), self._flush_engine)
+            self.engine.arm_flush(self.engine.ingest(host.node_id, packet))
 
         self.clock.call_at(done, process)
 

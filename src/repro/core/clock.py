@@ -111,6 +111,10 @@ class VirtualClock(EmulationClock):
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = itertools.count()
         self._cancelled: set[int] = set()
+        # Key of the last entry popped.  Entries leave the heap in strictly
+        # increasing (when, seq) order, so this alone tells a handle that
+        # already ran from a queued one.
+        self._popped: tuple[float, int] = (float("-inf"), -1)
 
     def now(self) -> float:
         return self._now
@@ -138,20 +142,23 @@ class VirtualClock(EmulationClock):
 
     def cancel(self, handle: ScheduledCall) -> None:
         """Cancel a scheduled call (no-op if it already ran)."""
-        self._cancelled.add(handle.seq)
+        if (handle.when, handle.seq) > self._popped:
+            self._cancelled.add(handle.seq)
 
     def pending(self) -> int:
-        """Number of callbacks still queued (including cancelled ones)."""
-        return len(self._heap)
+        """Number of callbacks still queued and not cancelled."""
+        return len(self._heap) - len(self._cancelled)
 
     def next_event_time(self) -> Optional[float]:
         """Time of the earliest queued callback, or ``None`` if idle."""
         return self._heap[0][0] if self._heap else None
 
-    def step(self) -> bool:
-        """Run the single earliest callback; return False if queue empty."""
-        while self._heap:
+    def step(self, deadline: float = float("inf")) -> bool:
+        """Run the single earliest callback; return False if none is
+        queued at or before ``deadline``."""
+        while self._heap and self._heap[0][0] <= deadline:
             when, seq, fn = heapq.heappop(self._heap)
+            self._popped = (when, seq)
             if seq in self._cancelled:
                 self._cancelled.discard(seq)
                 continue
@@ -170,8 +177,8 @@ class VirtualClock(EmulationClock):
             raise ClockError(
                 f"deadline {deadline} is before current time {self._now}"
             )
-        while self._heap and self._heap[0][0] <= deadline:
-            self.step()
+        while self.step(deadline):
+            pass
         self._now = deadline
 
     def run(self, max_events: int = 1_000_000) -> int:

@@ -17,7 +17,8 @@ For each incoming packet the PoEm server:
 :class:`ForwardingEngine` implements Steps 2–4 (:meth:`ingest`) and the
 delivery half of 5–7 (:meth:`flush_due`), leaving *when* ``flush_due`` runs
 to the owner: the real-time server calls it from a scanning thread against
-the wall clock; the virtual-time emulator calls it from clock callbacks.
+the wall clock; the virtual-clock deployments arm it with :meth:`arm_flush`,
+one clock callback per forward instant.
 Both therefore execute the identical forwarding logic — the property that
 makes deterministic tests meaningful for the real deployment.
 
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -99,6 +100,8 @@ class ForwardingEngine:
         self.forwarded = 0
         self.dropped = 0
         self.transport_dropped = 0  # subset of dropped: transport-layer loss
+        # Forward instants with a virtual-clock wake-up armed (arm_flush).
+        self._armed: set[float] = set()
         # -- telemetry wiring (None = disabled, all guards short-circuit) ------
         self.telemetry = telemetry
         self._tracer = None
@@ -385,10 +388,10 @@ class ForwardingEngine:
         entry reproduces the in-process emulator's clock discipline for
         one frame — advance the virtual clock to the frame's origin
         stamp (firing any flush callbacks that fell due), sync scene
-        mobility/time, ingest, then schedule a flush callback at each
-        entry's forward time — so a 1-worker cluster runs the *identical*
-        event sequence as :class:`~repro.core.server.InProcessEmulator`
-        (the seeded-equivalence contract).
+        mobility/time, ingest, then :meth:`arm_flush` — so a 1-worker
+        cluster runs the *identical* event sequence as
+        :class:`~repro.core.server.InProcessEmulator` (the
+        seeded-equivalence contract).
 
         Requires ``self.clock`` to be a :class:`VirtualClock` (the
         worker always builds one); the real-time stack never calls this.
@@ -404,15 +407,40 @@ class ForwardingEngine:
             clock.run_until(t)  # type: ignore[attr-defined]
         self.scene.advance_time(clock.now())
         entries = self.ingest(packet.source, packet, trace=trace)
-        now = clock.now()
-        for entry in entries:
-            clock.call_at(  # type: ignore[attr-defined]
-                max(entry.t_forward, now), self._worker_flush
-            )
+        self.arm_flush(entries)
         return entries
 
-    def _worker_flush(self) -> None:
-        self.flush_due(self.clock.now())
+    def arm_flush(self, entries: list[ScheduledPacket]) -> None:
+        """Virtual-clock Step 5: wake the scan once per forward instant.
+
+        Arms one :meth:`VirtualClock.call_at` per distinct
+        ``max(entry.t_forward, now)`` that has no wake-up armed yet — the
+        paper's single scanning thread, woken when the emulation clock
+        meets a time to forward, not once per scheduled entry.  Every
+        virtual-clock deployment (in-process, shard workers, the modelled
+        baselines) arms its flushes here and nowhere else.
+
+        Invariant: the wake-up disarms its instant *before* it flushes.
+        A frame ingested during that very flush and due at once (a relay
+        behind a lagging client stamp) therefore arms the instant again,
+        behind every callback already queued for it, instead of being
+        stranded in the schedule.
+        """
+        clock = self.clock
+        now = clock.now()
+        armed = self._armed
+        for entry in entries:
+            when = entry.t_forward
+            if when < now:
+                when = now
+            if when not in armed:
+                armed.add(when)
+                clock.call_at(when, self._flush_armed)  # type: ignore[attr-defined]
+
+    def _flush_armed(self) -> None:
+        now = self.clock.now()  # exactly the instant this call was armed for
+        self._armed.discard(now)
+        self.flush_due(now)
 
     def _commit_ingest(
         self,
@@ -440,8 +468,11 @@ class ForwardingEngine:
                 self.transport_dropped += n_transport
             fam = self._m_drop_family
             if fam is not None:
+                per_reason: dict[str, int] = {}
                 for _, reason, _p in drops:
-                    fam.labels(reason).inc()
+                    per_reason[reason] = per_reason.get(reason, 0) + 1
+                for reason, n in per_reason.items():
+                    fam.labels(reason).inc(n)
         else:
             with self._lock:
                 self.ingested += 1
@@ -454,15 +485,14 @@ class ForwardingEngine:
                     self._make_record(p, sender, receiver, reason)
                 )
             else:
-                start = self.recorder.reserve_record_ids(n_drops)
                 self.recorder.record_many(
-                    [
-                        self._make_record(
-                            p, sender, receiver, reason,
-                            record_id=start + i,
-                        )
-                        for i, (receiver, reason, p) in enumerate(drops)
-                    ]
+                    self._make_records(
+                        self.recorder.reserve_record_ids(n_drops),
+                        (
+                            (p, sender, receiver, reason)
+                            for receiver, reason, p in drops
+                        ),
+                    )
                 )
         return scheduled
 
@@ -537,7 +567,7 @@ class ForwardingEngine:
         )
         max_lag = 0.0
         shed: list[ScheduledPacket] = []
-        delivered: list[tuple[Packet, NodeId, NodeId]] = []
+        delivered: list[tuple[Packet, NodeId, NodeId, None]] = []
         finished_traces: list[Trace] = []
         # Consecutive entries of one fan-out carry the same forwarded
         # packet object (see ingest) and fall due together: they share
@@ -591,7 +621,7 @@ class ForwardingEngine:
                     tracer.finalize(tr, "dropped-at-delivery")
                     tr = None
             if packet is not None:
-                delivered.append((packet, entry.sender, entry.receiver))
+                delivered.append((packet, entry.sender, entry.receiver, None))
                 if tr is not None:
                     finished_traces.append(tr)
         count = len(delivered)
@@ -606,12 +636,7 @@ class ForwardingEngine:
             else:
                 start = self.recorder.reserve_record_ids(count)
                 _t0 = _perf() if finished_traces else 0.0
-                self.recorder.record_many(
-                    [
-                        self._make_record(p, s, r, record_id=start + i)
-                        for i, (p, s, r) in enumerate(delivered)
-                    ]
-                )
+                self.recorder.record_many(self._make_records(start, delivered))
                 if finished_traces:
                     record_dur = _perf() - _t0
                     for tr in finished_traces:
@@ -628,13 +653,13 @@ class ForwardingEngine:
             ov.note_shed(n)
             start = self.recorder.reserve_record_ids(n)
             self.recorder.record_many(
-                [
-                    self._make_record(
-                        e.packet, e.sender, e.receiver,
-                        DropReason.DEADLINE_SHED, record_id=start + i,
-                    )
-                    for i, e in enumerate(shed)
-                ]
+                self._make_records(
+                    start,
+                    (
+                        (e.packet, e.sender, e.receiver, DropReason.DEADLINE_SHED)
+                        for e in shed
+                    ),
+                )
             )
         if ov is not None and now is not None:
             ov.observe(max_lag, len(self.schedule))
@@ -741,6 +766,47 @@ class ForwardingEngine:
             t_delivered=packet.t_delivered,
             drop_reason=drop_reason,
         )
+
+    def _make_records(
+        self,
+        start: int,
+        rows: Iterable[tuple[Packet, NodeId, Optional[NodeId], Optional[str]]],
+    ) -> list[PacketRecord]:
+        """:meth:`_make_record` over a batch of ``(packet, sender,
+        receiver, drop_reason)`` rows, ids counting up from ``start``.
+
+        The receivers of a fan-out carry the same stamped packet object
+        (see :meth:`ingest` / :meth:`_deliver_batch`), so the per-packet
+        fields are read once per run of rows sharing a packet and only
+        id, hop and outcome per row."""
+        records: list[PacketRecord] = []
+        append = records.append
+        record_id = start
+        last: Optional[Packet] = None
+        for packet, sender, receiver, drop_reason in rows:
+            if packet is not last:
+                last = packet
+                seqno = int(packet.seqno)
+                source = int(packet.source)
+                destination = int(packet.destination)
+                channel = int(packet.channel)
+                kind = packet.kind
+                size_bits = packet.size_bits
+                t_origin = packet.t_origin
+                t_receipt = packet.t_receipt
+                t_forward = packet.t_forward
+                t_delivered = packet.t_delivered
+            append(
+                PacketRecord(
+                    record_id, seqno, source, destination, int(sender),
+                    None if receiver is None else int(receiver),
+                    channel, kind, size_bits,
+                    t_origin, t_receipt, t_forward, t_delivered,
+                    drop_reason,
+                )
+            )
+            record_id += 1
+        return records
 
     def _record_drop(
         self,

@@ -193,8 +193,9 @@ class InProcessEmulator:
             # stop the engine from double-sampling.
             self._tracer.delegated = True
         # Virtual-clock runs fire exactly at t_forward, so the controller
-        # stays NOMINAL — it exists for deployment parity (health shape,
-        # telemetry series) and for tests driving it directly.
+        # normally stays NOMINAL (docs/overload.md names the exceptions) —
+        # it exists for deployment parity (health shape, telemetry series)
+        # and for tests driving it directly.
         if overload_config is None:
             overload_config = OverloadConfig(lag_budget=lag_budget)
         self.overload = OverloadController(
@@ -338,20 +339,14 @@ class InProcessEmulator:
                     tr.stage(
                         "receive", _time_mod.perf_counter() - t0
                     )
-            entries = self.engine.ingest(host.node_id, packet, trace=tr)
-            now = self.clock.now()
-            for entry in entries:
-                self.clock.call_at(
-                    max(entry.t_forward, now), self._flush_engine
-                )
+            self.engine.arm_flush(
+                self.engine.ingest(host.node_id, packet, trace=tr)
+            )
 
         if delay <= 0.0:
             arrive_at_server()
         else:
             self.clock.call_after(delay, arrive_at_server)
-
-    def _flush_engine(self) -> None:
-        self.engine.flush_due(self.clock.now())
 
     def _deliver_to_host(self, receiver: NodeId, packet: Packet) -> None:
         host = self._hosts.get(receiver)

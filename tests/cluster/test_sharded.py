@@ -27,6 +27,7 @@ from repro.models.link import (
     LinkModel,
     PacketLossModel,
 )
+from repro.models.mobility import ConstantVelocity
 from repro.models.radio import Radio, RadioConfig
 from repro.net.messages import encode_message
 from repro.obs.telemetry import Telemetry
@@ -111,6 +112,55 @@ class TestPipeline:
             got = emu.recorder.packets()
 
         assert len(ref) == len(got) == 40
+        assert [record_tuple(r) for r in ref] == [
+            record_tuple(g) for g in got
+        ]
+
+    def test_seeded_equivalence_under_a_mobility_tick(self):
+        """The same contract with scene writes beside the timers: both
+        end nodes move, the in-process stack applies it on a mobility
+        tick, the cluster at a per-step ``flush`` that re-ships the
+        replica, and every step broadcasts, so worker and in-process
+        wake-ups are coalesced the same way (``arm_flush`` on both)."""
+        step, steps = 0.01, 30
+
+        def populate(emu):
+            hosts = line_topology(emu)
+            emu.scene.set_mobility(
+                hosts[0].node_id, ConstantVelocity(200.0, 0.0)
+            )
+            emu.scene.set_mobility(
+                hosts[3].node_id, ConstantVelocity(300.0, 175.0)
+            )
+            return hosts
+
+        ref_emu = InProcessEmulator(seed=42)
+        hosts = populate(ref_emu)
+        ref_emu.enable_mobility_tick(step)
+        for i in range(steps):
+            ref_emu.run_until(step * (i + 1))
+            hosts[i % 4].transmit(
+                BROADCAST_NODE, b"x" * 32, channel=ChannelId(1)
+            )
+        ref_emu.run_until(2.0)
+        ref = ref_emu.recorder.packets()
+
+        with ShardedEmulator(n_workers=1, seed=42) as emu:
+            shosts = populate(emu)
+            for i in range(steps):
+                emu.flush(step * (i + 1))  # the tick: move, then re-ship
+                shosts[i % 4].transmit(
+                    BROADCAST_NODE, b"x" * 32, channel=ChannelId(1),
+                    t=step * (i + 1),
+                )
+            emu.flush(2.0)
+            emu.collect()
+            got = emu.recorder.packets()
+            moved = emu.scene.position(shosts[0].node_id)
+
+        assert moved == ref_emu.scene.position(hosts[0].node_id)
+        assert moved.x > 50.0  # the scene really changed under the run
+        assert len(ref) > 2 * steps  # fan-outs, not single receivers
         assert [record_tuple(r) for r in ref] == [
             record_tuple(g) for g in got
         ]

@@ -73,6 +73,66 @@ class TestVirtualClock:
         clock.run()
         clock.cancel(handle)  # no error
 
+    def test_cancel_after_fire_leaves_no_tombstone(self):
+        clock = VirtualClock()
+        handle = clock.call_at(1.0, lambda: None)
+        later = clock.call_at(2.0, lambda: None)
+        clock.run_until(1.0)
+        clock.cancel(handle)
+        assert clock._cancelled == set()
+        assert clock.pending() == 1
+        clock.cancel(later)  # still queued: this one does count
+        assert clock._cancelled == {later.seq}
+
+    def test_cancel_same_instant_tells_fired_from_queued(self):
+        clock = VirtualClock()
+        fired = []
+        handles = []
+
+        def first():
+            fired.append("first")
+            clock.cancel(handles[0])  # itself: already running
+            clock.cancel(handles[1])  # same instant, not yet run
+
+        handles.append(clock.call_at(1.0, first))
+        handles.append(clock.call_at(1.0, lambda: fired.append("second")))
+        clock.run()
+        assert fired == ["first"]
+        assert clock._cancelled == set() and clock.pending() == 0
+
+    def test_cancel_twice_after_skip_is_noop(self):
+        clock = VirtualClock()
+        handle = clock.call_at(1.0, lambda: None)
+        clock.cancel(handle)
+        clock.run()  # pops the cancelled entry without advancing time
+        clock.cancel(handle)
+        assert clock._cancelled == set() and clock.pending() == 0
+
+    def test_pending_counts_live_callbacks(self):
+        clock = VirtualClock()
+        a = clock.call_at(1.0, lambda: None)
+        clock.call_at(2.0, lambda: None)
+        assert clock.pending() == 2
+        clock.cancel(a)
+        clock.cancel(a)  # idempotent
+        assert clock.pending() == 1
+        clock.run()
+        assert clock.pending() == 0
+
+    def test_cancel_then_run_until_skips_and_respects_deadline(self):
+        """A cancelled entry before the deadline is skipped without
+        pulling the next live one in from beyond it (``run_until`` used
+        to run it early and then step the clock backwards)."""
+        clock = VirtualClock()
+        fired = []
+        handle = clock.call_at(1.0, lambda: fired.append(("a", clock.now())))
+        clock.call_at(3.0, lambda: fired.append(("b", clock.now())))
+        clock.cancel(handle)
+        clock.run_until(2.0)
+        assert fired == [] and clock.now() == 2.0 and clock.pending() == 1
+        clock.run_until(3.0)
+        assert fired == [("b", 3.0)]
+
     def test_run_until_ends_exactly_at_deadline(self):
         clock = VirtualClock()
         clock.call_at(1.0, lambda: None)

@@ -258,6 +258,185 @@ class TestSharedStampedCopies:
         assert delivered[0].t_delivered == 50.0
 
 
+class TestArmFlush:
+    """``arm_flush``: the single virtual-clock scan step."""
+
+    def test_one_timer_per_distinct_instant_not_yet_armed(self):
+        engine, _, clock = build_engine()
+        first = engine.ingest(n(2), packet(2, -1, t_origin=1.0, seq=1))
+        engine.arm_flush(first)
+        assert len(first) == 2 and clock.pending() == 1
+        engine.arm_flush(engine.ingest(n(2), packet(2, -1, t_origin=1.0, seq=2)))
+        assert clock.pending() == 1  # same forward instant: already armed
+        later = engine.ingest(n(2), packet(2, -1, t_origin=2.0, seq=3))
+        engine.arm_flush(later)
+        assert clock.pending() == 2
+        clock.run()
+        assert engine.forwarded == 6 and len(engine.schedule) == 0
+        assert [r.t_delivered for r in engine.recorder.packets()] == (
+            [first[0].t_forward] * 4 + [later[0].t_forward] * 2
+        )
+
+    def test_forward_time_already_past_is_armed_at_now(self):
+        engine, _, clock = build_engine()
+        clock.run_until(5.0)
+        entries = engine.ingest(n(1), packet(1, 2, t_origin=1.0))
+        assert entries[0].t_forward < 5.0
+        engine.arm_flush(entries)
+        assert clock.next_event_time() == 5.0
+        clock.run()
+        assert engine.recorder.packets()[0].t_delivered == 5.0
+
+    def test_instant_is_disarmed_before_its_flush(self):
+        """A frame relayed with no latency from inside a delivery, due at
+        the instant being flushed, arms that instant again instead of
+        being stranded behind a wake-up that is already running."""
+        engine, _, clock = build_engine()
+        clock.run_until(5.0)
+        heard = []
+
+        def deliver(receiver, p):
+            heard.append((receiver, p.seqno, clock.now()))
+            if p.seqno == 1:  # lagging stamp: forward time long past
+                engine.arm_flush(
+                    engine.ingest(n(2), packet(2, 3, t_origin=1.0, seq=2))
+                )
+
+        engine.deliver = deliver
+        engine.arm_flush(engine.ingest(n(1), packet(1, 2, t_origin=1.0, seq=1)))
+        clock.run()
+        assert heard == [(n(2), 1, 5.0), (n(3), 2, 5.0)]
+        assert len(engine.schedule) == 0 and engine._armed == set()
+
+
+class TestBatchRecords:
+    """``_make_records`` reads the per-packet fields once per run of rows
+    sharing a packet object; every row must still be field-for-field
+    what ``_make_record`` builds one at a time."""
+
+    DISTANCE_LINK = LinkModel(
+        bandwidth=BandwidthModel(peak=1e6, edge=1e5, radio_range=100.0),
+        delay=DelayModel(base=0.01),
+    )
+
+    @staticmethod
+    def per_row(engine, rows, start):
+        return [
+            engine._make_record(p, s, r, reason, record_id=start + i)
+            for i, (p, s, r, reason) in enumerate(rows)
+        ]
+
+    def fan_out(self, link):
+        engine, _, _ = build_engine(link=link)
+        entries = engine.ingest(n(2), packet(2, -1, t_origin=1.0))
+        rows = [(e.packet, e.sender, e.receiver, None) for e in entries]
+        assert engine._make_records(7, rows) == self.per_row(engine, rows, 7)
+        assert engine.flush_due(now=50.0) == 2
+        return engine, entries
+
+    def test_constant_bandwidth_fanout_sharing_one_packet(self):
+        engine, entries = self.fan_out(None)
+        assert entries[0].packet is entries[1].packet
+        done = entries[0].packet.stamped(t_delivered=50.0)
+        assert engine.recorder.packets() == self.per_row(
+            engine, [(done, n(2), e.receiver, None) for e in entries], 1
+        )
+
+    def test_distance_dependent_bandwidth_stamps_per_receiver(self):
+        engine, entries = self.fan_out(self.DISTANCE_LINK)
+        assert entries[0].t_forward != entries[1].t_forward
+        by_time = sorted(entries, key=lambda e: e.t_forward)  # pop order
+        assert engine.recorder.packets() == self.per_row(
+            engine,
+            [
+                (e.packet.stamped(t_delivered=50.0), n(2), e.receiver, None)
+                for e in by_time
+            ],
+            1,
+        )
+
+    def test_base_drops_mixed_with_rejected_schedule_suffix(self):
+        """One ingest: a stale receiver (dropped from the receipt-stamped
+        base packet) and a rejected suffix entry (dropped from its own
+        forwarded copy, so the row keeps its ``t_forward``)."""
+        engine, scene, _ = build_engine(link=self.DISTANCE_LINK, capacity=1)
+        radios = RadioConfig.of(
+            [Radio(ChannelId(1), 100.0, self.DISTANCE_LINK)]
+        )
+        scene.add_node(n(4), Vec2(50, 30), radios)
+        scene.quarantine_node(n(1))
+        pushed = []
+        push_many = engine.schedule.push_many
+        engine.schedule.push_many = lambda entries: (
+            pushed.extend(entries), push_many(entries)
+        )[1]
+        (kept,) = engine.ingest(n(2), packet(2, -1, t_origin=1.0))
+        assert kept is pushed[0] and len(pushed) == 2
+        rejected = pushed[1]
+        base = packet(2, -1, t_origin=1.0).stamped(t_receipt=1.0)
+        records = engine.recorder.packets()
+        assert records == self.per_row(
+            engine,
+            [
+                (base, n(2), n(1), DropReason.NODE_STALE),
+                (rejected.packet, n(2), rejected.receiver,
+                 DropReason.QUEUE_OVERFLOW),
+            ],
+            1,
+        )
+        assert records[0].t_forward is None
+        assert records[1].t_forward == rejected.t_forward != kept.t_forward
+
+    def test_rows_without_receiver(self):
+        engine, _, _ = build_engine()
+        base = packet(2, -1, t_origin=1.0).stamped(t_receipt=1.0)
+        other = packet(1, 2, t_origin=2.0, seq=9).stamped(t_receipt=2.0)
+        rows = [
+            (base, n(2), None, DropReason.DEADLINE_SHED),
+            (base, n(2), n(1), None),
+            (other, n(1), None, DropReason.NO_SUCH_CHANNEL),
+        ]
+        records = engine._make_records(40, rows)
+        assert records == self.per_row(engine, rows, 40)
+        assert [r.receiver for r in records] == [None, 1, None]
+        assert [r.record_id for r in records] == [40, 41, 42]
+
+
+class TestDropReasonMetric:
+    def test_mixed_reasons_of_one_ingest_counted_per_reason(self):
+        """A broadcast whose receivers are dropped for different reasons
+        adds each reason's count to its own ``/metrics`` series."""
+        from repro.obs.telemetry import Telemetry
+
+        link = LinkModel(
+            loss=PacketLossModel(p0=1.0, p1=1.0, radio_range=100.0)
+        )
+        radios = RadioConfig.of([Radio(ChannelId(1), 100.0, link)])
+        scene = Scene(seed=0)
+        for i, x in ((1, 0), (2, 50), (3, 90), (4, 60)):
+            scene.add_node(n(i), Vec2(x, 0), radios)
+        scene.quarantine_node(n(1))
+        telemetry = Telemetry()
+        engine = ForwardingEngine(
+            scene, ChannelIndexedNeighborTables(scene), VirtualClock(),
+            rng=np.random.default_rng(0), telemetry=telemetry,
+        )
+        for seq in (1, 2):
+            assert engine.ingest(n(2), packet(2, -1, t_origin=0.0, seq=seq)) == []
+        family = telemetry.registry.get("poem_engine_drop_reason_total")
+        by_reason = {
+            dict(child.label_values)["reason"]: child.value()
+            for child in family.children()
+        }
+        assert by_reason == {
+            DropReason.NODE_STALE: 2, DropReason.LOSS_MODEL: 4,
+        }
+        recorded = [r.drop_reason for r in engine.recorder.packets()]
+        assert recorded.count(DropReason.NODE_STALE) == 2
+        assert recorded.count(DropReason.LOSS_MODEL) == 4
+        assert engine.dropped == 6
+
+
 class TestOverloadPlane:
     """Admission control, deadline shedding, coalescing, accounting."""
 
