@@ -12,12 +12,13 @@ import time
 
 import numpy as np
 
+from repro.cluster import ShardedEmulator
 from repro.core.clock import VirtualClock
 from repro.core.engine import ForwardingEngine
 from repro.core.geometry import Vec2
 from repro.core.ids import BROADCAST_NODE, ChannelId, NodeId
 from repro.core.neighbor import ChannelIndexedNeighborTables
-from repro.core.packet import Packet
+from repro.core.packet import Packet, PacketRecord
 from repro.core.recording import MemoryRecorder
 from repro.core.scene import Scene
 from repro.core.scheduler import ForwardSchedule, ScheduledPacket
@@ -299,3 +300,128 @@ def test_packet_wire_codec_binary(benchmark):
         )
 
     benchmark(codec)
+
+
+# -- sharded cluster: what the worker pipes carry -------------------------------
+#
+# Both benches drive a real 2-worker ``ShardedEmulator`` through its
+# public API only, so the same file measures any revision of the cluster.
+
+
+def _cluster_mesh(n_nodes):
+    """A started 2-worker cluster over a lossless ``8 x n/8`` lattice."""
+    emu = ShardedEmulator(n_workers=2, seed=4)
+    hosts = [
+        emu.add_node(
+            Vec2(30.0 + 60.0 * (i % 8), 30.0 + 60.0 * (i // 8)),
+            RadioConfig.single(1, 150.0),
+        )
+        for i in range(n_nodes)
+    ]
+    emu.start()
+    return emu, hosts
+
+
+def test_cluster_collect_20k(benchmark):
+    """``collect()`` of ~20k delivered records held by two workers: the
+    workers' record encode, the pipe, the parent's decode, the
+    event-time merge, the record builds and ``record_many``.  The
+    traffic that produces the records is set-up, not timed.
+
+    ``count_record_builds_per_record`` counts ``PacketRecord``
+    constructions in the parent over one such collect: 2 when the merge
+    re-built every decoded record to give it its id, 1 since rows are
+    merged first and each record is built once with its final id.
+    """
+    emu, hosts = _cluster_mesh(32)
+    stamp = [0.0]
+
+    def load():
+        # 32 senders x 51 rounds; the lattice's fan-out sum is 396.
+        for _ in range(51):
+            stamp[0] += 0.01
+            for host in hosts:
+                host.transmit(
+                    BROADCAST_NODE, b"b" * 64, channel=ChannelId(1),
+                    t=stamp[0],
+                )
+        emu.flush(stamp[0] + 0.005)
+
+    try:
+        built = [0]
+        init = PacketRecord.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built[0] += 1
+            init(self, *args, **kwargs)
+
+        load()
+        PacketRecord.__init__ = counting_init
+        try:
+            records = emu.collect()
+        finally:
+            PacketRecord.__init__ = init
+        assert len(records) == 51 * 396 == 20196
+        benchmark.extra_info["count_record_builds_per_record"] = round(
+            built[0] / len(records), 3
+        )
+        benchmark.extra_info["cpu_count"] = multiprocessing.cpu_count()
+
+        benchmark.pedantic(emu.collect, setup=load, rounds=8)
+    finally:
+        emu.stop()
+
+
+def test_cluster_move_sync_64(benchmark):
+    """64 scene moves, each followed by a frame that forces the replicas
+    coherent first, then the barrier: 64 replications through the
+    parent's encode, both pipes and both workers' scene handlers (plus
+    the 64 broadcasts that order them) — the shape of
+    ``benchmarks/e2e``'s ``sharded_mesh`` step, twice as wide.
+
+    ``count_snapshot_ships_per_100_moves`` counts
+    ``Scene.export_snapshot`` calls over a fixed pass of 100 such moves:
+    100 when every move re-shipped the whole scene, 0 since moves travel
+    as ``scene_moves`` deltas.
+    """
+    emu, hosts = _cluster_mesh(64)
+    stamp = [0.0]
+    step = [0]
+
+    def moves(n):
+        for _ in range(n):
+            k = step[0] % 64
+            step[0] += 1
+            stamp[0] += 0.01
+            jitter = (step[0] % 7) / 7.0
+            emu.scene.move_node(
+                hosts[k].node_id,
+                Vec2(30.0 + 60.0 * (k % 8) + jitter, 30.0 + 60.0 * (k // 8)),
+            )
+            hosts[k].transmit(
+                BROADCAST_NODE, b"b" * 64, channel=ChannelId(1), t=stamp[0]
+            )
+        emu.flush(stamp[0] + 0.005)
+
+    try:
+        shipped = [0]
+        export = emu.scene.export_snapshot
+
+        def counting_export():
+            shipped[0] += 1
+            return export()
+
+        emu.scene.export_snapshot = counting_export
+        moves(100)
+        del emu.scene.export_snapshot
+        benchmark.extra_info["count_snapshot_ships_per_100_moves"] = shipped[0]
+        benchmark.extra_info["cpu_count"] = multiprocessing.cpu_count()
+
+        def drain():
+            emu.collect()  # keeps the workers' logs from growing
+
+        benchmark.pedantic(
+            moves, args=(64,), setup=drain, rounds=20, warmup_rounds=1
+        )
+    finally:
+        emu.stop()

@@ -1,13 +1,18 @@
 """Parent↔worker transport of the sharded cluster.
 
-Each worker hangs off one ``multiprocessing`` pipe.  Two frame flavors
+Each worker hangs off one ``multiprocessing`` pipe.  Three frame flavors
 share it, distinguished by the first byte exactly like the TCP stack's
 binary negotiation (:mod:`repro.net.messages`):
 
 * **control** — a JSON message (first byte ``{``), encoded/decoded by
   the existing :func:`~repro.net.messages.encode_message` codec;
-* **packet batch** — magic ``0xB2``, then a count and a sequence of
-  length-prefixed PR 2 binary packet frames (magic ``0xB1`` inside).
+* **packet batch** (parent → worker) — magic ``0xB2``, then a count and
+  a sequence of length-prefixed PR 2 binary packet frames (magic
+  ``0xB1`` inside);
+* **record frame** (worker → parent) — magic ``0xB3``: a worker's whole
+  drained packet log as fixed-width struct rows behind a small string
+  table, one frame per ``collect``, sent right after the
+  ``worker_report`` control message.
 
 Batching is the point: ``Connection.send_bytes`` does one syscall pair
 per message, so shipping 32 frames per send amortizes IPC overhead the
@@ -20,11 +25,30 @@ worker.  The stamp is ``time.time()`` — the one clock both sides of a
 pipe on the same machine share — so the worker's ``recv − t_sent``
 delta is the real pipe dwell (the ``ipc_queue`` stage).
 
-Packet *records* and completed *trace spans* travel the other way
-(worker → parent) inside JSON ``worker_report`` messages as flat rows —
-:func:`record_to_row` / :func:`record_from_row` /
-:func:`span_to_row` / :func:`span_from_row` keep those encodings in
-one place.
+Record frame layout::
+
+    offset  size  field
+    0       1     magic 0xB3
+    1       4     record count N        (uint32)
+    5       2     string count S        (uint16)
+    7       ...   S × (uint16 length, utf-8 bytes): every distinct
+                  ``kind`` / ``drop_reason`` of the frame, once
+    ...     92×N  rows in worker-log order: seqno, source, destination,
+                  sender, receiver (int64; receiver -1 = None), channel
+                  (int64), kind (uint16 string index), size_bits (int64),
+                  t_origin, t_receipt, t_forward, t_delivered (float64;
+                  NaN = None), drop_reason (uint16 string index;
+                  0xFFFF = None)
+
+Rows carry no record id: the parent assigns the final ids after the
+cross-worker merge, so each :class:`~repro.core.packet.PacketRecord` is
+built exactly once (:func:`record_from_row`).  Both binary decoders
+reject every malformed frame — truncation, trailing bytes, a
+count/length mismatch, a bad string table or string index — with
+:class:`~repro.errors.ClusterError`.
+
+Completed *trace spans* still travel worker → parent as flat rows inside
+the JSON control messages (:func:`span_to_row` / :func:`span_from_row`).
 """
 
 from __future__ import annotations
@@ -41,8 +65,11 @@ __all__ = [
     "encode_packet_batch",
     "decode_packet_batch",
     "is_packet_batch",
-    "record_to_row",
+    "RECORD_MAGIC",
+    "encode_record_frame",
+    "decode_record_frame",
     "record_from_row",
+    "row_event_time",
     "span_to_row",
     "span_from_row",
 ]
@@ -94,73 +121,113 @@ def decode_packet_batch(
             raise ClusterError("packet batch truncated inside a frame")
         entries.append((data[offset:end], trace_id))
         offset = end
+    if offset != len(data):
+        raise ClusterError(
+            f"packet batch has {len(data) - offset} trailing bytes"
+        )
     return entries, t_sent
 
 
-# -- record rows (worker → parent, inside JSON worker_report) ------------------
+# -- record frame (worker → parent, beside worker_report) ----------------------
 
-#: Column order of a record row; a schema, not a per-row dict.
-RECORD_ROW_FIELDS = (
-    "record_id",
-    "seqno",
-    "source",
-    "destination",
-    "sender",
-    "receiver",
-    "channel",
-    "kind",
-    "size_bits",
-    "t_origin",
-    "t_receipt",
-    "t_forward",
-    "t_delivered",
-    "drop_reason",
-)
+RECORD_MAGIC = 0xB3
+"""First byte of a record frame."""
+
+_RECORD_HEADER = struct.Struct(">BIH")  # magic, record count, string count
+_STRING_LEN = struct.Struct(">H")
+# A PacketRecord's fields in order, minus record_id (see module docstring).
+_RECORD_ROW = struct.Struct(">6qHq4dH")
+_NO_STRING = 0xFFFF  # drop_reason index meaning None
+_NAN = float("nan")
 
 
-def record_to_row(record: PacketRecord) -> list[Any]:
-    """Flatten one packet record to a JSON-safe row."""
-    return [
-        record.record_id,
-        record.seqno,
-        record.source,
-        record.destination,
-        record.sender,
-        record.receiver,
-        record.channel,
-        record.kind,
-        record.size_bits,
-        record.t_origin,
-        record.t_receipt,
-        record.t_forward,
-        record.t_delivered,
-        record.drop_reason,
-    ]
+def encode_record_frame(records: Sequence[PacketRecord]) -> bytes:
+    """Pack a worker's packet log into one record frame."""
+    strings: dict[str, int] = {}
+    index = strings.setdefault
+    pack = _RECORD_ROW.pack
+    rows = []
+    try:
+        for r in records:
+            rows.append(
+                pack(
+                    r.seqno, r.source, r.destination, r.sender,
+                    -1 if r.receiver is None else r.receiver,
+                    r.channel, index(r.kind, len(strings)), r.size_bits,
+                    _NAN if r.t_origin is None else r.t_origin,
+                    _NAN if r.t_receipt is None else r.t_receipt,
+                    _NAN if r.t_forward is None else r.t_forward,
+                    _NAN if r.t_delivered is None else r.t_delivered,
+                    _NO_STRING if r.drop_reason is None
+                    else index(r.drop_reason, len(strings)),
+                )
+            )
+        parts = [_RECORD_HEADER.pack(RECORD_MAGIC, len(rows), len(strings))]
+        for raw in (s.encode("utf-8") for s in strings):
+            parts += (_STRING_LEN.pack(len(raw)), raw)
+    except struct.error as exc:
+        raise ClusterError(f"record does not fit the frame: {exc}") from exc
+    return b"".join(parts + rows)
 
 
-def record_from_row(row: Sequence[Any]) -> PacketRecord:
-    """Inverse of :func:`record_to_row`."""
-    if len(row) != len(RECORD_ROW_FIELDS):
-        raise ClusterError(
-            f"record row has {len(row)} fields, expected"
-            f" {len(RECORD_ROW_FIELDS)}"
-        )
-    return PacketRecord(
-        record_id=int(row[0]),
-        seqno=int(row[1]),
-        source=int(row[2]),
-        destination=int(row[3]),
-        sender=int(row[4]),
-        receiver=None if row[5] is None else int(row[5]),
-        channel=int(row[6]),
-        kind=str(row[7]),
-        size_bits=int(row[8]),
-        t_origin=_opt(row[9]),
-        t_receipt=_opt(row[10]),
-        t_forward=_opt(row[11]),
-        t_delivered=_opt(row[12]),
-        drop_reason=None if row[13] is None else str(row[13]),
-    )
+def decode_record_frame(data: bytes) -> list[tuple]:
+    """Unpack a record frame into rows, in worker-log order.
+
+    A row is a :class:`PacketRecord`'s fields minus ``record_id``, with
+    ``None`` and the strings restored — :func:`record_from_row` turns it
+    into the record once the parent knows its final id.
+    """
+    try:
+        magic, count, n_strings = _RECORD_HEADER.unpack_from(data)
+        if magic != RECORD_MAGIC:
+            raise ClusterError(f"bad record-frame magic: {magic:#x}")
+        offset = _RECORD_HEADER.size
+        strings = []
+        for _ in range(n_strings):
+            (length,) = _STRING_LEN.unpack_from(data, offset)
+            offset += _STRING_LEN.size
+            if len(data) < offset + length:
+                raise ClusterError("record frame truncated inside a string")
+            strings.append(data[offset : offset + length].decode("utf-8"))
+            offset += length
+        if len(data) - offset != count * _RECORD_ROW.size:
+            raise ClusterError(
+                f"record frame announces {count} rows but carries "
+                f"{len(data) - offset} row bytes"
+            )
+        return [
+            (
+                seqno, source, destination, sender,
+                None if receiver == -1 else receiver,
+                channel, strings[kind], size_bits,
+                None if t_origin != t_origin else t_origin,
+                None if t_receipt != t_receipt else t_receipt,
+                None if t_forward != t_forward else t_forward,
+                None if t_delivered != t_delivered else t_delivered,
+                None if drop == _NO_STRING else strings[drop],
+            )
+            for (
+                seqno, source, destination, sender, receiver, channel,
+                kind, size_bits, t_origin, t_receipt, t_forward,
+                t_delivered, drop,
+            ) in _RECORD_ROW.iter_unpack(memoryview(data)[offset:])
+        ]
+    except (struct.error, UnicodeDecodeError, IndexError) as exc:
+        raise ClusterError(f"malformed record frame: {exc}") from exc
+
+
+def record_from_row(row: tuple, record_id: int) -> PacketRecord:
+    """*The* per-row record builder: one decoded row + its final id."""
+    return PacketRecord(record_id, *row)
+
+
+def row_event_time(row: tuple) -> float:
+    """Merge key: when the row's terminal event happened (delivery time,
+    falling back through the stamp chain)."""
+    for stamp in (row[11], row[10], row[9], row[8]):
+        if stamp is not None:
+            return stamp
+    return 0.0
 
 
 def _opt(v: Any) -> Optional[float]:

@@ -12,17 +12,24 @@ over an immutable scene replica (:mod:`repro.cluster.snapshot`).
 Data flow per frame: the client stamps ``t_origin`` (parallel
 time-stamping), the parent encodes the frame with the PR 2 binary wire
 codec, batches it to the sender's shard (:mod:`repro.cluster.ipc`), and
-the worker's stamp-driven clock replays the §3.2 pipeline.  Scene
-mutations mark the replica dirty; the next submission ships a fresh
-version-stamped snapshot *before* any newer traffic, so workers never
-forward against a stale topology relative to the script's order.
+the worker's stamp-driven clock replays the §3.2 pipeline.
+
+Replication is a snapshot bootstrap plus deltas: every scene event is
+queued as what changed, and the next submission ships it *before* any
+newer traffic, so workers never forward against a stale topology
+relative to the script's order.  Node moves go out as one small
+``scene_moves`` frame the workers apply to their live replicas; every
+other event (add/remove/retune/range/link/quarantine/restore — their
+event details do not carry a whole radio) falls back to a full
+version-stamped snapshot, which is also what (re)started workers get.
 
 Synchronization points are explicit: :meth:`ShardedEmulator.flush` is a
 barrier (run every shard to time ``t``; their health/telemetry samples
 come back on the ack) and :meth:`ShardedEmulator.collect` drains every
-worker's packet log, merges the streams in event-time order, re-ids
-them through the parent recorder, and records the ``cluster-run`` scene
-event the forensics plane keys its cross-shard coherence audit on.
+worker's packet log (one binary record frame each), merges the rows in
+event-time order, builds each record once with its parent-assigned id,
+and records the ``cluster-run`` scene event the forensics plane keys
+its cross-shard coherence audit on.
 
 With ``n_workers=1`` the merge is a passthrough and the worker replays
 the in-process emulator's exact clock discipline and RNG stream — the
@@ -53,6 +60,7 @@ from ..net.messages import (
     encode_packet_binary,
     make_collect,
     make_flush,
+    make_scene_moves,
     make_scene_snapshot,
     make_shutdown,
     make_telemetry_pull,
@@ -179,7 +187,16 @@ class ShardedEmulator:
             [] for _ in range(n_workers)
         ]
         self._flush_ids = itertools.count(1)
-        self._scene_dirty = True  # nothing shipped yet
+        # What the workers' replicas are missing.  A leaf lock (taken
+        # last on both sides: under the Scene lock in ``_mark_dirty``,
+        # under ``_io_lock`` in ``_sync_scene``) makes the hand-off atomic.
+        self._pending_lock = threading.Lock()
+        #: node -> (x, y): moves not shipped yet; empty while a snapshot
+        #: is due (the snapshot covers them).
+        self._pending_moves: dict[int, tuple[float, float]] = {}
+        #: Scene events no shipped frame covers that only a full
+        #: snapshot can carry.  Starts at 1: nothing shipped yet.
+        self._snapshot_due = 1
         self.scene.add_listener(self._mark_dirty)
         # One lock serializes every pipe exchange (sends *and* the
         # request/response barriers): the periodic telemetry puller must
@@ -262,14 +279,22 @@ class ShardedEmulator:
 
     # -- scene bookkeeping ------------------------------------------------------
 
-    def _mark_dirty(self, _event: SceneEvent) -> None:
-        # Any scene event invalidates the workers' replicas — including
+    def _mark_dirty(self, event: SceneEvent) -> None:
+        # Every scene event reaches the replicas — including
         # quarantine/restore, which deliberately do NOT bump
         # Scene.version (they bypass the version-keyed caches), so a
-        # version compare alone would under-replicate.
-        # All writers race benignly (True-stores; the one False store in
-        # _sync_scene is ordered before the export it covers).
-        self._scene_dirty = True  # poem: ignore[POEM008]
+        # version compare alone would under-replicate.  A structural
+        # event supersedes the moves queued before it, and while a
+        # snapshot is due later moves fold into it too.
+        with self._pending_lock:
+            if event.kind == "node-moved" and not self._snapshot_due:
+                details = event.details
+                self._pending_moves[int(event.node)] = (
+                    details["x"], details["y"],
+                )
+            else:
+                self._snapshot_due += 1
+                self._pending_moves.clear()
 
     # -- topology construction --------------------------------------------------
 
@@ -423,7 +448,10 @@ class ShardedEmulator:
         self._procs = []
         self._conns = []
         self._buffers = [[] for _ in range(self.n_workers)]
-        self._scene_dirty = True
+        # New workers bootstrap from a full snapshot, never stale moves.
+        with self._pending_lock:
+            self._snapshot_due += 1
+            self._pending_moves.clear()
 
     def __enter__(self) -> "ShardedEmulator":
         self.start()
@@ -477,8 +505,7 @@ class ShardedEmulator:
         """
         if not self._procs:
             self.start()
-        if self._scene_dirty:
-            self._sync_scene()
+        self._sync_scene()
         shard = self.shards.shard_of(packet.source)
         tracer = self.telemetry.tracer if self.telemetry.enabled else None
         trace_id = 0
@@ -532,32 +559,50 @@ class ShardedEmulator:
             self._send_batch(shard)
 
     def _sync_scene(self) -> None:
-        """Replicate the current scene to every worker.
+        """Bring every worker's replica up to the current scene.
 
+        Ships what is pending and nothing else: a ``scene_moves`` frame
+        for queued moves, a full snapshot when anything else happened.
         Buffered frames go first — they were transmitted before the
-        mutation that made the replica dirty, so they must be forwarded
-        against the older topology.
+        mutation, so they must be forwarded against the older topology.
         """
-        if not self._procs:
+        # Lock-free peek (the hot path of ``submit``): an event racing
+        # it goes out with the next submission or barrier.
+        if not self._procs or not (self._snapshot_due or self._pending_moves):
             return
         with self._io_lock:
+            # Taken under ``_io_lock`` so concurrent syncs ship their
+            # deltas in the order they took them.
+            with self._pending_lock:
+                due, moves = self._snapshot_due, self._pending_moves
+                if moves:
+                    self._pending_moves = {}
+            if not (due or moves):
+                return  # another thread's sync shipped it since the peek
             self._flush_buffers()
-            # Clear the flag *before* exporting: a scene event landing
-            # mid-export re-marks it and the next barrier re-ships,
-            # instead of a late ``False`` store erasing that event and
-            # leaving the workers on a stale replica.  (A lock is not an
-            # option: ``_mark_dirty`` fires under the Scene lock while
-            # this block holds ``_io_lock`` -> Scene lock, so guarding
-            # the flag would close a lock-order cycle.)
-            self._scene_dirty = False
-            snap = self.scene.export_snapshot()
-            frame = encode_message(
-                make_scene_snapshot(snapshot_to_dict(snap), snap.version)
-            )
+            if due:
+                snap = self.scene.export_snapshot()
+                message = make_scene_snapshot(
+                    snapshot_to_dict(snap), snap.version
+                )
+            else:
+                message = make_scene_moves(
+                    self.scene.version,
+                    self.scene.time,
+                    [[node, x, y] for node, (x, y) in moves.items()],
+                )
+            frame = encode_message(message)
             for worker in range(len(self._conns)):
                 self._send_to(worker, frame)
+            if due:
+                # Only what the export is known to cover: an event that
+                # landed after the take keeps a snapshot due (an extra
+                # idempotent re-ship, never a lost or re-applied move).
+                with self._pending_lock:
+                    self._snapshot_due -= due
 
-    def _recv_control(self, worker: int) -> dict[str, Any]:
+    def _recv(self, worker: int) -> bytes:
+        """One guarded pipe receive: silence or EOF is a worker failure."""
         conn = self._conns[worker]
         if not conn.poll(_REPLY_TIMEOUT):
             raise self._worker_failure(
@@ -566,12 +611,14 @@ class ShardedEmulator:
                 f"{_REPLY_TIMEOUT:.0f}s",
             )
         try:
-            data = conn.recv_bytes()
+            return conn.recv_bytes()
         except (EOFError, OSError) as exc:
             raise self._worker_failure(
                 worker, f"shard worker {worker} died: {exc}"
             ) from exc
-        msg = decode_message(data)
+
+    def _recv_control(self, worker: int) -> dict[str, Any]:
+        msg = decode_message(self._recv(worker))
         if msg.get("op") == "worker_error":
             raise self._worker_failure(
                 worker,
@@ -629,8 +676,7 @@ class ShardedEmulator:
         """
         if not self._procs:
             self.start()
-        if self._scene_dirty:
-            self._sync_scene()
+        self._sync_scene()
         with self._io_lock:
             self._flush_buffers()
             flush_id = next(self._flush_ids)
@@ -798,10 +844,9 @@ class ShardedEmulator:
     def collect(self) -> list[PacketRecord]:
         """Drain every worker's packet log into the parent recorder.
 
-        Streams are merged in event-time order (delivery time, falling
-        back through the stamp chain), stably tie-broken by worker and
-        worker-local order, then re-identified through the parent
-        recorder so record ids are unique and monotone in merge order.
+        Streams are merged in event-time order (:func:`_merge_rows`) and
+        each record is built once, with an id reserved from the parent
+        recorder, so record ids are unique and monotone in merge order.
         With one worker the merge is a passthrough — record ids come out
         identical to an in-process run's.
 
@@ -812,7 +857,7 @@ class ShardedEmulator:
         """
         if not self._procs:
             self.start()
-        streams: list[list[PacketRecord]] = []
+        streams: list[list[tuple]] = []
         counters: list[dict[str, Any]] = []
         with self._io_lock:
             self._flush_buffers()
@@ -826,34 +871,20 @@ class ShardedEmulator:
                         f"shard worker {worker}: unexpected collect "
                         f"reply {msg!r}"
                     )
-                streams.append(
-                    [
-                        ipc.record_from_row(row)
-                        for row in msg.get("records", [])
-                    ]
-                )
+                streams.append(ipc.decode_record_frame(self._recv(worker)))
                 counters.append(dict(msg.get("counters", {})))
                 # The report doubles as a telemetry pull: spans merge
                 # and shard gauges refresh here too, not only at
                 # barriers.
                 self._fold_worker_sample(worker, msg)
             self._refresh_aggregates()
-        if self.n_workers == 1:
-            ordered = streams[0]
-        else:
-            keyed = [
-                (_event_time(record), worker, position, record)
-                for worker, stream in enumerate(streams)
-                for position, record in enumerate(stream)
-            ]
-            keyed.sort(key=lambda item: item[:3])
-            ordered = [item[3] for item in keyed]
+        rows = _merge_rows(streams)
         merged: list[PacketRecord] = []
-        if ordered:
-            start = self.recorder.reserve_record_ids(len(ordered))
+        if rows:
+            start = self.recorder.reserve_record_ids(len(rows))
             merged = [
-                _with_record_id(record, start + i)
-                for i, record in enumerate(ordered)
+                ipc.record_from_row(row, start + i)
+                for i, row in enumerate(rows)
             ]
             self.recorder.record_many(merged)
         self.recorder.record_scene(
@@ -982,34 +1013,16 @@ class ShardedEmulator:
         }
 
 
-def _event_time(record: PacketRecord) -> float:
-    """Merge key: when the record's terminal event happened."""
-    for stamp in (
-        record.t_delivered,
-        record.t_forward,
-        record.t_receipt,
-        record.t_origin,
-    ):
-        if stamp is not None:
-            return stamp
-    return 0.0
+def _merge_rows(streams: list[list[tuple]]) -> list[tuple]:
+    """Merge the workers' record rows in event-time order.
 
-
-def _with_record_id(record: PacketRecord, record_id: int) -> PacketRecord:
-    """Copy a (frozen) record with the parent-assigned id."""
-    return PacketRecord(
-        record_id=record_id,
-        seqno=record.seqno,
-        source=record.source,
-        destination=record.destination,
-        sender=record.sender,
-        receiver=record.receiver,
-        channel=record.channel,
-        kind=record.kind,
-        size_bits=record.size_bits,
-        t_origin=record.t_origin,
-        t_receipt=record.t_receipt,
-        t_forward=record.t_forward,
-        t_delivered=record.t_delivered,
-        drop_reason=record.drop_reason,
-    )
+    A stable sort over the worker-ordered concatenation: ties keep
+    worker, then worker-local, order — the ``(event_time, worker,
+    position)`` order — without building a key per row.  One stream is
+    passed through in its worker's log order.
+    """
+    if len(streams) == 1:
+        return streams[0]
+    rows = [row for stream in streams for row in stream]
+    rows.sort(key=ipc.row_event_time)
+    return rows

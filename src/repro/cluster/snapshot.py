@@ -1,8 +1,11 @@
 """Scene-snapshot wire codec for the sharded cluster.
 
-:class:`~repro.core.scene.SceneSnapshot` is the cluster's replication
-unit; these helpers flatten it to the JSON dict a ``scene_snapshot``
-control frame carries and rebuild it worker-side.  The radio/link
+:class:`~repro.core.scene.SceneSnapshot` is the bootstrap half of the
+cluster's replication: workers start from one and get another for every
+scene change that is not a node move (moves travel as ``scene_moves``
+deltas and never pass through here).  These helpers flatten a snapshot
+to the JSON dict a ``scene_snapshot`` control frame carries and rebuild
+it worker-side.  The radio/link
 serialization matches the field set the ``link-set`` scene event records
 (loss ``p0/p1/d0/range``, bandwidth ``peak/edge``, delay
 ``base/per_unit``) so the replay and cluster planes describe links the

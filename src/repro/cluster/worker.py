@@ -15,15 +15,19 @@ worker's event loop is strictly reactive:
   their pipeline trace here, with the cross-process ``ipc_queue`` /
   ``ipc_decode`` stages recorded first;
 * ``scene_snapshot`` swaps in a freshly rebuilt scene replica (stale
-  versions are ignored, so replication is idempotent);
+  versions are ignored, so replication is idempotent) — the bootstrap,
+  and the carrier of every scene change that is not a node move;
+* ``scene_moves`` applies the parent's node moves to the live replica
+  as one tick, so the neighbor tables refresh incrementally (one mover)
+  or per channel, vectorized (several) instead of being rebuilt;
 * ``flush`` runs the clock to the barrier time and acks with pipeline
   counters, schedule depth, the process's busy fraction, and — when
   telemetry is on — the worker registry's snapshot for the parent's
   cluster-wide merge;
 * ``telemetry_pull`` answers with the same sample *without* running the
   clock (the parent's periodic pull between barriers);
-* ``collect`` drains the worker's packet log *and* completed trace
-  spans into a ``worker_report``;
+* ``collect`` drains the completed trace spans into a ``worker_report``
+  and the packet log into the binary record frame sent right after it;
 * ``shutdown`` acks ``bye`` and exits the loop.
 
 Observability: when :attr:`WorkerConfig.telemetry_enabled` the worker
@@ -58,7 +62,10 @@ import numpy as np
 
 from ..core.clock import VirtualClock
 from ..core.engine import ForwardingEngine
+from ..core.geometry import Vec2
+from ..core.ids import NodeId
 from ..core.neighbor import ChannelIndexedNeighborTables
+from ..core.packet import PacketRecord
 from ..core.recording import MemoryRecorder
 from ..net.messages import (
     decode_message,
@@ -174,10 +181,7 @@ class _WorkerState:
         if version < self.scene_version:
             return  # stale replica, a newer one already landed
         scene = build_scene(raw_scene)
-        # The parent's scene time may be ahead of this shard's stamp-driven
-        # clock; catch the clock up so scene time never runs backwards.
-        if scene.time > self.clock.now():
-            self.clock.run_until(scene.time)
+        self._catch_up(scene.time)
         scene.bind_time_source(self.clock.now)
         neighbors = ChannelIndexedNeighborTables(scene)
         if self.engine is None:
@@ -195,6 +199,26 @@ class _WorkerState:
             self.engine.scene = scene
             self.engine.neighbors = neighbors
         self.scene_version = version
+
+    def apply_moves(
+        self, version: int, t: float, moves: list[list[Any]]
+    ) -> None:
+        """Apply a ``scene_moves`` frame to the live replica as one tick."""
+        if self.engine is None:
+            raise ClusterWorkerError(
+                "scene moves received before any scene snapshot"
+            )
+        self._catch_up(t)
+        self.engine.scene.move_nodes(
+            [(NodeId(int(n)), Vec2(float(x), float(y))) for n, x, y in moves]
+        )
+        self.scene_version = version
+
+    def _catch_up(self, scene_time: float) -> None:
+        # The parent's scene time may be ahead of this shard's stamp-driven
+        # clock; catch the clock up so scene time never runs backwards.
+        if scene_time > self.clock.now():
+            self.clock.run_until(scene_time)
 
     # -- pipeline -------------------------------------------------------------
 
@@ -260,14 +284,14 @@ class _WorkerState:
         prof = self.profiler
         return prof.snapshot() if prof is not None else None
 
-    def drain_records(self) -> list[list[Any]]:
-        """Row-encode and clear the packet log (collect is a drain, so
-        a second collect never double-reports)."""
-        rows = [ipc.record_to_row(r) for r in self.recorder.packets()]
+    def drain_records(self) -> list[PacketRecord]:
+        """Take and clear the packet log (collect is a drain, so a
+        second collect never double-reports)."""
+        records = self.recorder.packets()
         self.recorder = MemoryRecorder()
         if self.engine is not None:
             self.engine.recorder = self.recorder
-        return rows
+        return records
 
     def drain_spans(self) -> Optional[list[list[Any]]]:
         """Row-encode and clear the completed-span buffer (same drain
@@ -325,6 +349,14 @@ def worker_main(conn, config: WorkerConfig) -> None:
                 state.flight.note(
                     "scene-snapshot", version=int(msg["version"])
                 )
+            elif op == "scene_moves":
+                state.apply_moves(
+                    int(msg["version"]), float(msg["t"]), msg["moves"]
+                )
+                state.flight.note(
+                    "scene-moves", version=int(msg["version"]),
+                    moves=len(msg["moves"]),
+                )
             elif op == "flush":
                 state.flush_to(float(msg["t"]))
                 reply = make_flushed(
@@ -355,9 +387,11 @@ def worker_main(conn, config: WorkerConfig) -> None:
                 )
                 conn.send_bytes(encode_message(reply))
             elif op == "collect":
+                # Encoded first: a log that does not fit the frame must
+                # surface as worker_error, not after a report went out.
+                frame = ipc.encode_record_frame(state.drain_records())
                 report = make_worker_report(
                     config.worker_index,
-                    records=state.drain_records(),
                     counters=state.counters(),
                     spans=state.drain_spans(),
                     telemetry=state.telemetry_snapshot(),
@@ -367,6 +401,7 @@ def worker_main(conn, config: WorkerConfig) -> None:
                     profile=state.profile_snapshot(),
                 )
                 conn.send_bytes(encode_message(report))
+                conn.send_bytes(frame)
                 state.flight.note(
                     "collect", shard_ingested=state.shard_ingested
                 )

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -111,12 +111,13 @@ class SnapshotNode:
 class SceneSnapshot:
     """Immutable, version-stamped copy of a whole scene.
 
-    This is the replication unit of the sharded cluster: the parent
-    exports one snapshot per topology change (keyed by
-    :attr:`Scene.version`, the same counter the neighbor/fanout caches
-    invalidate on) and ships it to every worker, which rebuilds its
-    private :class:`Scene` from it and serves all neighbor reads
-    lock-free until the next version bump.  :class:`Radio` and its
+    This is the bootstrap unit of the sharded cluster's replication:
+    the parent exports one (stamped with :attr:`Scene.version`, the same
+    counter the neighbor/fanout caches invalidate on) when the workers
+    start and for every scene change that is not a node move, and each
+    worker rebuilds its private :class:`Scene` from it.  Node moves in
+    between reach that replica as deltas (:meth:`Scene.move_nodes`).
+    :class:`Radio` and its
     :class:`~repro.models.link.LinkModel` are frozen dataclasses of
     floats, so a snapshot shares them structurally — exporting is a
     shallow walk, not a deep copy.
@@ -363,22 +364,59 @@ class Scene:
 
     def move_node(self, node_id: NodeId, position: Vec2) -> None:
         """Drag-and-drop: teleport a VMN to ``position``."""
+        self.move_nodes([(node_id, position)])
+
+    def move_nodes(self, moves: Sequence[tuple[NodeId, Vec2]]) -> None:
+        """Teleport several VMNs as one tick.
+
+        The batch form of :meth:`move_node` — what a shard worker applies
+        a ``scene_moves`` frame through.  Listeners see it exactly like a
+        mobility tick of :meth:`advance_time` (see :meth:`_apply_moves`);
+        an unknown node raises before anything moved.
+        """
         with self._lock:
             self._sync_time()
-            state = self._require(node_id)
-            if self.bounds is not None:
-                position = self.bounds.apply(position)
-            state.position = position
-            self._evaluated_at = None  # a mobile node snaps back next advance
-            self._emit(
-                SceneEvent(
-                    self._time,
-                    "node-moved",
+            bounds = self.bounds
+            staged = [
+                (
                     node_id,
+                    self._require(node_id),
+                    position if bounds is None else bounds.apply(position),
+                )
+                for node_id, position in moves
+            ]
+            self._evaluated_at = None  # a mobile node snaps back next advance
+            self._apply_moves(staged)
+
+    def _apply_moves(
+        self, staged: list[tuple[NodeId, NodeState, Vec2]]
+    ) -> None:
+        """Commit ``(node, state, new position)`` moves as one tick.
+
+        Called with the scene lock held.  Every position is assigned
+        before the first ``node-moved`` goes out, so listeners never
+        observe a half-moved scene; more than one move is announced
+        through :attr:`tick_movers`; one version bump covers the tick.
+        """
+        if not staged:
+            return
+        t = self._time
+        events: list[SceneEvent] = []
+        movers: dict[ChannelId, list[NodeId]] = {}
+        for node_id, state, position in staged:
+            state.position = position
+            for channel in state.radios.channels:
+                movers.setdefault(channel, []).append(node_id)
+            events.append(
+                SceneEvent(
+                    t, "node-moved", node_id,
                     {"x": position.x, "y": position.y},
                 )
             )
-            self._bump(state.radios.channels)
+        batch = movers if len(events) > 1 else None
+        for event in events:
+            self._emit(event, batch)
+        self._bump(movers)
 
     def set_radio_channel(
         self, node_id: NodeId, radio: RadioIndex, channel: ChannelId
@@ -528,16 +566,16 @@ class Scene:
 
     @property
     def tick_movers(self) -> Optional[dict[ChannelId, list[NodeId]]]:
-        """Who moved, per channel, in the mobility tick being emitted.
+        """Who moved, per channel, in the tick being emitted.
 
         Non-None only inside the listener calls of an
-        :meth:`advance_time` that moved more than one node; a new dict
-        per tick.  Every position of the tick is already assigned when
-        the first ``node-moved`` goes out, so a listener may absorb the
-        whole tick on that first event (keyed on the dict's identity)
-        and skip the rest — the neighbor tables do.  Single moves
-        (``move_node``, a one-node tick) leave it None and keep the
-        per-event path.
+        :meth:`advance_time` or :meth:`move_nodes` that moved more than
+        one node; a new dict per tick.  Every position of the tick is
+        already assigned when the first ``node-moved`` goes out, so a
+        listener may absorb the whole tick on that first event (keyed on
+        the dict's identity) and skip the rest — the neighbor tables do.
+        Single moves (``move_node``, a one-node tick) leave it None and
+        keep the per-event path.
         """
         return self._tick_movers
 
@@ -552,9 +590,8 @@ class Scene:
         An instant is evaluated once: a repeated call for the instant
         already applied returns ``[]`` without touching a trajectory,
         until ``move_node`` / ``set_mobility`` / ``set_trajectory``
-        change what that instant looks like.  All of a tick's positions
-        are assigned before its first ``node-moved`` is emitted, so
-        listeners never observe a half-moved scene.
+        change what that instant looks like.  The movers are committed
+        as one tick (:meth:`_apply_moves`).
         """
         with self._lock:
             if t < self._time:
@@ -565,30 +602,15 @@ class Scene:
                 return []
             self._time = t
             self._evaluated_at = t
-            events: list[SceneEvent] = []
-            movers: dict[ChannelId, list[NodeId]] = {}
+            staged = []
             for node_id, state in self._nodes.items():
                 if state.mobility is None:
                     continue
                 new_pos = state.mobility.position_at(t)
                 if new_pos != state.position:
-                    state.position = new_pos
-                    for channel in state.radios.channels:
-                        movers.setdefault(channel, []).append(node_id)
-                    events.append(
-                        SceneEvent(
-                            t,
-                            "node-moved",
-                            node_id,
-                            {"x": new_pos.x, "y": new_pos.y},
-                        )
-                    )
-            if events:
-                batch = movers if len(events) > 1 else None
-                for event in events:
-                    self._emit(event, batch)
-                self._bump(movers)
-            return [event.node for event in events]
+                    staged.append((node_id, state, new_pos))
+            self._apply_moves(staged)
+            return [node_id for node_id, _state, _pos in staged]
 
     # -- queries (the neighborhood model's primitives, §4.2) -------------------
 
@@ -737,9 +759,9 @@ class Scene:
     ) -> "Scene":
         """Rebuild a standalone scene from a replication snapshot.
 
-        The rebuilt scene is static (no mobility, no bounds): it is a
-        worker's read-mostly replica, replaced wholesale on the next
-        snapshot rather than mutated to match the parent.
+        The rebuilt scene has no mobility and no bounds: it is a worker's
+        replica, kept coherent by the parent's already-bounded moves
+        (:meth:`move_nodes`) and replaced wholesale on the next snapshot.
         """
         scene = cls(seed=seed)
         scene._time = snapshot.time

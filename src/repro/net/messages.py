@@ -25,13 +25,18 @@ fast path, batched by :mod:`repro.cluster.ipc`):
 
 ==================  direction        purpose
 ``scene_snapshot``  parent → worker  replicate an immutable version-stamped
-                                     scene (:class:`~repro.core.scene.SceneSnapshot`)
+                                     scene (:class:`~repro.core.scene.SceneSnapshot`):
+                                     the bootstrap, and every non-move change
+``scene_moves``     parent → worker  the node moves since the last scene frame,
+                                     applied to the live replica as one tick
 ``flush``           parent → worker  barrier: run the worker's clock/engine
                                      up to ``t`` and report back
 ``flushed``         worker → parent  barrier ack: pipeline counters, queue
                                      depth, busy fraction
 ``collect``         parent → worker  drain the worker's packet log
-``worker_report``   worker → parent  the drained records + final counters
+``worker_report``   worker → parent  final counters + telemetry sample; the
+                                     drained records follow as one binary
+                                     record frame (:mod:`repro.cluster.ipc`)
 ``shutdown``        parent → worker  orderly worker exit (acked with ``bye``)
 ``worker_error``    worker → parent  a worker pipeline failure (the parent
                                      raises it as :class:`ClusterError`)
@@ -97,6 +102,7 @@ __all__ = [
     "make_ping",
     "make_pong",
     "make_scene_snapshot",
+    "make_scene_moves",
     "make_flush",
     "make_flushed",
     "make_collect",
@@ -160,9 +166,31 @@ def make_scene_snapshot(scene: dict[str, Any], version: int) -> dict[str, Any]:
     ``scene`` is the JSON form produced by
     :func:`repro.cluster.snapshot.snapshot_to_dict`; ``version`` is the
     snapshot's :attr:`~repro.core.scene.Scene.version` stamp — workers
-    ignore snapshots at or below the version they already hold.
+    ignore snapshots *below* the version they already hold (an equal
+    stamp still applies: quarantine/restore change the scene without
+    bumping the version).
     """
     return {"op": "scene_snapshot", "version": int(version), "scene": scene}
+
+
+def make_scene_moves(
+    version: int, t: float, moves: list[list[Any]]
+) -> dict[str, Any]:
+    """Replicate node moves to a worker's live scene replica.
+
+    ``moves`` is ``[[node, x, y], ...]``, one entry per moved node with
+    its latest position; ``t`` is the parent's scene time and
+    ``version`` its version once they landed.
+    The worker applies the frame as one tick
+    (:meth:`~repro.core.scene.Scene.move_nodes`); everything a move
+    cannot express goes out as a ``scene_snapshot`` instead.
+    """
+    return {
+        "op": "scene_moves",
+        "version": int(version),
+        "t": float(t),
+        "moves": moves,
+    }
 
 
 def make_flush(t: float, flush_id: int) -> dict[str, Any]:
@@ -219,7 +247,6 @@ def make_collect() -> dict[str, Any]:
 def make_worker_report(
     worker: int,
     *,
-    records: list[list[Any]],
     counters: dict[str, int],
     spans: Optional[list[list[Any]]] = None,
     telemetry: Optional[dict[str, Any]] = None,
@@ -228,9 +255,11 @@ def make_worker_report(
     shard_ingested: int = 0,
     profile: Optional[dict[str, Any]] = None,
 ) -> dict[str, Any]:
-    """The worker's drained packet log (row-encoded) + final counters.
+    """The worker's answer to ``collect``: its final counters.
 
-    Also carries the worker's drained trace spans
+    The drained packet log itself follows as one binary record frame
+    (:func:`repro.cluster.ipc.encode_record_frame`).  The report also
+    carries the worker's drained trace spans
     (:func:`repro.cluster.ipc.span_to_row` rows), its registry snapshot,
     its profiler snapshot, and a fresh health sample — collect doubles
     as a telemetry pull so shard gauges stay current without waiting
@@ -239,7 +268,6 @@ def make_worker_report(
     msg = {
         "op": "worker_report",
         "worker": int(worker),
-        "records": records,
         "counters": counters,
         "queue_depth": int(queue_depth),
         "busy_fraction": float(busy_fraction),

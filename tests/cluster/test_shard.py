@@ -2,14 +2,17 @@
 map, the scene-snapshot codec, and the pipe framing (no processes)."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.cluster import ShardMap
 from repro.cluster.ipc import (
     decode_packet_batch,
+    decode_record_frame,
     encode_packet_batch,
+    encode_record_frame,
     is_packet_batch,
     record_from_row,
-    record_to_row,
 )
 from repro.cluster.snapshot import (
     build_scene,
@@ -163,6 +166,17 @@ class TestPacketBatchFraming:
         with pytest.raises(ClusterError):
             decode_packet_batch(data[:4])
 
+    def test_trailing_bytes_raise(self):
+        data = encode_packet_batch([(b"hello", 1)], 9.0)
+        with pytest.raises(ClusterError):
+            decode_packet_batch(data + b"\x00")
+
+    def test_count_beyond_the_frames_raises(self):
+        data = bytearray(encode_packet_batch([(b"hello", 1)], 9.0))
+        data[4] = 2  # header announces two frames, one follows
+        with pytest.raises(ClusterError):
+            decode_packet_batch(bytes(data))
+
     def test_bad_magic_raises(self):
         with pytest.raises(ClusterError):
             decode_packet_batch(b"\x00\x00\x00\x00\x01")
@@ -174,7 +188,37 @@ class TestPacketBatchFraming:
         assert not is_packet_batch(b"")
 
 
+def _round_trip(records):
+    rows = decode_record_frame(encode_record_frame(records))
+    assert len(rows) == len(records)
+    return [
+        record_from_row(row, record.record_id)
+        for row, record in zip(rows, records)
+    ]
+
+
+_INT64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+_STAMP = st.none() | st.floats(allow_nan=False)  # stamps are never NaN
+_TEXT = st.text(max_size=12)
+_RECORDS = st.lists(
+    st.builds(
+        PacketRecord,
+        record_id=_INT64, seqno=_INT64, source=_INT64, destination=_INT64,
+        sender=_INT64,
+        # -1 is the wire's None; a real receiver is a concrete node id.
+        receiver=st.none() | st.integers(min_value=0, max_value=2**63 - 1),
+        channel=_INT64, kind=_TEXT, size_bits=_INT64,
+        t_origin=_STAMP, t_receipt=_STAMP, t_forward=_STAMP,
+        t_delivered=_STAMP, drop_reason=st.none() | _TEXT,
+    ),
+    max_size=8,
+)
+
+
 class TestRecordRows:
+    """The worker → parent record frame (rows carry no record id: the
+    parent supplies the final one when it builds the record)."""
+
     def test_round_trip(self):
         record = PacketRecord(
             record_id=7,
@@ -192,7 +236,7 @@ class TestRecordRows:
             t_delivered=0.503,
             drop_reason=None,
         )
-        assert record_from_row(record_to_row(record)) == record
+        assert _round_trip([record]) == [record]
 
     def test_round_trip_drop_record(self):
         record = PacketRecord(
@@ -211,8 +255,62 @@ class TestRecordRows:
             t_delivered=None,
             drop_reason="loss",
         )
-        assert record_from_row(record_to_row(record)) == record
+        assert _round_trip([record]) == [record]
 
     def test_wrong_arity_raises(self):
+        frame = encode_record_frame([_delivered_record()])
         with pytest.raises(ClusterError):
-            record_from_row([1, 2, 3])
+            decode_record_frame(frame + b"\x00" * 17)  # not a whole row
+
+    @given(_RECORDS)
+    def test_round_trip_is_identity(self, records):
+        # Includes 0 records, receiver=None, any subset of stamps None,
+        # non-ASCII strings and int64 edge values.
+        assert _round_trip(records) == records
+
+    @given(_RECORDS, st.data())
+    def test_truncated_frames_raise_cluster_error(self, records, data):
+        frame = encode_record_frame(records)
+        cut = data.draw(st.integers(min_value=0, max_value=len(frame) - 1))
+        with pytest.raises(ClusterError):
+            decode_record_frame(frame[:cut])
+        with pytest.raises(ClusterError):
+            decode_record_frame(frame + b"\x00")
+
+    @given(_RECORDS, st.data())
+    def test_mutated_frames_raise_nothing_but_cluster_error(
+        self, records, data
+    ):
+        frame = bytearray(encode_record_frame(records))
+        for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+            at = data.draw(st.integers(min_value=0, max_value=len(frame) - 1))
+            frame[at] = data.draw(st.integers(min_value=0, max_value=255))
+        try:
+            decode_record_frame(bytes(frame))
+        except ClusterError:
+            pass  # anything else propagates and fails the test
+
+    def test_string_index_out_of_range_raises(self):
+        frame = bytearray(encode_record_frame([_delivered_record()]))
+        kind_at = len(frame) - 92 + 48  # the one row's kind index
+        frame[kind_at : kind_at + 2] = b"\x00\x07"
+        with pytest.raises(ClusterError):
+            decode_record_frame(bytes(frame))
+
+    def test_bad_string_table_raises(self):
+        frame = bytearray(encode_record_frame([_delivered_record()]))
+        frame[9] = 0xFF  # first byte of the only string: invalid utf-8
+        with pytest.raises(ClusterError):
+            decode_record_frame(bytes(frame))
+
+    def test_value_outside_the_row_raises(self):
+        with pytest.raises(ClusterError):
+            encode_record_frame([_delivered_record(seqno=2**63)])
+
+
+def _delivered_record(seqno=1):
+    return PacketRecord(
+        record_id=1, seqno=seqno, source=4, destination=5, sender=4,
+        receiver=5, channel=2, kind="data", size_bits=64,
+        t_origin=1.0, t_receipt=1.0, t_forward=1.5, t_delivered=1.5,
+    )

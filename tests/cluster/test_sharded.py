@@ -27,9 +27,9 @@ from repro.models.link import (
     LinkModel,
     PacketLossModel,
 )
-from repro.models.mobility import ConstantVelocity
+from repro.models.mobility import Bounds, RandomWaypoint
 from repro.models.radio import Radio, RadioConfig
-from repro.net.messages import encode_message
+from repro.net.messages import decode_message, encode_message
 from repro.obs.telemetry import Telemetry
 from repro.stats.report import format_health
 
@@ -57,6 +57,78 @@ def line_topology(emu, n=4, spacing=60.0, radios=None):
         emu.add_node(Vec2(spacing * i, 0.0), radios, label=f"n{i}")
         for i in range(n)
     ]
+
+
+MESH_RADIOS = RadioConfig.single(1, 150.0)  # the default, lossless link
+
+
+def mobility_tick_runs(*, n_workers, radios, retune_at=None, steps=30):
+    """The same seeded mobile script on an ``InProcessEmulator`` and on a
+    cluster; returns ``(reference records, cluster records, the scene
+    ops the cluster shipped)``.  At step ``retune_at`` node 1 leaves the
+    channel between two ticks."""
+    step = 0.01
+    # One more tick drains the last fan-out; stopping on the tick grid
+    # keeps both scenes' waypoint draws in the same order.
+    end = step * (steps + 1)
+    area = Bounds(0.0, 0.0, 240.0, 120.0)
+
+    senders = (0, 2, 3)  # node 1 only listens: it may leave the channel
+
+    def populate(emu):
+        hosts = line_topology(emu, radios=radios)
+        for host in hosts:
+            emu.scene.set_mobility(
+                host.node_id, RandomWaypoint(area, 100.0, 400.0)
+            )
+        return hosts
+
+    def mutate(emu, hosts, i):
+        if i == retune_at:
+            emu.scene.set_radio_channel(hosts[1].node_id, 0, ChannelId(2))
+
+    ref_emu = InProcessEmulator(seed=42)
+    hosts = populate(ref_emu)
+    ref_emu.enable_mobility_tick(step)
+    for i in range(steps):
+        ref_emu.run_until(step * (i + 1))
+        mutate(ref_emu, hosts, i)
+        hosts[senders[i % 3]].transmit(
+            BROADCAST_NODE, b"x" * 32, channel=ChannelId(1)
+        )
+    ref_emu.run_until(end)
+    ref = ref_emu.recorder.packets()
+
+    ops = []
+    with ShardedEmulator(n_workers=n_workers, seed=42) as emu:
+        shosts = populate(emu)
+        ship = emu._send_to
+        emu._send_to = lambda worker, data: (
+            ops.append(scene_op(data)) if worker == 0 else None,
+            ship(worker, data),
+        )
+        for i in range(steps):
+            emu.flush(step * (i + 1))  # the tick: move, then re-ship
+            mutate(emu, shosts, i)
+            shosts[senders[i % 3]].transmit(
+                BROADCAST_NODE, b"x" * 32, channel=ChannelId(1),
+                t=step * (i + 1),
+            )
+        emu.flush(end)
+        emu.collect()
+        got = emu.recorder.packets()
+        positions = [emu.scene.position(h.node_id) for h in shosts]
+
+    assert positions == [ref_emu.scene.position(h.node_id) for h in hosts]
+    return ref, got, [op for op in ops if op is not None]
+
+
+def scene_op(data: bytes):
+    """``scene_snapshot`` / ``scene_moves`` for a scene frame, else None."""
+    if data[:1] != b"{":
+        return None
+    op = decode_message(data)["op"]
+    return op if op.startswith("scene_") else None
 
 
 def scripted_load(hosts, frames=40, interval=0.01):
@@ -117,50 +189,43 @@ class TestPipeline:
         ]
 
     def test_seeded_equivalence_under_a_mobility_tick(self):
-        """The same contract with scene writes beside the timers: both
-        end nodes move, the in-process stack applies it on a mobility
-        tick, the cluster at a per-step ``flush`` that re-ships the
-        replica, and every step broadcasts, so worker and in-process
-        wake-ups are coalesced the same way (``arm_flush`` on both)."""
-        step, steps = 0.01, 30
+        """The same contract with scene writes beside the timers: every
+        node is on RandomWaypoint, the in-process stack applies it on a
+        mobility tick, the cluster at a per-step ``flush`` whose
+        multi-move ``scene_moves`` frame the worker absorbs as one
+        vectorized tick, and every step broadcasts, so worker and
+        in-process wake-ups are coalesced the same way (``arm_flush`` on
+        both).  Record for record, ``record_id`` included."""
+        ref, got, ops = mobility_tick_runs(n_workers=1, radios=LOSSY_RADIOS)
+        assert ops.count("scene_snapshot") == 1  # the bootstrap alone
+        assert ops.count("scene_moves") >= 25  # one delta per tick
+        assert len(ref) > 2 * 30  # fan-outs, not single receivers
+        assert [record_tuple(r) for r in ref] == [
+            record_tuple(g) for g in got
+        ]
 
-        def populate(emu):
-            hosts = line_topology(emu)
-            emu.scene.set_mobility(
-                hosts[0].node_id, ConstantVelocity(200.0, 0.0)
-            )
-            emu.scene.set_mobility(
-                hosts[3].node_id, ConstantVelocity(300.0, 175.0)
-            )
-            return hosts
+    def test_two_workers_match_in_process_on_a_lossless_mesh(self):
+        """n=2: shards draw their own RNG streams and ids follow the
+        merge, so the contract is the record multiset — exact on
+        lossless links."""
+        ref, got, _ops = mobility_tick_runs(n_workers=2, radios=MESH_RADIOS)
+        assert len(ref) > 2 * 30
+        assert sorted(record_tuple(r)[1:] for r in ref) == sorted(
+            record_tuple(g)[1:] for g in got
+        )
+        assert [g.record_id for g in got] == list(range(1, len(got) + 1))
 
-        ref_emu = InProcessEmulator(seed=42)
-        hosts = populate(ref_emu)
-        ref_emu.enable_mobility_tick(step)
-        for i in range(steps):
-            ref_emu.run_until(step * (i + 1))
-            hosts[i % 4].transmit(
-                BROADCAST_NODE, b"x" * 32, channel=ChannelId(1)
-            )
-        ref_emu.run_until(2.0)
-        ref = ref_emu.recorder.packets()
-
-        with ShardedEmulator(n_workers=1, seed=42) as emu:
-            shosts = populate(emu)
-            for i in range(steps):
-                emu.flush(step * (i + 1))  # the tick: move, then re-ship
-                shosts[i % 4].transmit(
-                    BROADCAST_NODE, b"x" * 32, channel=ChannelId(1),
-                    t=step * (i + 1),
-                )
-            emu.flush(2.0)
-            emu.collect()
-            got = emu.recorder.packets()
-            moved = emu.scene.position(shosts[0].node_id)
-
-        assert moved == ref_emu.scene.position(hosts[0].node_id)
-        assert moved.x > 50.0  # the scene really changed under the run
-        assert len(ref) > 2 * steps  # fan-outs, not single receivers
+    def test_retune_between_move_batches_falls_back_to_a_snapshot(self):
+        """A retune cannot ride a moves frame: the cluster re-ships a
+        full snapshot for it and goes back to deltas afterwards, with
+        the records still equal to the in-process run's."""
+        ref, got, ops = mobility_tick_runs(
+            n_workers=1, radios=LOSSY_RADIOS, retune_at=12
+        )
+        after_bootstrap = ops[1:]
+        at = after_bootstrap.index("scene_snapshot")
+        assert "scene_moves" in after_bootstrap[:at]
+        assert "scene_moves" in after_bootstrap[at + 1:]
         assert [record_tuple(r) for r in ref] == [
             record_tuple(g) for g in got
         ]

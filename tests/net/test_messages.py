@@ -41,15 +41,21 @@ class TestMessages:
         assert flushed["profile"] == profile
         # Omitted: the key is absent, not null — bare workers stay bare.
         assert "profile" not in make_flushed(2, 0, **sample)
-        assert "profile" not in make_worker_report(
-            0, records=[], **sample
-        )
-        report = make_worker_report(
-            0, records=[], profile=profile, **sample
-        )
+        assert "profile" not in make_worker_report(0, **sample)
+        report = make_worker_report(0, profile=profile, **sample)
         assert report["profile"] == profile
+        assert "records" not in report  # they ride the binary record frame
         telem = make_telemetry_report(0, profile=profile, **sample)
         assert decode_message(encode_message(telem))["profile"] == profile
+
+    def test_scene_moves_round_trips_positions_exactly(self):
+        from repro.net.messages import make_scene_moves
+
+        moves = [[3, 0.1 + 0.2, -1e-17], [9, 1 / 3, 2.0**60]]
+        msg = decode_message(encode_message(make_scene_moves(12, 1.5, moves)))
+        assert msg == {
+            "op": "scene_moves", "version": 12, "t": 1.5, "moves": moves,
+        }
 
     def test_garbage_rejected_on_decode(self):
         with pytest.raises(TransportError):
