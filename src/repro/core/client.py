@@ -9,7 +9,10 @@ it connects, registers its VMN (position + radios), synchronizes its
 emulation clock with the server (§4.1 — several rounds, keeping the
 minimum-delay sample, Cristian-style), stamps every outgoing packet with
 the synchronized clock (*parallel time-stamping*), and dispatches
-delivered frames to the embedded protocol on a receiver thread.
+delivered frames to the embedded protocol on a receiver thread.  Reads
+go through the socket's :class:`~repro.net.framing.FrameReader` (one
+``recv`` serves every frame that arrived with it); writes stay one
+``sendall`` per frame, the unit of fault of ``FaultyTransport``.
 
 Fault tolerance: the client answers the server's ``ping`` heartbeats, and
 with ``auto_reconnect=True`` it survives a dropped connection — the
@@ -99,6 +102,9 @@ class PoEmClient(ProtocolHost):
         self._transport_wrapper = transport_wrapper
 
         self._sock = None  # socket.socket or a transport wrapper around one
+        # De-framer of the installed socket; whoever owns the socket's
+        # read side (handshake caller, then the receiver thread) uses it.
+        self._reader: Optional[framing.FrameReader] = None
         self._send_lock = threading.Lock()
         self._node_id: Optional[NodeId] = None
         self._local_clock: EmulationClock = (
@@ -182,6 +188,7 @@ class PoEmClient(ProtocolHost):
             self._sock = self._transport_wrapper(sock)
         else:
             self._sock = sock
+        self._reader = framing.FrameReader(self._sock)
 
     def _handshake(self, cause: str = "register") -> None:
         """Register (or re-register) this VMN and run the clock sync.
@@ -423,9 +430,9 @@ class PoEmClient(ProtocolHost):
     def _recv_expect(self, op: str) -> dict:
         """Handshake-time receive: buffer deliveries that race us, answer
         heartbeats, and hand back the awaited message."""
-        assert self._sock is not None
+        assert self._reader is not None
         while True:
-            frame = framing.recv_frame(self._sock)
+            frame = self._reader.recv_frame()
             if frame is None:
                 raise TransportError("server closed during handshake")
             if messages.is_binary_frame(frame):
@@ -458,8 +465,8 @@ class PoEmClient(ProtocolHost):
     def _receive_loop(self) -> None:
         while self._running:
             try:
-                frame = framing.recv_frame(self._sock)
-            except (TransportError, OSError, AttributeError):
+                frame = self._reader.recv_frame()
+            except TransportError:
                 frame = None
             if frame is None:
                 if not self._running or not self._auto_reconnect:

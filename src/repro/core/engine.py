@@ -516,23 +516,23 @@ class ForwardingEngine:
             self.overload.observe(0.0, len(self.schedule))
         return n
 
-    def flush_wait(self, now: float, max_wait: float = 0.05) -> int:
-        """Real-time scanning-thread step: block in the schedule's hybrid
-        wait for up to ``max_wait``, then deliver whatever fell due.
+    def flush_wait(self, now: float) -> int:
+        """Real-time harvest step: deliver whatever is due at ``now``.
 
-        The overload controller's ``fire_window`` widens the harvest
-        under pressure (batched fire windows trade per-frame precision
-        for fewer wakeups); an empty harvest feeds a quiet observation
-        so degraded states decay.
+        The waiting happens in the caller's ``select`` (see
+        :meth:`ForwardSchedule.wait_ready`).  The overload controller's
+        ``fire_window`` widens the harvest under pressure (batched fire
+        windows trade per-frame precision for fewer wakeups); an empty
+        harvest feeds a quiet observation so degraded states decay.
         """
         ov = self.overload
         window = ov.fire_window if ov is not None else 0.0
-        due = self.schedule.wait_due(now, max_wait, fire_window=window)
+        due = self.schedule.wait_due(now, fire_window=window)
         if not due:
             if ov is not None:
                 ov.observe(0.0, len(self.schedule))
             return 0
-        return self._deliver_batch(due, self.clock.now())
+        return self._deliver_batch(due, now)
 
     def flush_all(self) -> int:
         """Deliver everything still scheduled (shutdown path)."""

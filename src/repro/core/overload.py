@@ -22,9 +22,8 @@ controller.  Each state sheds the lowest-value work first:
 * ``PRESSURED`` — trace sampling off, modest fire-window batching;
 * ``SATURATED`` — additionally: per-packet delivery records coalesced
   into counters, frames already late by more than the shed horizon
-  dropped with the dedicated ``deadline-shed`` cause, new ingest shed at
-  the door once the schedule passes the admission depth, and a brief
-  backpressure pause applied to receiver threads.
+  dropped with the dedicated ``deadline-shed`` cause, and new ingest
+  shed at the door once the schedule passes the admission depth.
 
 The controller itself is deployment-agnostic and pure (injected
 ``time_fn``, no I/O): the owning server wires ``on_transition`` to the
@@ -115,9 +114,6 @@ class OverloadConfig:
     fire_window_saturated: float = 0.005
     """Fire-window batching (s) under SATURATED."""
 
-    ingest_pause: float = 0.002
-    """Receiver-thread pause (s) per ingested frame while SATURATED."""
-
     def __post_init__(self) -> None:
         if self.lag_budget <= 0.0:
             raise PoEmError(
@@ -147,8 +143,7 @@ class OverloadConfig:
                 raise PoEmError(
                     f"{name} must be a fraction in (0, 1], got {v}"
                 )
-        for name in ("fire_window_pressured", "fire_window_saturated",
-                     "ingest_pause"):
+        for name in ("fire_window_pressured", "fire_window_saturated"):
             if getattr(self, name) < 0.0:
                 raise PoEmError(f"{name} must be >= 0")
 
@@ -156,11 +151,12 @@ class OverloadConfig:
 class OverloadController:
     """EWMA-lag + depth state machine driving graceful degradation.
 
-    Thread model: :meth:`observe` runs on the scan/flush thread; the
+    Thread model: :meth:`observe` runs on the thread that flushes; the
     degradation properties (``fire_window``, ``shed_horizon``,
-    ``admission_limit``, ...) are read lock-free from receiver threads —
-    reading the current state string is atomic, and every consumer
-    tolerates a one-observation-stale answer.  ``on_transition`` is
+    ``admission_limit``, ...) are read lock-free, possibly from other
+    threads (the profiler, ``health()``) — reading the current state
+    string is atomic, and every consumer tolerates a
+    one-observation-stale answer.  ``on_transition`` is
     invoked *outside* the controller lock, so owners may log/record from
     it without lock-order constraints.
     """
@@ -335,13 +331,6 @@ class OverloadController:
         if self._state == OverloadState.SATURATED:
             return self._admission_limit
         return None
-
-    @property
-    def ingest_pause(self) -> float:
-        """Backpressure pause for receiver threads (0 unless SATURATED)."""
-        if self._state == OverloadState.SATURATED:
-            return self.config.ingest_pause
-        return 0.0
 
     # -- reporting -----------------------------------------------------------
 

@@ -10,8 +10,9 @@ ordered by ``t_forward`` with FIFO tie-breaking (two packets scheduled for
 the same instant leave in arrival order — keeps CBR streams in order).  It
 supports both deployment styles:
 
-* the **real-time** server's scanning thread blocks in :meth:`wait_due`,
-  which wakes when the head entry becomes due or an earlier entry arrives;
+* the **real-time** server's loop sleeps in :meth:`wait_ready` — one
+  ``select`` over its sockets with the head deadline as the timeout —
+  and harvests with :meth:`wait_due`;
 * the **virtual-time** emulator polls :meth:`pop_due` from clock callbacks.
 
 A configurable ``capacity`` models the server's finite buffering; pushes
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import select
 import threading
 import time
 from dataclasses import dataclass
@@ -59,8 +61,8 @@ class ForwardSchedule:
         self._heap: list[tuple[float, int, ScheduledPacket]] = []
         self._seq = itertools.count()
         self._lock = threading.Lock()
-        self._nonempty = threading.Condition(self._lock)
         self._closed = False
+        self._oversleep = 0.0  # lateness of wait_ready's last timed wake-up
         # Optional telemetry hooks (see bind_telemetry); None keeps the
         # hot path at two attribute loads + an `is not None` check.
         self._m_accepted = None
@@ -98,7 +100,7 @@ class ForwardSchedule:
 
     def push(self, entry: ScheduledPacket) -> bool:
         """Enqueue; returns False (dropping the entry) when at capacity."""
-        with self._nonempty:
+        with self._lock:
             if self._closed:
                 raise SchedulerError("schedule is closed")
             if self._capacity is not None and len(self._heap) >= self._capacity:
@@ -108,7 +110,6 @@ class ForwardSchedule:
             heapq.heappush(
                 self._heap, (entry.t_forward, next(self._seq), entry)
             )
-            self._nonempty.notify_all()
         if self._m_accepted is not None:
             self._m_accepted.inc()
         return True
@@ -118,13 +119,11 @@ class ForwardSchedule:
 
         Accepts a prefix of ``entries`` up to remaining capacity and
         returns how many were accepted — callers record
-        ``entries[accepted:]`` as queue-overflow drops.  One
-        ``notify_all`` wakes the scanning thread for the whole batch
-        instead of once per entry.
+        ``entries[accepted:]`` as queue-overflow drops.
         """
         if not entries:
             return 0
-        with self._nonempty:
+        with self._lock:
             if self._closed:
                 raise SchedulerError("schedule is closed")
             if self._capacity is None:
@@ -136,8 +135,6 @@ class ForwardSchedule:
             heap, seq = self._heap, self._seq
             for entry in entries[:accepted]:
                 heapq.heappush(heap, (entry.t_forward, next(seq), entry))
-            if accepted:
-                self._nonempty.notify_all()
         if self._m_accepted is not None:
             if accepted:
                 self._m_accepted.inc(accepted)
@@ -158,104 +155,65 @@ class ForwardSchedule:
                 due.append(heapq.heappop(self._heap)[2])
         return due
 
-    #: Distance (s) from the head deadline at which :meth:`wait_due`
-    #: switches from one coarse sleep to short precision waits — the
-    #: hybrid wakeup scheme (coarse until ~1 ms out, then spin quanta).
-    SPIN_THRESHOLD = 0.001
-
-    #: Condition-wait quantum (s) during the precision-spin phase.
+    #: Precision quantum (s) of the real-time deployment: the longest
+    #: stretch before a deadline that :meth:`wait_ready` polls across
+    #: instead of sleeping.
     SPIN_WAIT = 0.0002
 
-    #: Floor on any computed wait: a deadline an epsilon beyond ``now``
-    #: must not produce a sub-tick timeout, or the condition wait returns
-    #: with an unmeasurably small elapsed time and the caller busy-loops.
-    MIN_TIMEOUT = 5e-5
-
     def wait_due(
-        self,
-        now: float,
-        max_wait: float = 0.1,
-        *,
-        fire_window: float = 0.0,
+        self, now: float, *, fire_window: float = 0.0
     ) -> list[ScheduledPacket]:
-        """Real-time scanning-thread primitive.
-
-        Returns due entries immediately if any; otherwise blocks up to
-        ``max_wait`` seconds waiting for the head entry to fall due (or
-        for new entries), then returns whatever became due during the
-        *actual* time spent waiting.
-
-        The wait is **hybrid**: far from the head deadline it is one
-        coarse condition wait ending :data:`SPIN_THRESHOLD` before the
-        deadline; within that threshold it loops :data:`SPIN_WAIT`-sized
-        precision waits, so the wakeup error is bounded by the short
-        quantum instead of the OS timer slack of a long sleep.  Every
-        computed timeout is clamped to :data:`MIN_TIMEOUT` from below —
-        a deadline an epsilon away used to yield a zero-length wait and
-        a busy loop in the caller.
-
-        ``now`` is the emulation clock at the instant of the call; the
-        post-wait cutoff is ``now`` plus the measured wall time the wait
-        really took.  (An earlier revision used ``now + timeout`` — on an
-        early wakeup, e.g. a push notifying the condition, that delivered
-        frames up to ``max_wait`` seconds *before* they were due.)
+        """Real-time harvest: every entry due at ``now``, in order.
 
         ``fire_window`` widens the cutoff: entries due within it are
         harvested together even if slightly early — the overload
         controller's batching lever (0 keeps exact-deadline semantics).
+        Never blocks; the waiting is :meth:`wait_ready`'s.  It keeps its
+        own name beside :meth:`pop_due` because it is the boundary the
+        end-to-end benchmark times harvest lag at.
         """
-        with self._nonempty:
-            due: list[ScheduledPacket] = []
-            horizon = now + fire_window
-            while self._heap and self._heap[0][0] <= horizon:
-                due.append(heapq.heappop(self._heap)[2])
-            if due or self._closed or max_wait <= 0:
-                return due
-            cutoff = now + self._wait_segment(now, max_wait) + fire_window
-            while self._heap and self._heap[0][0] <= cutoff:
-                # Entries that became due while we actually waited.
-                due.append(heapq.heappop(self._heap)[2])
-            return due
+        return self.pop_due(now + fire_window)
 
-    def _wait_segment(self, now: float, max_wait: float) -> float:
-        """One hybrid coarse-sleep/precision-spin wait (lock held).
+    def wait_ready(
+        self,
+        now: float,
+        max_wait: float,
+        rlist: Sequence = (),
+        wlist: Sequence = (),
+    ) -> tuple[list, list]:
+        """Real-time wait: sleep until the head entry falls due, a socket
+        of ``rlist`` / ``wlist`` is ready, or ``max_wait`` seconds passed,
+        whichever is first.  Returns the (readable, writable) sockets.
 
-        Returns the measured seconds elapsed.  A coarse or idle wait
-        does a single segment and returns (the caller re-harvests and,
-        on nothing due, hands control back so its ``now`` can refresh);
-        within spin distance of a known deadline it keeps lapping short
-        waits until the deadline is covered or ``max_wait`` is spent.
+        ``now`` is the emulation clock at the instant of the call.  One
+        ``select.select`` does all three jobs: its timeout has microsecond
+        resolution (``poll``/``epoll``/``selectors`` round up to whole
+        milliseconds), and a frame arriving earlier cuts the sleep short.
+        A timed-out select wakes late by the host's timer latency (tens
+        of µs on metal, ~200 in a VM), so a wait that a deadline ends
+        sleeps short by what the last such wake-up overslept — at most
+        one :data:`SPIN_WAIT` — and polls across the rest.  With
+        something already due the call polls the sockets once.  A closed
+        schedule still waits: its owner wakes the select through a socket.
         """
-        elapsed = 0.0
-        while not self._closed:
-            remaining = max_wait - elapsed
-            if remaining <= 0.0:
-                break
-            head = self._heap[0][0] if self._heap else None
-            spin = False
-            if head is None:
-                timeout = remaining  # idle: a push wakes the condition
-            else:
-                until_due = head - now - elapsed
-                if until_due <= 0.0:
-                    break  # head fell due during a previous lap
-                if until_due > self.SPIN_THRESHOLD:
-                    # Coarse phase: sleep until just before the deadline.
-                    timeout = min(remaining, until_due - self.SPIN_THRESHOLD)
-                else:
-                    spin = True
-                    timeout = min(remaining, self.SPIN_WAIT)
-            if timeout < self.MIN_TIMEOUT:
-                timeout = min(self.MIN_TIMEOUT, remaining)
-            t0 = time.monotonic()
-            self._nonempty.wait(timeout)
-            waited = time.monotonic() - t0
-            # A sub-tick wait can measure 0.0; credit the request so the
-            # cutoff still advances (the zero-timeout spin fix).
-            elapsed += waited if waited > 0.0 else timeout
-            if not spin:
-                break
-        return elapsed
+        head = self.peek_time()
+        if head is None or head - now >= max_wait:
+            readable, writable, _ = select.select(
+                rlist, wlist, (), max(max_wait, 0.0)
+            )
+            return readable, writable
+        start = time.monotonic()
+        due_at = start + (head - now)
+        timeout = head - now - min(self._oversleep, self.SPIN_WAIT)
+        if timeout > 0.0:
+            readable, writable, _ = select.select(rlist, wlist, (), timeout)
+            if readable or writable:
+                return readable, writable
+            self._oversleep = time.monotonic() - start - timeout
+        while True:
+            readable, writable, _ = select.select(rlist, wlist, (), 0.0)
+            if readable or writable or time.monotonic() >= due_at:
+                return readable, writable
 
     def drain(self) -> list[ScheduledPacket]:
         """Remove and return everything (shutdown path), in order."""
@@ -264,7 +222,6 @@ class ForwardSchedule:
             return out
 
     def close(self) -> None:
-        """Wake waiters and refuse further pushes."""
-        with self._nonempty:
+        """Refuse further pushes."""
+        with self._lock:
             self._closed = True
-            self._nonempty.notify_all()

@@ -2,18 +2,35 @@
 
 Workstations (or processes — "several clients can run in one workstation")
 connect over TCP; each connection is mapped to a Virtual MANET Node.  The
-server's thread structure mirrors the paper's Step 1–7 description:
+paper describes Steps 1–7 as "parallel multiple threads"; under one
+interpreter lock those threads only hand packets to each other, so the
+server runs the steps on **one supervised loop** (``poem-loop``) shaped
+like a real-time simulation scheduler — wait on the sockets with the next
+forward deadline as the timeout:
 
-* one **accept thread** admits connections;
-* one **receiver thread per client** performs Step 1 (and answers
-  clock-sync requests with server time-stamps — §4.1 steps 2–3);
-* ingest (Steps 2–4) runs inline on the receiver thread — the scheduling
-  work of the paper's "parallel multiple threads";
-* one **scanning thread** watches the schedule (Step 5);
-* one **sending thread per client** drains an outbound queue (Step 6), so
-  a slow client never stalls the scan loop;
-* recording (Step 7) happens inside the engine via the shared recorder;
-* one **mobility thread** ticks scene time forward.
+* **wait** — one ``select`` over the listening socket, every client
+  socket and a wake socketpair, until the schedule's head entry is due,
+  the next heartbeat is due, or ``scan_poll × 25`` s passed
+  (:meth:`~repro.core.scheduler.ForwardSchedule.wait_ready`);
+* **read** (Step 1) — one bounded ``recv`` per readable socket; every
+  complete frame it brought is de-framed and handled inline: ingest
+  (Steps 2–4), or the clock-sync reply with server time-stamps (§4.1
+  steps 2–3);
+* **harvest** (Step 5) — deliveries whose forward time has come are
+  encoded onto their receiver's bounded out-buffer; recording (Step 7)
+  happens inside the engine via the shared recorder;
+* **write** (Step 6) — each connection with queued frames gets one
+  non-blocking write of all of them; a connection the kernel pushed back
+  on waits for writability in the same ``select``, so a slow client never
+  stalls the others.
+
+The harvest runs once per pass — a pass reads at most one
+:data:`~repro.net.framing.RECV_CHUNK` per client before it — because one
+harvest is one observation of the overload controller: harvesting inside
+a batch of frames as well made every host stall count several times over
+(see docs/performance.md).  ``select.select`` caps the server at
+descriptors below :data:`SELECT_MAX_FD`.  One **mobility thread** beside
+the loop ticks scene time forward.
 
 Scene mutations arrive either from local code (scenario scripts, the GUI
 module) or from a connected operator console via ``scene_op`` messages.
@@ -21,35 +38,37 @@ module) or from a connected operator console via ``scene_op`` messages.
 Fault tolerance (the layer §3.2 implies but the paper never implements —
 "overload of server computation" is its only nod to degraded operation):
 
-* every server thread runs under a :class:`~repro.core.supervision.
-  SupervisedThread`; crashes are recorded and restartable loops
-  (scan/mobility/accept/heartbeat) restart with capped exponential
-  backoff.  :meth:`PoEmServer.health` exposes the whole picture.
-* a **heartbeat thread** pings every client each ``heartbeat_interval``;
-  a client silent for ``heartbeat_misses`` intervals is *quarantined*:
-  its VMN stays in the scene (routes through it survive a transient
-  stall) but traffic to/from it drops as ``node-stale``.  After
-  ``stale_grace`` seconds without recovery the node is removed.
+* both threads run under a :class:`~repro.core.supervision.
+  SupervisedThread`; a crash is recorded and the loop restarts with
+  capped exponential backoff, its connections intact (they live on the
+  server, not in the loop's frame).  A failure while handling one
+  client's frame is recorded and closes only that connection.
+  :meth:`PoEmServer.health` exposes the whole picture.
+* every ``heartbeat_interval`` the loop pings every client; a client
+  silent for ``heartbeat_misses`` intervals is *quarantined*: its VMN
+  stays in the scene (routes through it survive a transient stall) but
+  traffic to/from it drops as ``node-stale``.  After ``stale_grace``
+  seconds without recovery the node is removed.
 * an **unexpectedly disconnected** client's VMN is likewise quarantined
   for the grace period; a client re-registering under the same label
   within it *reclaims* its node (id, position, routes) — the reconnect
   path of :class:`~repro.core.client.PoEmClient`.  An orderly ``bye``
   still removes the node immediately.
-* each client's outbox is **bounded** (``outbox_limit``) with a
+* each client's out-buffer is **bounded** (``outbox_limit``) with a
   drop-oldest policy; overflow is counted per client and recorded via
   the :class:`~repro.core.recording.Recorder` as ``transport-overflow``
-  drops, so replay and statistics see transport-level loss.
+  drops, so replay and statistics see transport-level loss.  A frame
+  whose first bytes are on the wire is never dropped.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
-import queue
 import socket
 import threading
 import time as _time_mod
-from functools import partial
+from collections import deque
 from typing import Optional, Type
 
 import numpy as np
@@ -59,7 +78,6 @@ from ..models.link import BandwidthModel, DelayModel, LinkModel, PacketLossModel
 from ..models.mobility import Bounds
 from ..models.radio import Radio, RadioConfig
 from ..net import framing, messages
-from ..obs.httpd import TelemetryHTTPServer
 from ..obs.logging import get_logger, log_event
 from ..obs.telemetry import Telemetry
 from .clock import RealTimeClock, SyncRequest, SyncSample, make_sync_reply
@@ -75,108 +93,40 @@ from .supervision import HealthRegistry
 
 __all__ = ["PoEmServer"]
 
+SELECT_MAX_FD = 1024
+"""``select.select`` cannot watch a descriptor at or above FD_SETSIZE;
+a connection that lands there is refused."""
+
+_LOOP = "poem-loop"
 _conn_ids = itertools.count(1)
 _perf = _time_mod.perf_counter
 _log = get_logger("tcpserver")
 
 
 class _ClientConnection:
-    """Server-side state for one connected emulation client."""
+    """Server-side state for one connected emulation client (owned by
+    the loop thread)."""
 
     def __init__(
-        self,
-        sock: socket.socket,
-        server: "PoEmServer",
-        *,
-        outbox_limit: int = 1024,
+        self, sock: socket.socket, now: float, outbox_limit: int
     ) -> None:
         self.sock = sock
-        self.server = server
         self.node_id: Optional[NodeId] = None
         self.label = ""
-        self.conn_id = next(_conn_ids)
-        self.recv_name = f"poem-recv-{self.conn_id}"
-        self.send_name = f"poem-send-{self.conn_id}"
-        self.last_seen = server.clock.now()
+        #: Source name of this connection's entries in the failure log.
+        self.name = f"poem-conn-{next(_conn_ids)}"
+        self.last_seen = now
         self.reclaimed = False
         self.binary = False  # negotiated binary packet/deliver encoding
-        self.overflow = 0  # frames dropped by the bounded outbox
-        self._closed = False
-        # Bounded outbox: entries are (frame, packet|None); None = stop.
-        self.outbox: "queue.Queue" = queue.Queue(max(int(outbox_limit), 1))
-        self.sender = server.supervisor.spawn(
-            self.send_name, self._send_loop, restartable=False
-        )
-
-    # -- backpressure ------------------------------------------------------------
-
-    def enqueue(self, frame: bytes, packet: Optional[Packet] = None) -> None:
-        """Queue a frame for the sender thread; drop-oldest on overflow."""
-        if self._closed:
-            return
-        entry = (frame, packet)
-        while True:
-            try:
-                self.outbox.put_nowait(entry)
-                return
-            except queue.Full:
-                try:
-                    old = self.outbox.get_nowait()
-                except queue.Empty:
-                    continue
-                if old is None:
-                    # Never displace the shutdown sentinel.
-                    try:
-                        self.outbox.put_nowait(None)
-                    except queue.Full:
-                        pass
-                    return
-                self.overflow += 1
-                self.server._on_outbox_overflow(self, old[1])
-
-    #: Upper bound on frames coalesced into one ``sendall`` by the
-    #: sender thread (keeps per-burst latency bounded).
-    SEND_BATCH = 64
-
-    def _send_loop(self) -> None:
-        while True:
-            entry = self.outbox.get()
-            if entry is None:
-                return
-            # Opportunistic batching: drain whatever else is already
-            # queued (up to SEND_BATCH) and ship it in one syscall.
-            frames = [entry[0]]
-            stop = False
-            while len(frames) < self.SEND_BATCH:
-                try:
-                    nxt = self.outbox.get_nowait()
-                except queue.Empty:
-                    break
-                if nxt is None:
-                    stop = True
-                    break
-                frames.append(nxt[0])
-            try:
-                framing.send_frames(self.sock, frames)
-            except TransportError:
-                return  # receiver thread notices the dead socket and cleans up
-            if stop:
-                return
+        self.overflow = 0  # frames displaced from the bounded outbox
+        self.inbuf = framing.FrameBuffer()
+        # Bounded out-buffer of (frame, packet|None) not yet written.
+        self.outbox: deque = deque(maxlen=max(int(outbox_limit), 1))
+        # What the kernel did not take of the batch being written; it
+        # goes out before anything from the outbox does.
+        self.unsent = b""
 
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        # Guarantee room for the sentinel even under a full outbox.
-        while True:
-            try:
-                self.outbox.put_nowait(None)
-                break
-            except queue.Full:
-                try:
-                    self.outbox.get_nowait()
-                except queue.Empty:
-                    pass
         try:
             self.sock.shutdown(socket.SHUT_RDWR)
         except OSError:
@@ -249,9 +199,18 @@ class PoEmServer:
         self._stale_grace = stale_grace
         self._outbox_limit = outbox_limit
         self._sock: Optional[socket.socket] = None
+        # stop() writes a byte to _wake_w to end the loop's select.
+        self._wake_r: Optional[socket.socket] = None
+        self._wake_w: Optional[socket.socket] = None
         self._running = False
-        self._stop_evt = threading.Event()
         self.supervisor = HealthRegistry()
+        # Loop-owned state.  It lives here and not in the loop's frame so
+        # that a crashed-and-restarted loop finds its connections intact.
+        self._conns: dict[socket.socket, _ClientConnection] = {}
+        self._dirty: set[_ClientConnection] = set()  # frames to write
+        self._blocked: set[_ClientConnection] = set()  # await writability
+        # The three maps below are written by the loop thread only, under
+        # _clients_lock; the loop reads them bare, health() under the lock.
         self._clients: dict[NodeId, _ClientConnection] = {}
         # Quarantined nodes -> removal deadline (server clock seconds).
         self._stale: dict[NodeId, float] = {}
@@ -261,7 +220,7 @@ class PoEmServer:
         # -- observability plane -------------------------------------------
         self._metrics_host = metrics_host
         self._metrics_port = metrics_port
-        self._metrics_httpd: Optional[TelemetryHTTPServer] = None
+        self._metrics_httpd = None  # obs.httpd.TelemetryHTTPServer
         self.metrics_address: Optional[tuple[str, int]] = None
         # Continuous profiling: the sampler shares the overload
         # controller, so it pauses the moment the server leaves NOMINAL
@@ -328,7 +287,7 @@ class PoEmServer:
     # -- lifecycle ---------------------------------------------------------------
 
     def start(self) -> tuple[str, int]:
-        """Bind, listen, and spin up the supervised thread complement.
+        """Bind, listen, and start the loop and the mobility thread.
 
         Returns the bound (host, port) — port 0 lets the OS pick one.
         """
@@ -338,27 +297,24 @@ class PoEmServer:
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._sock.bind((self._host, self._port))
         self._sock.listen(64)
-        self._stop_evt.clear()
+        self._sock.setblocking(False)
+        self._wake_r, self._wake_w = socket.socketpair()
         self._running = True
         should_run = lambda: self._running  # noqa: E731
         for target, name in (
-            (self._accept_loop, "poem-accept"),
-            (self._scan_loop, "poem-scan"),
+            (self._serve_loop, _LOOP),
             (self._mobility_loop, "poem-mobility"),
         ):
             self.supervisor.spawn(
                 name, target, restartable=True, should_run=should_run
             )
-        if self._heartbeat_interval > 0:
-            self.supervisor.spawn(
-                "poem-heartbeat",
-                self._heartbeat_loop,
-                restartable=True,
-                should_run=should_run,
-            )
         if self.profiler is not None:
             self.profiler.start()
         if self._metrics_port is not None and self.telemetry.enabled:
+            # Imported here: http.server and what it drags in (ssl,
+            # email, ...) stay out of every process with no endpoint.
+            from ..obs.httpd import TelemetryHTTPServer
+
             self._metrics_httpd = TelemetryHTTPServer(
                 self.telemetry.registry,
                 health_fn=self.health,
@@ -382,7 +338,7 @@ class PoEmServer:
         if not self._running:
             return
         self._running = False
-        self._stop_evt.set()
+        self._wake_w.send(b"\0")  # end the loop's select now
         if self.profiler is not None:
             from ..obs import profiler as profiler_mod
 
@@ -393,25 +349,17 @@ class PoEmServer:
             self._metrics_httpd.stop()
             self._metrics_httpd = None
             self.metrics_address = None
-        if self._sock is not None:
-            try:
-                # Wake a thread blocked in accept(); close alone does not.
-                self._sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                self._sock.close()
-            except OSError:
-                pass
+        # The loop is gone once this returns, so its state is ours.
+        self.supervisor.stop_all(timeout=2.0)
+        self.engine.schedule.close()
+        for sock in (self._sock, self._wake_r, self._wake_w):
+            sock.close()
+        for conn in list(self._conns.values()):
+            self._close(conn)
         with self._clients_lock:
-            clients = list(self._clients.values())
             self._clients.clear()
             self._stale.clear()
             self._orphans.clear()
-        for c in clients:
-            c.close()
-        self.engine.schedule.close()
-        self.supervisor.stop_all(timeout=2.0)
         self._record_run_summary()
 
     def _record_run_summary(self) -> None:
@@ -463,7 +411,8 @@ class PoEmServer:
         The ``overload-state`` scene event (sentinel node ``-1``, like
         ``run-summary``) is what lets ``poem analyze`` reconstruct the
         degraded intervals of a finished run.  Invoked by the controller
-        *outside* its lock, from whichever thread observed the change.
+        *outside* its lock, from the thread that observed the change (the
+        loop).
         """
         escalating = (
             OverloadState.SEVERITY[new] > OverloadState.SEVERITY[old]
@@ -508,7 +457,7 @@ class PoEmServer:
                     "last_seen": conn.last_seen,
                     "stale": nid in self._stale,
                     "overflow": conn.overflow,
-                    "outbox_depth": conn.outbox.qsize(),
+                    "outbox_depth": len(conn.outbox),
                 }
                 for nid, conn in self._clients.items()
             }
@@ -535,63 +484,122 @@ class PoEmServer:
             out["metrics_address"] = list(self.metrics_address)
         return out
 
-    # -- accept / per-client receive ------------------------------------------------
+    # -- the loop: wait, read, harvest, write -----------------------------------------
 
-    def _accept_loop(self) -> None:
-        assert self._sock is not None
+    def _serve_loop(self) -> None:
+        """Steps 1, 5 and 6 of every client on one thread (see the
+        module docstring).  Everything it owns lives on ``self``, so the
+        supervisor can re-enter it after a crash."""
+        clock, schedule = self.clock, self.engine.schedule
+        idle = self._scan_poll * 25
+        beat = self._heartbeat_interval
+        next_beat = clock.now() + beat
         while self._running:
-            try:
-                sock, _addr = self._sock.accept()
-            except OSError:
-                return  # listening socket closed
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            conn = _ClientConnection(
-                sock, self, outbox_limit=self._outbox_limit
+            now = clock.now()
+            readable, writable = schedule.wait_ready(
+                now,
+                min(idle, next_beat - now) if beat > 0 else idle,
+                [self._sock, self._wake_r, *self._conns],
+                [conn.sock for conn in self._blocked],
             )
-            self.supervisor.spawn(
-                conn.recv_name,
-                partial(self._client_loop, conn),
-                restartable=False,
+            for sock in readable:
+                conn = self._conns.get(sock)
+                if conn is not None:
+                    self._read(conn)
+                elif sock is self._sock:
+                    self._accept()
+                # else the wake socket (stop() cleared _running), or a
+                # connection dropped earlier in this pass
+            for sock in writable:
+                conn = self._conns.get(sock)
+                if conn is not None:
+                    self._dirty.add(conn)
+            now = clock.now()
+            if beat > 0 and now >= next_beat:
+                next_beat = now + beat
+                self._heartbeat(now)
+            # Harvest (Step 5), also on an idle timeout: an empty one is
+            # the quiet observation the overload controller recovers on.
+            self.engine.flush_wait(now)
+            dirty = self._dirty
+            while dirty:
+                self._write(dirty.pop())
+
+    def _accept(self) -> None:
+        try:
+            sock, _addr = self._sock.accept()
+        except OSError:
+            return  # the peer reset before we got to it
+        if sock.fileno() >= SELECT_MAX_FD:
+            sock.close()
+            self.supervisor.note_failure(
+                _LOOP,
+                TransportError("connection refused: out of select() slots"),
             )
+            return
+        sock.setblocking(False)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._conns[sock] = _ClientConnection(
+            sock, self.clock.now(), self._outbox_limit
+        )
 
-    def _client_loop(self, conn: _ClientConnection) -> None:
-        """Step 1: receive frames from one emulation client.
+    def _read(self, conn: _ClientConnection) -> None:
+        """Step 1 for one readable connection: one bounded ``recv``,
+        every complete frame it brought handled inline.
 
-        Failure policy (fault-tolerance layer): transport violations and
-        malformed messages are *recorded* in the supervisor's failure log
-        and close only this connection; recoverable scene races (an op on
+        Failure policy (fault-tolerance layer): whatever goes wrong on a
+        connection — transport violations, malformed messages, a bug in
+        a handler — is *recorded* in the supervisor's failure log and
+        closes only that connection; recoverable scene races (an op on
         an already-removed node) log and continue.
         """
-        orderly = False
+        for frame in self._recv_frames(conn):
+            try:
+                if self._handle_frame(conn, frame):
+                    self._drop_client(conn, orderly=True)
+            except SceneError as exc:
+                # e.g. scene_op for a node removed a moment earlier:
+                # the op is stale, the connection is healthy.
+                self.supervisor.note_failure(f"{conn.name}:recoverable", exc)
+            except Exception as exc:  # the per-connection boundary
+                self.supervisor.note_failure(conn.name, exc)
+                self._drop_client(conn)
+            if conn.sock not in self._conns:
+                return  # bye, a failure, or the write of a reply failed
+
+    def _recv_frames(self, conn: _ClientConnection) -> list[bytes]:
+        """One bounded ``recv``: the complete frames it brought (none
+        when it brought none, or ended the connection)."""
         try:
-            while self._running:
-                frame = framing.recv_frame(conn.sock)
-                if frame is None:
-                    break
-                self._touch(conn)
-                try:
-                    if self._handle_frame(conn, frame):
-                        orderly = True
-                        break
-                except TransportError:
-                    raise  # protocol violation: unwind to cleanup
-                except SceneError as exc:
-                    # e.g. scene_op for a node removed a moment earlier:
-                    # the op is stale, the connection is healthy.
-                    self.supervisor.note_failure(
-                        f"{conn.recv_name}:recoverable", exc
-                    )
-                    continue
-                except (PoEmError, KeyError, ValueError) as exc:
-                    # Malformed message (missing keys, bad field types):
-                    # record the failure, close this connection cleanly.
-                    self.supervisor.note_failure(conn.recv_name, exc)
-                    break
-        except TransportError as exc:
-            if self._running:
-                self.supervisor.note_failure(conn.recv_name, exc)
-        finally:
-            self._drop_client(conn, orderly=orderly)
+            data = conn.sock.recv(framing.RECV_CHUNK)
+            if data:
+                self._touch(conn, self.clock.now())
+                return conn.inbuf.feed(data)
+            conn.inbuf.eof()  # FramingError if the peer died mid-frame
+        except BlockingIOError:
+            return []
+        except (OSError, TransportError) as exc:
+            self.supervisor.note_failure(conn.name, exc)
+        self._drop_client(conn)
+        return []
+
+    def _write(self, conn: _ClientConnection) -> None:
+        """Step 6: one non-blocking write of everything queued for one
+        client.  What the kernel does not take waits for writability."""
+        try:
+            if conn.unsent:
+                conn.unsent = framing.send_frames(conn.sock, (), conn.unsent)
+            if not conn.unsent and conn.outbox:
+                frames = [entry[0] for entry in conn.outbox]
+                conn.outbox.clear()
+                conn.unsent = framing.send_frames(conn.sock, frames)
+        except TransportError:
+            self._drop_client(conn)  # gone; its VMN gets the grace period
+            return
+        if conn.unsent:
+            self._blocked.add(conn)
+        else:
+            self._blocked.discard(conn)
 
     def _handle_frame(self, conn: _ClientConnection, frame: bytes) -> bool:
         """Dispatch one raw frame — binary fast path or JSON control path.
@@ -600,42 +608,35 @@ class PoEmServer:
         because a JSON message's first byte is always ``{`` (0x7B), never
         the binary magic 0xB1.
         """
-        tracer = self._tracer
-        t0 = _perf() if tracer is not None else 0.0
+        t0 = _perf() if self._tracer is not None else 0.0
         if messages.is_binary_frame(frame):
             op, packet = messages.decode_packet_binary(frame)
             if op != "packet":
                 raise TransportError(
                     f"client sent server-only binary op {op!r}"
                 )
-            if conn.node_id is None:
-                raise TransportError("packet before register")
-            tr = None
-            if tracer is not None:
-                self._m_rx_binary.inc()
-                tr = tracer.maybe_start()
-                if tr is not None:
-                    tr.bind(conn.node_id, packet)
-                    tr.stage("receive", _perf() - t0)
-            self.engine.ingest(conn.node_id, packet, trace=tr)
-            self._ingest_backpressure()
+            self._ingest(conn, packet, self._m_rx_binary, t0)
             return False
-        return self._handle_message(
-            conn, messages.decode_message(frame), t0=t0
-        )
+        return self._handle_message(conn, messages.decode_message(frame), t0)
 
-    def _ingest_backpressure(self) -> None:
-        """Overload soft lever: once SATURATED, each receiver thread
-        pauses briefly after an ingest so the scanning thread can drain
-        the schedule before the capacity bound starts rejecting — the
-        backpressure reaches the ingest side *before* queue-overflow
-        does.  Waits on the stop event so shutdown is never delayed."""
-        pause = self.overload.ingest_pause
-        if pause > 0.0:
-            self._stop_evt.wait(pause)
+    def _ingest(
+        self, conn: _ClientConnection, packet: Packet, m_rx, t0: float
+    ) -> None:
+        """Steps 2–4 for one received packet; ``t0`` is when its frame
+        was taken off the buffer (Step 1 of a sampled trace)."""
+        if conn.node_id is None:
+            raise TransportError("packet before register")
+        tracer, tr = self._tracer, None
+        if tracer is not None:
+            m_rx.inc()
+            tr = tracer.maybe_start()
+            if tr is not None:
+                tr.bind(conn.node_id, packet)
+                tr.stage("receive", _perf() - t0)
+        self.engine.ingest(conn.node_id, packet, trace=tr)
 
     def _handle_message(
-        self, conn: _ClientConnection, msg: dict, *, t0: float = 0.0
+        self, conn: _ClientConnection, msg: dict, t0: float
     ) -> bool:
         """Dispatch one message; returns True on an orderly ``bye``."""
         op = msg["op"]
@@ -647,26 +648,20 @@ class PoEmServer:
             reply = make_sync_reply(
                 SyncRequest(t_c1=float(msg["t_c1"])), t_s2, self.clock.now()
             )
-            conn.enqueue(
+            self._enqueue(
+                conn,
                 messages.encode_message(
                     {"op": "sync_rep", "t_s3": reply.t_s3, "echo": reply.echo}
-                )
+                ),
             )
+            # Written now, not at the end of the pass: time between the
+            # t_s3 stamp and the wire reads as path asymmetry.
+            self._write(conn)
         elif op == "packet":
-            if conn.node_id is None:
-                raise TransportError("packet before register")
-            packet = messages.packet_from_wire(msg["packet"])
-            tracer, tr = self._tracer, None
-            if tracer is not None:
-                self._m_rx_json.inc()
-                tr = tracer.maybe_start()
-                if tr is not None:
-                    tr.bind(conn.node_id, packet)
-                    tr.stage(
-                        "receive", (_perf() - t0) if t0 else 0.0
-                    )
-            self.engine.ingest(conn.node_id, packet, trace=tr)
-            self._ingest_backpressure()
+            self._ingest(
+                conn, messages.packet_from_wire(msg["packet"]),
+                self._m_rx_json, t0,
+            )
         elif op == "sync_report":
             # Forensics capture: the client reports every §4.1 round it
             # just ran (offset, delay, its t_s4 server-time estimate and
@@ -690,7 +685,7 @@ class PoEmServer:
         elif op == "scene_op":
             self._scene_op(msg)
         elif op == "ping":
-            conn.enqueue(messages.encode_message(messages.make_pong(msg)))
+            self._enqueue(conn, messages.encode_message(messages.make_pong(msg)))
         elif op == "pong":
             pass  # _touch already refreshed this client's liveness
         elif op == "bye":
@@ -704,18 +699,21 @@ class PoEmServer:
         radios = RadioConfig(
             tuple(_radio_from_wire(r) for r in msg["radios"])
         )
-        node_id: Optional[NodeId] = None
-        if label:
-            # Reconnect path: a client re-registering under its prior
-            # label within the grace period reclaims its quarantined VMN
-            # (same id, same position — routes through it survive).
+        # Reconnect path: a client re-registering under its prior label
+        # within the grace period reclaims its quarantined VMN (same id,
+        # same position — routes through it survive).  An orphan whose
+        # node left the scene meanwhile (a console removed it) falls
+        # through to a fresh registration.
+        node_id = self._orphans.get(label) if label else None
+        if node_id is not None:
             with self._clients_lock:
-                candidate = self._orphans.pop(label, None)
-                if candidate is not None:
-                    self._stale.pop(candidate, None)
-                    self._clients[candidate] = conn
-                    node_id = candidate
-        if node_id is not None and node_id in self.scene:
+                del self._orphans[label]
+                self._stale.pop(node_id, None)
+                if node_id in self.scene:
+                    self._clients[node_id] = conn
+                else:
+                    node_id = None
+        if node_id is not None:
             try:
                 self.scene.restore_node(node_id)
             except SceneError:
@@ -726,13 +724,6 @@ class PoEmServer:
                 node=int(node_id), label=label,
             )
         else:
-            if node_id is not None:
-                # Orphan expired in the race window — fall through to a
-                # fresh registration.
-                with self._clients_lock:
-                    if self._clients.get(node_id) is conn:
-                        del self._clients[node_id]
-                node_id = None
             node_id = NodeId(self._ids.allocate())
             self.scene.add_node(
                 node_id,
@@ -748,7 +739,8 @@ class PoEmServer:
         # packet/deliver encoding gets it confirmed here; old clients
         # never set the flag and keep the JSON encoding.
         conn.binary = bool(msg.get("binary", False))
-        conn.enqueue(
+        self._enqueue(
+            conn,
             messages.encode_message(
                 {
                     "op": "registered",
@@ -760,85 +752,67 @@ class PoEmServer:
                     # the forensics plane (repro.analysis).
                     "forensics": True,
                 }
-            )
+            ),
         )
 
     # -- liveness / quarantine ---------------------------------------------------
 
-    def _touch(self, conn: _ClientConnection) -> None:
-        """Any inbound message proves the client alive; lift quarantine."""
-        conn.last_seen = self.clock.now()
+    def _touch(self, conn: _ClientConnection, now: float) -> None:
+        """Any inbound bytes prove the client alive; lift quarantine."""
+        conn.last_seen = now
         nid = conn.node_id
-        if nid is None:
-            return
-        with self._clients_lock:
-            was_stale = (
-                self._clients.get(nid) is conn and nid in self._stale
-            )
-            if was_stale:
+        if nid in self._stale and self._clients.get(nid) is conn:
+            with self._clients_lock:
                 del self._stale[nid]
                 if conn.label:
                     self._orphans.pop(conn.label, None)
-        if was_stale:
             try:
                 self.scene.restore_node(nid)
             except SceneError:
                 pass
 
-    def _heartbeat_loop(self) -> None:
+    def _heartbeat(self, now: float) -> None:
         """Ping every client; quarantine the silent, expire the stale."""
-        while self._running:
-            if self._stop_evt.wait(self._heartbeat_interval):
-                return
-            if not self._running:
-                return
-            now = self.clock.now()
-            with self._clients_lock:
-                clients = list(self._clients.items())
-                stale_snapshot = dict(self._stale)
-            ping = messages.encode_message(
-                messages.make_ping(
-                    now,
-                    overload=(
-                        self.overload.state if self.overload.severity else None
-                    ),
-                )
+        ping = messages.encode_message(
+            messages.make_ping(
+                now,
+                overload=(
+                    self.overload.state if self.overload.severity else None
+                ),
             )
-            silence_limit = self._heartbeat_interval * self._heartbeat_misses
-            for nid, conn in clients:
-                conn.enqueue(ping)
-                if nid in stale_snapshot:
-                    continue
-                if now - conn.last_seen > silence_limit:
-                    self._quarantine(nid, conn, now)
-            for nid, deadline in stale_snapshot.items():
-                if now >= deadline:
-                    self._expire(nid)
+        )
+        silence_limit = self._heartbeat_interval * self._heartbeat_misses
+        for nid, conn in list(self._clients.items()):
+            self._enqueue(conn, ping)
+            if nid not in self._stale and now - conn.last_seen > silence_limit:
+                self._quarantine(nid, conn, now, "heartbeat")
+        for nid, deadline in list(self._stale.items()):
+            if now >= deadline:
+                self._expire(nid)
 
     def _quarantine(
-        self, nid: NodeId, conn: _ClientConnection, now: float
-    ) -> None:
+        self, nid: NodeId, conn: _ClientConnection, now: float, cause: str
+    ) -> bool:
+        """Keep a silent or vanished client's VMN for the grace period;
+        False when the node has left the scene (a console removed it)."""
         with self._clients_lock:
-            if self._clients.get(nid) is not conn or nid in self._stale:
-                return
             self._stale[nid] = now + self._stale_grace
         if self._m_quarantines is not None:
             self._m_quarantines.inc()
         log_event(
             _log, "client-quarantined",
             node=int(nid), label=conn.label,
-            deadline=round(now + self._stale_grace, 3), cause="heartbeat",
+            deadline=round(now + self._stale_grace, 3), cause=cause,
         )
         try:
             self.scene.quarantine_node(nid)
         except SceneError:
-            pass
+            return False
+        return True
 
     def _expire(self, nid: NodeId) -> None:
         """Grace period over: remove the VMN and drop its connection."""
         with self._clients_lock:
-            if nid not in self._stale:
-                return  # reclaimed or restored in the race window
             del self._stale[nid]
             conn = self._clients.pop(nid, None)
             for lbl in [l for l, n in self._orphans.items() if n == nid]:
@@ -850,7 +824,7 @@ class PoEmServer:
             except SceneError:
                 pass
         if conn is not None:
-            conn.close()
+            self._close(conn)
 
     def _drop_client(
         self, conn: _ClientConnection, *, orderly: bool = False
@@ -862,56 +836,52 @@ class PoEmServer:
         reconnecting client can reclaim it (by label) with its topology
         intact.
         """
+        self._close(conn)
         nid = conn.node_id
-        keep = False
-        if nid is not None:
+        if nid is None or self._clients.get(nid) is not conn:
+            return  # never registered, or a newer connection owns the node
+        keep = not orderly and self._running and self._stale_grace > 0
+        with self._clients_lock:
+            del self._clients[nid]
+            if keep and conn.label:
+                self._orphans[conn.label] = nid
+        if keep:
+            keep = self._quarantine(nid, conn, self.clock.now(), "disconnect")
+        if not keep:
             with self._clients_lock:
-                if self._clients.get(nid) is conn:
-                    del self._clients[nid]
-                    if (
-                        not orderly
-                        and self._running
-                        and self._stale_grace > 0
-                    ):
-                        keep = True
-                        self._stale[nid] = (
-                            self.clock.now() + self._stale_grace
-                        )
-                        if conn.label:
-                            self._orphans[conn.label] = nid
-                    else:
-                        self._stale.pop(nid, None)
-                        if conn.label:
-                            self._orphans.pop(conn.label, None)
-                else:
-                    nid = None  # a newer connection owns this node now
-        if nid is not None:
-            if keep:
-                if self._m_quarantines is not None:
-                    self._m_quarantines.inc()
-                log_event(
-                    _log, "client-quarantined",
-                    node=int(nid), label=conn.label, cause="disconnect",
-                )
-                try:
-                    self.scene.quarantine_node(nid)
-                except SceneError:
-                    # Node vanished (e.g. console removed it): undo grace.
-                    keep = False
-                    with self._clients_lock:
-                        self._stale.pop(nid, None)
-                        if conn.label:
-                            self._orphans.pop(conn.label, None)
-            if not keep and nid in self.scene:
+                self._stale.pop(nid, None)
+                if conn.label:
+                    self._orphans.pop(conn.label, None)
+            if nid in self.scene:
                 try:
                     self.scene.remove_node(nid)
                 except SceneError:
                     pass
-        conn.close()
-        self.supervisor.deregister(conn.recv_name)
-        self.supervisor.deregister(conn.send_name)
+
+    def _close(self, conn: _ClientConnection) -> None:
+        """Close a connection and forget it wherever the loop looks (a
+        connection is open exactly as long as ``_conns`` holds it)."""
+        if self._conns.pop(conn.sock, None) is not None:
+            self._dirty.discard(conn)
+            self._blocked.discard(conn)
+            conn.close()
 
     # -- backpressure ------------------------------------------------------------
+
+    def _enqueue(
+        self,
+        conn: _ClientConnection,
+        frame: bytes,
+        packet: Optional[Packet] = None,
+    ) -> None:
+        """Queue a frame for the next write; drop-oldest on overflow."""
+        outbox = conn.outbox
+        if len(outbox) == outbox.maxlen:
+            conn.overflow += 1
+            self._on_outbox_overflow(conn, outbox[0][1])
+        outbox.append((frame, packet))  # when full, displaces the oldest
+        if not conn.unsent:
+            self._dirty.add(conn)
 
     def _on_outbox_overflow(
         self, conn: _ClientConnection, packet: Optional[Packet]
@@ -952,23 +922,12 @@ class PoEmServer:
         else:
             raise TransportError(f"unknown scene op: {op!r}")
 
-    # -- scan / deliver / mobility -----------------------------------------------------
-
-    def _scan_loop(self) -> None:
-        """Step 5: fire deliveries as the wall clock meets forward times.
-
-        The hybrid schedule wait (coarse sleep until just before the head
-        deadline, then short precision waits) replaced the old
-        poll-and-sleep loop: wakeup error is bounded by the spin quantum,
-        and an early push wakes the wait instead of waiting out a sleep.
-        """
-        while self._running:
-            self.engine.flush_wait(self.clock.now(), max_wait=self._scan_poll * 25)
+    # -- deliver / mobility ------------------------------------------------------------
 
     def _deliver(self, receiver: NodeId, packet: Packet) -> None:
-        """Step 6 hand-off: queue the frame on the receiver's sender thread."""
-        with self._clients_lock:
-            conn = self._clients.get(receiver)
+        """Step 6 hand-off (called by the harvest, on the loop thread):
+        encode the frame onto the receiver's out-buffer."""
+        conn = self._clients.get(receiver)
         if conn is not None:
             if conn.binary:
                 frame = messages.encode_packet_binary("deliver", packet)
@@ -976,7 +935,7 @@ class PoEmServer:
                 frame = messages.encode_message(
                     {"op": "deliver", "packet": messages.packet_to_wire(packet)}
                 )
-            conn.enqueue(frame, packet)
+            self._enqueue(conn, frame, packet)
             if self._m_tx is not None:
                 self._m_tx.inc()
 

@@ -11,7 +11,9 @@ A dependency-free observability plane for the real-time emulator:
 * :mod:`repro.obs.logging` — structured JSON logs for the stack's
   failure/lifecycle events;
 * :mod:`repro.obs.httpd` — the localhost ``/metrics`` + ``/health`` +
-  ``/trace`` (+ ``/profile``, ``/timeline``) endpoint;
+  ``/trace`` (+ ``/profile``, ``/timeline``) endpoint (import it by its
+  module path: the package does not load ``http.server`` for an endpoint
+  that is off by default);
 * :mod:`repro.obs.profiler` — the continuous wall-clock sampling
   profiler (folded stacks, per-thread self-time, cluster merge);
 * :mod:`repro.obs.timeline` — Chrome trace-event (Perfetto) export of
@@ -33,7 +35,6 @@ from .metrics import (
 )
 from .tracing import PIPELINE_STAGES, PipelineTracer, Trace, TraceSpan, format_span
 from .telemetry import Telemetry
-from .httpd import TelemetryHTTPServer
 from .profiler import SamplingProfiler, format_profile
 from .timeline import build_timeline, timeline_from_recorder, write_timeline
 from .logging import JsonFormatter, configure, get_logger, log_event, set_level
@@ -51,7 +52,6 @@ __all__ = [
     "TraceSpan",
     "format_span",
     "Telemetry",
-    "TelemetryHTTPServer",
     "SamplingProfiler",
     "format_profile",
     "build_timeline",

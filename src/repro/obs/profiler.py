@@ -13,7 +13,7 @@ sampling profiler in the flamegraph tradition:
   ``role;thread;frame;frame;… → count`` entries, with thread idents
   resolved to their :class:`~repro.core.supervision.SupervisedThread`
   names via :func:`threading.enumerate`, so a profile reads
-  "poem-scan-ch3 spent 41% of samples in ``engine.flush_due``";
+  "poem-loop spent 41% of samples in ``engine.flush_wait``";
 * :meth:`SamplingProfiler.collapsed` renders the table in the
   collapsed-stack format that ``flamegraph.pl`` and speedscope ingest
   directly, and :meth:`SamplingProfiler.thread_summary` reduces it to a

@@ -63,7 +63,6 @@ def test_starts_nominal_with_full_shedding_off():
     assert c.fire_window == 0.0
     assert c.shed_horizon is None
     assert c.admission_limit is None
-    assert c.ingest_pause == 0.0
 
 
 def test_escalation_is_immediate():
@@ -95,7 +94,6 @@ def test_saturated_engages_every_lever():
     assert c.fire_window == c.config.fire_window_saturated
     assert c.shed_horizon == pytest.approx(0.10)
     assert c.admission_limit == 80
-    assert c.ingest_pause == c.config.ingest_pause
 
 
 def test_depth_alone_can_saturate():

@@ -1,5 +1,6 @@
 """Tests for repro.core.scheduler — the forward schedule (§3.2 Steps 4–6)."""
 
+import socket
 import threading
 import time
 
@@ -95,58 +96,79 @@ class TestClose:
     def test_wait_due_returns_after_close(self):
         s = ForwardSchedule()
         s.close()
-        assert s.wait_due(0.0, max_wait=1.0) == []
+        assert s.wait_due(0.0) == []
 
 
 class TestWaitDue:
+    """``wait_ready`` (the sleep) + ``wait_due`` (the harvest) as the
+    real-time loop composes them: wait, read the clock, harvest."""
+
     def test_immediate_when_due(self):
         s = ForwardSchedule()
         s.push(entry(1.0))
-        assert len(s.wait_due(now=2.0, max_wait=0.0)) == 1
-
-    def test_waits_for_push(self):
-        s = ForwardSchedule()
-        got = []
-
-        def waiter():
-            got.extend(s.wait_due(now=0.0, max_wait=1.0))
-
-        t = threading.Thread(target=waiter)
-        t.start()
-        time.sleep(0.05)
-        s.push(entry(0.0))
-        t.join(timeout=2.0)
-        assert len(got) == 1
+        assert len(s.wait_due(now=2.0)) == 1
 
     def test_timeout_returns_empty(self):
         s = ForwardSchedule()
         start = time.monotonic()
-        assert s.wait_due(now=0.0, max_wait=0.05) == []
-        assert time.monotonic() - start < 1.0
+        assert s.wait_ready(now=0.0, max_wait=0.05) == ([], [])
+        elapsed = time.monotonic() - start
+        assert 0.04 < elapsed < 1.0
+        assert s.wait_due(now=elapsed) == []
+
+    def test_overdue_max_wait_polls_once(self):
+        """A bound already in the past (the caller's heartbeat is
+        overdue) is a poll, not an error."""
+        s = ForwardSchedule()
+        assert s.wait_ready(now=0.0, max_wait=-0.5) == ([], [])
+
+    def test_due_head_still_polls_the_sockets(self):
+        """With something already due the wait must not sleep, but it
+        must still report a readable socket — or a standing backlog
+        would starve the reads."""
+        s = ForwardSchedule()
+        s.push(entry(1.0))
+        r, w = socket.socketpair()
+        try:
+            w.send(b"x")
+            start = time.monotonic()
+            assert s.wait_ready(now=2.0, max_wait=1.0, rlist=[r]) == ([r], [])
+            assert time.monotonic() - start < 0.5
+        finally:
+            r.close()
+            w.close()
 
     def test_early_wakeup_does_not_deliver_future_entries(self):
-        """Regression: an early wakeup (a push notifying the condition)
-        must not deliver entries due up to ``max_wait`` in the future.
+        """An early wakeup (a socket turning readable) must not deliver
+        entries due in the future: the wait only sleeps, and the harvest
+        cuts at the clock the caller reads *after* it.
 
         The waiter starts at now=0 with max_wait=10; after ~50 ms a frame
-        due at t=5.0 is pushed.  The old cutoff ``now + timeout`` handed
-        it over immediately — 5 seconds early.  The fixed cutoff is the
-        *measured* wait, so the frame stays queued.
+        due at t=5.0 is pushed and the wake socket poked.
         """
         s = ForwardSchedule()
+        r, w = socket.socketpair()
         got = []
 
         def waiter():
-            got.extend(s.wait_due(now=0.0, max_wait=10.0))
+            start = time.monotonic()
+            readable, _ = s.wait_ready(now=0.0, max_wait=10.0, rlist=[r])
+            assert readable == [r]
+            got.extend(s.wait_due(now=time.monotonic() - start))
 
         t = threading.Thread(target=waiter)
         start = time.monotonic()
-        t.start()
-        time.sleep(0.05)
-        s.push(entry(5.0))  # due far beyond any plausible wait
-        t.join(timeout=2.0)
+        try:
+            t.start()
+            time.sleep(0.05)
+            s.push(entry(5.0))  # due far beyond any plausible wait
+            w.send(b"x")
+            t.join(timeout=2.0)
+        finally:
+            r.close()
+            w.close()
         assert not t.is_alive()
-        assert time.monotonic() - start < 2.0  # woke on the push, not the timeout
+        assert time.monotonic() - start < 2.0  # woke on the poke, not the timeout
         assert got == []  # nothing was due yet
         assert len(s) == 1  # the future entry is still scheduled
 
@@ -154,16 +176,24 @@ class TestWaitDue:
         """Complement: an entry that *does* fall due during the measured
         wait is delivered on the early wakeup."""
         s = ForwardSchedule()
+        r, w = socket.socketpair()
         got = []
 
         def waiter():
-            got.extend(s.wait_due(now=0.0, max_wait=10.0))
+            start = time.monotonic()
+            s.wait_ready(now=0.0, max_wait=10.0, rlist=[r])
+            got.extend(s.wait_due(now=time.monotonic() - start))
 
         t = threading.Thread(target=waiter)
-        t.start()
-        time.sleep(0.05)
-        s.push(entry(0.01))  # already due by the time of the push
-        t.join(timeout=2.0)
+        try:
+            t.start()
+            time.sleep(0.05)
+            s.push(entry(0.01))  # already due by the time of the push
+            w.send(b"x")
+            t.join(timeout=2.0)
+        finally:
+            r.close()
+            w.close()
         assert len(got) == 1
 
 
@@ -193,60 +223,50 @@ class TestPushMany:
         with pytest.raises(SchedulerError):
             s.push_many([entry(1.0)])
 
-    def test_push_many_wakes_waiter(self):
-        s = ForwardSchedule()
-        got = []
-
-        def waiter():
-            got.extend(s.wait_due(now=0.0, max_wait=5.0))
-
-        t = threading.Thread(target=waiter)
-        t.start()
-        time.sleep(0.05)
-        s.push_many([entry(0.0), entry(0.0, seq=2)])
-        t.join(timeout=2.0)
-        assert len(got) == 2
-
 
 class TestHybridWait:
+    """``wait_ready`` is hybrid: it sleeps short of a deadline by what
+    its last timed wake-up overslept (at most SPIN_WAIT) and polls
+    across the rest."""
+
     def test_deadline_epsilon_away_does_not_spin(self):
-        """Regression (zero-timeout spin): a head deadline an epsilon
-        beyond ``now`` must still produce a real wait, not a zero-timeout
-        condition-wait loop.  The clamp floors every computed timeout at
-        MIN_TIMEOUT, so the call returns promptly with the entry."""
+        """A head deadline an epsilon beyond ``now`` is met at once —
+        neither a max_wait sleep nor an open-ended poll loop."""
         s = ForwardSchedule()
         s.push(entry(1e-9))  # due essentially "now", but not <= now
         start = time.monotonic()
-        got = s.wait_due(now=0.0, max_wait=1.0)
+        assert s.wait_ready(now=0.0, max_wait=1.0) == ([], [])
         elapsed = time.monotonic() - start
-        assert len(got) == 1
-        assert elapsed < 0.5  # came back via short waits, not max_wait
+        assert len(s.wait_due(now=elapsed)) == 1
+        assert elapsed < 0.5  # came back on the deadline, not max_wait
 
     def test_spin_phase_meets_near_deadline(self):
-        """A deadline just inside the spin threshold is met by lapping
-        SPIN_WAIT quanta (the coarse sleep is skipped)."""
+        """A deadline inside the poll margin is met by polling alone
+        (the sleep is skipped), and not before it is due."""
         s = ForwardSchedule()
-        s.push(entry(ForwardSchedule.SPIN_THRESHOLD / 2.0))
-        got = s.wait_due(now=0.0, max_wait=1.0)
-        assert len(got) == 1
+        s._oversleep = ForwardSchedule.SPIN_WAIT
+        deadline = ForwardSchedule.SPIN_WAIT / 2.0
+        s.push(entry(deadline))
+        start = time.monotonic()
+        s.wait_ready(now=0.0, max_wait=1.0)
+        elapsed = time.monotonic() - start
+        assert deadline <= elapsed < 0.5
+        assert len(s.wait_due(now=elapsed)) == 1
 
     def test_coarse_phase_ends_before_deadline_then_spin_meets_it(self):
-        """A deadline far beyond SPIN_THRESHOLD gets one coarse segment
-        ending ~SPIN_THRESHOLD early (the caller re-enters with a fresh
-        ``now`` — the scan-loop contract); the follow-up call's spin
-        phase then meets the deadline."""
+        """A deadline far beyond the margin gets one sleep that ends
+        before it (by the calibrated margin, which a huge last
+        oversleep cannot push past SPIN_WAIT); polling meets the
+        deadline, never early."""
         s = ForwardSchedule()
+        s._oversleep = 5.0  # e.g. the process was suspended once
         s.push(entry(0.03))
         start = time.monotonic()
-        first = s.wait_due(now=0.0, max_wait=1.0)
-        mid = time.monotonic() - start
-        assert mid < 0.5  # coarse segment, not the full max_wait
-        if not first:
-            # Re-enter as the scan loop would, with the refreshed clock.
-            first = s.wait_due(now=mid, max_wait=1.0)
+        s.wait_ready(now=0.0, max_wait=1.0)
         elapsed = time.monotonic() - start
-        assert len(first) == 1
-        assert elapsed < 0.5
+        assert 0.03 <= elapsed < 0.5
+        assert s._oversleep < 0.5  # re-measured on this wake-up
+        assert len(s.wait_due(now=elapsed)) == 1
 
     def test_fire_window_harvests_near_due_entries(self):
         """A fire window widens the immediate harvest: entries due within
@@ -255,11 +275,11 @@ class TestHybridWait:
         s.push(entry(1.0, seq=1))
         s.push(entry(1.004, seq=2))
         s.push(entry(2.0, seq=3))
-        got = s.wait_due(now=1.0, max_wait=0.0, fire_window=0.005)
+        got = s.wait_due(now=1.0, fire_window=0.005)
         assert [e.packet.seqno for e in got] == [1, 2]
         assert len(s) == 1
 
     def test_zero_fire_window_keeps_exact_semantics(self):
         s = ForwardSchedule()
         s.push(entry(1.004))
-        assert s.wait_due(now=1.0, max_wait=0.0) == []
+        assert s.wait_due(now=1.0) == []

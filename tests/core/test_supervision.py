@@ -286,9 +286,8 @@ class TestServerHealthUnderCrash:
         try:
             health = srv.health()
             assert health["running"] is True
-            for name in ("poem-accept", "poem-scan", "poem-mobility",
-                         "poem-heartbeat"):
-                assert name in health["threads"], name
+            assert set(health["threads"]) == {"poem-loop", "poem-mobility"}
+            for name in ("poem-loop", "poem-mobility"):
                 assert health["threads"][name]["alive"]
             for key in ("clients", "quarantined", "engine",
                         "recent_failures", "time"):

@@ -230,6 +230,121 @@ class TestServerRobustness:
         srv.stop()  # second stop is a no-op
 
 
+class TestLoopRobustness:
+    """What a thread per client gave for free, the one loop must
+    provide on purpose."""
+
+    def test_handler_crash_closes_only_that_connection(self, server):
+        """An unexpected exception (a bug, not a protocol violation)
+        while handling one client's frame is recorded and costs that
+        client its connection; everyone else's traffic keeps flowing."""
+        with PoEmClient(server.address, Vec2(0, 0),
+                        RadioConfig.single(1, 100.0)) as a, \
+             PoEmClient(server.address, Vec2(50, 0),
+                        RadioConfig.single(1, 100.0)) as b:
+            victim = PoEmClient(server.address, Vec2(0, 50),
+                                RadioConfig.single(1, 100.0))
+            victim_node = victim.connect()
+            real_ingest = server.engine.ingest
+
+            def sabotaged(sender, packet, **kwargs):
+                if sender == victim_node:
+                    raise RuntimeError("injected handler crash")
+                return real_ingest(sender, packet, **kwargs)
+
+            server.engine.ingest = sabotaged
+            try:
+                victim.transmit(a.node_id, b"boom", channel=1)
+                assert wait_for(lambda: any(
+                    "injected handler crash" in f["error"]
+                    for f in server.health()["recent_failures"]
+                ))
+                assert wait_for(
+                    lambda: int(victim_node)
+                    not in server.health()["clients"]
+                )
+                health = server.health()
+                assert set(health["clients"]) == {
+                    int(a.node_id), int(b.node_id)
+                }
+                loop = health["threads"]["poem-loop"]
+                assert loop["alive"] and loop["failures"] == 0
+                a.transmit(b.node_id, b"unharmed", channel=1)
+                assert wait_for(lambda: len(b.received) == 1)
+            finally:
+                del server.engine.ingest
+                victim.close()
+
+    @pytest.mark.parametrize("clients", [0, 2])
+    def test_stop_returns_promptly_from_an_idle_select(self, clients):
+        """No heartbeat, nothing scheduled: the loop sits in a 50 ms
+        select (scan_poll x 25).  stop() must not wait that out per
+        thread, let alone a join timeout."""
+        srv = PoEmServer(seed=0, heartbeat_interval=0.0, scan_poll=0.2)
+        srv.start()
+        connected = [
+            PoEmClient(srv.address, Vec2(10.0 * i, 0),
+                       RadioConfig.single(1, 100.0))
+            for i in range(clients)
+        ]
+        try:
+            for c in connected:
+                c.connect()
+            time.sleep(0.1)  # let the loop go idle
+            start = time.monotonic()
+            srv.stop()
+            assert time.monotonic() - start < 1.0
+            assert not any(
+                t["alive"] for t in srv.health()["threads"].values()
+            )
+        finally:
+            for c in connected:
+                c.close()
+            srv.stop()
+
+    def test_loop_crash_restarts_with_connections_intact(self, server):
+        """Crash the loop itself once (as the mobility test does its
+        thread): the supervisor restarts it and the clients that were
+        connected never notice."""
+        with PoEmClient(server.address, Vec2(0, 0),
+                        RadioConfig.single(1, 100.0)) as a, \
+             PoEmClient(server.address, Vec2(50, 0),
+                        RadioConfig.single(1, 100.0)) as b:
+            real_flush = server.engine.flush_wait
+            state = {"armed": True}
+
+            def sabotaged(now):
+                if state["armed"]:
+                    state["armed"] = False
+                    raise RuntimeError("injected loop crash")
+                return real_flush(now)
+
+            server.engine.flush_wait = sabotaged
+            try:
+                assert wait_for(
+                    lambda: server.health()["threads"]["poem-loop"]
+                    ["restarts"] >= 1
+                )
+            finally:
+                del server.engine.flush_wait
+            health = server.health()
+            loop = health["threads"]["poem-loop"]
+            assert loop["last_error"] == "RuntimeError: injected loop crash"
+            assert wait_for(
+                lambda: server.health()["threads"]["poem-loop"]["alive"]
+            )
+            # Both registrations survived whole: same nodes, no quarantine.
+            assert set(health["clients"]) == {int(a.node_id), int(b.node_id)}
+            assert health["quarantined"] == {}
+            a.transmit(b.node_id, b"after-the-crash", channel=1)
+            assert wait_for(lambda: len(b.received) == 1)
+            assert b.received[0].payload == b"after-the-crash"
+            # And the restarted loop still admits new clients.
+            with PoEmClient(server.address, Vec2(0, 50),
+                            RadioConfig.single(1, 100.0)) as late:
+                assert late.node_id in server.scene
+
+
 class TestProfiledServer:
     def test_profiled_run_persists_profile_scene_event(self):
         """A ``profile_hz`` server recording must be readable back with

@@ -259,6 +259,119 @@ class TestOutboxBackpressure:
             srv.stop()
 
 
+    def test_slow_client_never_stalls_the_others(self):
+        """While a non-reading client sits at ``overflow > 0`` — its
+        socket full, the loop holding an unsent tail for it — a healthy
+        pair's deliveries stay on schedule.  One blocking write to the
+        slow client would put seconds, not milliseconds, on every one of
+        them; the 90th percentile is asserted so a single host hiccup
+        cannot fail the test."""
+        srv = PoEmServer(
+            seed=0,
+            mobility_tick=0.02,
+            heartbeat_interval=0.0,
+            stale_grace=0.0,
+            outbox_limit=4,
+        )
+        srv.start()
+        clients = []
+        slow = None
+        try:
+            for x in (0.0, 20.0, 40.0):
+                clients.append(
+                    PoEmClient(srv.address, Vec2(x, 0), RADIOS, sync_rounds=2)
+                )
+                clients[-1].connect()
+            flooder, a, b = clients
+            slow, slow_node = raw_register(srv.address, 10.0, 0.0)
+            slow.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            payload = b"#" * 32768
+
+            def overflowed():
+                return srv.health()["clients"].get(slow_node, {}).get(
+                    "overflow", 0
+                )
+
+            # Fill the kernel's buffers for the slow client, however large
+            # the host made them, until its bounded outbox overflows.
+            for _ in range(40):
+                for _ in range(20):
+                    flooder.transmit(
+                        slow_node, payload, channel=1, size_bits=512
+                    )
+                if wait_for(lambda: overflowed() > 0, timeout=0.25):
+                    break
+            before = overflowed()
+            assert before > 0, srv.health()["clients"]
+            for i in range(200):
+                a.transmit(b.node_id, b"on-time", channel=1, size_bits=512)
+                if i % 10 == 0:  # keep the slow client's outbox overflowing
+                    flooder.transmit(
+                        slow_node, payload, channel=1, size_bits=512
+                    )
+                time.sleep(0.002)
+            assert wait_for(lambda: len(b.received) == 200)
+            assert overflowed() > before
+            lags = sorted(p.t_delivered - p.t_forward for p in b.received)
+            assert lags[int(0.9 * len(lags))] < 0.005, lags[-20:]
+        finally:
+            if slow is not None:
+                slow.close()
+            for c in clients:
+                c.close()
+            srv.stop()
+
+    def test_large_frame_to_slow_reader_arrives_intact_and_in_order(self):
+        """A 1 MiB frame to a client with a 4 KiB receive buffer that
+        reads slowly leaves in many partial writes; it must arrive whole,
+        followed in order by the small frames queued behind it — never
+        interleaved with them, never dropped half-written."""
+        srv = PoEmServer(seed=0, mobility_tick=0.02, heartbeat_interval=0.0)
+        srv.start()
+        sender = None
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            # Before connect(), or the window was already negotiated.
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.settimeout(10.0)
+            sock.connect(srv.address)
+            framing.send_frame(sock, messages.encode_message({
+                "op": "register", "x": 10.0, "y": 0.0, "label": "",
+                "binary": True, "radios": [{"channel": 1, "range": 100.0}],
+            }))
+            reader = framing.FrameReader(sock)
+            registered = messages.decode_message(reader.recv_frame())
+            node = registered["node"]
+            sender = PoEmClient(srv.address, Vec2(0, 0), RADIOS, sync_rounds=2)
+            sender.connect()
+            big = bytes(range(256)) * 4096  # 1 MiB
+            sender.transmit(node, big, channel=1, size_bits=512)
+            for i in range(20):
+                sender.transmit(node, b"small-%d" % i, channel=1,
+                                size_bits=512)
+            assert wait_for(lambda: srv.engine.forwarded == 21)
+
+            class Slow:  # 16 KiB per read, a pause before each
+                def recv(self, _n):
+                    time.sleep(0.002)
+                    return sock.recv(16384)
+
+            reader._sock = Slow()
+            got = []
+            while len(got) < 21:
+                op, packet = messages.decode_packet_binary(reader.recv_frame())
+                assert op == "deliver"
+                got.append(packet.payload)
+            assert got[0] == big
+            assert got[1:] == [b"small-%d" % i for i in range(20)]
+            assert srv.health()["clients"][node]["overflow"] == 0
+        finally:
+            sock.close()
+            if sender is not None:
+                sender.close()
+            srv.stop()
+
+
 class TestClientReconnect:
     """Auto-reconnect: back off, re-register, reclaim, resync, resume."""
 

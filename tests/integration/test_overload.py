@@ -15,6 +15,7 @@ and ``poem analyze`` states the degraded interval afterwards.
 
 from __future__ import annotations
 
+import threading
 import time
 
 from repro.analysis.report import analyze, render_text
@@ -206,3 +207,78 @@ class TestShutdownUnderStorm:
                     c.close()
             srv.stop()  # idempotent
         assert not srv.health()["running"]
+
+
+def test_stall_recovers():
+    """A host stall must not leave the server SATURATED for good.
+
+    Default ``OverloadConfig``, one sender at about 2000 pps, and the
+    loop stalled once for 1.2 s inside an ingest (a suspended process, a
+    swapped-out page).  The frames that piled up in the socket meanwhile
+    carry stamps that old, so the controller must saturate and shed; but
+    the loop alternates read and harvest by construction, so the backlog
+    drains at the loop's speed and NOMINAL is back within 3 s of the
+    stall's end.  (The receiver threads this loop replaced paused 2 ms
+    per frame while SATURATED, admitted 500 pps of the 2000 offered, and
+    never came back.)  The run left real-time territory and the report
+    has to say so.
+    """
+    srv = PoEmServer(seed=0)
+    srv.start()
+    a = b = None
+    halt = threading.Event()
+
+    def send_paced():
+        due = time.monotonic()
+        while not halt.is_set():
+            a.transmit(b.node_id, b"paced", channel=ChannelId(1))
+            due += 1.0 / 2000.0
+            pause = due - time.monotonic()
+            if pause > 0.0:
+                time.sleep(pause)
+
+    sender = threading.Thread(target=send_paced, name="stall-test-sender")
+    real_ingest = srv.engine.ingest
+    stall = {"armed": False, "end": None}
+
+    def stalling_ingest(sender_id, packet, **kwargs):
+        if stall["armed"]:
+            stall["armed"] = False
+            time.sleep(1.2)
+            stall["end"] = time.monotonic()
+        return real_ingest(sender_id, packet, **kwargs)
+
+    srv.engine.ingest = stalling_ingest
+    try:
+        a, b = start_pair(srv)
+        sender.start()
+        assert wait_for(lambda: srv.engine.forwarded > 500)
+        assert srv.overload.state == OverloadState.NOMINAL
+        stall["armed"] = True
+        assert wait_for(lambda: stall["end"] is not None)
+
+        assert wait_for(
+            lambda: srv.overload.snapshot()["saturated_seconds"] > 0.0,
+            timeout=3.0,
+        ), f"never saturated: {srv.overload.snapshot()}"
+        assert wait_for(
+            lambda: srv.overload.state == OverloadState.NOMINAL,
+            timeout=max(stall["end"] + 3.0 - time.monotonic(), 0.0),
+        ), f"still degraded 3 s after the stall: {srv.overload.snapshot()}"
+
+        # Recovered for real: traffic flows and the state holds.
+        forwarded = srv.engine.forwarded
+        assert wait_for(lambda: srv.engine.forwarded > forwarded + 500)
+        assert srv.overload.state == OverloadState.NOMINAL
+    finally:
+        halt.set()
+        if sender.is_alive():
+            sender.join(timeout=5.0)
+        for c in (a, b):
+            if c is not None:
+                c.close()
+        srv.stop()
+
+    fidelity = analyze(srv.recorder).fidelity
+    assert fidelity["verdict"] in ("degraded", "overloaded")
+    assert fidelity["degraded_seconds"] > 0.0

@@ -256,3 +256,32 @@ class TestServerEndpoint:
             raise AssertionError("endpoint should be down after stop()")
         except (urllib.error.URLError, ConnectionError, OSError):
             pass
+
+
+class TestImportHygiene:
+    def test_server_import_leaves_http_stack_unloaded(self):
+        """The endpoint is off by default, so importing the server (and
+        with it ``repro.obs``, which every deployment imports) must not
+        drag in ``http.server`` and its ~30 modules: ~6 MB of resident
+        memory in the server, the emulator, the cluster parent and every
+        worker.  ``PoEmServer.start()`` imports ``repro.obs.httpd`` when
+        ``metrics_port`` asks for it."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        probe = (
+            "import sys; import repro.core.tcpserver, repro.obs; "
+            "print(sorted(m for m in ('http.server', 'ssl', 'socketserver') "
+            "if m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert out.stdout.strip() == "[]", out.stdout
