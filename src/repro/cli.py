@@ -350,8 +350,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     elif name == "scale":
         print(scale.format_node_rows(scale.run_node_scaling()))
         print()
-        print(scale.format_cluster_rows(scale.run_cluster_scaling()))
-        print()
         print(scale.format_sharded_rows(scale.run_sharded_scaling()))
     return 0
 

@@ -1,24 +1,16 @@
 """Parallelized server cluster (the paper's future work, implemented).
 
-Two deployments share the :class:`~repro.cluster.shard.ShardMap`
-placement policy:
-
-* :class:`ParallelEmulator` — the single-process *model* of a cluster
-  (service-rate queues inside one virtual clock), useful for what-if
-  capacity studies;
-* :class:`ShardedEmulator` — the real thing: ``n_workers`` OS processes,
-  each running a private forwarding engine over a replicated scene
-  snapshot, fed over binary-codec pipes.
+:class:`ShardedEmulator` runs ``n_workers`` OS processes, each with a
+private forwarding engine over a replicated scene, fed over
+binary-codec pipes; :class:`~repro.cluster.shard.ShardMap` is the
+deterministic sender → shard placement.
 """
 
-from .parallel import ParallelEmulator, WorkerStats
 from .shard import ShardMap
 from .sharded import ShardedEmulator, ShardedHost
 from .worker import WorkerConfig, worker_main
 
 __all__ = [
-    "ParallelEmulator",
-    "WorkerStats",
     "ShardMap",
     "ShardedEmulator",
     "ShardedHost",

@@ -1,11 +1,10 @@
 """The real parallelized cluster: multi-process sharded forwarding plane.
 
 This is the paper's §7 future work implemented with actual OS
-parallelism (contrast :class:`~repro.cluster.parallel.ParallelEmulator`,
-which *models* the cluster's queueing inside one process).  The parent
-process owns the one consistent scene (§2.1's centralized-architecture
-argument), a deterministic :class:`~repro.cluster.shard.ShardMap`, and
-the recording plane; ``n_workers`` child processes each run a private
+parallelism.  The parent process owns the one consistent scene (§2.1's
+centralized-architecture argument), a deterministic
+:class:`~repro.cluster.shard.ShardMap`, and the recording plane;
+``n_workers`` child processes each run a private
 :class:`~repro.core.engine.ForwardingEngine` + schedule + virtual clock
 over an immutable scene replica (:mod:`repro.cluster.snapshot`).
 
@@ -45,6 +44,11 @@ import time
 from typing import Any, Optional
 
 from ..core.clock import SyncSample
+from ..core.forwarding import (
+    make_profiler,
+    record_run_summary,
+    release_profiler,
+)
 from ..core.geometry import Vec2
 from ..core.ids import ChannelId, IdAllocator, NodeId
 from ..core.packet import Packet, PacketRecord, PacketStamper
@@ -66,9 +70,7 @@ from ..net.messages import (
     make_telemetry_pull,
 )
 from ..obs import flightrec
-from ..obs import profiler as profiler_mod
 from ..obs.flightrec import FlightRecorder
-from ..obs.profiler import SamplingProfiler
 from ..obs.telemetry import Telemetry
 from ..obs.tracing import TraceSpan
 from . import ipc
@@ -150,7 +152,6 @@ class ShardedEmulator:
         telemetry: Optional[Telemetry] = None,
         telemetry_interval: Optional[float] = None,
         batch_frames: int = 32,
-        start_method: Optional[str] = None,
         flight_dir: Optional[str] = None,
         profile_hz: Optional[float] = None,
     ) -> None:
@@ -173,12 +174,9 @@ class ShardedEmulator:
         self._hosts: dict[NodeId, ShardedHost] = {}
         self._ids = IdAllocator()
         self._ctx = multiprocessing.get_context(
-            start_method
-            or (
-                "fork"
-                if "fork" in multiprocessing.get_all_start_methods()
-                else "spawn"
-            )
+            "fork"
+            if "fork" in multiprocessing.get_all_start_methods()
+            else "spawn"
         )
         self._procs: list[Any] = []
         self._conns: list[Any] = []
@@ -218,13 +216,7 @@ class ShardedEmulator:
         # folds every worker's folded-stack snapshot into it, so
         # profile_collapsed() is one flamegraph of the whole cluster.
         self.profile_hz = float(profile_hz) if profile_hz else None
-        self.profiler: Optional[SamplingProfiler] = None
-        if self.profile_hz:
-            self.profiler = SamplingProfiler(
-                hz=self.profile_hz, role="parent"
-            )
-            if profiler_mod.get_default() is None:
-                profiler_mod.set_default(self.profiler)
+        self.profiler = make_profiler(self.profile_hz, "parent")
         #: Flight artifacts dumped on worker failure: worker → path.
         self.crash_artifacts: dict[int, str] = {}
         # Aggregate pipeline counters, refreshed on every barrier ack.
@@ -405,10 +397,7 @@ class ShardedEmulator:
             self._pull_stop.set()
             self._puller.stop(timeout=2.0)
             self._puller = None
-        if self.profiler is not None:
-            self.profiler.stop()
-            if profiler_mod.get_default() is self.profiler:
-                profiler_mod.set_default(None)
+        release_profiler(self.profiler)
         self.flight.note("cluster-stop")
         bye = encode_message(make_shutdown())
         for conn in self._conns:
@@ -666,6 +655,33 @@ class ShardedEmulator:
 
     # -- barriers -----------------------------------------------------------------
 
+    def _exchange(
+        self, request: dict[str, Any], expect: str
+    ) -> list[dict[str, Any]]:
+        """The one request/response round with every worker.
+
+        Sends ``request`` to all of them, then takes each one's reply in
+        worker order — it must be an ``expect`` frame echoing the
+        request's ``id`` (only ``flush`` carries one) — and folds the
+        sample it carries into telemetry/health.  Returns the replies.
+        """
+        with self._io_lock:
+            frame = encode_message(request)
+            for worker in range(self.n_workers):
+                self._send_to(worker, frame)
+            replies = []
+            for worker in range(self.n_workers):
+                msg = self._recv_control(worker)
+                if msg.get("op") != expect or msg.get("id") != request.get("id"):
+                    raise ClusterError(
+                        f"shard worker {worker}: unexpected reply to "
+                        f"{request['op']!r}: {msg!r}"
+                    )
+                self._fold_worker_sample(worker, msg)
+                replies.append(msg)
+            self._refresh_aggregates()
+        return replies
+
     def flush(self, t: float) -> dict[str, Any]:
         """Barrier: run every shard to emulation time ``t``.
 
@@ -679,28 +695,13 @@ class ShardedEmulator:
         self._sync_scene()
         with self._io_lock:
             self._flush_buffers()
-            flush_id = next(self._flush_ids)
-            frame = encode_message(make_flush(t, flush_id))
-            for worker in range(self.n_workers):
-                self._send_to(worker, frame)
-            for worker in range(self.n_workers):
-                msg = self._recv_control(worker)
-                if msg.get("op") != "flushed" or msg.get("id") != flush_id:
-                    raise ClusterError(
-                        f"shard worker {worker}: unexpected barrier "
-                        f"reply {msg!r}"
-                    )
-                self._fold_worker_sample(worker, msg)
-            self._refresh_aggregates()
+            self._exchange(make_flush(t, next(self._flush_ids)), "flushed")
         if t > self._time:
             self._time = t
         self.scene.advance_time(self._time)
         return {
             "time": self._time,
-            "ingested": self.ingested,
-            "forwarded": self.forwarded,
-            "dropped": self.dropped,
-            "transport_dropped": self.transport_dropped,
+            **self._totals(),
             "per_worker": [dict(s) for s in self.worker_stats],
         }
 
@@ -781,6 +782,14 @@ class ShardedEmulator:
         self.dropped = totals["dropped"]
         self.transport_dropped = totals["transport_dropped"]
 
+    def _totals(self) -> dict[str, int]:
+        return {
+            "ingested": self.ingested,
+            "forwarded": self.forwarded,
+            "dropped": self.dropped,
+            "transport_dropped": self.transport_dropped,
+        }
+
     # -- periodic telemetry pull --------------------------------------------------
 
     def pull_telemetry(self) -> list[dict[str, Any]]:
@@ -790,21 +799,8 @@ class ShardedEmulator:
         up in ``/metrics``, ``/health`` and the console without waiting
         for the next ``flush``.  Returns the refreshed per-worker stats.
         """
-        if not self._procs:
-            return [dict(s) for s in self.worker_stats]
-        with self._io_lock:
-            frame = encode_message(make_telemetry_pull())
-            for worker in range(self.n_workers):
-                self._send_to(worker, frame)
-            for worker in range(self.n_workers):
-                msg = self._recv_control(worker)
-                if msg.get("op") != "telemetry_report":
-                    raise ClusterError(
-                        f"shard worker {worker}: unexpected pull "
-                        f"reply {msg!r}"
-                    )
-                self._fold_worker_sample(worker, msg)
-            self._refresh_aggregates()
+        if self._procs:
+            self._exchange(make_telemetry_pull(), "telemetry_report")
         return [dict(s) for s in self.worker_stats]
 
     def _pull_loop(self) -> None:
@@ -857,27 +853,14 @@ class ShardedEmulator:
         """
         if not self._procs:
             self.start()
-        streams: list[list[tuple]] = []
-        counters: list[dict[str, Any]] = []
         with self._io_lock:
             self._flush_buffers()
-            frame = encode_message(make_collect())
-            for worker in range(self.n_workers):
-                self._send_to(worker, frame)
-            for worker in range(self.n_workers):
-                msg = self._recv_control(worker)
-                if msg.get("op") != "worker_report":
-                    raise ClusterError(
-                        f"shard worker {worker}: unexpected collect "
-                        f"reply {msg!r}"
-                    )
-                streams.append(ipc.decode_record_frame(self._recv(worker)))
-                counters.append(dict(msg.get("counters", {})))
-                # The report doubles as a telemetry pull: spans merge
-                # and shard gauges refresh here too, not only at
-                # barriers.
-                self._fold_worker_sample(worker, msg)
-            self._refresh_aggregates()
+            reports = self._exchange(make_collect(), "worker_report")
+            # Each worker's record frame follows its report on its pipe.
+            streams = [
+                ipc.decode_record_frame(self._recv(worker))
+                for worker in range(self.n_workers)
+            ]
         rows = _merge_rows(streams)
         merged: list[PacketRecord] = []
         if rows:
@@ -902,7 +885,7 @@ class ShardedEmulator:
                         {
                             "worker": i,
                             "records": len(streams[i]),
-                            "counters": counters[i],
+                            "counters": dict(reports[i].get("counters", {})),
                             "shard_ingested":
                                 self.worker_stats[i]["shard_ingested"],
                             "busy_fraction":
@@ -920,40 +903,16 @@ class ShardedEmulator:
         collapsed-stack format; empty string when profiling is off."""
         return self.profiler.collapsed() if self.profiler else ""
 
-    def record_profile(self) -> None:
-        """Persist the merged cluster profile as a ``profile`` scene
-        event so ``poem profile <db>`` can read it back offline."""
-        if self.profiler is None:
-            return
-        self.recorder.record_scene(
-            SceneEvent(
-                time=self._time,
-                kind="profile",
-                node=NodeId(-1),
-                details=self.profiler.snapshot(),
-            )
-        )
-
     def record_run_summary(self) -> None:
-        """Terminal ``run-summary`` event (same shape as the in-process
-        emulator's) so ``poem analyze`` cross-checks a cluster recording
-        against its own totals."""
-        self.record_profile()
-        self.recorder.record_scene(
-            SceneEvent(
-                time=self._time,
-                kind="run-summary",
-                node=NodeId(-1),
-                details={
-                    "ingested": self.ingested,
-                    "forwarded": self.forwarded,
-                    "dropped": self.dropped,
-                    "transport_dropped": self.transport_dropped,
-                    "records_evicted": getattr(self.recorder, "evicted", 0),
-                    "sync_samples": len(self.recorder.sync_samples()),
-                    "cluster": {"n_workers": self.n_workers},
-                },
-            )
+        """Terminal ``run-summary`` event (preceded by the merged
+        cluster ``profile`` of a profiled run) so ``poem analyze``
+        cross-checks a cluster recording against its own totals."""
+        record_run_summary(
+            self.recorder,
+            self._time,
+            self._totals(),
+            self.profiler,
+            cluster={"n_workers": self.n_workers},
         )
 
     # -- health -------------------------------------------------------------------
@@ -982,12 +941,7 @@ class ShardedEmulator:
             "quarantined": {
                 int(n): None for n in self.scene.quarantined_nodes()
             },
-            "engine": {
-                "ingested": self.ingested,
-                "forwarded": self.forwarded,
-                "dropped": self.dropped,
-                "transport_dropped": self.transport_dropped,
-            },
+            "engine": self._totals(),
             "schedule_depth": sum(
                 s["queue_depth"] for s in self.worker_stats
             ),

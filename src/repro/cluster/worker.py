@@ -20,14 +20,16 @@ worker's event loop is strictly reactive:
 * ``scene_moves`` applies the parent's node moves to the live replica
   as one tick, so the neighbor tables refresh incrementally (one mover)
   or per channel, vectorized (several) instead of being rebuilt;
-* ``flush`` runs the clock to the barrier time and acks with pipeline
-  counters, schedule depth, the process's busy fraction, and — when
-  telemetry is on — the worker registry's snapshot for the parent's
-  cluster-wide merge;
+* ``flush`` runs the clock to the barrier time and acks with the
+  worker's **sample** (:meth:`_WorkerState.sample`): pipeline counters,
+  schedule depth, the process's busy fraction, and — when those planes
+  are on — the registry snapshot, the trace spans completed since the
+  last sample and the profiler snapshot, for the parent's cluster-wide
+  merge;
 * ``telemetry_pull`` answers with the same sample *without* running the
   clock (the parent's periodic pull between barriers);
-* ``collect`` drains the completed trace spans into a ``worker_report``
-  and the packet log into the binary record frame sent right after it;
+* ``collect`` answers with the same sample as a ``worker_report`` and
+  drains the packet log into the binary record frame sent right after;
 * ``shutdown`` acks ``bye`` and exits the loop.
 
 Observability: when :attr:`WorkerConfig.telemetry_enabled` the worker
@@ -40,8 +42,7 @@ last seconds of events/spans are dumped to a JSON artifact whose path
 rides the ``worker_error`` frame back to the parent.  When
 :attr:`WorkerConfig.profile_hz` is set the worker additionally runs its
 own :class:`~repro.obs.profiler.SamplingProfiler`; its cumulative
-folded-stack snapshot rides every sample-bearing reply (``flushed``,
-``telemetry_report``, ``worker_report``) and is delta-merged
+folded-stack snapshot rides every sample and is delta-merged
 parent-side so one profile covers the whole cluster.
 
 Time discipline: the worker's virtual clock is driven **entirely by the
@@ -62,6 +63,7 @@ import numpy as np
 
 from ..core.clock import VirtualClock
 from ..core.engine import ForwardingEngine
+from ..core.forwarding import make_profiler, release_profiler
 from ..core.geometry import Vec2
 from ..core.ids import NodeId
 from ..core.neighbor import ChannelIndexedNeighborTables
@@ -76,9 +78,7 @@ from ..net.messages import (
     make_worker_error,
     make_worker_report,
 )
-from ..obs import profiler as profiler_mod
 from ..obs.flightrec import FlightRecorder, set_default
-from ..obs.profiler import SamplingProfiler
 from ..obs.telemetry import Telemetry
 from ..obs.tracing import Trace
 from . import ipc
@@ -138,18 +138,13 @@ class _WorkerState:
             role=f"worker-{config.worker_index}",
             flight_dir=config.flight_dir,
         )
-        #: Completed spans awaiting ship-back (drained by collect/pull).
+        #: Completed spans awaiting ship-back (drained by every sample).
         self.spans: list[Any] = []
         #: The worker's own wall-clock sampler; its cumulative snapshot
-        #: rides every sample-bearing reply, delta-merged parent-side.
-        self.profiler: Optional[SamplingProfiler] = None
-        if config.profile_hz:
-            self.profiler = SamplingProfiler(
-                hz=config.profile_hz,
-                role=f"worker-{config.worker_index}",
-            )
-            if profiler_mod.get_default() is None:
-                profiler_mod.set_default(self.profiler)
+        #: rides every sample, delta-merged parent-side.
+        self.profiler = make_profiler(
+            config.profile_hz, f"worker-{config.worker_index}"
+        )
         self.telemetry: Optional[Telemetry] = None
         if config.telemetry_enabled:
             tele = Telemetry(
@@ -269,20 +264,27 @@ class _WorkerState:
             "transport_dropped": e.transport_dropped,
         }
 
-    def busy_fraction(self) -> float:
+    def sample(self) -> dict[str, Any]:
+        """The health/telemetry sample every reply to the parent
+        carries (:func:`repro.net.messages._with_sample`'s fields).
+        Taking it drains the completed-span buffer — the same drain
+        discipline as the packet log."""
         wall = time.perf_counter() - self.started_at
-        return self.busy_seconds / wall if wall > 0 else 0.0
-
-    def queue_depth(self) -> int:
-        return len(self.engine.schedule) if self.engine is not None else 0
-
-    def telemetry_snapshot(self) -> Optional[dict[str, Any]]:
-        tele = self.telemetry
-        return tele.snapshot() if tele is not None else None
-
-    def profile_snapshot(self) -> Optional[dict[str, Any]]:
-        prof = self.profiler
-        return prof.snapshot() if prof is not None else None
+        tele, prof = self.telemetry, self.profiler
+        spans = None
+        if tele is not None:
+            spans = [ipc.span_to_row(s) for s in self.spans]
+            self.spans = []
+        return {
+            "counters": self.counters(),
+            "queue_depth":
+                len(self.engine.schedule) if self.engine is not None else 0,
+            "busy_fraction": self.busy_seconds / wall if wall > 0 else 0.0,
+            "shard_ingested": self.shard_ingested,
+            "telemetry": tele.snapshot() if tele is not None else None,
+            "spans": spans,
+            "profile": prof.snapshot() if prof is not None else None,
+        }
 
     def drain_records(self) -> list[PacketRecord]:
         """Take and clear the packet log (collect is a drain, so a
@@ -292,15 +294,6 @@ class _WorkerState:
         if self.engine is not None:
             self.engine.recorder = self.recorder
         return records
-
-    def drain_spans(self) -> Optional[list[list[Any]]]:
-        """Row-encode and clear the completed-span buffer (same drain
-        discipline as the packet log)."""
-        if self.telemetry is None:
-            return None
-        rows = [ipc.span_to_row(s) for s in self.spans]
-        self.spans = []
-        return rows
 
 
 class ClusterWorkerError(Exception):
@@ -360,14 +353,7 @@ def worker_main(conn, config: WorkerConfig) -> None:
             elif op == "flush":
                 state.flush_to(float(msg["t"]))
                 reply = make_flushed(
-                    int(msg["id"]),
-                    config.worker_index,
-                    counters=state.counters(),
-                    queue_depth=state.queue_depth(),
-                    busy_fraction=state.busy_fraction(),
-                    shard_ingested=state.shard_ingested,
-                    telemetry=state.telemetry_snapshot(),
-                    profile=state.profile_snapshot(),
+                    int(msg["id"]), config.worker_index, **state.sample()
                 )
                 conn.send_bytes(encode_message(reply))
                 state.flight.note(
@@ -376,14 +362,7 @@ def worker_main(conn, config: WorkerConfig) -> None:
                 )
             elif op == "telemetry_pull":
                 reply = make_telemetry_report(
-                    config.worker_index,
-                    queue_depth=state.queue_depth(),
-                    busy_fraction=state.busy_fraction(),
-                    shard_ingested=state.shard_ingested,
-                    counters=state.counters(),
-                    telemetry=state.telemetry_snapshot(),
-                    spans=state.drain_spans(),
-                    profile=state.profile_snapshot(),
+                    config.worker_index, **state.sample()
                 )
                 conn.send_bytes(encode_message(reply))
             elif op == "collect":
@@ -391,14 +370,7 @@ def worker_main(conn, config: WorkerConfig) -> None:
                 # surface as worker_error, not after a report went out.
                 frame = ipc.encode_record_frame(state.drain_records())
                 report = make_worker_report(
-                    config.worker_index,
-                    counters=state.counters(),
-                    spans=state.drain_spans(),
-                    telemetry=state.telemetry_snapshot(),
-                    queue_depth=state.queue_depth(),
-                    busy_fraction=state.busy_fraction(),
-                    shard_ingested=state.shard_ingested,
-                    profile=state.profile_snapshot(),
+                    config.worker_index, **state.sample()
                 )
                 conn.send_bytes(encode_message(report))
                 conn.send_bytes(frame)
@@ -429,6 +401,5 @@ def worker_main(conn, config: WorkerConfig) -> None:
             pass  # parent already gone; the re-raise below still records it
         raise
     finally:
-        if state.profiler is not None:
-            state.profiler.stop()
+        release_profiler(state.profiler)
         conn.close()

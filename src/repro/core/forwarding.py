@@ -1,0 +1,222 @@
+"""The one forwarding core every deployment is a shell around.
+
+DESIGN.md §2: the deployments differ "only in clocks and transports".
+:class:`ForwardingCore` is the part that does not differ — scene →
+recorder → neighbor tables → overload controller → engine, wired once on
+whatever clock the shell hands it, plus the evidence a run leaves behind
+(the ``run-summary`` record and the core sections of ``health()``).
+:class:`~repro.core.server.InProcessEmulator` (virtual clock, virtual
+hosts) and :class:`~repro.core.tcpserver.PoEmServer` (real-time clock,
+sockets) subclass it and add their transport, nothing else.
+
+The sharded cluster's engines live in its workers, built per scene
+replica, so it is not a :class:`ForwardingCore`; parent and worker share
+the module-level helpers instead (:func:`make_profiler` /
+:func:`release_profiler`, :func:`record_run_summary`).
+"""
+
+from __future__ import annotations
+
+from time import perf_counter as _perf
+from typing import TYPE_CHECKING, Any, Optional
+
+import numpy as np
+
+from ..models.mobility import Bounds
+from ..obs.telemetry import Telemetry
+from .clock import RealTimeClock, VirtualClock
+from .engine import ForwardingEngine
+from .ids import NodeId
+from .neighbor import ChannelIndexedNeighborTables
+from .overload import OverloadConfig, OverloadController
+from .packet import Packet
+from .recording import MemoryRecorder, Recorder
+from .scene import Scene, SceneEvent
+
+if TYPE_CHECKING:
+    from ..obs.profiler import SamplingProfiler
+
+__all__ = [
+    "ForwardingCore",
+    "make_profiler",
+    "release_profiler",
+    "record_run_summary",
+]
+
+
+def make_profiler(
+    hz: Optional[float], role: str, overload: Any = None
+) -> Optional[SamplingProfiler]:
+    """The optional continuous sampler of one process (None when ``hz``
+    is unset), installed as the process default unless one already is.
+    Not started: each deployment starts it where its run starts.  Given
+    an overload controller it pauses whenever that leaves NOMINAL."""
+    if not hz:
+        return None
+    # Imported here: an unprofiled process never loads the sampler.
+    from ..obs import profiler as profiler_mod
+
+    profiler = profiler_mod.SamplingProfiler(
+        hz=float(hz), role=role, overload=overload
+    )
+    if profiler_mod.get_default() is None:
+        profiler_mod.set_default(profiler)
+    return profiler
+
+
+def release_profiler(profiler: Optional[SamplingProfiler]) -> None:
+    """Stop a :func:`make_profiler` sampler (its table stays readable)
+    and clear the process default when it was ours.  None-safe."""
+    if profiler is None:
+        return
+    from ..obs import profiler as profiler_mod
+
+    profiler.stop()
+    if profiler_mod.get_default() is profiler:
+        profiler_mod.set_default(None)
+
+
+def record_run_summary(
+    recorder: Recorder,
+    t: float,
+    totals: dict[str, int],
+    profiler: Optional[SamplingProfiler] = None,
+    **sections: Any,
+) -> None:
+    """Record the terminal ``run-summary`` scene event of a run.
+
+    Offline analysis should not have to infer the run end from the last
+    packet: the summary pins stop time, pipeline ``totals`` and the
+    ring-eviction count, plus whatever ``sections`` the deployment has
+    (``overload``/``deadline`` where an engine is local, ``cluster``
+    on the sharded parent).  A profiled run records its ``profile``
+    event first, so ``poem profile <db>`` reads it back.  Both are about
+    the *run*, not a node — ``node`` is the sentinel ``-1`` — and are
+    recorded directly, so scene listeners and replay are not involved.
+    """
+    if profiler is not None:
+        recorder.record_scene(
+            SceneEvent(
+                time=t, kind="profile", node=NodeId(-1),
+                details=profiler.snapshot(),
+            )
+        )
+    recorder.record_scene(
+        SceneEvent(
+            time=t,
+            kind="run-summary",
+            node=NodeId(-1),
+            details={
+                **totals,
+                "records_evicted": getattr(recorder, "evicted", 0),
+                "sync_samples": len(recorder.sync_samples()),
+                **sections,
+            },
+        )
+    )
+
+
+class ForwardingCore:
+    """Scene, recorder, neighbor tables, overload controller and engine
+    on one clock — what :class:`InProcessEmulator` and
+    :class:`PoEmServer` have in common."""
+
+    def __init__(
+        self,
+        # The two clocks shells hand in, not EmulationClock: `lint --deep`
+        # resolves calls by annotation, and the abstract type would pull
+        # the client-side SynchronizedClock's lock into the server's graph.
+        clock: RealTimeClock | VirtualClock,
+        *,
+        role: str,
+        seed: Optional[int],
+        bounds: Optional[Bounds],
+        recorder: Optional[Recorder],
+        schedule_capacity: Optional[int],
+        use_client_stamps: bool,
+        telemetry: Optional[Telemetry],
+        lag_budget: float,
+        overload_config: Optional[OverloadConfig],
+        profile_hz: Optional[float],
+        mac=None,
+        energy=None,
+    ) -> None:
+        self.clock = clock
+        self.scene = Scene(bounds=bounds, seed=seed)
+        self.scene.bind_time_source(clock.now)
+        self.recorder = recorder if recorder is not None else MemoryRecorder()
+        self.recorder.attach_to_scene(self.scene)
+        self.neighbors = ChannelIndexedNeighborTables(self.scene)
+        self.telemetry = telemetry if telemetry is not None else Telemetry()
+        # The transport owns the sampling decision (its spans include
+        # Step 1); stop the engine from double-sampling.
+        self._tracer = self.telemetry.tracer
+        if self._tracer is not None:
+            self._tracer.delegated = True
+        if overload_config is None:
+            overload_config = OverloadConfig(lag_budget=lag_budget)
+        self.overload = OverloadController(
+            overload_config,
+            capacity=schedule_capacity,
+            time_fn=clock.now,
+        )
+        self.engine = ForwardingEngine(
+            self.scene,
+            self.neighbors,
+            clock,
+            self.recorder,
+            rng=np.random.default_rng(seed),
+            schedule_capacity=schedule_capacity,
+            use_client_stamps=use_client_stamps,
+            mac=mac,
+            energy=energy,
+            telemetry=self.telemetry,
+            lag_budget=overload_config.lag_budget,
+            overload=self.overload,
+        )
+        # Continuous profiling shares the overload controller, so it is
+        # shed the moment the core leaves NOMINAL — before any fidelity.
+        self.profiler = make_profiler(profile_hz, role, self.overload)
+
+    def _sampled_receive(self, source: NodeId, packet: Packet, t0: float):
+        """Step 1 of a pipeline trace, for a shell whose tracer is on:
+        the 1-in-N sampling decision and, when taken, the ``receive``
+        stage since ``t0``.  Returns the trace to hand ``engine.ingest``
+        (None for an unsampled packet)."""
+        tr = self._tracer.maybe_start()
+        if tr is not None:
+            tr.bind(source, packet)
+            tr.stage("receive", _perf() - t0)
+        return tr
+
+    def _engine_totals(self) -> dict[str, int]:
+        engine = self.engine
+        return {
+            "ingested": engine.ingested,
+            "forwarded": engine.forwarded,
+            "dropped": engine.dropped,
+            "transport_dropped": engine.transport_dropped,
+        }
+
+    def _core_health(self) -> dict[str, Any]:
+        """The sections of ``health()`` that describe the core; each
+        shell puts its transport's sections in front."""
+        return {
+            "engine": self._engine_totals(),
+            "schedule_depth": len(self.engine.schedule),
+            "records_evicted": getattr(self.recorder, "evicted", 0),
+            "overload": self.overload.snapshot(),
+            "deadline": self.engine.deadlines.as_dict(),
+        }
+
+    def record_run_summary(self) -> None:
+        """Pin the end of the run into the recording
+        (:func:`record_run_summary`)."""
+        record_run_summary(
+            self.recorder,
+            self.clock.now(),
+            self._engine_totals(),
+            self.profiler,
+            overload=self.overload.snapshot(),
+            deadline=self.engine.deadlines.as_dict(),
+        )

@@ -340,11 +340,6 @@ class OverloadController:
             total += max(self._time_fn() - self._since, 0.0)
         return total
 
-    def time_in_state(self, state: str) -> float:
-        """Seconds spent in ``state`` so far (including the current stay)."""
-        with self._lock:
-            return self._accumulated_locked(state)
-
     def degraded_seconds(self) -> float:
         """Total time spent outside NOMINAL (monotone non-decreasing)."""
         with self._lock:

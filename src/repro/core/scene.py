@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -631,10 +631,6 @@ class Scene:
     def node_ids(self) -> list[NodeId]:
         with self._lock:
             return list(self._nodes)
-
-    def iter_nodes(self) -> Iterator[NodeState]:
-        with self._lock:
-            return iter(list(self._nodes.values()))
 
     def position(self, node_id: NodeId) -> Vec2:
         with self._lock:

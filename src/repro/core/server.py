@@ -8,9 +8,10 @@ and time advances deterministically.  This is the test/benchmark stack —
 and also a perfectly usable headless emulator for scripted scenarios.
 
 :class:`PoEmServer` (in :mod:`repro.core.tcpserver`) is the paper-faithful
-deployment: a threaded TCP server workstations connect to.  Both share
-scene, neighbor tables, engine, recorder — only clocks and transports
-differ (DESIGN.md §2).
+deployment: a TCP server workstations connect to.  Both are shells
+around one :class:`~repro.core.forwarding.ForwardingCore` — scene,
+neighbor tables, engine, recorder, overload controller, run summary —
+and differ only in clocks and transports (DESIGN.md §2).
 
 Client-side imperfections are first-class here because the paper's whole
 §2 argument is about them: each virtual host can be given a **clock
@@ -21,11 +22,10 @@ dial.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Type
+import time as _time_mod
+from typing import Callable, Optional
 
 import numpy as np
-
-import time as _time_mod
 
 from ..errors import ProtocolError, SceneError
 from ..models.mobility import Bounds
@@ -39,14 +39,12 @@ from ..protocols.base import (
     VirtualTimerService,
 )
 from .clock import SyncSample, VirtualClock
-from .engine import ForwardingEngine
+from .forwarding import ForwardingCore, release_profiler
 from .geometry import Vec2
 from .ids import ChannelId, IdAllocator, NodeId
-from .neighbor import ChannelIndexedNeighborTables, NeighborScheme
-from .overload import OverloadConfig, OverloadController
+from .overload import OverloadConfig
 from .packet import Packet, PacketStamper
-from .recording import MemoryRecorder, Recorder
-from .scene import Scene, SceneEvent
+from .recording import Recorder
 
 __all__ = ["VirtualNodeHost", "InProcessEmulator"]
 
@@ -159,8 +157,10 @@ class VirtualNodeHost(ProtocolHost):
             self.protocol = None
 
 
-class InProcessEmulator:
+class InProcessEmulator(ForwardingCore):
     """The whole PoEm client/server structure on one virtual clock."""
+
+    clock: VirtualClock
 
     def __init__(
         self,
@@ -168,7 +168,6 @@ class InProcessEmulator:
         seed: Optional[int] = 0,
         bounds: Optional[Bounds] = None,
         recorder: Optional[Recorder] = None,
-        neighbor_scheme: Type[NeighborScheme] = ChannelIndexedNeighborTables,
         schedule_capacity: Optional[int] = None,
         use_client_stamps: bool = True,
         mac=None,
@@ -178,59 +177,30 @@ class InProcessEmulator:
         overload_config: Optional[OverloadConfig] = None,
         profile_hz: Optional[float] = None,
     ) -> None:
-        self.clock = VirtualClock()
-        self.scene = Scene(bounds=bounds, seed=seed)
-        self.scene.bind_time_source(self.clock.now)
-        self.recorder = recorder if recorder is not None else MemoryRecorder()
-        self.recorder.attach_to_scene(self.scene)
-        self.neighbors = neighbor_scheme(self.scene)
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
-        self._tracer = (
-            self.telemetry.tracer if self.telemetry.enabled else None
-        )
-        if self._tracer is not None:
-            # The virtual transport owns Step 1 sampling (uplink arrival);
-            # stop the engine from double-sampling.
-            self._tracer.delegated = True
-        # Virtual-clock runs fire exactly at t_forward, so the controller
-        # normally stays NOMINAL (docs/overload.md names the exceptions) —
-        # it exists for deployment parity (health shape, telemetry series)
-        # and for tests driving it directly.
-        if overload_config is None:
-            overload_config = OverloadConfig(lag_budget=lag_budget)
-        self.overload = OverloadController(
-            overload_config,
-            capacity=schedule_capacity,
-            time_fn=self.clock.now,
-        )
-        self.engine = ForwardingEngine(
-            self.scene,
-            self.neighbors,
-            self.clock,
-            self.recorder,
-            rng=np.random.default_rng(seed),
+        # Virtual-clock runs fire exactly at t_forward, so the overload
+        # controller normally stays NOMINAL (docs/overload.md names the
+        # exceptions) — it exists for deployment parity (health shape,
+        # telemetry series) and for tests driving it directly.
+        super().__init__(
+            VirtualClock(),
+            role="emulator",
+            seed=seed,
+            bounds=bounds,
+            recorder=recorder,
             schedule_capacity=schedule_capacity,
             use_client_stamps=use_client_stamps,
             mac=mac,
             energy=energy,
-            telemetry=self.telemetry,
-            lag_budget=overload_config.lag_budget,
-            overload=self.overload,
+            telemetry=telemetry,
+            lag_budget=lag_budget,
+            overload_config=overload_config,
+            profile_hz=profile_hz,
         )
         self.engine.deliver = self._deliver_to_host
-        # Optional continuous profiling (wall-clock attribution even on
-        # the virtual clock: run_until burns real CPU).  Gated by the
-        # overload controller exactly like tracing.
-        self.profiler = None
-        if profile_hz:
-            from ..obs.profiler import SamplingProfiler
-            from ..obs import profiler as profiler_mod
-
-            self.profiler = SamplingProfiler(
-                hz=profile_hz, role="emulator", overload=self.overload
-            ).start()
-            if profiler_mod.get_default() is None:
-                profiler_mod.set_default(self.profiler)
+        # Wall-clock attribution even on the virtual clock: run_until
+        # burns real CPU.
+        if self.profiler is not None:
+            self.profiler.start()
         self._hosts: dict[NodeId, VirtualNodeHost] = {}
         self._ids = IdAllocator()
         # A node removed directly through the scene (GUI op, scenario step)
@@ -248,12 +218,7 @@ class InProcessEmulator:
         thread-free on the virtual clock, so today this only stops the
         ``profile_hz`` sampler (and clears the process default when it
         was ours).  Idempotent; safe to skip for profile-less runs."""
-        if self.profiler is not None:
-            from ..obs import profiler as profiler_mod
-
-            self.profiler.stop()
-            if profiler_mod.get_default() is self.profiler:
-                profiler_mod.set_default(None)
+        release_profiler(self.profiler)
 
     # -- topology construction ---------------------------------------------------
 
@@ -330,15 +295,11 @@ class InProcessEmulator:
             # Scene positions must reflect mobility up to 'now' before
             # neighbor lookup / loss draws (the server's view is current).
             self.scene.advance_time(self.clock.now())
-            tracer, tr = self._tracer, None
-            if tracer is not None:
-                t0 = _time_mod.perf_counter()
-                tr = tracer.maybe_start()
-                if tr is not None:
-                    tr.bind(host.node_id, packet)
-                    tr.stage(
-                        "receive", _time_mod.perf_counter() - t0
-                    )
+            tr = None
+            if self._tracer is not None:
+                tr = self._sampled_receive(
+                    host.node_id, packet, _time_mod.perf_counter()
+                )
             self.engine.arm_flush(
                 self.engine.ingest(host.node_id, packet, trace=tr)
             )
@@ -381,48 +342,8 @@ class InProcessEmulator:
             "quarantined": {
                 int(n): None for n in self.scene.quarantined_nodes()
             },
-            "engine": {
-                "ingested": self.engine.ingested,
-                "forwarded": self.engine.forwarded,
-                "dropped": self.engine.dropped,
-                "transport_dropped": self.engine.transport_dropped,
-            },
-            "schedule_depth": len(self.engine.schedule),
-            "records_evicted": getattr(self.recorder, "evicted", 0),
-            "overload": self.overload.snapshot(),
-            "deadline": self.engine.deadlines.as_dict(),
+            **self._core_health(),
         }
-
-    def record_run_summary(self) -> None:
-        """Terminal ``run-summary`` scene event (same shape as the TCP
-        server's clean-shutdown record) so a recording from the virtual
-        stack also carries its own end-of-run marker."""
-        if self.profiler is not None:
-            self.recorder.record_scene(
-                SceneEvent(
-                    time=self.clock.now(),
-                    kind="profile",
-                    node=NodeId(-1),
-                    details=self.profiler.snapshot(),
-                )
-            )
-        self.recorder.record_scene(
-            SceneEvent(
-                time=self.clock.now(),
-                kind="run-summary",
-                node=NodeId(-1),
-                details={
-                    "ingested": self.engine.ingested,
-                    "forwarded": self.engine.forwarded,
-                    "dropped": self.engine.dropped,
-                    "transport_dropped": self.engine.transport_dropped,
-                    "records_evicted": getattr(self.recorder, "evicted", 0),
-                    "sync_samples": len(self.recorder.sync_samples()),
-                    "overload": self.overload.snapshot(),
-                    "deadline": self.engine.deadlines.as_dict(),
-                },
-            )
-        )
 
     # -- running -------------------------------------------------------------------
 

@@ -311,15 +311,6 @@ class HealthRegistry:
             ],
         }
 
-    def all_alive(self, *names: str) -> bool:
-        with self._lock:
-            if names:
-                return all(
-                    n in self._threads and self._threads[n].is_alive()
-                    for n in names
-                )
-            return all(t.is_alive() for t in self._threads.values())
-
     def stop_all(self, timeout: float = 2.0) -> None:
         with self._lock:
             threads = list(self._threads.values())

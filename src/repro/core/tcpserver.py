@@ -69,9 +69,7 @@ import socket
 import threading
 import time as _time_mod
 from collections import deque
-from typing import Optional, Type
-
-import numpy as np
+from typing import Optional
 
 from ..errors import PoEmError, SceneError, TransportError
 from ..models.link import BandwidthModel, DelayModel, LinkModel, PacketLossModel
@@ -81,14 +79,13 @@ from ..net import framing, messages
 from ..obs.logging import get_logger, log_event
 from ..obs.telemetry import Telemetry
 from .clock import RealTimeClock, SyncRequest, SyncSample, make_sync_reply
-from .engine import ForwardingEngine
+from .forwarding import ForwardingCore, release_profiler
 from .geometry import Vec2
 from .ids import ChannelId, IdAllocator, NodeId, RadioIndex
-from .neighbor import ChannelIndexedNeighborTables, NeighborScheme
-from .overload import OverloadConfig, OverloadController, OverloadState
+from .overload import OverloadConfig, OverloadState
 from .packet import DropReason, Packet
-from .recording import MemoryRecorder, Recorder
-from .scene import Scene, SceneEvent
+from .recording import Recorder
+from .scene import SceneEvent
 from .supervision import HealthRegistry
 
 __all__ = ["PoEmServer"]
@@ -134,7 +131,7 @@ class _ClientConnection:
         self.sock.close()
 
 
-class PoEmServer:
+class PoEmServer(ForwardingCore):
     """The central emulation server of the real-time deployment."""
 
     def __init__(
@@ -145,7 +142,6 @@ class PoEmServer:
         recorder: Optional[Recorder] = None,
         bounds: Optional[Bounds] = None,
         seed: Optional[int] = 0,
-        neighbor_scheme: Type[NeighborScheme] = ChannelIndexedNeighborTables,
         schedule_capacity: Optional[int] = None,
         use_client_stamps: bool = True,
         mobility_tick: float = 0.05,
@@ -163,33 +159,20 @@ class PoEmServer:
     ) -> None:
         self._host = host
         self._port = port
-        self.clock = RealTimeClock()
-        self.scene = Scene(bounds=bounds, seed=seed)
-        self.scene.bind_time_source(self.clock.now)
-        self.recorder = recorder if recorder is not None else MemoryRecorder()
-        self.recorder.attach_to_scene(self.scene)
-        self.neighbors = neighbor_scheme(self.scene)
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
-        if overload_config is None:
-            overload_config = OverloadConfig(lag_budget=lag_budget)
-        self.overload = OverloadController(
-            overload_config,
-            capacity=schedule_capacity,
-            time_fn=self.clock.now,
-            on_transition=self._on_overload_transition,
-        )
-        self.engine = ForwardingEngine(
-            self.scene,
-            self.neighbors,
-            self.clock,
-            self.recorder,
-            rng=np.random.default_rng(seed),
+        super().__init__(
+            RealTimeClock(),
+            role="server",
+            seed=seed,
+            bounds=bounds,
+            recorder=recorder,
             schedule_capacity=schedule_capacity,
             use_client_stamps=use_client_stamps,
-            telemetry=self.telemetry,
-            lag_budget=overload_config.lag_budget,
-            overload=self.overload,
+            telemetry=telemetry,
+            lag_budget=lag_budget,
+            overload_config=overload_config,
+            profile_hz=profile_hz,
         )
+        self.overload.on_transition = self._on_overload_transition
         self.engine.deliver = self._deliver
         self._ids = IdAllocator()
         self._mobility_tick = mobility_tick
@@ -222,32 +205,9 @@ class PoEmServer:
         self._metrics_port = metrics_port
         self._metrics_httpd = None  # obs.httpd.TelemetryHTTPServer
         self.metrics_address: Optional[tuple[str, int]] = None
-        # Continuous profiling: the sampler shares the overload
-        # controller, so it pauses the moment the server leaves NOMINAL
-        # (profiling is shed before any emulation fidelity is).
-        self.profiler = None
-        self._profile_hz = float(profile_hz) if profile_hz else None
-        if self._profile_hz:
-            from ..obs.profiler import SamplingProfiler
-            from ..obs import profiler as profiler_mod
-
-            self.profiler = SamplingProfiler(
-                hz=self._profile_hz,
-                role="server",
-                overload=self.overload,
-            )
-            if profiler_mod.get_default() is None:
-                profiler_mod.set_default(self.profiler)
-        self._tracer = None
         self._m_rx_binary = self._m_rx_json = None
         self._m_tx = self._m_overflow = self._m_quarantines = None
         if self.telemetry.enabled:
-            tracer = self.telemetry.tracer
-            if tracer is not None:
-                # The transport owns the sampling decision (its spans
-                # include Step 1); stop the engine from double-sampling.
-                tracer.delegated = True
-                self._tracer = tracer
             reg = self.telemetry.registry
             rx = reg.counter(
                 "poem_server_frames_received_total",
@@ -339,12 +299,7 @@ class PoEmServer:
             return
         self._running = False
         self._wake_w.send(b"\0")  # end the loop's select now
-        if self.profiler is not None:
-            from ..obs import profiler as profiler_mod
-
-            self.profiler.stop()
-            if profiler_mod.get_default() is self.profiler:
-                profiler_mod.set_default(None)
+        release_profiler(self.profiler)
         if self._metrics_httpd is not None:
             self._metrics_httpd.stop()
             self._metrics_httpd = None
@@ -360,46 +315,9 @@ class PoEmServer:
             self._clients.clear()
             self._stale.clear()
             self._orphans.clear()
-        self._record_run_summary()
-
-    def _record_run_summary(self) -> None:
-        """Terminal ``run-summary`` scene event on clean shutdown.
-
-        Offline analysis of a recording should not have to infer the run
-        end from the last packet: the summary pins stop time, pipeline
-        totals and the ring-eviction count.  Recorded directly (the event
-        is about the *run*, not any one node — ``node`` is the sentinel
-        ``-1``) so scene listeners/replay are not involved.
-        """
         try:
-            if self.profiler is not None:
-                # The sampler was stopped earlier in stop(); its table
-                # survives, so `poem profile <db>` reads the run back.
-                self.recorder.record_scene(
-                    SceneEvent(
-                        time=self.clock.now(),
-                        kind="profile",
-                        node=NodeId(-1),
-                        details=self.profiler.snapshot(),
-                    )
-                )
-            self.recorder.record_scene(
-                SceneEvent(
-                    time=self.clock.now(),
-                    kind="run-summary",
-                    node=NodeId(-1),
-                    details={
-                        "ingested": self.engine.ingested,
-                        "forwarded": self.engine.forwarded,
-                        "dropped": self.engine.dropped,
-                        "transport_dropped": self.engine.transport_dropped,
-                        "records_evicted": getattr(self.recorder, "evicted", 0),
-                        "sync_samples": len(self.recorder.sync_samples()),
-                        "overload": self.overload.snapshot(),
-                        "deadline": self.engine.deadlines.as_dict(),
-                    },
-                )
-            )
+            # The sampler was stopped above; its table survives.
+            self.record_run_summary()
         except PoEmError as exc:  # a closed sqlite recorder must not
             self.supervisor.note_failure("run-summary", exc)  # mask stop()
 
@@ -469,16 +387,7 @@ class PoEmServer:
             "recent_failures": sup["recent_failures"],
             "clients": clients,
             "quarantined": quarantined,
-            "engine": {
-                "ingested": self.engine.ingested,
-                "forwarded": self.engine.forwarded,
-                "dropped": self.engine.dropped,
-                "transport_dropped": self.engine.transport_dropped,
-            },
-            "schedule_depth": len(self.engine.schedule),
-            "records_evicted": getattr(self.recorder, "evicted", 0),
-            "overload": self.overload.snapshot(),
-            "deadline": self.engine.deadlines.as_dict(),
+            **self._core_health(),
         }
         if self.metrics_address is not None:
             out["metrics_address"] = list(self.metrics_address)
@@ -626,13 +535,10 @@ class PoEmServer:
         was taken off the buffer (Step 1 of a sampled trace)."""
         if conn.node_id is None:
             raise TransportError("packet before register")
-        tracer, tr = self._tracer, None
-        if tracer is not None:
+        tr = None
+        if self._tracer is not None:
             m_rx.inc()
-            tr = tracer.maybe_start()
-            if tr is not None:
-                tr.bind(conn.node_id, packet)
-                tr.stage("receive", _perf() - t0)
+            tr = self._sampled_receive(conn.node_id, packet, t0)
         self.engine.ingest(conn.node_id, packet, trace=tr)
 
     def _handle_message(

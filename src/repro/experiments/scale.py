@@ -6,15 +6,9 @@ Two claims are measured:
    cost and wall-clock throughput of the in-process emulator as the node
    count grows (broadcast beacons make offered load grow superlinearly —
    the honest stress).
-2. The future-work cluster: the same offered load against
-   :class:`~repro.cluster.parallel.ParallelEmulator` with 1..K workers of
-   fixed per-worker service rate.  The metric is the worst queueing lag a
-   packet experienced before its pipeline ran — the bottleneck §2.1
-   describes — which should fall roughly as 1/K until shard imbalance
-   bites.
-3. The *real* cluster: the identical scripted broadcast load against
-   :class:`~repro.cluster.sharded.ShardedEmulator` at 1..K worker
-   **processes**.  Here the metric is plain wall-clock (transmit +
+2. The future-work cluster: the identical scripted broadcast load
+   against :class:`~repro.cluster.sharded.ShardedEmulator` at 1..K
+   worker **processes**.  The metric is plain wall-clock (transmit +
    barrier + collect) — actual OS parallelism, so speedup vs the
    1-worker row is the headline number (and meaningless on a 1-core
    box, which is why the bench gate is core-aware).
@@ -28,7 +22,6 @@ from typing import Optional
 
 import numpy as np
 
-from ..cluster.parallel import ParallelEmulator
 from ..cluster.sharded import ShardedEmulator
 from ..core.geometry import Vec2
 from ..core.ids import BROADCAST_NODE
@@ -37,10 +30,8 @@ from ..models.radio import RadioConfig
 
 __all__ = [
     "NodeScaleRow",
-    "ClusterScaleRow",
     "ShardedScaleRow",
     "run_node_scaling",
-    "run_cluster_scaling",
     "run_sharded_scaling",
 ]
 
@@ -58,18 +49,6 @@ class NodeScaleRow:
     @property
     def frames_per_wall_second(self) -> float:
         return self.frames_ingested / max(self.wall_seconds, 1e-12)
-
-
-@dataclass(frozen=True)
-class ClusterScaleRow:
-    """Cluster queueing behaviour at one worker count."""
-
-    n_workers: int
-    n_nodes: int
-    offered_pps: float
-    processed: int
-    max_queue_lag: float
-    imbalance: float
 
 
 @dataclass(frozen=True)
@@ -148,40 +127,6 @@ def run_node_scaling(
             )
         finally:
             emu.shutdown()
-    return rows
-
-
-def run_cluster_scaling(
-    worker_counts: tuple[int, ...] = (1, 2, 4, 8),
-    *,
-    n_nodes: int = 32,
-    duration: float = 5.0,
-    interval: float = 0.05,
-    worker_service_rate: float = 2_000.0,
-    seed: int = 4,
-) -> list[ClusterScaleRow]:
-    """Measure queueing lag vs cluster size under fixed offered load."""
-    rows = []
-    for k in worker_counts:
-        emu = ParallelEmulator(
-            n_workers=k,
-            worker_service_rate=worker_service_rate,
-            seed=seed,
-        )
-        hosts = _grid_nodes(emu, n_nodes)
-        _broadcast_load(emu, hosts, duration, interval)
-        emu.run_until(duration + 2.0)
-        report = emu.load_report()
-        rows.append(
-            ClusterScaleRow(
-                n_workers=k,
-                n_nodes=n_nodes,
-                offered_pps=n_nodes / interval,
-                processed=report["processed_total"],
-                max_queue_lag=report["max_queue_lag"],
-                imbalance=report["imbalance"],
-            )
-        )
     return rows
 
 
@@ -264,20 +209,6 @@ def format_node_rows(rows: list[NodeScaleRow]) -> str:
         lines.append(
             f"{r.n_nodes:>6} {r.frames_ingested:>9} {r.frames_forwarded:>10} "
             f"{r.wall_seconds:>9.3f} {r.frames_per_wall_second:>10.0f}"
-        )
-    return "\n".join(lines)
-
-
-def format_cluster_rows(rows: list[ClusterScaleRow]) -> str:
-    lines = [
-        f"{'workers':>8} {'offered pps':>12} {'processed':>10} "
-        f"{'max lag (ms)':>13} {'imbalance':>10}",
-        "-" * 60,
-    ]
-    for r in rows:
-        lines.append(
-            f"{r.n_workers:>8} {r.offered_pps:>12.0f} {r.processed:>10} "
-            f"{r.max_queue_lag * 1e3:>13.2f} {r.imbalance:>10.2f}"
         )
     return "\n".join(lines)
 

@@ -177,10 +177,6 @@ class LockGraph:
         with self._mu:
             self._contentions.append(ev)
 
-    def currently_held(self) -> tuple[str, ...]:
-        """Locks the calling thread holds right now (for tests)."""
-        return tuple(self._held())
-
     # -- read side ---------------------------------------------------------
 
     @property

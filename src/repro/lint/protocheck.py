@@ -16,7 +16,10 @@ This pass re-derives both halves from the AST:
   ``worker.py`` = worker);
 * **dispatch sites** — string constants compared against an expression
   that reads the ``"op"`` key (``msg["op"]``, ``msg.get("op")``, or a
-  variable assigned from one).
+  variable assigned from one), directly or through a parameter: a
+  function that compares an op read against its own parameter
+  (``if msg.get("op") != expect``) dispatches the constants its call
+  sites bind to it.
 
 An op one side sends that the *other* side never dispatches is a
 finding, and so is a dispatch arm for an op nobody sends (dead
@@ -111,6 +114,22 @@ def _scan_side(
             return True
         return isinstance(expr, ast.Name) and expr.id in op_vars
 
+    # Functions comparing an op read against one of their parameters:
+    # name -> (positional index not counting self, parameter name).
+    expected: Dict[str, Tuple[int, str]] = {}
+    for fn in ast.walk(mi.tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        params = [a.arg for a in fn.args.args if a.arg != "self"]
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Compare):
+                continue
+            sides = [node.left] + list(node.comparators)
+            if any(reads_op(s) for s in sides):
+                for s in sides:
+                    if isinstance(s, ast.Name) and s.id in params:
+                        expected[fn.name] = (params.index(s.id), s.id)
+
     for node in ast.walk(mi.tree):
         if isinstance(node, ast.Call):
             fname = ""
@@ -120,6 +139,15 @@ def _scan_side(
                 fname = node.func.attr
             if fname in vocab:
                 sends.setdefault(vocab[fname], (path, node.lineno))
+            if fname in expected:
+                index, name = expected[fname]
+                bound = [kw.value for kw in node.keywords if kw.arg == name]
+                bound += node.args[index:index + 1]
+                for arg in bound:
+                    if isinstance(arg, ast.Constant) and isinstance(
+                        arg.value, str
+                    ):
+                        dispatches.setdefault(arg.value, (path, node.lineno))
         elif isinstance(node, ast.Dict):
             op = _op_of_dict_literal(node)
             if op is not None:

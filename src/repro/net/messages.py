@@ -31,12 +31,13 @@ fast path, batched by :mod:`repro.cluster.ipc`):
                                      applied to the live replica as one tick
 ``flush``           parent → worker  barrier: run the worker's clock/engine
                                      up to ``t`` and report back
-``flushed``         worker → parent  barrier ack: pipeline counters, queue
-                                     depth, busy fraction
+``flushed``         worker → parent  barrier ack, with the worker's sample
+``telemetry_pull``  parent → worker  ask for a sample between barriers
+``telemetry_report``  worker → parent  the sample, clock untouched
 ``collect``         parent → worker  drain the worker's packet log
-``worker_report``   worker → parent  final counters + telemetry sample; the
-                                     drained records follow as one binary
-                                     record frame (:mod:`repro.cluster.ipc`)
+``worker_report``   worker → parent  the sample; the drained records follow
+                                     as one binary record frame
+                                     (:mod:`repro.cluster.ipc`)
 ``shutdown``        parent → worker  orderly worker exit (acked with ``bye``)
 ``worker_error``    worker → parent  a worker pipeline failure (the parent
                                      raises it as :class:`ClusterError`)
@@ -202,41 +203,51 @@ def make_flush(t: float, flush_id: int) -> dict[str, Any]:
     return {"op": "flush", "t": float(t), "id": int(flush_id)}
 
 
-def make_flushed(
-    flush_id: int,
-    worker: int,
+def _with_sample(
+    msg: dict[str, Any],
     *,
     counters: dict[str, int],
-    queue_depth: int,
-    busy_fraction: float,
-    shard_ingested: int,
+    queue_depth: int = 0,
+    busy_fraction: float = 0.0,
+    shard_ingested: int = 0,
     telemetry: Optional[dict[str, Any]] = None,
+    spans: Optional[list[list[Any]]] = None,
     profile: Optional[dict[str, Any]] = None,
 ) -> dict[str, Any]:
-    """Barrier ack carrying the worker's health/telemetry sample.
+    """Add a worker's health/telemetry sample to a reply: the one list
+    of fields ``flushed``, ``telemetry_report`` and ``worker_report``
+    all carry, so the parent refreshes on whichever arrives.
 
     ``telemetry`` is the worker registry's
-    :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` (None when the
-    worker runs without telemetry); the parent folds it in through
-    :class:`~repro.obs.metrics.SnapshotMerger`.  ``profile`` is the
-    worker sampler's cumulative folded-stack snapshot
-    (:meth:`~repro.obs.profiler.SamplingProfiler.snapshot`), folded the
-    same way through :class:`~repro.obs.profiler.ProfileMerger`.
+    :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`, folded in
+    parent-side through :class:`~repro.obs.metrics.SnapshotMerger`;
+    ``spans`` the trace spans completed since the last sample
+    (:func:`repro.cluster.ipc.span_to_row` rows); ``profile`` the worker
+    sampler's cumulative folded-stack snapshot
+    (:meth:`~repro.obs.profiler.SamplingProfiler.snapshot`), folded
+    through :class:`~repro.obs.profiler.ProfileMerger`.  Each is left
+    out, not null, when the worker runs without that plane.
     """
-    msg = {
-        "op": "flushed",
-        "id": int(flush_id),
-        "worker": int(worker),
-        "counters": counters,
-        "queue_depth": int(queue_depth),
-        "busy_fraction": float(busy_fraction),
-        "shard_ingested": int(shard_ingested),
-    }
-    if telemetry is not None:
-        msg["telemetry"] = telemetry
-    if profile is not None:
-        msg["profile"] = profile
+    msg.update(
+        counters=counters,
+        queue_depth=int(queue_depth),
+        busy_fraction=float(busy_fraction),
+        shard_ingested=int(shard_ingested),
+    )
+    for key, value in (
+        ("telemetry", telemetry), ("spans", spans), ("profile", profile),
+    ):
+        if value is not None:
+            msg[key] = value
     return msg
+
+
+def make_flushed(flush_id: int, worker: int, **sample: Any) -> dict[str, Any]:
+    """Barrier ack, carrying the worker's sample (:func:`_with_sample`)."""
+    return _with_sample(
+        {"op": "flushed", "id": int(flush_id), "worker": int(worker)},
+        **sample,
+    )
 
 
 def make_collect() -> dict[str, Any]:
@@ -244,42 +255,14 @@ def make_collect() -> dict[str, Any]:
     return {"op": "collect"}
 
 
-def make_worker_report(
-    worker: int,
-    *,
-    counters: dict[str, int],
-    spans: Optional[list[list[Any]]] = None,
-    telemetry: Optional[dict[str, Any]] = None,
-    queue_depth: int = 0,
-    busy_fraction: float = 0.0,
-    shard_ingested: int = 0,
-    profile: Optional[dict[str, Any]] = None,
-) -> dict[str, Any]:
-    """The worker's answer to ``collect``: its final counters.
-
-    The drained packet log itself follows as one binary record frame
-    (:func:`repro.cluster.ipc.encode_record_frame`).  The report also
-    carries the worker's drained trace spans
-    (:func:`repro.cluster.ipc.span_to_row` rows), its registry snapshot,
-    its profiler snapshot, and a fresh health sample — collect doubles
-    as a telemetry pull so shard gauges stay current without waiting
-    for the next barrier.
-    """
-    msg = {
-        "op": "worker_report",
-        "worker": int(worker),
-        "counters": counters,
-        "queue_depth": int(queue_depth),
-        "busy_fraction": float(busy_fraction),
-        "shard_ingested": int(shard_ingested),
-    }
-    if spans is not None:
-        msg["spans"] = spans
-    if telemetry is not None:
-        msg["telemetry"] = telemetry
-    if profile is not None:
-        msg["profile"] = profile
-    return msg
+def make_worker_report(worker: int, **sample: Any) -> dict[str, Any]:
+    """The worker's answer to ``collect``: its sample
+    (:func:`_with_sample`).  The drained packet log itself follows as
+    one binary record frame
+    (:func:`repro.cluster.ipc.encode_record_frame`)."""
+    return _with_sample(
+        {"op": "worker_report", "worker": int(worker)}, **sample
+    )
 
 
 def make_telemetry_pull() -> dict[str, Any]:
@@ -287,34 +270,12 @@ def make_telemetry_pull() -> dict[str, Any]:
     return {"op": "telemetry_pull"}
 
 
-def make_telemetry_report(
-    worker: int,
-    *,
-    queue_depth: int,
-    busy_fraction: float,
-    shard_ingested: int,
-    counters: dict[str, int],
-    telemetry: Optional[dict[str, Any]] = None,
-    spans: Optional[list[list[Any]]] = None,
-    profile: Optional[dict[str, Any]] = None,
-) -> dict[str, Any]:
-    """The worker's answer to a ``telemetry_pull``: same sample shape as
-    a ``flushed`` ack, without running the clock anywhere."""
-    msg = {
-        "op": "telemetry_report",
-        "worker": int(worker),
-        "queue_depth": int(queue_depth),
-        "busy_fraction": float(busy_fraction),
-        "shard_ingested": int(shard_ingested),
-        "counters": counters,
-    }
-    if telemetry is not None:
-        msg["telemetry"] = telemetry
-    if spans is not None:
-        msg["spans"] = spans
-    if profile is not None:
-        msg["profile"] = profile
-    return msg
+def make_telemetry_report(worker: int, **sample: Any) -> dict[str, Any]:
+    """The worker's answer to a ``telemetry_pull``: its sample
+    (:func:`_with_sample`), without running the clock anywhere."""
+    return _with_sample(
+        {"op": "telemetry_report", "worker": int(worker)}, **sample
+    )
 
 
 def make_shutdown() -> dict[str, Any]:

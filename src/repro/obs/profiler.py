@@ -27,8 +27,9 @@ sampling profiler in the flamegraph tradition:
   feeds the Chrome-trace timeline (:mod:`repro.obs.timeline`).
 
 Cluster story: each shard worker runs its *own* sampler and ships its
-cumulative folded-stack table on ``flushed`` / ``telemetry_report`` /
-``worker_report`` control frames; the parent folds them through
+cumulative folded-stack table in the sample every reply to the parent
+carries (:meth:`repro.cluster.worker._WorkerState.sample`); the parent
+folds them through
 :class:`ProfileMerger` — the same last-seen delta-merge idiom as
 :class:`~repro.obs.metrics.SnapshotMerger`, including the
 restart-re-inject rule — so one merged profile covers the whole

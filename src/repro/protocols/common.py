@@ -689,10 +689,3 @@ class PathRoutedProtocol(RoutingProtocol):
             if self.table is None or self.host is None:
                 return []
             return self.table.summary(self.host.now())
-
-    def route_count(self) -> int:
-        """'# of Routing Entries' in Table 2."""
-        with self._lock:
-            if self.table is None or self.host is None:
-                return 0
-            return len(self.table.entries(self.host.now()))

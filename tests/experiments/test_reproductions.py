@@ -139,14 +139,6 @@ class TestScale:
             expected = row.n_nodes * 3.0 / 0.5
             assert row.frames_ingested == pytest.approx(expected, rel=0.35)
 
-    def test_cluster_reduces_lag(self):
-        rows = scale.run_cluster_scaling(
-            (1, 4), n_nodes=16, duration=2.0, worker_service_rate=500.0
-        )
-        lags = {r.n_workers: r.max_queue_lag for r in rows}
-        assert lags[4] < lags[1]
-        assert rows[0].processed == rows[1].processed  # same offered work
-
 
 class TestFig10MeasuredNonRealtime:
     """The measured non-real-time curve (serialized re-stamping of the

@@ -285,6 +285,37 @@ def test_poem010_matched_protocol_is_clean(tmp_path):
     assert protocol_findings(build_project([tmp_path])) == []
 
 
+def test_poem010_dispatch_through_an_expected_op_parameter(tmp_path):
+    # One exchange helper checks every reply against the op its caller
+    # expects; the constants bound to that parameter are the dispatch arms.
+    tree = dict(PROTO_CLEAN)
+    tree["cluster/sharded.py"] = """
+        from ..net.messages import make_ping
+
+        class Parent:
+            def exchange(self, conn, request, expect):
+                conn.send(request)
+                reply = conn.recv()
+                if reply.get("op") != expect:
+                    raise ValueError(reply)
+
+            def drive(self, conn):
+                self.exchange(conn, make_ping(), "pong")
+    """
+    _write_tree(tmp_path, tree)
+    assert protocol_findings(build_project([tmp_path])) == []
+    # The same helper bound to an op nobody sends is dead protocol.
+    tree["cluster/sharded.py"] = tree["cluster/sharded.py"].replace(
+        '"pong")', 'expect="ping")'
+    )
+    _write_tree(tmp_path, tree)
+    fps = {fp for _, fp in protocol_findings(build_project([tmp_path]))}
+    assert fps == {
+        "proto:pong:worker->parent:undispatched",
+        "proto:ping:worker->parent:unsent",
+    }
+
+
 def test_poem010_skipped_outside_cluster_scope(tmp_path):
     # Linting a tree without both endpoints must not fabricate drift.
     _write_tree(tmp_path, {"net/messages.py": PROTO_COMMON["net/messages.py"]})

@@ -47,6 +47,20 @@ class TestMessages:
         assert "records" not in report  # they ride the binary record frame
         telem = make_telemetry_report(0, profile=profile, **sample)
         assert decode_message(encode_message(telem))["profile"] == profile
+        # One sample, three carriers: whatever a worker samples rides
+        # every reply under the same keys, apart from each op's own.
+        full = dict(
+            sample, profile=profile, telemetry={"metrics": []},
+            spans=[[1, 2, 3]],
+        )
+        own = {"op", "worker", "id"}
+        for built in (
+            make_flushed(2, 0, **full),
+            make_worker_report(0, **full),
+            make_telemetry_report(0, **full),
+        ):
+            assert {k: v for k, v in built.items() if k not in own} == full
+            assert built["worker"] == 0
 
     def test_scene_moves_round_trips_positions_exactly(self):
         from repro.net.messages import make_scene_moves
