@@ -168,7 +168,7 @@ def test_scheduler_p99_lag_under_load(benchmark):
 
 
 def test_neighbor_full_rebuild_100(benchmark):
-    """Vectorized O(n²) rebuild of a 100-node channel table."""
+    """``rebuild()`` of a 100-node channel table (rows come on first read)."""
     scene = Scene(seed=1)
     rng = np.random.default_rng(1)
     for i in range(1, 101):
@@ -206,6 +206,56 @@ def test_mobility_tick_64(benchmark):
 
     benchmark(tick)
     benchmark.extra_info["cpu_count"] = multiprocessing.cpu_count()
+
+
+def test_count_cold_fanouts_per_100_moves(benchmark):
+    """One node jiggles, the whole mesh keeps transmitting: the 8 x 4
+    lattice of ``benchmarks/e2e``'s ``sharded_mesh`` (spacing 60, range
+    150), a single move of node ``step % 32`` to 0.5 either side of its
+    home, then a read of all 32 fan-outs — what the engine does for the
+    next frame of every sender.
+
+    ``count_cold_fanouts_per_100_moves`` counts, over a fixed pass of
+    100 such steps on a fresh scene, the reads that came back as a new
+    object: the mover's row plus the row of every sender that has it in
+    range, Σ(1 + deg(mover)) = 1329, exactly.  3200 when a move turned
+    every row of its channel cold.
+    """
+    channel = ChannelId(1)
+    homes = [(30.0 + 60.0 * (i % 8), 30.0 + 60.0 * (i // 8)) for i in range(32)]
+
+    def build():
+        scene = Scene(seed=5)
+        for i, (x, y) in enumerate(homes):
+            scene.add_node(NodeId(i + 1), Vec2(x, y), RadioConfig.single(1, 150.0))
+        tables = ChannelIndexedNeighborTables(scene)
+        nodes = scene.node_ids()
+        held = [tables.fanout(node, channel) for node in nodes]
+        step = [0]
+
+        def one_step():
+            k = step[0] % 32
+            x, y = homes[k]
+            side = 0.5 if (step[0] // 32) % 2 == 0 else -0.5
+            step[0] += 1
+            scene.move_node(nodes[k], Vec2(x + side, y))
+            cold = 0
+            for i, node in enumerate(nodes):
+                fan = tables.fanout(node, channel)
+                if fan is not held[i]:
+                    held[i] = fan
+                    cold += 1
+            return cold
+
+        return one_step
+
+    one_step = build()
+    cold = sum(one_step() for _ in range(100))
+    assert cold == 1329
+    benchmark.extra_info["count_cold_fanouts_per_100_moves"] = cold
+    benchmark.extra_info["cpu_count"] = multiprocessing.cpu_count()
+
+    benchmark(build())
 
 
 def test_virtual_round_64(benchmark):

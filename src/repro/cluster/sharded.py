@@ -274,8 +274,8 @@ class ShardedEmulator:
     def _mark_dirty(self, event: SceneEvent) -> None:
         # Every scene event reaches the replicas — including
         # quarantine/restore, which deliberately do NOT bump
-        # Scene.version (they bypass the version-keyed caches), so a
-        # version compare alone would under-replicate.  A structural
+        # Scene.version (the topology is unchanged), so a version
+        # compare alone would under-replicate.  A structural
         # event supersedes the moves queued before it, and while a
         # snapshot is due later moves fold into it too.
         with self._pending_lock:

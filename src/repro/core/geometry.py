@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "Vec2",
     "distance",
-    "pairwise_distances",
     "points_within",
     "heading_vector",
 ]
@@ -80,21 +79,6 @@ def distance(a: Vec2, b: Vec2) -> float:
 def heading_vector(angle_deg: float) -> Vec2:
     """Unit vector pointing along ``angle_deg`` (degrees CCW from +x)."""
     return Vec2.from_polar(1.0, angle_deg)
-
-
-def pairwise_distances(points: Sequence[Vec2] | np.ndarray) -> np.ndarray:
-    """All-pairs Euclidean distance matrix.
-
-    Accepts either a sequence of :class:`Vec2` or an ``(n, 2)`` float array.
-    Returns an ``(n, n)`` symmetric array with zeros on the diagonal.  Used
-    by the neighbor-table rebuild path, where the O(n²) distance work is the
-    hot loop; numpy broadcasting keeps it out of the Python interpreter.
-    """
-    arr = _as_array(points)
-    if arr.shape[0] == 0:
-        return np.zeros((0, 0), dtype=float)
-    deltas = arr[:, None, :] - arr[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", deltas, deltas))
 
 
 def points_within(

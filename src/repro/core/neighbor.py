@@ -16,6 +16,13 @@ scene change only touches the tables of the channels the changed node is
 actually on, which "relieves the server processor of heavy load especially
 when emulating dynamic large-scale multi-radio MANETs."
 
+The indexed scheme holds that relation once: a channel's table keeps
+``NS(k)`` with its positions and ranges, and its rows — built on first
+read — are the very :class:`Fanout` objects the engine forwards along.
+A table is never changed once built, other than by filling rows in; a
+scene change swaps a new table in, so a reader on any thread holds a
+consistent one and the scene event is the only invalidation there is.
+
 Both schemes implement the same read interface and subscribe to scene
 events; both count the *units touched* per update so the Fig 6 ablation
 bench (``benchmarks/test_fig6_neighbor_update.py``) can quantify the claim.
@@ -45,17 +52,15 @@ __all__ = [
     "SingleTableNeighbors",
 ]
 
-_EMPTY_DISTS = np.empty(0, dtype=float)
-_EMPTY_FROZEN: frozenset[NodeId] = frozenset()
-
 
 @dataclass(frozen=True, slots=True)
 class Fanout:
-    """Precomputed broadcast fan-out of one (sender, channel) pair.
+    """Broadcast fan-out of one (sender, channel) pair: one table row.
 
-    Cached against the scene's per-channel version, so in steady state
-    (no mutations between packets) the forwarding engine reads this once
-    per ingest and performs **zero** table or distance reconstruction:
+    ``fanout()`` hands back the identical object for as long as nothing
+    the row holds has changed, so in steady state the forwarding engine
+    reads it once per ingest and performs **zero** table or distance
+    reconstruction:
 
     ``radio``
         the sender's radio on the channel (None: no such radio);
@@ -66,27 +71,36 @@ class Fanout:
         ``D(sender, target)`` per target, same order, precomputed so the
         loss/forward-time math vectorizes over the whole neighborhood;
     ``index``
-        target → position in ``targets`` (the unicast fast path).
+        target → position in ``targets`` (the unicast fast path);
+    ``neighbors``
+        ``targets`` as the frozenset ``neighbors()`` hands out.
     """
 
     radio: Optional[Radio]
     targets: tuple[NodeId, ...]
     distances: np.ndarray
     index: dict[NodeId, int]
+    neighbors: frozenset[NodeId]
+
+
+_NO_RADIO = Fanout(None, (), np.empty(0, dtype=float), {}, frozenset())
 
 
 @dataclass
 class UpdateStats:
     """Update-cost accounting for the Fig 6 ablation.
 
-    ``units_touched`` counts neighbor-table units examined or rewritten;
-    ``events`` counts scene events processed.  The indexed scheme's whole
-    point is a smaller ``units_touched`` for the same event stream.
+    ``units_touched`` counts the neighbor-table units a scene event puts
+    in question — the paper's measure, whether or not a row is read
+    again afterwards; ``events`` counts scene events processed.  The
+    indexed scheme's whole point is a smaller ``units_touched`` for the
+    same event stream.
 
-    A mobility tick that moves more than one member of channel ``k`` is
-    absorbed as one vectorized rebuild of that channel's table and counts
-    ``|NS(k)|²`` units for it, however many members moved; a single move
-    counts the incremental path's ``2·(|NS(k)|−1)``.
+    Per channel ``k`` of the changed node: a single move, an arrival or
+    a retune onto ``k`` counts ``2·(|NS(k)|−1)`` (its row and its place
+    in every peer's row); a range change or a departure ``|NS(k)|−1``; a
+    mobility tick that moves more than one member ``|NS(k)|²``, however
+    many moved.
     """
 
     units_touched: int = 0
@@ -103,11 +117,6 @@ class NeighborScheme(ABC):
     def __init__(self, scene: Scene) -> None:
         self.scene = scene
         self.stats = UpdateStats()
-        # (node, channel) -> (channel_version, Fanout): the engine's
-        # steady-state read cache (see Fanout).
-        self._fanout_cache: dict[
-            tuple[NodeId, ChannelId], tuple[int, Fanout]
-        ] = {}
         scene.add_listener(self._on_event)
         self.rebuild()
 
@@ -115,50 +124,40 @@ class NeighborScheme(ABC):
         """Stop observing the scene (tests swap schemes on one scene)."""
         self.scene.remove_listener(self._on_event)
 
+    def neighbors(self, node: NodeId, channel: ChannelId) -> frozenset[NodeId]:
+        """``NT(node, channel)`` — empty if the node has no radio there."""
+        return self.fanout(node, channel).neighbors
+
+    @abstractmethod
     def fanout(self, node: NodeId, channel: ChannelId) -> Fanout:
-        """Cached (radio, targets, distances) for ``node`` on ``channel``.
+        """The row of ``node`` on ``channel``, built on first read."""
 
-        Valid while ``scene.channel_version(channel)`` is unchanged; a
-        stale entry is rebuilt on the next read (never eagerly), so scene
-        mutation cost stays proportional to what actually changed.
-        """
-        version = self.scene.channel_version(channel)
-        key = (node, channel)
-        hit = self._fanout_cache.get(key)
-        if hit is not None and hit[0] == version:
-            return hit[1]
-        fan = self._build_fanout(node, channel)
-        self._fanout_cache[key] = (version, fan)
-        return fan
-
-    def _build_fanout(self, node: NodeId, channel: ChannelId) -> Fanout:
+    def _build_fanout(
+        self,
+        node: NodeId,
+        channel: ChannelId,
+        neighbors: Optional[frozenset[NodeId]] = None,
+    ) -> Fanout:
+        """The row from scratch off the scene: the reference the property
+        tests hold ``fanout()`` to, and the contrast scheme's miss path
+        (which passes the ``neighbors`` its flat table lists)."""
         scene = self.scene
         try:
             radio = scene.radio_on_channel(node, channel)
         except UnknownNodeError:
             radio = None
         if radio is None:
-            return Fanout(None, (), _EMPTY_DISTS, {})
-        targets = tuple(sorted(self.neighbors(node, channel)))
-        if not targets:
-            return Fanout(radio, (), _EMPTY_DISTS, {})
+            return _NO_RADIO
+        if neighbors is None:
+            neighbors = frozenset(self._row(node, channel))
+        targets = tuple(sorted(neighbors))
         pts = scene.positions_array(list(targets))
         pos = scene.position(node)
         dx = pts[:, 0] - pos.x
         dy = pts[:, 1] - pos.y
         distances = np.sqrt(dx * dx + dy * dy)
         index = {t: i for i, t in enumerate(targets)}
-        return Fanout(radio, targets, distances, index)
-
-    def _prune_node(self, node: NodeId) -> None:
-        """Drop a removed node's cache entries (memory hygiene)."""
-        stale = [k for k in self._fanout_cache if k[0] == node]
-        for k in stale:
-            del self._fanout_cache[k]
-
-    @abstractmethod
-    def neighbors(self, node: NodeId, channel: ChannelId) -> frozenset[NodeId]:
-        """``NT(node, channel)`` — empty if the node has no radio there."""
+        return Fanout(radio, targets, distances, index, neighbors)
 
     @abstractmethod
     def rebuild(self) -> None:
@@ -167,8 +166,6 @@ class NeighborScheme(ABC):
     @abstractmethod
     def _on_event(self, event: SceneEvent) -> None:
         """Incremental update on one scene mutation."""
-
-    # -- shared ground-truth helpers -----------------------------------------
 
     def _row(self, node: NodeId, channel: ChannelId) -> set[NodeId]:
         """Compute ``NT(node, channel)`` from scratch (vectorized).
@@ -188,207 +185,177 @@ class NeighborScheme(ABC):
         return {m for m, hit in zip(members, mask) if hit}
 
 
-class ChannelIndexedNeighborTables(NeighborScheme):
-    """PoEm's scheme: ``tables[k][A] == NT(A, k)``.
+@dataclass(slots=True)
+class _ChannelTable:
+    """``NS(k)`` and the rows of ``NT(·, k)`` read so far, for one channel.
 
-    Incremental updates only touch the channels in the changed node's
-    channel set (plus, on a retune, the channel it left).
+    Everything but ``pos`` and ``rows`` is shared with the tables a move
+    derives from this one.
+    """
+
+    members: tuple[NodeId, ...]  # NS(k), ascending
+    slot: dict[NodeId, int]  # member -> its index in the fields below
+    radios: list[Radio]
+    range2: np.ndarray  # R(A, k)², per member
+    pos: np.ndarray  # (n, 2)
+    rows: dict[NodeId, Fanout]
+
+    def hears(self, senders, targets=slice(None)):
+        """``D(A, B)²`` and the predicate ``D(A, B) <= R(A, k)`` for each
+        sender slot (one, or a list: one result row each) × target slot."""
+        x, y = self.pos[:, 0], self.pos[:, 1]
+        dx = x[targets] - x[senders, None]
+        dy = y[targets] - y[senders, None]
+        dist2 = dx * dx + dy * dy
+        return dist2, dist2 <= self.range2[senders, None]
+
+    def row(self, i: int) -> Fanout:
+        """``NT(members[i], k)`` in one vectorized pass."""
+        dist2, within = self.hears(i)
+        within[i] = False
+        hit = np.flatnonzero(within)
+        targets = tuple([self.members[j] for j in hit.tolist()])
+        index = {t: j for j, t in enumerate(targets)}
+        return Fanout(
+            self.radios[i], targets, np.sqrt(dist2[hit]), index,
+            frozenset(targets),
+        )
+
+
+class ChannelIndexedNeighborTables(NeighborScheme):
+    """PoEm's scheme: ``tables[k].rows[A]`` is ``NT(A, k)``, as a
+    :class:`Fanout`.
+
+    A scene change only swaps the tables of the channels in the changed
+    node's channel set (plus, on a retune, the channel it left): a fresh
+    one (:meth:`_build`) when membership, a range, a link or a tuning
+    changed, one that keeps every row the movers cannot have changed
+    (:meth:`_move`) when nodes moved.
     """
 
     def __init__(self, scene: Scene) -> None:
-        self._tables: dict[ChannelId, dict[NodeId, set[NodeId]]] = {}
-        # (node, channel) -> (channel_version, frozenset): steady-state
-        # reads return the cached immutable row with no per-read copy.
-        self._frozen: dict[
-            tuple[NodeId, ChannelId], tuple[int, frozenset[NodeId]]
-        ] = {}
+        self._tables: dict[ChannelId, _ChannelTable] = {}
         # Identity of the last multi-move tick absorbed (Scene.tick_movers).
         self._absorbed_tick: Optional[dict[ChannelId, list[NodeId]]] = None
         super().__init__(scene)
 
     # -- reads ---------------------------------------------------------------
 
-    def neighbors(self, node: NodeId, channel: ChannelId) -> frozenset[NodeId]:
-        version = self.scene.channel_version(channel)
-        key = (node, channel)
-        hit = self._frozen.get(key)
-        if hit is not None and hit[0] == version:
-            return hit[1]
+    def fanout(self, node: NodeId, channel: ChannelId) -> Fanout:
         table = self._tables.get(channel)
         if table is None:
-            row = _EMPTY_FROZEN
-        else:
-            raw = table.get(node)
-            row = frozenset(raw) if raw else _EMPTY_FROZEN
-        self._frozen[key] = (version, row)
-        return row
+            return _NO_RADIO
+        fan = table.rows.get(node)
+        if fan is None:
+            i = table.slot.get(node)
+            if i is None:
+                return _NO_RADIO
+            fan = table.rows[node] = table.row(i)
+        return fan
 
     def table_for_channel(
         self, channel: ChannelId
     ) -> dict[NodeId, frozenset[NodeId]]:
         """The whole per-channel table (GUI and tests inspect this)."""
-        return {
-            n: frozenset(row) for n, row in self._tables.get(channel, {}).items()
-        }
+        table = self._tables.get(channel)
+        members = table.members if table is not None else ()
+        return {m: self.neighbors(m, channel) for m in members}
 
     def channels(self) -> set[ChannelId]:
         return set(self._tables)
 
-    def _prune_node(self, node: NodeId) -> None:
-        super()._prune_node(node)
-        for k in [k for k in self._frozen if k[0] == node]:
-            del self._frozen[k]
-
-    # -- full rebuild ----------------------------------------------------------
+    # -- updates: the two routines that swap a table in ------------------------
 
     def rebuild(self) -> None:
         self._tables = {}
-        self._frozen.clear()
-        self._fanout_cache.clear()
         for channel in self.scene.all_channels():
-            self._rebuild_channel(channel)
+            n = self._build(channel)
+            self.stats.units_touched += n * n
 
-    def _rebuild_channel(self, channel: ChannelId) -> None:
-        """Vectorized rebuild of one channel's table.
-
-        O(|NS(k)|²) distance checks in numpy — the hot path when many
-        nodes move at once (mobility tick).
-        """
+    def _build(self, channel: ChannelId) -> int:
+        """Swap in a table made from the scene; returns ``|NS(k)|``."""
         scene = self.scene
-        members = sorted(scene.nodes_on_channel(channel))
-        table: dict[NodeId, set[NodeId]] = {}
-        if members:
-            pts = scene.positions_array(members)
-            deltas = pts[:, None, :] - pts[None, :, :]
-            dist2 = np.einsum("ijk,ijk->ij", deltas, deltas)
-            ranges = np.array(
-                [scene.radio_on_channel(m, channel).range for m in members]
-            )
-            within = dist2 <= (ranges[:, None] ** 2)
-            np.fill_diagonal(within, False)
-            for i, m in enumerate(members):
-                table[m] = {members[j] for j in np.nonzero(within[i])[0]}
-            self.stats.units_touched += len(members) * len(members)
-        if table:
-            self._tables[channel] = table
-        else:
+        members = tuple(sorted(scene.nodes_on_channel(channel)))
+        if not members:
             self._tables.pop(channel, None)
+            return 0
+        radios = [scene.radio_on_channel(m, channel) for m in members]
+        self._tables[channel] = _ChannelTable(
+            members,
+            {m: i for i, m in enumerate(members)},
+            radios,
+            np.array([r.range * r.range for r in radios]),
+            scene.positions_array(list(members)),
+            {},
+        )
+        return len(members)
 
-    # -- incremental updates -----------------------------------------------------
+    def _move(self, channel: ChannelId, movers: list[NodeId]) -> int:
+        """Swap in the table with ``movers`` at their new positions.
+
+        Keeps every row read so far whose sender stayed put and that no
+        mover was or is within range of — no other row can differ.
+        Returns ``|NS(k)|``.
+        """
+        old = self._tables[channel]
+        at = [old.slot[m] for m in movers]
+        pos = old.pos.copy()
+        pos[at] = self.scene.positions_array(movers)
+        new = _ChannelTable(
+            old.members, old.slot, old.radios, old.range2, pos, {}
+        )
+        moved = set(movers)
+        # list(): a reader on another thread may be filling old.rows.
+        stayed = [
+            (node, fan) for node, fan in list(old.rows.items())
+            if node not in moved and moved.isdisjoint(fan.neighbors)
+        ]
+        if stayed:
+            _, reached = new.hears([old.slot[n] for n, _ in stayed], at)
+            new.rows.update(
+                row for row, hit in zip(stayed, reached.any(axis=1)) if not hit
+            )
+        self._tables[channel] = new
+        return len(old.members)
 
     def _on_event(self, event: SceneEvent) -> None:
         self.stats.events += 1
-        kind = event.kind
-        node = event.node
-        if kind == "node-added":
-            for channel in self.scene.channels_of(node):
-                self._insert(node, channel)
-        elif kind == "node-removed":
-            self._remove_everywhere(node)
-            self._prune_node(node)
-        elif kind == "node-moved":
-            tick = self.scene.tick_movers
+        kind, node, scene, stats = event.kind, event.node, self.scene, self.stats
+        if kind == "node-moved":
+            tick = scene.tick_movers
             if tick is None:
                 # Only the channels the moved node is on can change.
-                for channel in self.scene.channels_of(node):
-                    self._refresh_node_on_channel(node, channel)
-            elif tick is not self._absorbed_tick:
+                tick = {channel: [node] for channel in scene.channels_of(node)}
+            elif tick is self._absorbed_tick:
+                return
+            else:
                 # First event of a multi-move tick: every position is
                 # final already, so absorb the whole tick here and let
                 # its remaining events pass.
                 self._absorbed_tick = tick
-                for channel, movers in tick.items():
-                    if len(movers) > 1:
-                        self._rebuild_channel(channel)
-                    else:
-                        self._refresh_node_on_channel(movers[0], channel)
-        elif kind == "range-set":
-            # R(A, k) only appears in A's own row on that radio's channel.
-            radio = self.scene.radios(node)[event.details["radio"]]
-            self._refresh_own_row(node, radio.channel)
-        elif kind == "channel-set":
-            self._handle_retune(node, ChannelId(event.details["channel"]))
-        # link-set / mobility-set don't affect neighborhood.
-
-    def _insert(self, node: NodeId, channel: ChannelId) -> None:
-        """Add ``node`` to channel ``channel``'s table, updating both sides."""
-        scene = self.scene
-        table = self._tables.setdefault(channel, {})
-        row = self._row(node, channel)
-        table[node] = set(row)
-        self.stats.units_touched += max(len(scene.nodes_on_channel(channel)) - 1, 0)
-        # Other members' rows: does node fall within *their* range?
-        pos = scene.position(node)
-        for other, other_row in table.items():
-            if other == node:
-                continue
-            r = scene.radio_on_channel(other, channel)
-            if r is not None and scene.position(other).distance_to(pos) <= r.range:
-                other_row.add(node)
-            else:
-                other_row.discard(node)
-            self.stats.units_touched += 1
-
-    def _remove_everywhere(self, node: NodeId) -> None:
-        """Remove a departed node from every table it appears in."""
-        empty_channels = []
-        for channel, table in self._tables.items():
-            if node in table:
-                del table[node]
-                for row in table.values():
-                    row.discard(node)
-                    self.stats.units_touched += 1
-            if not table:
-                empty_channels.append(channel)
-        for channel in empty_channels:
-            del self._tables[channel]
-
-    def _refresh_node_on_channel(self, node: NodeId, channel: ChannelId) -> None:
-        """Recompute ``node``'s row and its membership in peers' rows."""
-        scene = self.scene
-        table = self._tables.setdefault(channel, {})
-        table[node] = self._row(node, channel)
-        pos = scene.position(node)
-        for other, other_row in table.items():
-            if other == node:
-                continue
-            r = scene.radio_on_channel(other, channel)
-            if r is not None and scene.position(other).distance_to(pos) <= r.range:
-                other_row.add(node)
-            else:
-                other_row.discard(node)
-            self.stats.units_touched += 2  # node->other and other->node units
-
-    def _refresh_own_row(self, node: NodeId, channel: ChannelId) -> None:
-        """Range change: only NT(node, channel) can differ."""
-        table = self._tables.setdefault(channel, {})
-        table[node] = self._row(node, channel)
-        self.stats.units_touched += max(
-            len(self.scene.nodes_on_channel(channel)) - 1, 0
-        )
-
-    def _handle_retune(self, node: NodeId, new_channel: ChannelId) -> None:
-        """A radio switched channels: leave the old table, join the new.
-
-        The scene has already applied the change, so the channel the radio
-        *left* is whichever table still lists the node but is no longer in
-        ``CS(node)``.  Channels the node *stays* on are refreshed too: on a
-        multi-radio node the retuned radio may have been the one providing
-        ``R(node, k)`` for a channel another radio still covers, so the
-        node's rows there can change range.
-        """
-        current = self.scene.channels_of(node)
-        for channel in list(self._tables):
-            if channel not in current and node in self._tables[channel]:
-                table = self._tables[channel]
-                del table[node]
-                for row in table.values():
-                    row.discard(node)
-                    self.stats.units_touched += 1
-                if not table:
-                    del self._tables[channel]
-        for channel in current:
-            self._refresh_node_on_channel(node, channel)
+            for channel, movers in tick.items():
+                n = self._move(channel, movers)
+                stats.units_touched += n * n if len(movers) > 1 else 2 * (n - 1)
+        elif kind in ("range-set", "link-set"):
+            # R(A, k) only appears in A's own row on that radio's channel,
+            # and the row holds the radio with its link; link parameters
+            # put no neighbor unit in question.
+            n = self._build(scene.radios(node)[event.details["radio"]].channel)
+            if kind == "range-set":
+                stats.units_touched += n - 1
+        elif kind in ("node-added", "node-removed", "channel-set"):
+            # The scene has already applied the change: a table that still
+            # lists the node on a channel outside CS(node) is one it left.
+            # The channels a retuned node stays on are rebuilt too — the
+            # retuned radio may have been the one providing R(node, k) for
+            # a channel another radio still covers.
+            current = scene.channels_of(node) if node in scene else frozenset()
+            for channel, table in list(self._tables.items()):
+                if node in table.slot and channel not in current:
+                    stats.units_touched += self._build(channel)
+            for channel in current:
+                stats.units_touched += 2 * (self._build(channel) - 1)
+        # mobility-set / quarantine don't affect neighborhood.
 
 
 class SingleTableNeighbors(NeighborScheme):
@@ -403,40 +370,35 @@ class SingleTableNeighbors(NeighborScheme):
 
     def __init__(self, scene: Scene) -> None:
         self._units: dict[NodeId, set[tuple[NodeId, ChannelId]]] = {}
+        # Rows as read, each with the scene version it was read at.
+        # Flat-table reads must filter by channel tag, and no per-channel
+        # index exists here to say which rows an event left alone — that
+        # asymmetry is the point of the scheme — so the *global* version
+        # is the key and any mutation turns every row stale.
         self._cache: dict[
-            tuple[NodeId, ChannelId], tuple[int, frozenset[NodeId]]
+            tuple[NodeId, ChannelId], tuple[int, Fanout]
         ] = {}
         super().__init__(scene)
 
     # -- reads ---------------------------------------------------------------
 
-    def neighbors(self, node: NodeId, channel: ChannelId) -> frozenset[NodeId]:
-        # Flat-table reads must filter by channel tag; cache the filtered
-        # frozenset against the *global* scene version (no per-channel
-        # index exists here — that asymmetry is the point of the scheme).
+    def fanout(self, node: NodeId, channel: ChannelId) -> Fanout:
         version = self.scene.version
-        key = (node, channel)
-        hit = self._cache.get(key)
+        hit = self._cache.get((node, channel))
         if hit is not None and hit[0] == version:
             return hit[1]
-        row = self._units.get(node)
-        if not row:
-            result = _EMPTY_FROZEN
-        else:
-            result = frozenset(b for b, k in row if k == channel)
-        self._cache[key] = (version, result)
-        return result
+        listed = frozenset(
+            b for b, k in self._units.get(node, ()) if k == channel
+        )
+        fan = self._build_fanout(node, channel, listed)
+        self._cache[node, channel] = (version, fan)
+        return fan
 
     def rebuild(self) -> None:
         self._units = {}
         self._cache.clear()
         for node in self.scene.node_ids():
             self._units[node] = self._full_row(node)
-
-    def _prune_node(self, node: NodeId) -> None:
-        super()._prune_node(node)
-        for k in [k for k in self._cache if k[0] == node]:
-            del self._cache[k]
 
     def _full_row(self, node: NodeId) -> set[tuple[NodeId, ChannelId]]:
         units: set[tuple[NodeId, ChannelId]] = set()
@@ -454,7 +416,8 @@ class SingleTableNeighbors(NeighborScheme):
         if kind == "node-removed":
             self._units.pop(node, None)
             self._purge_and_refresh(node, removed=True)
-            self._prune_node(node)
+            for key in [key for key in self._cache if key[0] == node]:
+                del self._cache[key]  # memory hygiene
         elif kind in ("node-added", "node-moved", "range-set", "channel-set"):
             if node in self.scene:
                 self._units[node] = self._full_row(node)
@@ -486,6 +449,8 @@ class SingleTableNeighbors(NeighborScheme):
                 r = scene.radio_on_channel(other, k)
                 if r is None:
                     continue
-                if scene.position(other).distance_to(pos) <= r.range:
+                at = scene.position(other)
+                dx, dy = pos.x - at.x, pos.y - at.y
+                if dx * dx + dy * dy <= r.range * r.range:  # as is_neighbor
                     row.add((node, k))
                 self.stats.units_touched += 1

@@ -25,24 +25,15 @@ Each mutation emits a :class:`SceneEvent` to registered listeners —
 neighbor tables update incrementally, the scene recorder logs the event
 for post-emulation replay, and the GUI renderer refreshes.
 
-Version counters (hot-path caching contract)
---------------------------------------------
-The scene maintains a **global version** plus a **per-channel version**,
-each bumped *after* a mutation (and its listeners) completes:
-
-* :attr:`Scene.version` changes whenever anything that can affect any
-  neighborhood relation changes (add/remove/move/range/retune/link);
-* :meth:`Scene.channel_version` changes only when the mutation can affect
-  that channel's geometry or membership (a retune bumps both the channel
-  left and the channel joined — the §4.2 channel-indexing argument,
-  carried over to cache invalidation).
-
-Readers (neighbor schemes, the forwarding engine) key caches on these
-counters so steady-state ingest performs **zero** table reconstruction:
-a cached read is valid exactly while its version matches.  Version reads
-are lock-free — a reader racing a mutation sees either the old or the
-new counter; both outcomes are safe (at worst one extra recompute, or a
-consistent-but-stale row that the next read refreshes).
+Version
+-------
+:attr:`Scene.version` advances once per mutation that can affect a
+neighborhood relation (add/remove/range/retune/link) and once per tick
+of moves, *after* the listeners ran, so whoever reads a version has
+tables that already absorbed everything up to it.  It is the sharded
+cluster's replication stamp and the key of the contrast scheme's read
+cache; the channel-indexed tables need no counter — the event swaps
+their tables.  Reading it is lock-free.
 """
 
 from __future__ import annotations
@@ -112,12 +103,11 @@ class SceneSnapshot:
     """Immutable, version-stamped copy of a whole scene.
 
     This is the bootstrap unit of the sharded cluster's replication:
-    the parent exports one (stamped with :attr:`Scene.version`, the same
-    counter the neighbor/fanout caches invalidate on) when the workers
-    start and for every scene change that is not a node move, and each
-    worker rebuilds its private :class:`Scene` from it.  Node moves in
-    between reach that replica as deltas (:meth:`Scene.move_nodes`).
-    :class:`Radio` and its
+    the parent exports one (stamped with :attr:`Scene.version`) when the
+    workers start and for every scene change that is not a node move,
+    and each worker rebuilds its private :class:`Scene` from it.  Node
+    moves in between reach that replica as deltas
+    (:meth:`Scene.move_nodes`).  :class:`Radio` and its
     :class:`~repro.models.link.LinkModel` are frozen dataclasses of
     floats, so a snapshot shares them structurally — exporting is a
     shallow walk, not a deep copy.
@@ -177,9 +167,7 @@ class Scene:
         self._rng = np.random.default_rng(seed)
         self._time = 0.0
         self._time_source: Optional[Callable[[], float]] = None
-        # Monotone cache-invalidation counters (see module docstring).
-        self._version = 0
-        self._channel_versions: dict[ChannelId, int] = {}
+        self._version = 0  # see module docstring
         # Immutable snapshot of quarantined node ids, swapped wholesale on
         # quarantine/restore/remove so the engine's hot path can test
         # membership without taking the scene lock.
@@ -191,28 +179,14 @@ class Scene:
         # emitted (see :attr:`tick_movers`).
         self._tick_movers: Optional[dict[ChannelId, list[NodeId]]] = None
 
-    # -- versions (lock-free monotone reads) ---------------------------------
-
     @property
     def version(self) -> int:
-        """Global mutation counter: bumps on any topology-affecting change."""
+        """Mutation counter: bumps on any topology-affecting change."""
         return self._version
 
-    def channel_version(self, channel: ChannelId) -> int:
-        """Per-channel mutation counter (0 for never-touched channels)."""
-        return self._channel_versions.get(channel, 0)
-
-    def _bump(self, channels) -> None:
-        """Advance the global and the given channels' version counters.
-
-        Called with the scene lock held, *after* listeners ran, so a
-        version match always implies the neighbor tables already absorbed
-        every mutation up to that version.
-        """
+    def _bump(self) -> None:
+        """Advance :attr:`version`; scene lock held, *after* listeners ran."""
         self._version += 1
-        versions = self._channel_versions
-        for ch in channels:
-            versions[ch] = versions.get(ch, 0) + 1
 
     def bind_time_source(self, now_fn: Callable[[], float]) -> None:
         """Slave scene time to an emulation clock.
@@ -292,25 +266,25 @@ class Scene:
                     },
                 )
             )
-            self._bump(state.radios.channels)
+            self._bump()
             return state
 
     def remove_node(self, node_id: NodeId) -> None:
         """'Moving out' a node (paper's military-attack example, §2.2)."""
         with self._lock:
             self._sync_time()
-            channels = self._require(node_id).radios.channels
+            self._require(node_id)
             del self._nodes[node_id]
             if node_id in self._quarantined:
                 self._quarantined = self._quarantined - {node_id}
             self._emit(SceneEvent(self._time, "node-removed", node_id))
-            self._bump(channels)
+            self._bump()
 
     # -- quarantine (fault-tolerance layer) -----------------------------------
 
     # No _bump: quarantine filtering reads the lock-free
-    # quarantined_snapshot(), not the version-keyed neighbor caches —
-    # the topology (positions/channels) is deliberately unchanged.
+    # quarantined_snapshot(), not the neighbor tables — the topology
+    # (positions/channels) is deliberately unchanged.
     def quarantine_node(self, node_id: NodeId) -> None:  # poem: ignore[POEM003]
         """Mark a VMN stale: its topology entry survives, but the engine
         drops all traffic to/from it (``DropReason.NODE_STALE``).
@@ -416,7 +390,7 @@ class Scene:
         batch = movers if len(events) > 1 else None
         for event in events:
             self._emit(event, batch)
-        self._bump(movers)
+        self._bump()
 
     def set_radio_channel(
         self, node_id: NodeId, radio: RadioIndex, channel: ChannelId
@@ -426,7 +400,6 @@ class Scene:
             self._sync_time()
             state = self._require(node_id)
             try:
-                old_channel = state.radios[radio].channel
                 state.radios.set_channel(radio, channel)
             except (ConfigurationError, IndexError) as exc:
                 raise UnknownRadioError(node_id, radio) from exc
@@ -438,10 +411,7 @@ class Scene:
                     {"radio": int(radio), "channel": int(channel)},
                 )
             )
-            # A retune invalidates the channel left, the channel joined,
-            # and any other channel the node stays on (the retuned radio
-            # may have provided R(node, k) there).
-            self._bump({old_channel, channel} | state.radios.channels)
+            self._bump()
 
     def set_radio_range(
         self, node_id: NodeId, radio: RadioIndex, range_: float
@@ -464,7 +434,7 @@ class Scene:
                     {"radio": int(radio), "range": range_},
                 )
             )
-            self._bump({state.radios[radio].channel})
+            self._bump()
 
     def set_link_model(
         self, node_id: NodeId, radio: RadioIndex, link: LinkModel
@@ -494,9 +464,7 @@ class Scene:
                     },
                 )
             )
-            # Link parameters don't change membership, but the engine's
-            # fan-out cache holds the radio (and its link) per channel.
-            self._bump({state.radios[radio].channel})
+            self._bump()
 
     # No _bump: attaching a model does not move the node yet — the
     # first mobility tick that changes the position bumps (move_node).
@@ -693,7 +661,11 @@ class Scene:
             hit = sa.radios.radio_on_channel(channel)
             if hit is None or sb.radios.radio_on_channel(channel) is None:
                 return False
-            return distance(sa.position, sb.position) <= hit[1].range
+            # On squares, as the neighbor tables evaluate it, so the
+            # ground truth agrees with them at the boundary.
+            dx = sb.position.x - sa.position.x
+            dy = sb.position.y - sa.position.y
+            return dx * dx + dy * dy <= hit[1].range * hit[1].range
 
     def positions_array(self, node_ids: list[NodeId]) -> np.ndarray:
         """``(n, 2)`` positions for vectorized bulk recomputation."""
@@ -728,9 +700,9 @@ class Scene:
         are frozen and shared structurally.  The stamp is the *current*
         :attr:`version`, so ``scene.version != last_shipped.version`` is
         the cluster's replicate-needed test — with the caveat that
-        quarantine/restore deliberately do not bump the version (they
-        bypass the version-keyed caches), so replication triggers on
-        scene *events*, not on version compares alone.
+        quarantine/restore deliberately do not bump the version (the
+        topology is unchanged), so replication triggers on scene
+        *events*, not on version compares alone.
         """
         with self._lock:
             return SceneSnapshot(

@@ -12,8 +12,8 @@ blanket waivers).  Scope decisions worth knowing:
   is the one blocking-under-lock pattern that is correct by design.
 * **POEM003** applies inside classes whose name contains ``Scene``: any
   method that emits a mutation event (``self._emit``) must also advance
-  a version counter (``self._bump``) — the cache-invalidation contract
-  of the hot-path overhaul.
+  the version counter (``self._bump``) — it is the cluster's
+  replication stamp.
 * **POEM004**, **POEM006** and **POEM007** are scoped by module basename
   (the hot-path trio ``engine.py``/``scheduler.py``/``tcpserver.py``;
   the delay/scheduling set adds ``clock.py``/``server.py``/
@@ -145,8 +145,8 @@ class _Analyzer(ast.NodeVisitor):
     def _visit_function(
         self, node: Union[ast.FunctionDef, ast.AsyncFunctionDef]
     ) -> None:
-        # POEM003: Scene mutators must bump a version counter after
-        # emitting the mutation event (the cache-invalidation contract).
+        # POEM003: Scene mutators must bump the version counter after
+        # emitting the mutation event (the replication stamp).
         if self._class_stack and "Scene" in self._class_stack[-1]:
             emit_call: Optional[ast.Call] = None
             bumps = False
@@ -163,7 +163,7 @@ class _Analyzer(ast.NodeVisitor):
                     "POEM003",
                     emit_call,
                     f"Scene.{node.name} emits a mutation event but never "
-                    "bumps a version counter (stale neighbor caches)",
+                    "bumps the version counter (stale replication stamp)",
                     scope_line=node.lineno,
                 )
         self.generic_visit(node)

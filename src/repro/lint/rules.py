@@ -58,9 +58,9 @@ RULES: dict[str, Rule] = {
             "POEM003",
             "scene-version-bump",
             "Scene mutation emits an event without bumping a version",
-            "call self._bump(channels) after self._emit(...) so the "
-            "version-keyed neighbor/fan-out caches invalidate; a missed "
-            "bump serves stale topology forever",
+            "call self._bump() after self._emit(...): Scene.version is "
+            "the replication stamp and the contrast scheme's cache key; "
+            "a missed bump leaves both believing nothing changed",
         ),
         Rule(
             "POEM004",

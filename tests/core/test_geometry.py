@@ -11,7 +11,6 @@ from repro.core.geometry import (
     Vec2,
     distance,
     heading_vector,
-    pairwise_distances,
     points_within,
 )
 
@@ -69,33 +68,6 @@ class TestHeading:
             assert heading_vector(angle).norm() == pytest.approx(1.0)
 
 
-class TestPairwise:
-    def test_empty(self):
-        assert pairwise_distances([]).shape == (0, 0)
-
-    def test_matches_scalar(self):
-        pts = [Vec2(0, 0), Vec2(3, 4), Vec2(-1, 1)]
-        mat = pairwise_distances(pts)
-        for i, a in enumerate(pts):
-            for j, b in enumerate(pts):
-                assert mat[i, j] == pytest.approx(distance(a, b))
-
-    def test_symmetric_zero_diagonal(self):
-        rng = np.random.default_rng(0)
-        arr = rng.uniform(-100, 100, size=(20, 2))
-        mat = pairwise_distances(arr)
-        assert np.allclose(mat, mat.T)
-        assert np.allclose(np.diag(mat), 0.0)
-
-    def test_accepts_array(self):
-        arr = np.array([[0.0, 0.0], [3.0, 4.0]])
-        assert pairwise_distances(arr)[0, 1] == pytest.approx(5.0)
-
-    def test_rejects_bad_shape(self):
-        with pytest.raises(ValueError):
-            pairwise_distances(np.zeros((3, 3)))
-
-
 class TestPointsWithin:
     def test_empty(self):
         assert points_within(Vec2(0, 0), 10, []).shape == (0,)
@@ -104,6 +76,10 @@ class TestPointsWithin:
         # D(A,B) <= R — the paper's predicate is inclusive.
         mask = points_within(Vec2(0, 0), 5.0, [Vec2(5, 0), Vec2(5.001, 0)])
         assert mask.tolist() == [True, False]
+
+    def test_rejects_bad_shape(self):
+        with pytest.raises(ValueError):
+            points_within(Vec2(0, 0), 1.0, np.zeros((3, 3)))
 
     def test_basic(self):
         pts = [Vec2(1, 1), Vec2(10, 10), Vec2(-2, 0)]

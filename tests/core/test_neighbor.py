@@ -1,5 +1,9 @@
 """Tests for repro.core.neighbor — the channel-indexed tables (§4.2)."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -154,6 +158,93 @@ class TestBothSchemes:
                 )
             elif op == 3 and len(nodes) > 2:
                 scene.remove_node(target)
+        assert_scheme_correct(scheme, scene)
+
+
+class TestOnePredicate:
+    """``D(A,B) <= R(A,k)`` has one evaluation, so who-hears-whom does
+    not depend on the update path that last touched the pair."""
+
+    # hypot(B) <= 150 < sqrt(x² + y²) in floats: the two spellings of the
+    # predicate disagree about this point.
+    EDGE = Vec2(38.269125996437914, 145.0361127287572)
+
+    @pytest.mark.parametrize("path", ["move_node", "move_nodes", "add_node"])
+    def test_boundary_pair_reads_the_same_on_every_path(self, path):
+        scene = Scene(seed=0)
+        a, b, c = n(1), n(2), n(3)
+        scene.add_node(a, Vec2(0, 0), RadioConfig.single(1, 150.0))
+        scene.add_node(c, Vec2(900, 900), RadioConfig.single(1, 150.0))
+        if path != "add_node":
+            scene.add_node(b, Vec2(10, 10), RadioConfig.single(1, 150.0))
+        live = ChannelIndexedNeighborTables(scene)
+        assert_scheme_correct(live, scene)  # rows read before the change
+        if path == "move_node":
+            scene.move_node(b, self.EDGE)
+        elif path == "move_nodes":
+            scene.move_nodes([(b, self.EDGE), (c, Vec2(901, 900))])
+        else:
+            scene.add_node(b, self.EDGE, RadioConfig.single(1, 150.0))
+        fresh = ChannelIndexedNeighborTables(scene)
+        a_hears_b = b in live.neighbors(a, ch(1))
+        assert a_hears_b == (a in live.neighbors(b, ch(1)))  # equal ranges
+        assert a_hears_b == scene.is_neighbor(a, b, ch(1))
+        assert a_hears_b == scene.is_neighbor(b, a, ch(1))
+        assert live.table_for_channel(ch(1)) == fresh.table_for_channel(ch(1))
+        assert_scheme_correct(live, scene)
+
+
+class TestReadsBesideWrites:
+    def test_rows_stay_whole_while_another_thread_moves_nodes(self):
+        """The server reads fan-outs on its loop thread while the mobility
+        thread moves nodes: every row handed out is a finished one."""
+        scene = Scene(seed=0)
+        nodes = [n(i + 1) for i in range(64)]
+        for i, node in enumerate(nodes):
+            home = Vec2(30.0 + 60.0 * (i % 8), 30.0 + 60.0 * (i // 8))
+            scene.add_node(node, home, RadioConfig.single(1, 150.0))
+        scheme = ChannelIndexedNeighborTables(scene)
+        stop = threading.Event()
+        failures = []
+
+        def mover():
+            rng = np.random.default_rng(0)
+            try:
+                while not stop.is_set():
+                    picks = rng.choice(64, size=int(rng.integers(1, 9)),
+                                       replace=False)
+                    moves = [
+                        (nodes[k], Vec2(float(rng.uniform(0, 480)),
+                                        float(rng.uniform(0, 480))))
+                        for k in picks.tolist()
+                    ]
+                    if len(moves) == 1:
+                        scene.move_node(*moves[0])
+                    else:
+                        scene.move_nodes(moves)
+            except Exception as exc:  # reported by the assert below
+                failures.append(exc)
+
+        thread = threading.Thread(target=mover)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            thread.start()
+            reads = 0
+            deadline = time.monotonic() + 1.0
+            while time.monotonic() < deadline:
+                for node in nodes:
+                    fan = scheme.fanout(node, ch(1))
+                    assert len(fan.targets) == len(fan.distances) == len(fan.index)
+                    assert fan.neighbors == frozenset(fan.targets)
+                    reads += 1
+        finally:
+            stop.set()
+            thread.join(timeout=10.0)
+            sys.setswitchinterval(interval)
+            scheme.detach()
+        assert not thread.is_alive() and not failures, failures
+        assert reads >= 64
         assert_scheme_correct(scheme, scene)
 
 

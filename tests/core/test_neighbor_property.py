@@ -1,12 +1,12 @@
-"""Property tests for the version-keyed neighbor/fanout caches.
+"""Property tests for the neighbor-table rows the engine forwards along.
 
-The perf overhaul (see docs/performance.md) made ``neighbors()`` return a
-cached immutable frozenset and added a cached per-(node, channel)
-:class:`~repro.core.neighbor.Fanout`, both invalidated by the scene's
-monotone version counters.  A stale cache would silently corrupt
-forwarding, so these tests drive randomized mutation sequences through
-both schemes and assert, after every mutation, that the cached reads
-still agree with the ground-truth predicate recomputed from scratch.
+``fanout()`` hands back a kept :class:`~repro.core.neighbor.Fanout` row
+(and ``neighbors()`` the frozenset it carries) for as long as no scene
+event changed what the row holds (see docs/performance.md).  A row kept
+too long would silently corrupt forwarding, so these tests drive
+randomized mutation sequences through both schemes and assert, after
+every mutation, that the kept reads still agree with the ground-truth
+predicate recomputed from scratch.
 """
 
 import math
@@ -22,6 +22,7 @@ from repro.core.neighbor import (
     SingleTableNeighbors,
 )
 from repro.core.scene import Scene
+from repro.models.link import DelayModel, LinkModel
 from repro.models.radio import Radio, RadioConfig
 
 CHANNELS = [ChannelId(1), ChannelId(2), ChannelId(3)]
@@ -29,7 +30,7 @@ NODE_POOL = [NodeId(i) for i in range(1, 7)]
 
 # One randomized mutation: (kind, node_index, x, y, channel_index, range)
 _op = st.tuples(
-    st.sampled_from(["add", "remove", "move", "retune", "range"]),
+    st.sampled_from(["add", "remove", "move", "retune", "range", "link"]),
     st.integers(min_value=0, max_value=len(NODE_POOL) - 1),
     st.floats(min_value=0.0, max_value=300.0, allow_nan=False),
     st.floats(min_value=0.0, max_value=300.0, allow_nan=False),
@@ -60,6 +61,10 @@ def _apply(scene: Scene, op) -> None:
         scene.set_radio_channel(node, RadioIndex(0), channel)
     elif kind == "range" and present:
         scene.set_radio_range(node, RadioIndex(0), rng_)
+    elif kind == "link" and present:
+        # The row holds the radio, and with it the link the engine reads.
+        link = LinkModel(delay=DelayModel(base=rng_ / 1000.0))
+        scene.set_link_model(node, RadioIndex(0), link)
     # Ops targeting absent/present nodes in the wrong state are no-ops:
     # the generator explores sequences, not precondition violations.
 
@@ -200,10 +205,11 @@ def test_ticks_interleaved_with_single_mutations(steps):
     own predicate and the cached fan-out equals one built from scratch.
 
     A listener registered *ahead of* the schemes reads every row and
-    fan-out on each event, as a renderer would.  What it reads mid-tick
-    is cached under the versions current at that moment, so those reads
-    turn stale, and this test fails, unless the scene bumps its versions
-    only after every listener has run.
+    fan-out on each event, as a renderer would.  What it reads mid-event
+    is what the scheme held before absorbing the event, so this test
+    fails if such a read survives it: the indexed scheme fills it into
+    the table the event swaps out, and the contrast scheme's cache is
+    dropped by the version bump, which comes after every listener ran.
     """
     scene = Scene(seed=7)
     schemes = []
@@ -235,19 +241,39 @@ def test_ticks_interleaved_with_single_mutations(steps):
             scheme.detach()
 
 
-def test_version_bumps_are_scoped():
-    """A mutation bumps only the touched channels' versions (the paper's
-    §4.2 point, observable through the new version counters)."""
+def test_a_move_replaces_only_the_rows_it_reaches():
+    """A move swaps a table in on the mover's channels only, and that
+    table keeps every row the mover cannot have changed (the paper's
+    §4.2 point, observable as the identity of the rows)."""
     scene = Scene(seed=0)
-    scene.add_node(NodeId(1), Vec2(0, 0), RadioConfig.single(1, 50.0))
-    scene.add_node(NodeId(2), Vec2(10, 0), RadioConfig.single(2, 50.0))
-    v1 = scene.channel_version(ChannelId(1))
-    v2 = scene.channel_version(ChannelId(2))
-    g = scene.version
+    one, two = ChannelId(1), ChannelId(2)
+    for i, (x, channel) in enumerate(
+        [(0, 1), (40, 1), (300, 1), (340, 1), (0, 2), (10, 2)], start=1
+    ):
+        scene.add_node(NodeId(i), Vec2(x, 0), RadioConfig.single(channel, 50.0))
+    scheme = ChannelIndexedNeighborTables(scene)
+    before = {
+        (i, channel): scheme.fanout(NodeId(i), channel)
+        for i, channel in [(1, one), (2, one), (3, one), (4, one), (5, two)]
+    }
+    version = scene.version
     scene.move_node(NodeId(1), Vec2(5, 0))
-    assert scene.channel_version(ChannelId(1)) == v1 + 1
-    assert scene.channel_version(ChannelId(2)) == v2  # untouched channel
-    assert scene.version == g + 1
+    assert scene.version == version + 1
+    # Another channel, and senders the mover was and stays out of range of.
+    assert scheme.fanout(NodeId(5), two) is before[5, two]
+    assert scheme.fanout(NodeId(3), one) is before[3, one]
+    assert scheme.fanout(NodeId(4), one) is before[4, one]
+    # The mover's row and the row of the sender that reaches it are new.
+    for i, peer in ((1, 2), (2, 1)):
+        fan = scheme.fanout(NodeId(i), one)
+        assert fan is not before[i, one]
+        assert fan.targets == (NodeId(peer),)
+        assert fan.distances.tolist() == [35.0]
+    # Moving out of a sender's range replaces that sender's row too.
+    scene.move_node(NodeId(1), Vec2(0, 200))
+    assert scheme.fanout(NodeId(2), one).targets == ()
+    assert scheme.fanout(NodeId(3), one) is before[3, one]
+    scheme.detach()
 
 
 def test_neighbors_returns_cached_identical_object():

@@ -267,8 +267,6 @@ class TestAdvanceOncePerInstant:
         events = []
         scene.add_listener(events.append)
         version = scene.version
-        v1 = scene.channel_version(ChannelId(1))
-        v2 = scene.channel_version(ChannelId(2))
         scene.advance_time(1.0)
         assert [(e.kind, e.node, e.time) for e in events] == [
             ("node-moved", n(1), 1.0),
@@ -278,8 +276,6 @@ class TestAdvanceOncePerInstant:
         assert events[1].details == {"x": 51.0, "y": 0.0}
         # One bump per tick, however many nodes moved.
         assert scene.version == version + 1
-        assert scene.channel_version(ChannelId(1)) == v1 + 1
-        assert scene.channel_version(ChannelId(2)) == v2 + 1
 
     def test_listeners_see_the_whole_tick_applied(self, scene, tracked):
         """The first node-moved of a tick already shows every node at its
