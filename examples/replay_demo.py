@@ -18,10 +18,11 @@ from repro import (
     HybridProtocol,
     InProcessEmulator,
     RadioConfig,
+    ReplayEngine,
     SqliteRecorder,
     Vec2,
 )
-from repro.gui import ReplayTimeline, frame_to_svg
+from repro.gui import frame_to_svg, render_frame
 from repro.protocols.common import ProtocolTuning
 
 
@@ -51,22 +52,18 @@ def record(db_path: str) -> None:
 def replay(db_path: str, svg_dir: Path) -> None:
     """Phase 2: reconstruct from the database alone."""
     recorder = SqliteRecorder(db_path)
-    timeline = ReplayTimeline(recorder, fps=0.5, width=64, height=12)
-    print(timeline.summary())
+    engine = ReplayEngine(recorder)
+    print(engine.summary())
     print()
-    for frame in timeline.iter_frames():
-        print(frame)
+    for frame in engine.frames(fps=0.5):
+        print(render_frame(frame, width=64, height=12))
 
     svg_dir.mkdir(parents=True, exist_ok=True)
-    replay_engine = timeline.replay
-    t = replay_engine.start_time
-    i = 0
-    while t <= replay_engine.end_time:
-        svg = frame_to_svg(replay_engine.frame_at(t))
-        (svg_dir / f"frame_{i:03d}.svg").write_text(svg)
-        t += 1.0
-        i += 1
-    print(f"wrote {i} SVG frames to {svg_dir}/")
+    n = 0
+    for frame in engine.frames(fps=1.0):
+        (svg_dir / f"frame_{n:03d}.svg").write_text(frame_to_svg(frame))
+        n += 1
+    print(f"wrote {n} SVG frames to {svg_dir}/")
     recorder.close()
 
 

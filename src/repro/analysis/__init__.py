@@ -13,9 +13,11 @@ database file by path) and never touches a live emulation.
 
 Layers, bottom-up:
 
-:mod:`~repro.analysis.dataset`
+:class:`~repro.core.recording.RunDataset` (re-exported here)
     joins the recorder's four tables (packets, scene events, trace
-    spans, sync samples) into one indexed :class:`RunDataset`.
+    spans, sync samples) into one indexed snapshot — the one read path
+    the run report (:func:`~repro.stats.report.build_report`) and this
+    package share.
 :mod:`~repro.analysis.drift`
     per-client clock audit: least-squares drift rate over the §4.1
     sync-sample history, stamp-correction for lineage.
@@ -23,19 +25,20 @@ Layers, bottom-up:
     per-packet life story: origin stamp → receipt → decision →
     schedule → fire → send → delivery, skew-corrected.
 :mod:`~repro.analysis.aggregates`
-    windowed throughput/delay/jitter/loss per channel/node/link, loss
-    split medium-vs-transport.
+    windowed throughput/delay/jitter/loss per channel, loss split
+    medium-vs-transport.
 :mod:`~repro.analysis.anomalies`
     detectors with pluggable :class:`Thresholds` — lag spikes,
     timestamp inversions, drop storms, reordering, drift budget.
 :mod:`~repro.analysis.report`
-    ties it together: :func:`analyze` → :class:`AnalysisReport`,
-    rendered as text, JSON, or a self-contained HTML page.
+    ties it together: :func:`analyze` → :class:`AnalysisReport`, whose
+    totals and fidelity verdict come from the run report, rendered as
+    text, JSON, or a self-contained HTML page.
 """
 
+from ..core.recording import RunDataset, load_dataset
 from .aggregates import WindowStats, windowed_aggregates
 from .anomalies import Anomaly, Thresholds, detect_anomalies
-from .dataset import RunDataset, load_dataset
 from .drift import ClockAudit, DriftEstimate, audit_clocks
 from .lineage import LineageStage, PacketLineage, lineage
 from .report import AnalysisReport, analyze, render_html, render_json, render_text

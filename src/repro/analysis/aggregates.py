@@ -1,11 +1,10 @@
-"""Windowed traffic aggregates per channel / node / link.
+"""Windowed traffic aggregates per channel.
 
 The stats plane (:mod:`repro.stats.report`) totals a run; forensics
 needs the *time structure*: a drop storm in one 2-second window looks
 identical to uniform background loss in a whole-run total.  This module
 buckets the packet log into fixed windows and, within each window,
-groups outcomes by a key — ``channel``, ``sender`` node, or directed
-``link`` ``(sender, receiver)`` — computing throughput, delay, jitter
+groups outcomes by channel — computing throughput, delay, jitter
 (RFC-3550-style mean absolute delta of consecutive delays), and loss
 split into **medium** drops (the emulated radio: loss model, collision,
 out of range …) versus **transport** drops (the fault-tolerance layer:
@@ -18,37 +17,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 from ..core.packet import DropReason, PacketRecord
+from ..core.recording import RunDataset
 from ..errors import AnalysisError
-from .dataset import RunDataset
+from ..stats.metrics import mean_abs_step
 
-__all__ = ["WindowStats", "windowed_aggregates", "GROUP_KEYS"]
-
-GROUP_KEYS = ("channel", "node", "link")
-
-
-def _group_key(record: PacketRecord, group_by: str):
-    if group_by == "channel":
-        return record.channel
-    if group_by == "node":
-        return record.sender
-    if group_by == "link":
-        return (record.sender, record.receiver)
-    raise AnalysisError(
-        f"unknown group key {group_by!r}; expected one of {GROUP_KEYS}"
-    )
+__all__ = ["WindowStats", "windowed_aggregates"]
 
 
 @dataclass
 class WindowStats:
-    """Aggregates of one (window, group) bucket."""
+    """Aggregates of one (window, channel) bucket."""
 
     t0: float
     t1: float
-    group: object
-    """Channel id, sender node id, or (sender, receiver) link tuple."""
+    group: int
+    """Channel id."""
 
     offered: int = 0
     """Packets entering the pipeline in this window (by receipt time)."""
@@ -81,22 +67,15 @@ class WindowStats:
 
     @property
     def jitter(self) -> Optional[float]:
-        """Mean absolute difference of consecutive delays (RFC 3550)."""
-        if len(self._delays) < 2:
-            return None
-        diffs = [
-            abs(b - a) for a, b in zip(self._delays, self._delays[1:])
-        ]
-        return sum(diffs) / len(diffs)
+        """:func:`~repro.stats.metrics.mean_abs_step` of the delays in
+        record order."""
+        return mean_abs_step(self._delays)
 
     def as_dict(self) -> dict:
-        group = self.group
-        if isinstance(group, tuple):
-            group = list(group)
         return {
             "t0": self.t0,
             "t1": self.t1,
-            "group": group,
+            "group": self.group,
             "offered": self.offered,
             "delivered": self.delivered,
             "medium_drops": self.medium_drops,
@@ -118,29 +97,22 @@ def _bucket_time(record: PacketRecord) -> Optional[float]:
 
 
 def windowed_aggregates(
-    dataset: RunDataset,
-    *,
-    window: float = 1.0,
-    group_by: str = "channel",
-    records: Optional[Iterable[PacketRecord]] = None,
+    dataset: RunDataset, *, window: float = 1.0
 ) -> list[WindowStats]:
-    """Bucket the packet log into ``window``-second groups.
+    """Bucket the packet log into ``window``-second, per-channel groups.
 
-    Returns buckets ordered by (t0, group); empty buckets are omitted.
-    ``records`` restricts the analysis to a subset (default: all).
+    Returns buckets ordered by (t0, channel); empty buckets are omitted.
     """
     if window <= 0:
         raise AnalysisError(f"window must be positive, got {window}")
-    if records is None:
-        records = dataset.packets
     start, _end = dataset.time_range()
-    buckets: dict[tuple[int, object], WindowStats] = {}
-    for record in records:
+    buckets: dict[tuple[int, int], WindowStats] = {}
+    for record in dataset.packets:
         t = _bucket_time(record)
         if t is None:
             continue
         idx = int(math.floor((t - start) / window))
-        key = _group_key(record, group_by)
+        key = record.channel
         bucket = buckets.get((idx, key))
         if bucket is None:
             bucket = WindowStats(

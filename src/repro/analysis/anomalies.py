@@ -33,8 +33,8 @@ Catalog (kind → what it means):
     from recorded ``overload-state`` transitions): the run's real-time
     validity envelope was violated between those stamps.
 ``deadline-miss``
-    delivered frames fired later than 10× the lag budget (or frames
-    were shed outright as hopelessly late) at a rate above the
+    delivered frames fired later than ``MISS_FACTOR`` (10) lag budgets
+    (or frames were shed outright as hopelessly late) at a rate above the
     threshold — latency/jitter statistics from this run describe the
     overloaded emulator, not the emulated network.
 ``cross-shard-inversion``
@@ -57,13 +57,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..core.overload import MISS_FACTOR, DeadlineAccounting, degraded_intervals
 from ..core.packet import DropReason
-from .aggregates import windowed_aggregates
-from .dataset import RunDataset
+from ..core.recording import RunDataset
+from .aggregates import WindowStats, windowed_aggregates
 from .drift import ClockAudit, audit_clocks
 
-__all__ = ["Thresholds", "Anomaly", "detect_anomalies", "ANOMALY_KINDS",
-           "degraded_intervals"]
+__all__ = ["Thresholds", "Anomaly", "detect_anomalies", "ANOMALY_KINDS"]
 
 ANOMALY_KINDS = (
     "scheduler-lag",
@@ -102,8 +102,8 @@ class Thresholds:
     """Max tolerated projected stamp error (s) per client."""
 
     deadline_miss_rate: float = 0.01
-    """Fraction of deliveries later than 10× the lag budget at/above
-    which the run's real-time claim is considered broken."""
+    """Fraction of deliveries later than ``MISS_FACTOR`` lag budgets
+    at/above which the run's real-time claim is considered broken."""
 
     window: float = 1.0
     """Window width (s) for the windowed detectors."""
@@ -161,7 +161,8 @@ def detect_scheduler_lag(
             Anomaly(
                 kind="scheduler-lag",
                 severity="critical"
-                if worst is not None and worst > 10 * thresholds.lag_budget
+                if worst is not None
+                and worst > MISS_FACTOR * thresholds.lag_budget
                 else "warning",
                 subject="scan loop",
                 detail=(
@@ -213,13 +214,16 @@ def detect_timestamp_inversions(
 
 
 def detect_drop_storms(
-    dataset: RunDataset, thresholds: Thresholds
+    dataset: RunDataset,
+    thresholds: Thresholds,
+    aggregates: Optional[list[WindowStats]] = None,
 ) -> list[Anomaly]:
+    """Windows of ``aggregates`` (computed from the dataset when not
+    given) whose medium or transport loss reached the storm rate."""
     out: list[Anomaly] = []
-    buckets = windowed_aggregates(
-        dataset, window=thresholds.window, group_by="channel"
-    )
-    for b in buckets:
+    if aggregates is None:
+        aggregates = windowed_aggregates(dataset, window=thresholds.window)
+    for b in aggregates:
         if b.offered < thresholds.storm_min_offered:
             continue
         for flavor, count in (
@@ -315,42 +319,6 @@ def detect_clock_drift(
     return out
 
 
-def degraded_intervals(
-    dataset: RunDataset,
-) -> list[tuple[float, float, str]]:
-    """``(start, end, worst_state)`` intervals the run spent degraded.
-
-    Reconstructed from the ``overload-state`` scene events the server
-    records on every controller transition.  An interval still open at
-    the last event is closed at the run's end stamp.
-    """
-    events = sorted(
-        (e for e in dataset.scene_events if e.kind == "overload-state"),
-        key=lambda e: e.time,
-    )
-    if not events:
-        return []
-    rank = {"nominal": 0, "pressured": 1, "saturated": 2}
-    out: list[tuple[float, float, str]] = []
-    start: Optional[float] = None
-    worst = "nominal"
-    for event in events:
-        to = str(event.details.get("to", "nominal"))
-        if rank.get(to, 0) > 0:
-            if start is None:
-                start = event.time
-                worst = to
-            elif rank.get(to, 0) > rank.get(worst, 0):
-                worst = to
-        elif start is not None:
-            out.append((start, event.time, worst))
-            start = None
-            worst = "nominal"
-    if start is not None:
-        out.append((start, max(dataset.time_range()[1], start), worst))
-    return out
-
-
 def detect_overload_degradation(dataset: RunDataset) -> list[Anomaly]:
     out: list[Anomaly] = []
     for start, end, worst in degraded_intervals(dataset):
@@ -376,19 +344,13 @@ def detect_deadline_misses(
 ) -> list[Anomaly]:
     """Validity envelope over *every* delivered record (the lag detector
     above only sees sampled trace spans)."""
-    missed = 0
-    total = 0
-    worst = 0.0
-    horizon = thresholds.lag_budget * 10.0
-    for p in dataset.delivered:
-        if p.t_delivered is None or p.t_forward is None:
-            continue
-        total += 1
-        lag = p.t_delivered - p.t_forward
-        if lag > horizon:
-            missed += 1
-            if lag > worst:
-                worst = lag
+    lags = dataset.lags()
+    deadlines = DeadlineAccounting(thresholds.lag_budget)
+    for lag in lags:
+        deadlines.note(lag)
+    missed, total = deadlines.missed, deadlines.total
+    worst = max(lags) if missed else 0.0
+    horizon = thresholds.lag_budget * MISS_FACTOR
     shed = sum(
         1 for p in dataset.drops
         if p.drop_reason == DropReason.DEADLINE_SHED
@@ -523,15 +485,17 @@ def detect_anomalies(
     thresholds: Optional[Thresholds] = None,
     *,
     audit: Optional[ClockAudit] = None,
+    aggregates: Optional[list[WindowStats]] = None,
 ) -> list[Anomaly]:
-    """Run the whole catalog; findings ordered critical-first."""
+    """Run the whole catalog; findings ordered critical-first.
+    ``audit`` and ``aggregates`` are computed when not supplied."""
     thresholds = thresholds if thresholds is not None else Thresholds()
     if audit is None:
         audit = audit_clocks(dataset)
     findings: list[Anomaly] = []
     findings += detect_scheduler_lag(dataset, thresholds)
     findings += detect_timestamp_inversions(dataset, thresholds, audit)
-    findings += detect_drop_storms(dataset, thresholds)
+    findings += detect_drop_storms(dataset, thresholds, aggregates)
     findings += detect_reordering(dataset)
     findings += detect_clock_drift(dataset, thresholds, audit)
     findings += detect_overload_degradation(dataset)

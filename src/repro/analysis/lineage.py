@@ -38,8 +38,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..core.packet import PacketRecord
+from ..core.recording import RunDataset
 from ..obs.tracing import IPC_STAGES
-from .dataset import RunDataset
 from .drift import ClockAudit, audit_clocks
 
 __all__ = [

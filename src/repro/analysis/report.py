@@ -1,8 +1,10 @@
 """The forensics report: one call from recording to rendered insight.
 
 :func:`analyze` loads a recording (recorder instance or SQLite path),
-runs the clock audit, the windowed aggregates, the anomaly catalog, and
-resolves sample lineages; the resulting :class:`AnalysisReport` renders
+takes its totals and fidelity verdict from the run report
+(:func:`~repro.stats.report.build_report`), runs the clock audit, the
+windowed aggregates, the anomaly catalog, and resolves sample
+lineages; the resulting :class:`AnalysisReport` renders
 as plain text (operator terminal), JSON (machines), or a dependency-free
 single-file HTML page (CI artifact, ``/report`` endpoint).
 """
@@ -10,22 +12,16 @@ single-file HTML page (CI artifact, ``/report`` endpoint).
 from __future__ import annotations
 
 import html as _html
+import itertools
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from ..core.packet import DropReason
-from ..core.recording import Recorder
+from ..core.recording import Recorder, RunDataset, load_dataset
 from ..obs import flightrec
+from ..stats.report import build_report
 from .aggregates import WindowStats, windowed_aggregates
-from .anomalies import (
-    Anomaly,
-    Thresholds,
-    degraded_intervals,
-    detect_anomalies,
-)
-from .dataset import RunDataset, load_dataset
+from .anomalies import Anomaly, Thresholds, detect_anomalies
 from .drift import ClockAudit, audit_clocks
 from .lineage import PacketLineage, format_lineage, lineage
 
@@ -61,9 +57,9 @@ class AnalysisReport:
     anomalies: list[Anomaly]
     lineages: list[PacketLineage] = field(default_factory=list)
     crashes: list[dict] = field(default_factory=list)
-    """Recorded ``worker-crash`` scene events (sharded runs): worker
-    index, failure reason, and the flight-recorder artifact paths the
-    parent managed to dump before aborting."""
+    """One entry per ``last-crash`` finding (a recorded ``worker-crash``
+    event of a sharded run): time, worker index, failure reason, and the
+    flight-recorder artifact paths the parent managed to dump."""
 
     fidelity: dict = field(default_factory=dict)
     """Validity envelope: ``verdict`` (``real-time``/``degraded``/
@@ -107,24 +103,14 @@ class AnalysisReport:
 
 def _pick_lineage_records(dataset: RunDataset, count: int) -> list[int]:
     """Sample packets worth narrating: traced delivered ones first."""
-    if count <= 0:
-        return []
     picked: list[int] = []
-    for record in dataset.delivered:
-        if dataset.spans_for(record):
-            picked.append(record.record_id)
-            if len(picked) >= count:
-                return picked
-    for record in dataset.delivered:
+    delivered = dataset.delivered
+    traced = (r for r in delivered if dataset.spans_for(r))
+    for record in itertools.chain(traced, delivered, dataset.drops):
+        if len(picked) >= count:
+            break
         if record.record_id not in picked:
             picked.append(record.record_id)
-            if len(picked) >= count:
-                return picked
-    for record in dataset.drops:
-        if record.record_id not in picked:
-            picked.append(record.record_id)
-            if len(picked) >= count:
-                break
     return picked
 
 
@@ -136,25 +122,17 @@ def analyze(
     lineage_records: Optional[list[int]] = None,
 ) -> AnalysisReport:
     """Run the full forensics pass over one recording."""
-    if isinstance(source, RunDataset):
-        dataset = source
-    else:
-        dataset = load_dataset(source)
+    dataset = load_dataset(source)
     thresholds = thresholds if thresholds is not None else Thresholds()
+    run = build_report(dataset, top_flows=0, lag_budget=thresholds.lag_budget)
     audit = audit_clocks(dataset)
     start, end = dataset.time_range()
-    delivered = len(dataset.delivered)
-    medium = len(dataset.medium_drops)
-    transport = len(dataset.transport_drops)
-    reasons = Counter(
-        p.drop_reason for p in dataset.drops if p.drop_reason
-    )
     summary = dataset.run_summary
     consistent: Optional[bool] = None
     if summary is not None:
         consistent = (
-            summary.get("forwarded") == delivered
-            and summary.get("dropped") == medium + transport
+            summary.get("forwarded") == run.delivered
+            and summary.get("dropped") == run.dropped
         )
     record_ids = (
         list(lineage_records)
@@ -164,48 +142,19 @@ def analyze(
     lineages = [
         lineage(dataset, rid, audit=audit) for rid in record_ids
     ]
-    crashes = [
-        {
-            "t": event.time,
-            "worker": (event.details or {}).get("worker"),
-            "reason": (event.details or {}).get("reason"),
-            "flight": (event.details or {}).get("flight"),
-            "worker_flight": (event.details or {}).get("worker_flight"),
-        }
-        for event in dataset.scene_events
-        if event.kind == "worker-crash"
-    ]
-    # Validity envelope: did the emulator stay in real-time territory?
-    on_time = late = missed = 0
-    horizon = thresholds.lag_budget * 10.0
-    for p in dataset.delivered:
-        if p.t_delivered is None or p.t_forward is None:
-            continue
-        lag = p.t_delivered - p.t_forward
-        if lag <= thresholds.lag_budget:
-            on_time += 1
-        elif lag <= horizon:
-            late += 1
-        else:
-            missed += 1
-    shed = reasons.get(DropReason.DEADLINE_SHED, 0)
-    intervals = degraded_intervals(dataset)
-    degraded_s = sum(e - s for s, e, _ in intervals)
-    saturated = any(w == "saturated" for _, _, w in intervals)
-    if shed or missed or saturated:
-        verdict = "overloaded"
-    elif late or intervals:
-        verdict = "degraded"
-    else:
-        verdict = "real-time"
+    aggregates = windowed_aggregates(dataset, window=thresholds.window)
+    anomalies = detect_anomalies(
+        dataset, thresholds, audit=audit, aggregates=aggregates
+    )
+    intervals = run.overload_intervals
     fidelity = {
-        "verdict": verdict,
-        "lag_budget": thresholds.lag_budget,
-        "on_time": on_time,
-        "late": late,
-        "missed": missed,
-        "shed": shed,
-        "degraded_seconds": degraded_s,
+        "verdict": run.fidelity,
+        "lag_budget": run.lag_budget,
+        "on_time": run.deadline_on_time,
+        "late": run.deadline_late,
+        "missed": run.deadline_missed,
+        "shed": run.deadline_shed,
+        "degraded_seconds": sum(e - s for s, e, _ in intervals),
         "intervals": [
             {"start": s, "end": e, "worst": w} for s, e, w in intervals
         ],
@@ -215,20 +164,22 @@ def analyze(
         thresholds=thresholds,
         start=start,
         end=end,
-        total=len(dataset.packets),
-        delivered=delivered,
-        medium_drops=medium,
-        transport_drops=transport,
-        drops_by_reason=dict(sorted(reasons.items())),
+        total=run.total_records,
+        delivered=run.delivered,
+        medium_drops=run.dropped - run.transport_dropped,
+        transport_drops=run.transport_dropped,
+        drops_by_reason=dict(sorted(run.drop_reasons.items())),
         run_summary=summary,
         summary_consistent=consistent,
         audit=audit,
-        aggregates=windowed_aggregates(
-            dataset, window=thresholds.window, group_by="channel"
-        ),
-        anomalies=detect_anomalies(dataset, thresholds, audit=audit),
+        aggregates=aggregates,
+        anomalies=anomalies,
         lineages=lineages,
-        crashes=crashes,
+        crashes=[
+            {"t": a.t, **a.data}
+            for a in anomalies
+            if a.kind == "last-crash"
+        ],
         fidelity=fidelity,
     )
 

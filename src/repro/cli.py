@@ -292,31 +292,26 @@ def _cmd_run_scenario(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
+    from .core.replay import ReplayEngine
+    from .gui.ascii_view import render_frame
     from .gui.svg import frame_to_svg
-    from .gui.timeline import ReplayTimeline
 
     recorder = SqliteRecorder(args.recording)
     try:
-        timeline = ReplayTimeline(
-            recorder, fps=args.fps, width=args.width, height=args.height
-        )
-        print(timeline.summary())
+        replay = ReplayEngine(recorder)
+        print(replay.summary())
         if not args.summary_only:
-            for frame in timeline.iter_frames():
-                print(frame)
+            for frame in replay.frames(args.fps):
+                print(render_frame(frame, width=args.width,
+                                   height=args.height))
         if args.svg:
             out = Path(args.svg)
             out.mkdir(parents=True, exist_ok=True)
-            replay = timeline.replay
-            step = 1.0 / args.fps
-            t, i = replay.start_time, 0
-            while t <= replay.end_time + 1e-12:
-                (out / f"frame_{i:04d}.svg").write_text(
-                    frame_to_svg(replay.frame_at(t))
-                )
-                t += step
-                i += 1
-            print(f"wrote {i} SVG frames to {out}/")
+            n = 0
+            for frame in replay.frames(args.fps):
+                (out / f"frame_{n:04d}.svg").write_text(frame_to_svg(frame))
+                n += 1
+            print(f"wrote {n} SVG frames to {out}/")
     finally:
         recorder.close()
     return 0

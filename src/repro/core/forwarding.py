@@ -28,7 +28,7 @@ from .clock import RealTimeClock, VirtualClock
 from .engine import ForwardingEngine
 from .ids import NodeId
 from .neighbor import ChannelIndexedNeighborTables
-from .overload import OverloadConfig, OverloadController
+from .overload import OverloadConfig, OverloadController, fidelity_verdict
 from .packet import Packet
 from .recording import MemoryRecorder, Recorder
 from .scene import Scene, SceneEvent
@@ -198,6 +198,19 @@ class ForwardingCore:
             "transport_dropped": engine.transport_dropped,
         }
 
+    def _fidelity_sections(self) -> dict[str, Any]:
+        """``overload`` and ``deadline``: the controller snapshot and the
+        delivery buckets with the live fidelity verdict."""
+        overload = self.overload.snapshot()
+        d = self.engine.deadlines
+        verdict = fidelity_verdict(
+            d.late, d.missed, overload["shed"], overload["worst"]
+        )
+        return {
+            "overload": overload,
+            "deadline": {**d.as_dict(), "verdict": verdict},
+        }
+
     def _core_health(self) -> dict[str, Any]:
         """The sections of ``health()`` that describe the core; each
         shell puts its transport's sections in front."""
@@ -205,8 +218,7 @@ class ForwardingCore:
             "engine": self._engine_totals(),
             "schedule_depth": len(self.engine.schedule),
             "records_evicted": getattr(self.recorder, "evicted", 0),
-            "overload": self.overload.snapshot(),
-            "deadline": self.engine.deadlines.as_dict(),
+            **self._fidelity_sections(),
         }
 
     def record_run_summary(self) -> None:
@@ -217,6 +229,5 @@ class ForwardingCore:
             self.clock.now(),
             self._engine_totals(),
             self.profiler,
-            overload=self.overload.snapshot(),
-            deadline=self.engine.deadlines.as_dict(),
+            **self._fidelity_sections(),
         )

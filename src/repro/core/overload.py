@@ -29,8 +29,9 @@ The controller itself is deployment-agnostic and pure (injected
 ``time_fn``, no I/O): the owning server wires ``on_transition`` to the
 log/record/telemetry planes.  :class:`DeadlineAccounting` is the
 companion bookkeeping: every delivery lands in an on-time / late /
-missed bucket against a configurable lag budget, giving the run report
-its real-time fidelity verdict.
+missed bucket against a configurable lag budget.  :func:`fidelity_verdict`
+is the one rule that turns buckets and states into the run's verdict —
+live in ``health()``, offline in ``poem stats`` / ``poem analyze``.
 """
 
 from __future__ import annotations
@@ -39,16 +40,26 @@ import math
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from ..errors import PoEmError
+
+if TYPE_CHECKING:
+    from .recording import RunDataset
 
 __all__ = [
     "OverloadState",
     "OverloadConfig",
     "OverloadController",
     "DeadlineAccounting",
+    "MISS_FACTOR",
+    "fidelity_verdict",
+    "degraded_intervals",
 ]
+
+MISS_FACTOR = 10.0
+"""A delivery later than this many lag budgets is a *miss*; the same
+factor escalates a forensics lag warning to critical."""
 
 
 class OverloadState:
@@ -175,6 +186,7 @@ class OverloadController:
         self._time_fn = time_fn
         self._lock = threading.Lock()
         self._state = OverloadState.NOMINAL
+        self._worst = OverloadState.NOMINAL
         self._ewma = 0.0
         self._depth = 0
         self._quiet = 0
@@ -257,6 +269,8 @@ class OverloadController:
         self._time_in[old] += max(now - self._since, 0.0)
         self._since = now
         self._state = new
+        if _SEV[new] > _SEV[self._worst]:
+            self._worst = new
         self._quiet = 0
         self.transitions += 1
         return old, new, {
@@ -354,6 +368,7 @@ class OverloadController:
             saturated = self._accumulated_locked(OverloadState.SATURATED)
             return {
                 "state": self._state,
+                "worst": self._worst,
                 "lag_ewma": self._ewma,
                 "lag_budget": self.config.lag_budget,
                 "depth": self._depth,
@@ -406,26 +421,18 @@ class OverloadController:
 class DeadlineAccounting:
     """On-time / late / missed buckets for every delivery (Step 5-6).
 
-    ``lag ≤ budget`` is on time, ``lag ≤ miss_factor × budget`` is late,
-    anything beyond is a miss — the same 10× convention the forensics
-    plane uses to escalate a lag warning to critical.  Counters are bare
-    ints bumped from the delivery path (single scan thread per
-    deployment); readers tolerate a torn-by-one snapshot.
+    ``lag ≤ budget`` is on time, ``lag ≤ MISS_FACTOR × budget`` is late,
+    anything beyond is a miss.  Counters are bare ints bumped from the
+    delivery path (single scan thread per deployment); readers tolerate
+    a torn-by-one snapshot.
     """
 
-    __slots__ = ("budget", "miss_factor", "on_time", "late", "missed")
+    __slots__ = ("budget", "on_time", "late", "missed")
 
-    def __init__(
-        self, budget: float = 0.010, miss_factor: float = 10.0
-    ) -> None:
+    def __init__(self, budget: float = 0.010) -> None:
         if budget <= 0.0:
             raise PoEmError(f"lag budget must be positive, got {budget}")
-        if miss_factor < 1.0:
-            raise PoEmError(
-                f"miss_factor must be >= 1, got {miss_factor}"
-            )
         self.budget = budget
-        self.miss_factor = miss_factor
         self.on_time = 0
         self.late = 0
         self.missed = 0
@@ -433,7 +440,7 @@ class DeadlineAccounting:
     def note(self, lag: float) -> None:
         if lag <= self.budget:
             self.on_time += 1
-        elif lag <= self.budget * self.miss_factor:
+        elif lag <= self.budget * MISS_FACTOR:
             self.late += 1
         else:
             self.missed += 1
@@ -455,3 +462,55 @@ class DeadlineAccounting:
             "late": self.late,
             "missed": self.missed,
         }
+
+
+def fidelity_verdict(
+    late: int, missed: int, shed: int, worst_state: str
+) -> str:
+    """Did the run stay in real-time territory?
+
+    ``"overloaded"`` — deadlines missed, frames shed, or the controller
+    ever SATURATED: the numbers describe an emulator that fell behind
+    real time; ``"degraded"`` — late deliveries, or the controller ever
+    PRESSURED; ``"real-time"`` otherwise.  ``worst_state`` is the most
+    severe :class:`OverloadState` the run reached.
+    """
+    if shed or missed or worst_state == OverloadState.SATURATED:
+        return "overloaded"
+    if late or worst_state == OverloadState.PRESSURED:
+        return "degraded"
+    return "real-time"
+
+
+def degraded_intervals(
+    dataset: "RunDataset",
+) -> list[tuple[float, float, str]]:
+    """``(start, end, worst_state)`` intervals a recorded run spent
+    outside NOMINAL.
+
+    Reconstructed from the ``overload-state`` scene events the owning
+    server records on every controller transition.  An interval still
+    open at the last event is closed at the run's end stamp.
+    """
+    events = sorted(
+        (e for e in dataset.scene_events if e.kind == "overload-state"),
+        key=lambda e: e.time,
+    )
+    out: list[tuple[float, float, str]] = []
+    start: Optional[float] = None
+    worst = OverloadState.NOMINAL
+    for event in events:
+        to = str(event.details.get("to", OverloadState.NOMINAL))
+        if _SEV.get(to, 0) > 0:
+            if start is None:
+                start = event.time
+                worst = to
+            elif _SEV.get(to, 0) > _SEV.get(worst, 0):
+                worst = to
+        elif start is not None:
+            out.append((start, event.time, worst))
+            start = None
+            worst = OverloadState.NOMINAL
+    if start is not None:
+        out.append((start, max(dataset.time_range()[1], start), worst))
+    return out

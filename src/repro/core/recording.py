@@ -22,6 +22,9 @@ used by tests and the virtual-time emulator by default) and
 are thread-safe because the real-time server records from several threads
 at once — the paper's two "recording threads" become serialized appends
 behind a lock (sqlite connections are per-thread-unsafe otherwise).
+
+:class:`RunDataset` is the read side: the one indexed snapshot of a
+finished recording that the run report and the forensics pass share.
 """
 
 from __future__ import annotations
@@ -31,15 +34,18 @@ import sqlite3
 import threading
 from abc import ABC, abstractmethod
 from collections import deque
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
-from ..errors import RecordingError
+from ..errors import AnalysisError, RecordingError
 from .clock import SyncSample
 from .ids import NodeId
 from .packet import PacketRecord
 from .scene import SceneEvent
 
-__all__ = ["Recorder", "MemoryRecorder", "SqliteRecorder"]
+__all__ = [
+    "Recorder", "MemoryRecorder", "SqliteRecorder", "RunDataset",
+    "load_dataset",
+]
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS packets (
@@ -58,7 +64,6 @@ CREATE TABLE IF NOT EXISTS packets (
     t_delivered REAL,
     drop_reason TEXT
 );
-CREATE INDEX IF NOT EXISTS idx_packets_origin ON packets (t_origin);
 CREATE TABLE IF NOT EXISTS scene_events (
     event_id INTEGER PRIMARY KEY,
     time     REAL NOT NULL,
@@ -185,17 +190,6 @@ class Recorder(ABC):
     def next_record_id(self) -> int:
         """Allocate a packet record id (engine fills it into the record)."""
         raise NotImplementedError
-
-    def packets_between(self, t0: float, t1: float) -> list[PacketRecord]:
-        """Packet rows with ``t_origin`` in ``[t0, t1)`` (None excluded)."""
-        return [
-            p
-            for p in self.packets()
-            if p.t_origin is not None and t0 <= p.t_origin < t1
-        ]
-
-    def delivered_packets(self) -> list[PacketRecord]:
-        return [p for p in self.packets() if not p.dropped]
 
     def dropped_packets(self) -> list[PacketRecord]:
         return [p for p in self.packets() if p.dropped]
@@ -449,24 +443,6 @@ class SqliteRecorder(Recorder):
             ).fetchall()
         return [self._row_to_record(r) for r in rows]
 
-    def packets_between(self, t0: float, t1: float) -> list[PacketRecord]:
-        """SQL-side time-window query over ``idx_packets_origin``.
-
-        The base class scans the full Python list; here the ``t_origin``
-        index answers the range predicate directly, so windowed analysis
-        over a large recording never materializes the whole log.
-        Row order (``record_id``) matches the Python path exactly
-        (property-tested equivalence in ``tests/core/test_recording.py``).
-        """
-        with self._lock:  # poem: ignore[POEM002] — serialized sqlite connection (see _lock note)
-            rows = self._conn.execute(
-                f"SELECT {self._PACKET_COLUMNS} FROM packets"
-                " WHERE t_origin IS NOT NULL AND t_origin >= ?"
-                " AND t_origin < ? ORDER BY record_id",
-                (t0, t1),
-            ).fetchall()
-        return [self._row_to_record(r) for r in rows]
-
     def scene_events(self) -> list[SceneEvent]:
         with self._lock:  # poem: ignore[POEM002] — serialized sqlite connection (see _lock note)
             rows = self._conn.execute(
@@ -551,3 +527,179 @@ class SqliteRecorder(Recorder):
     def close(self) -> None:
         with self._lock:
             self._conn.close()
+
+
+class RunDataset:
+    """Joined, indexed snapshot of one recording.
+
+    Snapshots the recorder's four tables and builds the indexes the
+    readers need: packets by record id, trace spans by
+    ``(source, seqno)``, sync samples by node, and the terminal
+    ``run-summary`` scene event when the run shut down cleanly.  It is
+    deliberately a *snapshot* — analysis never races a live emulation;
+    point it at a finished run.
+    """
+
+    def __init__(
+        self,
+        packets: list[PacketRecord],
+        scene_events: list[SceneEvent],
+        spans: list,
+        sync_samples: list,
+    ) -> None:
+        self.packets = packets
+        self.scene_events = scene_events
+        self.spans = spans
+        self.sync_samples = sync_samples
+        self.evicted = 0  # ring-bound evictions (set by from_recorder)
+        # -- indexes --------------------------------------------------------
+        self._by_record_id = {p.record_id: p for p in packets}
+        self._spans_by_key: dict[tuple[int, int], list] = {}
+        for span in spans:
+            self._spans_by_key.setdefault(
+                (span.source, span.seqno), []
+            ).append(span)
+        self._syncs_by_node: dict[int, list] = {}
+        for s in sync_samples:
+            self._syncs_by_node.setdefault(s.node, []).append(s)
+        for lst in self._syncs_by_node.values():
+            lst.sort(key=lambda s: s.t_server)
+
+    @classmethod
+    def from_recorder(cls, recorder: Recorder) -> "RunDataset":
+        dataset = cls(
+            recorder.packets(),
+            recorder.scene_events(),
+            recorder.spans(),
+            recorder.sync_samples(),
+        )
+        dataset.evicted = int(getattr(recorder, "evicted", 0))
+        return dataset
+
+    # -- basic partitions ----------------------------------------------------
+
+    @property
+    def delivered(self) -> list[PacketRecord]:
+        return [p for p in self.packets if not p.dropped]
+
+    @property
+    def drops(self) -> list[PacketRecord]:
+        return [p for p in self.packets if p.dropped]
+
+    def lags(self) -> list[float]:
+        """Scheduler lag (``t_delivered − t_forward``) of every
+        delivered record, in record order."""
+        return [
+            p.t_delivered - p.t_forward
+            for p in self.packets
+            if not p.dropped
+            and p.t_delivered is not None
+            and p.t_forward is not None
+        ]
+
+    # -- lookups -------------------------------------------------------------
+
+    def packet(self, record_id: int) -> PacketRecord:
+        try:
+            return self._by_record_id[record_id]
+        except KeyError:
+            raise AnalysisError(
+                f"no packet record with id {record_id}"
+            ) from None
+
+    def spans_for(self, record: PacketRecord):
+        """Trace spans sampled for this packet, best match first.
+
+        Spans are keyed by ``(source, seqno)``; a broadcast fans out to
+        one span per receiver, so prefer the span whose receiver matches
+        the record's.
+        """
+        candidates = self._spans_by_key.get(
+            (record.source, record.seqno), []
+        )
+        if not candidates:
+            return []
+        return sorted(
+            candidates,
+            key=lambda sp: (
+                0 if sp.receiver == record.receiver else 1,
+                sp.trace_id,
+            ),
+        )
+
+    def syncs_for(self, node: int) -> list:
+        """§4.1 sync samples of one client, ordered by server time."""
+        return list(self._syncs_by_node.get(node, []))
+
+    def synced_nodes(self) -> list[int]:
+        return sorted(self._syncs_by_node)
+
+    # -- run framing ---------------------------------------------------------
+
+    def _last_event(self, kind: str) -> Optional[SceneEvent]:
+        for event in reversed(self.scene_events):
+            if event.kind == kind:
+                return event
+        return None
+
+    @property
+    def run_summary(self) -> Optional[dict]:
+        """Details of the terminal ``run-summary`` event, if recorded."""
+        event = self._last_event("run-summary")
+        return None if event is None else dict(event.details)
+
+    @property
+    def cluster_run(self) -> Optional[dict]:
+        """Details of the ``cluster-run`` event a sharded run records at
+        collect time (worker count, shard map, per-worker counters), or
+        ``None`` for single-process recordings.  Gates the cross-shard
+        coherence audit in :mod:`repro.analysis.anomalies`."""
+        event = self._last_event("cluster-run")
+        return None if event is None else dict(event.details)
+
+    def time_range(self) -> tuple[float, float]:
+        """``(start, end)`` of the run on the server clock.
+
+        Start is the earliest receipt/scene time; end prefers the
+        ``run-summary`` stop stamp, falling back to the last observed
+        packet/scene time.
+        """
+        times: list[float] = []
+        for p in self.packets:
+            for t in (p.t_receipt, p.t_forward, p.t_delivered):
+                if t is not None:
+                    times.append(t)
+        times.extend(e.time for e in self.scene_events)
+        if not times:
+            return (0.0, 0.0)
+        end = max(times)
+        summary = self._last_event("run-summary")
+        if summary is not None:
+            end = max(end, summary.time)
+        return (min(times), end)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"RunDataset(packets={len(self.packets)},"
+            f" events={len(self.scene_events)}, spans={len(self.spans)},"
+            f" syncs={len(self.sync_samples)})"
+        )
+
+
+def load_dataset(source: Union[str, Recorder, RunDataset]) -> RunDataset:
+    """Load a run from a :class:`Recorder` or a SQLite file path (a
+    :class:`RunDataset` passes through).
+
+    A path is opened read-style via :class:`SqliteRecorder` (sqlite is
+    append-only here; opening an existing db never mutates recorded
+    rows) and closed again once the snapshot is taken.
+    """
+    if isinstance(source, RunDataset):
+        return source
+    if isinstance(source, Recorder):
+        return RunDataset.from_recorder(source)
+    recorder = SqliteRecorder(str(source))
+    try:
+        return RunDataset.from_recorder(recorder)
+    finally:
+        recorder.close()

@@ -7,7 +7,8 @@ scenario after emulation ... will be preferred."
 :class:`ReplayEngine` reconstructs the run from the recorder's two logs:
 scene events rebuild node positions/radios at any time ``t`` (a fold of
 the event stream), and packet records provide the traffic that was in
-flight around ``t``.  Frames can be stepped at a fixed rate or queried at
+flight around ``t``.  Frames can be stepped at a fixed rate
+(:meth:`ReplayEngine.frames`, what ``poem replay`` prints) or queried at
 arbitrary times; the GUI module renders them as ASCII or SVG.
 
 The reconstruction is exact: replaying a recording reproduces precisely
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from ..errors import ReplayError
 from .ids import NodeId
@@ -50,6 +51,10 @@ class ReplayFrame:
     nodes: dict[NodeId, ReplayNode] = field(default_factory=dict)
     in_flight: list[PacketRecord] = field(default_factory=list)
     recent_drops: list[PacketRecord] = field(default_factory=list)
+    delivered_so_far: int = 0
+    """Delivered records with ``t_delivered ≤ time``."""
+    dropped_so_far: int = 0
+    """Dropped records with ``t_receipt ≤ time``."""
     truncated_before: Optional[float] = None
     """When the recorder's ring bound evicted early packet records, the
     earliest *surviving* packet time: traffic before this instant
@@ -82,6 +87,12 @@ class ReplayEngine:
         self._drops = sorted(
             (p for p in self._packets if p.dropped and p.t_receipt is not None),
             key=lambda p: p.t_receipt,
+        )
+        self._drop_times = [p.t_receipt for p in self._drops]
+        self._delivery_times = sorted(
+            p.t_delivered
+            for p in self._packets
+            if not p.dropped and p.t_delivered is not None
         )
         self.truncated_before: Optional[float] = None
         if getattr(recorder, "evicted", 0):
@@ -183,13 +194,9 @@ class ReplayEngine:
 
     def drops_between(self, t0: float, t1: float) -> list[PacketRecord]:
         """Dropped packets with receipt time in ``[t0, t1)``."""
-        lo = bisect.bisect_left([p.t_receipt for p in self._drops], t0)
-        out = []
-        for p in self._drops[lo:]:
-            if p.t_receipt >= t1:
-                break
-            out.append(p)
-        return out
+        lo = bisect.bisect_left(self._drop_times, t0)
+        hi = bisect.bisect_left(self._drop_times, t1)
+        return self._drops[lo:hi]
 
     def frame_at(self, t: float, drop_window: float = 0.5) -> ReplayFrame:
         """One complete replay frame at time ``t``."""
@@ -198,18 +205,52 @@ class ReplayEngine:
             nodes=self.scene_at(t),
             in_flight=self.in_flight_at(t),
             recent_drops=self.drops_between(t - drop_window, t),
+            delivered_so_far=bisect.bisect_right(self._delivery_times, t),
+            dropped_so_far=bisect.bisect_right(self._drop_times, t),
             truncated_before=self.truncated_before,
         )
 
-    def frames(self, fps: float = 10.0) -> list[ReplayFrame]:
-        """Fixed-rate frames across the whole recording (inclusive ends)."""
+    def frames(
+        self,
+        fps: float = 10.0,
+        t_start: Optional[float] = None,
+        t_end: Optional[float] = None,
+    ) -> Iterator[ReplayFrame]:
+        """Frames at ``fps`` across ``[t_start, t_end]`` (default: the
+        whole recording), built lazily.  A closing frame at exactly
+        ``t_end`` is added when the step misses it, so the final
+        counters are always shown."""
         if fps <= 0:
             raise ReplayError(f"fps must be positive: {fps}")
-        step = 1.0 / fps
-        frames = []
-        t = self.start_time
-        end = self.end_time
-        while t <= end + 1e-12:
-            frames.append(self.frame_at(t))
-            t += step
-        return frames
+        start = self.start_time if t_start is None else t_start
+        end = self.end_time if t_end is None else t_end
+        return map(self.frame_at, _frame_times(start, end, 1.0 / fps))
+
+    def summary(self) -> str:
+        """Whole-run statistics block (what ``poem replay`` prints first)."""
+        total = len(self._packets)
+        dropped = sum(1 for p in self._packets if p.dropped)
+        start, end = self.start_time, self.end_time
+        lines = [
+            "Replay summary",
+            f"  duration        : {end - start:.3f}s "
+            f"({start:.3f} .. {end:.3f})",
+            f"  scene events    : {len(self._events)}",
+            f"  packet records  : {total}",
+            f"  delivered       : {total - dropped}",
+            f"  dropped         : {dropped}",
+        ]
+        if total:
+            lines.append(f"  overall loss    : {dropped / total:.1%}")
+        return "\n".join(lines)
+
+
+def _frame_times(start: float, end: float, step: float) -> Iterator[float]:
+    t = start
+    last = None
+    while t <= end + 1e-12:
+        yield t
+        last = t
+        t += step
+    if last is None or last < end - 1e-12:
+        yield end

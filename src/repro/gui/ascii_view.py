@@ -6,7 +6,9 @@ picture as monospaced text: node labels on a character grid, optional
 range outlines, and a channel legend.  It accepts either a live
 :class:`~repro.core.scene.Scene` or a replay frame's node dict, so the
 same renderer serves both real-time observation and post-emulation
-replay (Table 1's last column).
+replay (Table 1's last column).  :func:`render_frame` adds the replay
+scrubber's status strip — traffic in flight and running delivered /
+dropped counters — above one replay frame's picture.
 """
 
 from __future__ import annotations
@@ -14,11 +16,11 @@ from __future__ import annotations
 import math
 from typing import Mapping, Optional
 
-from ..core.replay import ReplayNode
+from ..core.replay import ReplayFrame, ReplayNode
 from ..core.scene import Scene
 from ..errors import ConfigurationError
 
-__all__ = ["render_scene", "render_nodes"]
+__all__ = ["render_scene", "render_nodes", "render_frame"]
 
 
 def render_scene(
@@ -124,3 +126,21 @@ def render_nodes(
     )
     frame = "\n".join("".join(row) for row in grid)
     return f"{frame}\n[{legend}]\n"
+
+
+def render_frame(
+    frame: ReplayFrame,
+    *,
+    width: int = 72,
+    height: int = 20,
+    show_ranges: bool = False,
+) -> str:
+    """One step of the replay timeline: status strip + scene picture."""
+    return (
+        f"--- t={frame.time:8.3f}s  in-flight={len(frame.in_flight):3d}  "
+        f"delivered={frame.delivered_so_far:5d}  "
+        f"dropped={frame.dropped_so_far:5d} ---\n"
+        + render_nodes(
+            frame.nodes, width=width, height=height, show_ranges=show_ranges
+        )
+    )

@@ -31,8 +31,8 @@ command                         effect
 =============================  =============================================
 
 (``timeline`` here exports the *wall-clock* Chrome trace-event JSON from
-:mod:`repro.obs.timeline`; the ASCII *emulation-time* replay view lives
-in :mod:`repro.gui.timeline` and is rendered by ``poem analyze``.)
+:mod:`repro.obs.timeline`; the ASCII *emulation-time* replay view is
+:func:`repro.gui.ascii_view.render_frame`, printed by ``poem replay``.)
 
 Built on :mod:`cmd`, so it is scriptable in tests via ``onecmd`` and
 usable interactively via ``PoEmConsole(emulator).cmdloop()``.

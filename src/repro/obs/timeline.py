@@ -1,7 +1,9 @@
 """Chrome trace-event timeline export: the cluster, legible at a glance.
 
-Not the replay scrubber — that is :mod:`repro.gui.timeline`, the ASCII
-*emulation-time* view of a recording for terminals.  This module is the
+Not the replay scrubber — that is ``poem replay``
+(:meth:`repro.core.replay.ReplayEngine.frames` drawn by
+:func:`repro.gui.ascii_view.render_frame`), the ASCII *emulation-time*
+view of a recording for terminals.  This module is the
 **wall-clock machine view**: it renders pipeline spans, shard-hop IPC
 stages, overload transitions, scene events, and profiler samples as
 Chrome trace-event JSON, the format Perfetto (https://ui.perfetto.dev)

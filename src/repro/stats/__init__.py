@@ -1,15 +1,12 @@
-"""Statistics: windowed traffic metrics and the Fig 10 theoretical curves."""
+"""Statistics: the run report, traffic metrics and the Fig 10 curves."""
 
 from .metrics import (
     LatencyStats,
     jitter_stats,
-    sequence_gaps,
     TimeSeries,
     latency_stats,
     loss_rate_from_logs,
-    loss_rate_series,
     stamp_errors,
-    throughput_series,
 )
 from .export import (
     export_jsonl,
@@ -30,16 +27,13 @@ from .theory import RelayScenario, fluid_stamp_lag, nonrealtime_curve
 __all__ = [
     "TimeSeries",
     "LatencyStats",
-    "loss_rate_series",
     "loss_rate_from_logs",
-    "throughput_series",
     "latency_stats",
     "stamp_errors",
     "RelayScenario",
     "fluid_stamp_lag",
     "nonrealtime_curve",
     "jitter_stats",
-    "sequence_gaps",
     "RunReport",
     "FlowStats",
     "build_report",

@@ -1,14 +1,12 @@
 """Traffic statistics: the numbers PoEm's evaluation phase produces.
 
 The paper's Phase 2 (performance evaluation for optimization) rests on
-time-stamped packet records.  This module turns either the server-side
-packet log (:class:`~repro.core.packet.PacketRecord` rows) or end-to-end
-sender/receiver probe logs into the metrics the paper reports —
-principally the **packet loss rate over time** of Fig 10 — plus
-throughput and latency series for broader use.
-
-All series are computed over fixed windows aligned to the evaluation
-interval, returned as parallel numpy arrays (``t`` = window centers).
+time-stamped packet records.  This module holds the per-record
+summaries the run report and the experiments share — latency, jitter,
+time-stamping error — and the **packet loss rate over time** of Fig 10,
+measured from end-to-end sender/receiver probe logs over fixed windows
+(parallel numpy arrays, ``t`` = window centers).  Windowed statistics
+over a recording live in :mod:`repro.analysis.aggregates`.
 """
 
 from __future__ import annotations
@@ -23,14 +21,12 @@ from ..errors import ConfigurationError
 
 __all__ = [
     "TimeSeries",
-    "loss_rate_series",
     "loss_rate_from_logs",
-    "throughput_series",
     "latency_stats",
     "LatencyStats",
     "stamp_errors",
+    "mean_abs_step",
     "jitter_stats",
-    "sequence_gaps",
 ]
 
 
@@ -62,46 +58,6 @@ def _windows(t0: float, t1: float, window: float) -> np.ndarray:
     return edges
 
 
-def loss_rate_series(
-    records: Iterable[PacketRecord],
-    t0: float,
-    t1: float,
-    window: float,
-    *,
-    kind: Optional[str] = "data",
-    source: Optional[int] = None,
-    destination: Optional[int] = None,
-) -> TimeSeries:
-    """Per-window loss rate from the server's packet log.
-
-    A record counts as *offered* if it has an origin stamp in the window
-    (filtered by kind/source/destination when given) and as *lost* if it
-    additionally carries a drop reason.  This is exactly what PoEm's
-    recording thread enables: loss attributed to the instant the client
-    generated the packet — the "real-time traffic recording" of the title.
-    """
-    edges = _windows(t0, t1, window)
-    offered = np.zeros(len(edges) - 1)
-    lost = np.zeros(len(edges) - 1)
-    for r in records:
-        if r.t_origin is None or not (t0 <= r.t_origin < t1):
-            continue
-        if kind is not None and r.kind != kind:
-            continue
-        if source is not None and r.source != source:
-            continue
-        if destination is not None and r.destination != destination:
-            continue
-        i = min(int((r.t_origin - t0) / window), len(offered) - 1)
-        offered[i] += 1
-        if r.dropped:
-            lost[i] += 1
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rate = np.where(offered > 0, lost / np.maximum(offered, 1), np.nan)
-    return TimeSeries(centers, rate)
-
-
 def loss_rate_from_logs(
     sent_log: Sequence[tuple[float, int]],
     received_seqnos: set[int],
@@ -130,30 +86,6 @@ def loss_rate_from_logs(
     with np.errstate(invalid="ignore", divide="ignore"):
         rate = np.where(offered > 0, lost / np.maximum(offered, 1), np.nan)
     return TimeSeries(centers, rate)
-
-
-def throughput_series(
-    records: Iterable[PacketRecord],
-    t0: float,
-    t1: float,
-    window: float,
-    *,
-    destination: Optional[int] = None,
-) -> TimeSeries:
-    """Delivered bits/s per window (by delivery stamp)."""
-    edges = _windows(t0, t1, window)
-    bits = np.zeros(len(edges) - 1)
-    for r in records:
-        if r.dropped or r.t_delivered is None:
-            continue
-        if not (t0 <= r.t_delivered < t1):
-            continue
-        if destination is not None and r.receiver != destination:
-            continue
-        i = min(int((r.t_delivered - t0) / window), len(bits) - 1)
-        bits[i] += r.size_bits
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    return TimeSeries(centers, bits / window)
 
 
 @dataclass(frozen=True)
@@ -189,18 +121,19 @@ def latency_stats(records: Iterable[PacketRecord]) -> Optional[LatencyStats]:
     )
 
 
-def jitter_stats(
-    records: Iterable[PacketRecord],
-    *,
-    source: Optional[int] = None,
-    destination: Optional[int] = None,
-) -> Optional[float]:
-    """Mean inter-arrival jitter (RFC-3550 style) of a delivered flow.
+def mean_abs_step(values: Sequence[float]) -> Optional[float]:
+    """Mean absolute difference of consecutive values — RFC-3550-style
+    jitter over a delay sequence.  None for fewer than two values."""
+    if len(values) < 2:
+        return None
+    steps = [abs(b - a) for a, b in zip(values, values[1:])]
+    return sum(steps) / len(steps)
 
-    Computed as the mean absolute difference between consecutive packets'
-    one-way latencies, over delivered data records sorted by sequence
-    number.  None when fewer than two deliveries match.
-    """
+
+def jitter_stats(records: Iterable[PacketRecord]) -> Optional[float]:
+    """Mean inter-arrival jitter of a delivered flow: the
+    :func:`mean_abs_step` of one-way latencies over delivered records
+    in sequence-number order.  None when fewer than two deliveries."""
     flow = sorted(
         (
             r
@@ -208,44 +141,10 @@ def jitter_stats(
             if not r.dropped
             and r.t_delivered is not None
             and r.t_origin is not None
-            and (source is None or r.source == source)
-            and (destination is None or r.receiver == destination)
         ),
         key=lambda r: r.seqno,
     )
-    if len(flow) < 2:
-        return None
-    latencies = np.array([r.t_delivered - r.t_origin for r in flow])
-    return float(np.mean(np.abs(np.diff(latencies))))
-
-
-def sequence_gaps(
-    records: Iterable[PacketRecord],
-    *,
-    source: Optional[int] = None,
-    destination: Optional[int] = None,
-) -> list[tuple[int, int]]:
-    """Missing sequence-number runs of a delivered flow.
-
-    Returns ``[(first_missing, last_missing), ...]`` — what a receiver-side
-    analyzer reports as loss bursts.  Useful for distinguishing random
-    loss-model drops (many length-1 gaps) from a link outage (one long
-    gap).
-    """
-    seqnos = sorted(
-        {
-            r.seqno
-            for r in records
-            if not r.dropped
-            and (source is None or r.source == source)
-            and (destination is None or r.receiver == destination)
-        }
-    )
-    gaps: list[tuple[int, int]] = []
-    for prev, cur in zip(seqnos, seqnos[1:]):
-        if cur > prev + 1:
-            gaps.append((prev + 1, cur - 1))
-    return gaps
+    return mean_abs_step([r.t_delivered - r.t_origin for r in flow])
 
 
 def stamp_errors(

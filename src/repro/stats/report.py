@@ -2,9 +2,10 @@
 
 The recording threads exist "for later statistics and replay"; replay
 lives in :mod:`repro.core.replay`, and this module is the statistics
-half: one call turns a recorder into the summary an experimenter reads
-first — totals, drop breakdown, per-flow delivery/latency/jitter, and a
-windowed loss series.
+half: one call turns a recording into the summary an experimenter reads
+first — totals, drop breakdown, per-flow delivery/latency/jitter, and
+the real-time fidelity verdict.  ``poem analyze`` takes its totals and
+verdict from the same report.
 
 ``build_report`` returns structured data; ``format_report`` renders the
 text block (what the CLI and examples print).
@@ -14,10 +15,16 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Union
 
+from ..core.overload import (
+    DeadlineAccounting,
+    OverloadState,
+    degraded_intervals,
+    fidelity_verdict,
+)
 from ..core.packet import DropReason
-from ..core.recording import Recorder
+from ..core.recording import Recorder, RunDataset, load_dataset
 from .metrics import LatencyStats, jitter_stats, latency_stats
 
 __all__ = ["FlowStats", "NodeActivity", "RunReport", "build_report",
@@ -74,9 +81,15 @@ class RunReport:
     deadline_late: int = 0
     deadline_missed: int = 0
     """Validity envelope: delivered frames bucketed by scheduler lag
-    (``t_delivered − t_forward``) against the lag budget — on time
-    within it, late within 10×, missed beyond.  Virtual-clock runs are
-    always entirely on time."""
+    (``t_delivered − t_forward``) against the lag budget by a
+    :class:`~repro.core.overload.DeadlineAccounting`.  Virtual-clock
+    runs are always entirely on time."""
+
+    overload_intervals: list[tuple[float, float, str]] = field(
+        default_factory=list
+    )
+    """``(start, end, worst_state)`` stretches the recorded overload
+    controller spent outside NOMINAL."""
 
     @property
     def overall_loss(self) -> float:
@@ -88,25 +101,17 @@ class RunReport:
         return self.drop_reasons.get(DropReason.DEADLINE_SHED, 0)
 
     @property
-    def deadline_miss_rate(self) -> float:
-        """Fraction of delivered frames later than 10× the lag budget."""
-        total = self.deadline_on_time + self.deadline_late + self.deadline_missed
-        return self.deadline_missed / total if total else 0.0
-
-    @property
     def fidelity(self) -> str:
-        """Did the run stay in real-time territory?
-
-        ``"real-time"`` — every delivery within the lag budget, nothing
-        shed; ``"degraded"`` — late deliveries but no outright misses;
-        ``"overloaded"`` — missed deadlines or load-shedding: the
-        numbers above describe an emulator that fell behind real time.
-        """
-        if self.deadline_shed or self.deadline_missed:
-            return "overloaded"
-        if self.deadline_late:
-            return "degraded"
-        return "real-time"
+        """The run's :func:`~repro.core.overload.fidelity_verdict`."""
+        worst = max(
+            (w for _, _, w in self.overload_intervals),
+            key=lambda w: OverloadState.SEVERITY.get(w, 0),
+            default=OverloadState.NOMINAL,
+        )
+        return fidelity_verdict(
+            self.deadline_late, self.deadline_missed, self.deadline_shed,
+            worst,
+        )
 
     @property
     def transport_dropped(self) -> int:
@@ -118,17 +123,17 @@ class RunReport:
             if reason in DropReason.TRANSPORT
         )
 
-    @property
-    def medium_dropped(self) -> int:
-        """Drops attributable to the emulated radio medium/models."""
-        return self.dropped - self.transport_dropped
-
 
 def build_report(
-    recorder: Recorder, *, top_flows: int = 10, lag_budget: float = 0.010
+    source: Union[str, Recorder, RunDataset],
+    *,
+    top_flows: int = 10,
+    lag_budget: float = 0.010,
 ) -> RunReport:
-    """Compute the run report from a recorder's packet rows."""
-    packets = recorder.packets()
+    """Compute the run report of one recording (a recorder, a SQLite
+    path, or a loaded :class:`RunDataset`)."""
+    dataset = load_dataset(source)
+    packets = dataset.packets
     stamps = [
         s
         for p in packets
@@ -199,19 +204,9 @@ def build_report(
         for n, a in sorted(activity.items())
     ]
 
-    # Deadline buckets: scheduler lag of every delivered record.
-    on_time = late = missed = 0
-    miss_horizon = lag_budget * 10.0
-    for p in packets:
-        if p.dropped or p.t_delivered is None or p.t_forward is None:
-            continue
-        lag = p.t_delivered - p.t_forward
-        if lag <= lag_budget:
-            on_time += 1
-        elif lag <= miss_horizon:
-            late += 1
-        else:
-            missed += 1
+    deadlines = DeadlineAccounting(lag_budget)
+    for lag in dataset.lags():
+        deadlines.note(lag)
 
     return RunReport(
         duration=duration,
@@ -223,11 +218,12 @@ def build_report(
         data_records=sum(1 for p in packets if p.kind == "data"),
         flows=flows,
         nodes=nodes,
-        records_evicted=int(getattr(recorder, "evicted", 0)),
+        records_evicted=dataset.evicted,
         lag_budget=lag_budget,
-        deadline_on_time=on_time,
-        deadline_late=late,
-        deadline_missed=missed,
+        deadline_on_time=deadlines.on_time,
+        deadline_late=deadlines.late,
+        deadline_missed=deadlines.missed,
+        overload_intervals=degraded_intervals(dataset),
     )
 
 
@@ -361,12 +357,15 @@ def format_health(health: dict) -> str:
         lines.append(line)
     deadline = health.get("deadline")
     if deadline:
-        lines.append(
+        line = (
             f"  deadlines       : {deadline.get('on_time', 0)} on time  "
             f"{deadline.get('late', 0)} late  "
             f"{deadline.get('missed', 0)} missed "
             f"(budget {float(deadline.get('budget', 0.0)) * 1e3:.0f}ms)"
         )
+        if deadline.get("verdict"):
+            line += f"  {deadline['verdict']}"
+        lines.append(line)
     if health.get("records_evicted"):
         lines.append(
             f"  evicted records : {health['records_evicted']} (ring bound)"

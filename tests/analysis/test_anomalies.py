@@ -18,7 +18,7 @@ from repro.analysis.anomalies import (
     detect_scheduler_lag,
     detect_timestamp_inversions,
 )
-from repro.analysis.dataset import RunDataset
+from repro.analysis import RunDataset
 from repro.core.clock import SyncSample
 from repro.core.packet import PacketRecord
 from repro.errors import AnalysisError
@@ -278,17 +278,6 @@ class TestWindowedAggregates:
         assert b.mean_delay == pytest.approx(0.020)
         assert b.jitter == pytest.approx(0.020)
 
-    def test_group_by_link_and_node(self):
-        packets = [
-            rec(1, t=0.0, source=1, receiver=2),
-            rec(2, t=0.0, source=2, sender=2, receiver=3),
-        ]
-        ds = dataset(packets=packets)
-        by_link = windowed_aggregates(ds, group_by="link")
-        assert {b.group for b in by_link} == {(1, 2), (2, 3)}
-        by_node = windowed_aggregates(ds, group_by="node")
-        assert {b.group for b in by_node} == {1, 2}
-
     def test_windows_partition_time(self):
         packets = [rec(i, t=float(i)) for i in range(4)]
         ds = dataset(packets=packets)
@@ -301,12 +290,10 @@ class TestWindowedAggregates:
         ds = dataset(packets=[rec(1)])
         with pytest.raises(AnalysisError):
             windowed_aggregates(ds, window=0.0)
-        with pytest.raises(AnalysisError):
-            windowed_aggregates(ds, group_by="nope")
 
     def test_as_dict_round(self):
         ds = dataset(packets=[rec(1, t=0.0)])
-        (b,) = windowed_aggregates(ds, group_by="link")
+        (b,) = windowed_aggregates(ds)
         d = b.as_dict()
-        assert d["group"] == [1, 2]
+        assert d["group"] == 1
         assert d["offered"] == 1

@@ -92,7 +92,7 @@ def recorded_run(tmp_path_factory):
         drifty.synchronize()
 
         assert wait_for(
-            lambda: len(recorder.delivered_packets()) >= 10
+            lambda: sum(1 for p in recorder.packets() if not p.dropped) >= 10
             and len(recorder.dropped_packets()) >= 3
         )
         drifty_node = int(drifty.node_id)

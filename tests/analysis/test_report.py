@@ -9,18 +9,21 @@ import urllib.request
 import pytest
 
 from repro.analysis import Thresholds, analyze, load_dataset
-from repro.analysis.dataset import RunDataset
+from repro.analysis import RunDataset
 from repro.analysis.report import render_html, render_json, render_text
 from repro.cli import main
 from repro.core.geometry import Vec2
-from repro.core.ids import ChannelId
-from repro.core.recording import SqliteRecorder
+from repro.core.ids import ChannelId, NodeId
+from repro.core.packet import PacketRecord
+from repro.core.recording import MemoryRecorder, SqliteRecorder
+from repro.core.scene import SceneEvent
 from repro.core.server import InProcessEmulator
 from repro.gui.console import PoEmConsole
 from repro.models.radio import Radio, RadioConfig
 from repro.obs.httpd import TelemetryHTTPServer
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import Telemetry
+from repro.stats.report import build_report
 
 CH = ChannelId(1)
 RADIOS = RadioConfig((Radio(channel=CH, range=100.0),))
@@ -96,6 +99,47 @@ class TestAnalyze:
         assert "0 total" in render_text(rep)
         assert json.loads(render_json(rep))["run"]["total"] == 0
         assert "<html>" in render_html(rep)
+
+
+def on_time_recording(*states):
+    """20 data records, each delivered 1 ms after ``t_forward`` (well
+    inside the 10 ms budget), plus one recorded overload transition
+    into each of ``states`` and back to nominal."""
+    rec = MemoryRecorder()
+    for i in range(20):
+        t = 0.1 * i
+        rec.record_packet(PacketRecord(
+            record_id=i + 1, seqno=i + 1, source=1, destination=2,
+            sender=1, receiver=2, channel=1, kind="data", size_bits=800,
+            t_origin=t, t_receipt=t, t_forward=t + 0.005,
+            t_delivered=t + 0.006,
+        ))
+    for k, state in enumerate(states):
+        for t, old, new in ((0.5 + k, "nominal", state),
+                            (0.7 + k, state, "nominal")):
+            rec.record_scene(SceneEvent(
+                time=t, kind="overload-state", node=NodeId(-1),
+                details={"from": old, "to": new},
+            ))
+    return rec
+
+
+class TestOneVerdict:
+    """``poem stats`` and ``poem analyze`` read one recording into one
+    fidelity verdict, overload intervals included."""
+
+    @pytest.mark.parametrize("states, verdict", [
+        ((), "real-time"),
+        (("pressured",), "degraded"),
+        (("pressured", "saturated"), "overloaded"),
+    ])
+    def test_stats_and_analyze_agree(self, states, verdict):
+        rec = on_time_recording(*states)
+        stats = build_report(rec)
+        assert stats.deadline_on_time == 20
+        assert stats.deadline_late == stats.deadline_missed == 0
+        assert stats.fidelity == verdict
+        assert analyze(rec).fidelity["verdict"] == verdict
 
 
 class TestRenderers:

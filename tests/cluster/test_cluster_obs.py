@@ -11,7 +11,7 @@ import urllib.request
 
 import pytest
 
-from repro.analysis.dataset import RunDataset
+from repro.analysis import RunDataset
 from repro.analysis.report import analyze, render_text
 from repro.cli import main as cli_main
 from repro.cluster import ShardedEmulator

@@ -12,7 +12,7 @@ from repro.analysis.anomalies import (
     Thresholds,
     detect_cluster_merge_inversions,
 )
-from repro.analysis.dataset import RunDataset
+from repro.analysis import RunDataset
 from repro.analysis.report import analyze
 from repro.cluster import ShardedEmulator
 from repro.core.geometry import Vec2

@@ -11,6 +11,7 @@ from repro.core.overload import (
     OverloadConfig,
     OverloadController,
     OverloadState,
+    fidelity_verdict,
 )
 from repro.errors import PoEmError
 
@@ -239,6 +240,35 @@ def test_deadline_buckets():
 def test_deadline_accounting_validation():
     with pytest.raises(PoEmError):
         DeadlineAccounting(budget=0.0)
-    with pytest.raises(PoEmError):
-        DeadlineAccounting(miss_factor=0.5)
     assert DeadlineAccounting().miss_rate == 0.0
+
+
+# -- the one fidelity rule ----------------------------------------------------
+
+@pytest.mark.parametrize(
+    "late, missed, shed, worst, verdict",
+    [
+        (0, 0, 0, OverloadState.NOMINAL, "real-time"),
+        (1, 0, 0, OverloadState.NOMINAL, "degraded"),
+        (0, 0, 0, OverloadState.PRESSURED, "degraded"),
+        (0, 1, 0, OverloadState.NOMINAL, "overloaded"),
+        (0, 0, 1, OverloadState.NOMINAL, "overloaded"),
+        (0, 0, 0, OverloadState.SATURATED, "overloaded"),
+        (5, 0, 0, OverloadState.SATURATED, "overloaded"),
+        (5, 0, 0, OverloadState.PRESSURED, "degraded"),
+    ],
+)
+def test_fidelity_verdict_table(late, missed, shed, worst, verdict):
+    assert fidelity_verdict(late, missed, shed, worst) == verdict
+
+
+def test_snapshot_remembers_the_worst_state():
+    c = make_controller()
+    assert c.snapshot()["worst"] == OverloadState.NOMINAL
+    c.observe(0.0, 0)
+    c.observe(1.0, 0)  # EWMA far past saturate_factor × budget
+    assert c.state == OverloadState.SATURATED
+    for _ in range(10):
+        c.observe(0.0, 0)
+    assert c.state == OverloadState.NOMINAL
+    assert c.snapshot()["worst"] == OverloadState.SATURATED

@@ -62,16 +62,9 @@ class TestBothBackends:
         ids = [recorder.next_record_id() for _ in range(100)]
         assert len(set(ids)) == 100
 
-    def test_packets_between(self, recorder):
-        for i, t in enumerate((0.0, 1.0, 2.0, 3.0)):
-            recorder.record_packet(record(i + 1, t_origin=t))
-        sel = recorder.packets_between(1.0, 3.0)
-        assert [p.t_origin for p in sel] == [1.0, 2.0]
-
     def test_delivered_vs_dropped(self, recorder):
         recorder.record_packet(record(1))
         recorder.record_packet(record(2, drop="not-neighbor"))
-        assert len(recorder.delivered_packets()) == 1
         assert len(recorder.dropped_packets()) == 1
 
     def test_attach_to_scene(self, recorder):
@@ -199,9 +192,6 @@ class TestMemorySegments:
 # Trace spans + sync samples (forensics plane inputs) — PR 4
 # ---------------------------------------------------------------------------
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from repro.core.clock import SyncSample
 from repro.obs.tracing import TraceSpan
 
@@ -267,41 +257,3 @@ class TestSyncSampleRoundTrip:
         recorder.record_sync(s)
         assert recorder.sync_samples()[0].residual == -0.05
 
-
-class TestPacketsBetweenEquivalence:
-    """The SQL pushdown must agree with the Python full-scan default."""
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        origins=st.lists(
-            st.one_of(
-                st.none(),
-                st.floats(min_value=0.0, max_value=10.0,
-                          allow_nan=False, allow_infinity=False),
-            ),
-            min_size=0, max_size=25,
-        ),
-        t0=st.floats(min_value=-1.0, max_value=11.0,
-                     allow_nan=False, allow_infinity=False),
-        width=st.floats(min_value=0.0, max_value=12.0,
-                        allow_nan=False, allow_infinity=False),
-    )
-    def test_sql_matches_python(self, origins, t0, width):
-        t1 = t0 + width
-        mem = MemoryRecorder()
-        sql = SqliteRecorder(":memory:")
-        try:
-            for i, t in enumerate(origins):
-                r = PacketRecord(
-                    record_id=i + 1, seqno=i + 1, source=1, destination=2,
-                    sender=1, receiver=2, channel=1, kind="data",
-                    size_bits=100, t_origin=t, t_receipt=t,
-                    t_forward=None, t_delivered=None,
-                )
-                mem.record_packet(r)
-                sql.record_packet(r)
-            assert [p.record_id for p in sql.packets_between(t0, t1)] == [
-                p.record_id for p in mem.packets_between(t0, t1)
-            ]
-        finally:
-            sql.close()

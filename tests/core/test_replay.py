@@ -91,7 +91,7 @@ class TestSceneReconstruction:
     def test_frames_fixed_rate(self):
         recorder, _ = recorded_scene()
         replay = ReplayEngine(recorder)
-        frames = replay.frames(fps=1.0)
+        frames = list(replay.frames(fps=1.0))
         assert len(frames) == 5  # 0..4 inclusive
         assert frames[0].time == 0.0
 

@@ -27,6 +27,7 @@ from repro.core.packet import DropReason
 from repro.core.tcpserver import PoEmServer
 from repro.models.radio import RadioConfig
 from repro.net.faults import OverloadInjector, OverloadSpec
+from repro.stats.report import build_report
 
 RADIOS = RadioConfig.single(1, 100.0)
 
@@ -115,6 +116,11 @@ class TestSaturationArc:
         report = analyze(srv.recorder)
         fidelity = report.fidelity
         assert fidelity["verdict"] == "overloaded"
+        # One rule: live health, `poem stats` and `poem analyze` agree
+        # (their buckets may not: saturated deliveries are coalesced
+        # into counters and leave no record).
+        assert srv.health()["deadline"]["verdict"] == "overloaded"
+        assert build_report(srv.recorder).fidelity == "overloaded"
         assert fidelity["shed"] > 0
         assert fidelity["degraded_seconds"] > 0.0
         assert fidelity["intervals"], "no degraded interval reported"
@@ -282,3 +288,5 @@ def test_stall_recovers():
     fidelity = analyze(srv.recorder).fidelity
     assert fidelity["verdict"] in ("degraded", "overloaded")
     assert fidelity["degraded_seconds"] > 0.0
+    assert srv.health()["deadline"]["verdict"] == fidelity["verdict"]
+    assert build_report(srv.recorder).fidelity == fidelity["verdict"]

@@ -1,9 +1,9 @@
-"""Tests for jitter_stats and sequence_gaps."""
+"""Tests for jitter_stats."""
 
 import pytest
 
 from repro.core.packet import PacketRecord
-from repro.stats.metrics import jitter_stats, sequence_gaps
+from repro.stats.metrics import jitter_stats
 
 
 def rec(seq, *, latency=0.1, drop=None, src=1, receiver=3):
@@ -30,34 +30,3 @@ class TestJitter:
         assert jitter_stats([]) is None
         assert jitter_stats([rec(1)]) is None
 
-    def test_filters(self):
-        records = [rec(1, src=1), rec(2, src=2), rec(3, src=1)]
-        assert jitter_stats(records, source=1) == pytest.approx(0.0)
-
-
-class TestSequenceGaps:
-    def test_no_gaps(self):
-        records = [rec(i) for i in (1, 2, 3)]
-        assert sequence_gaps(records) == []
-
-    def test_single_missing(self):
-        records = [rec(i) for i in (1, 3)]
-        assert sequence_gaps(records) == [(2, 2)]
-
-    def test_burst_gap(self):
-        records = [rec(i) for i in (1, 2, 7, 8)]
-        assert sequence_gaps(records) == [(3, 6)]
-
-    def test_drops_dont_count_as_delivered(self):
-        records = [rec(1), rec(2, drop="loss-model"), rec(3)]
-        assert sequence_gaps(records) == [(2, 2)]
-
-    def test_gap_shape_distinguishes_outage_from_noise(self):
-        """A link outage is one long gap; random loss is many short ones."""
-        outage = [rec(i) for i in list(range(1, 10)) + list(range(30, 40))]
-        random_loss = [rec(i) for i in range(1, 40, 2)]
-        outage_gaps = sequence_gaps(outage)
-        random_gaps = sequence_gaps(random_loss)
-        assert len(outage_gaps) == 1 and outage_gaps[0] == (10, 29)
-        assert len(random_gaps) > 10
-        assert all(b - a == 0 for a, b in random_gaps)

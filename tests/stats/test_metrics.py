@@ -8,9 +8,7 @@ from repro.errors import ConfigurationError
 from repro.stats.metrics import (
     latency_stats,
     loss_rate_from_logs,
-    loss_rate_series,
     stamp_errors,
-    throughput_series,
 )
 
 
@@ -26,45 +24,6 @@ def rec(i, *, t_origin, drop=None, kind="data", src=1, dst=3, bits=1000,
         t_origin=t_origin, t_receipt=t_receipt, t_forward=t_origin + 0.01,
         t_delivered=t_delivered, drop_reason=drop,
     )
-
-
-class TestLossRateSeries:
-    def test_basic_windows(self):
-        records = [
-            rec(1, t_origin=0.1),
-            rec(2, t_origin=0.2, drop="loss-model"),
-            rec(3, t_origin=1.1, drop="loss-model"),
-            rec(4, t_origin=1.2, drop="loss-model"),
-        ]
-        series = loss_rate_series(records, 0.0, 2.0, 1.0)
-        assert len(series) == 2
-        assert series.v[0] == pytest.approx(0.5)
-        assert series.v[1] == pytest.approx(1.0)
-        assert series.t[0] == pytest.approx(0.5)
-
-    def test_empty_window_is_nan(self):
-        series = loss_rate_series([rec(1, t_origin=0.1)], 0.0, 3.0, 1.0)
-        assert np.isnan(series.v[1]) and np.isnan(series.v[2])
-
-    def test_filters(self):
-        records = [
-            rec(1, t_origin=0.1, kind="control", drop="loss-model"),
-            rec(2, t_origin=0.1, src=9, drop="loss-model"),
-            rec(3, t_origin=0.1),
-        ]
-        series = loss_rate_series(records, 0.0, 1.0, 1.0, kind="data", source=1)
-        assert series.v[0] == pytest.approx(0.0)  # only rec 3 counted
-
-    def test_destination_filter(self):
-        records = [rec(1, t_origin=0.1, dst=5), rec(2, t_origin=0.1, dst=3)]
-        series = loss_rate_series(records, 0.0, 1.0, 1.0, destination=5)
-        assert series.v[0] == pytest.approx(0.0)
-
-    def test_bad_window(self):
-        with pytest.raises(ConfigurationError):
-            loss_rate_series([], 0.0, 1.0, 0.0)
-        with pytest.raises(ConfigurationError):
-            loss_rate_series([], 1.0, 1.0, 0.5)
 
 
 class TestLossRateFromLogs:
@@ -83,30 +42,11 @@ class TestLossRateFromLogs:
         series = loss_rate_from_logs([(5.0, 1)], set(), 0.0, 1.0, 1.0)
         assert np.isnan(series.v[0])
 
-
-class TestThroughput:
-    def test_bits_per_second(self):
-        records = [
-            rec(1, t_origin=0.0, bits=4000, t_delivered=0.25),
-            rec(2, t_origin=0.0, bits=4000, t_delivered=0.75),
-            rec(3, t_origin=0.0, bits=8000, t_delivered=1.5),
-        ]
-        series = throughput_series(records, 0.0, 2.0, 1.0)
-        assert series.v[0] == pytest.approx(8000.0)
-        assert series.v[1] == pytest.approx(8000.0)
-
-    def test_drops_excluded(self):
-        records = [rec(1, t_origin=0.0, drop="loss-model")]
-        series = throughput_series(records, 0.0, 1.0, 1.0)
-        assert series.v[0] == 0.0
-
-    def test_destination_filter(self):
-        records = [
-            rec(1, t_origin=0.0, bits=100, t_delivered=0.5, receiver=3),
-            rec(2, t_origin=0.0, bits=900, t_delivered=0.5, receiver=4),
-        ]
-        series = throughput_series(records, 0.0, 1.0, 1.0, destination=3)
-        assert series.v[0] == pytest.approx(100.0)
+    def test_bad_window(self):
+        with pytest.raises(ConfigurationError):
+            loss_rate_from_logs([], set(), 0.0, 1.0, 0.0)
+        with pytest.raises(ConfigurationError):
+            loss_rate_from_logs([], set(), 1.0, 1.0, 0.5)
 
 
 class TestLatency:
