@@ -82,7 +82,9 @@ ANOMALY_KINDS = (
 class Thresholds:
     """Detection budgets.  Every field has a deployment-sane default;
     override per call (CLI flags ``--lag-budget``/``--drift-budget``
-    map straight onto ``lag_budget``/``drift_budget``)."""
+    map straight onto ``lag_budget``/``drift_budget``; ``poem analyze``
+    and :func:`~repro.analysis.report.analyze` without thresholds take
+    ``lag_budget`` from the run's summary instead)."""
 
     lag_budget: float = 0.010
     """Max tolerated scheduler lag (s) before a span is a spike."""

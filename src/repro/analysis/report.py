@@ -19,7 +19,7 @@ from typing import Optional, Union
 
 from ..core.recording import Recorder, RunDataset, load_dataset
 from ..obs import flightrec
-from ..stats.report import build_report
+from ..stats.report import build_report, recorded_lag_budget
 from .aggregates import WindowStats, windowed_aggregates
 from .anomalies import Anomaly, Thresholds, detect_anomalies
 from .drift import ClockAudit, audit_clocks
@@ -123,7 +123,8 @@ def analyze(
 ) -> AnalysisReport:
     """Run the full forensics pass over one recording."""
     dataset = load_dataset(source)
-    thresholds = thresholds if thresholds is not None else Thresholds()
+    if thresholds is None:
+        thresholds = Thresholds(lag_budget=recorded_lag_budget(dataset))
     run = build_report(dataset, top_flows=0, lag_budget=thresholds.lag_budget)
     audit = audit_clocks(dataset)
     start, end = dataset.time_range()

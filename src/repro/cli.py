@@ -49,7 +49,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .core.geometry import Vec2
-from .core.recording import SqliteRecorder
+from .core.recording import SqliteRecorder, load_dataset
 from .core.server import InProcessEmulator
 from .errors import PoEmError
 from .models.radio import Radio, RadioConfig
@@ -132,8 +132,10 @@ def build_parser() -> argparse.ArgumentParser:
                                        "instead of stdout")
     analyze.add_argument("--window", type=float, default=1.0,
                          help="aggregate/anomaly window width (seconds)")
-    analyze.add_argument("--lag-budget", type=float, default=0.010,
-                         help="scheduler-lag spike threshold (seconds)")
+    analyze.add_argument("--lag-budget", type=float, default=None,
+                         help="scheduler-lag spike threshold (seconds; "
+                              "default: the run's recorded budget, "
+                              "else 0.010)")
     analyze.add_argument("--drift-budget", type=float, default=0.010,
                          help="projected clock-stamp error budget (seconds)")
     analyze.add_argument("--lineage", type=int, default=1, metavar="N",
@@ -383,6 +385,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from .analysis import Thresholds, analyze
     from .analysis.report import render_html, render_json, render_text
+    from .stats.report import recorded_lag_budget
 
     if args.recording is None and not args.flight:
         raise PoEmError(
@@ -398,13 +401,16 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             print(format_flight(artifact))
         if args.recording is None:
             return 0
+    dataset = load_dataset(args.recording)
+    if args.lag_budget is None:
+        args.lag_budget = recorded_lag_budget(dataset)
     thresholds = Thresholds(
         lag_budget=args.lag_budget,
         drift_budget=args.drift_budget,
         window=args.window,
     )
     report = analyze(
-        args.recording,
+        dataset,
         thresholds=thresholds,
         lineage_samples=max(args.lineage, 0),
         lineage_records=args.record_ids,

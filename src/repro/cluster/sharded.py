@@ -5,8 +5,9 @@ parallelism.  The parent process owns the one consistent scene (§2.1's
 centralized-architecture argument), a deterministic
 :class:`~repro.cluster.shard.ShardMap`, and the recording plane;
 ``n_workers`` child processes each run a private
-:class:`~repro.core.engine.ForwardingEngine` + schedule + virtual clock
-over an immutable scene replica (:mod:`repro.cluster.snapshot`).
+:class:`~repro.core.forwarding.ForwardingCore` — the in-process
+emulator's, on a stamp-driven virtual clock — over a scene replica
+(:mod:`repro.cluster.snapshot`).
 
 Data flow per frame: the client stamps ``t_origin`` (parallel
 time-stamping), the parent encodes the frame with the PR 2 binary wire
@@ -48,9 +49,11 @@ from ..core.forwarding import (
     make_profiler,
     record_run_summary,
     release_profiler,
+    virtual_clients,
 )
 from ..core.geometry import Vec2
 from ..core.ids import ChannelId, IdAllocator, NodeId
+from ..core.overload import OverloadConfig, OverloadState, fidelity_verdict
 from ..core.packet import Packet, PacketRecord, PacketStamper
 from ..core.recording import MemoryRecorder, Recorder
 from ..core.scene import Scene, SceneEvent
@@ -232,6 +235,8 @@ class ShardedEmulator:
                 "queue_depth": 0,
                 "busy_fraction": 0.0,
                 "counters": {},
+                "overload": None,
+                "deadline": None,
                 "stale": False,
                 "report_age": None,
             }
@@ -714,11 +719,12 @@ class ShardedEmulator:
         exchange happens, not only at barriers.
         """
         stats = self.worker_stats[worker]
-        stats["shard_ingested"] = int(msg.get("shard_ingested", 0))
-        stats["queue_depth"] = int(msg.get("queue_depth", 0))
-        stats["busy_fraction"] = float(msg.get("busy_fraction", 0.0))
-        if msg.get("counters"):
-            stats["counters"] = dict(msg.get("counters", {}))
+        stats["shard_ingested"] = int(msg["shard_ingested"])
+        stats["queue_depth"] = int(msg["schedule_depth"])
+        stats["busy_fraction"] = float(msg["busy_fraction"])
+        stats["counters"] = msg["engine"]
+        stats["overload"] = msg["overload"]
+        stats["deadline"] = msg["deadline"]
         stats["stale"] = False
         stats["report_age"] = 0.0
         self._last_report[worker] = time.monotonic()
@@ -772,22 +778,17 @@ class ShardedEmulator:
             self.flight.note_span(span)
 
     def _refresh_aggregates(self) -> None:
-        totals = {"ingested": 0, "forwarded": 0, "dropped": 0,
-                  "transport_dropped": 0}
-        for stats in self.worker_stats:
-            for key in totals:
-                totals[key] += int(stats["counters"].get(key, 0))
-        self.ingested = totals["ingested"]
-        self.forwarded = totals["forwarded"]
-        self.dropped = totals["dropped"]
-        self.transport_dropped = totals["transport_dropped"]
+        t = self._totals()
+        self.ingested, self.forwarded = t["ingested"], t["forwarded"]
+        self.dropped = t["dropped"]
+        self.transport_dropped = t["transport_dropped"]
 
     def _totals(self) -> dict[str, int]:
+        """The ``engine`` section: the workers' last counters, summed."""
         return {
-            "ingested": self.ingested,
-            "forwarded": self.forwarded,
-            "dropped": self.dropped,
-            "transport_dropped": self.transport_dropped,
+            key: sum(s["counters"].get(key, 0) for s in self.worker_stats)
+            for key in ("ingested", "forwarded", "dropped",
+                        "transport_dropped")
         }
 
     # -- periodic telemetry pull --------------------------------------------------
@@ -855,7 +856,7 @@ class ShardedEmulator:
             self.start()
         with self._io_lock:
             self._flush_buffers()
-            reports = self._exchange(make_collect(), "worker_report")
+            self._exchange(make_collect(), "worker_report")
             # Each worker's record frame follows its report on its pipe.
             streams = [
                 ipc.decode_record_frame(self._recv(worker))
@@ -885,7 +886,7 @@ class ShardedEmulator:
                         {
                             "worker": i,
                             "records": len(streams[i]),
-                            "counters": dict(reports[i].get("counters", {})),
+                            "counters": self.worker_stats[i]["counters"],
                             "shard_ingested":
                                 self.worker_stats[i]["shard_ingested"],
                             "busy_fraction":
@@ -913,7 +914,31 @@ class ShardedEmulator:
             self._totals(),
             self.profiler,
             cluster={"n_workers": self.n_workers},
+            deadline=self._deadline(),
         )
+
+    def _deadline(self) -> dict[str, Any]:
+        """The cluster's ``deadline`` section: every worker's delivery
+        buckets summed, judged by the one fidelity rule on the summed
+        late/missed/shed counts and the worst state any worker reached.
+        Reads the last samples, so it is as fresh as the last exchange."""
+        sampled = [s for s in self.worker_stats if s["deadline"]]
+        section = {
+            "budget": sampled[0]["deadline"]["budget"]
+            if sampled else OverloadConfig.lag_budget,
+            **{key: sum(s["deadline"][key] for s in sampled)
+               for key in ("on_time", "late", "missed")},
+        }
+        worst = max(
+            (s["overload"]["worst"] for s in sampled),
+            key=OverloadState.SEVERITY.__getitem__,
+            default=OverloadState.NOMINAL,
+        )
+        shed = sum(s["overload"]["shed"] for s in sampled)
+        section["verdict"] = fidelity_verdict(
+            section["late"], section["missed"], shed, worst
+        )
+        return section
 
     # -- health -------------------------------------------------------------------
 
@@ -927,25 +952,13 @@ class ShardedEmulator:
             "time": self._time,
             "threads": {},
             "recent_failures": [],
-            "clients": {
-                int(nid): {
-                    "label": self.scene.label(nid),
-                    "last_seen": self._time,
-                    "stale": self.scene.is_quarantined(nid),
-                    "overflow": 0,
-                    "outbox_depth": 0,
-                }
-                for nid in self._hosts
-                if nid in self.scene
-            },
-            "quarantined": {
-                int(n): None for n in self.scene.quarantined_nodes()
-            },
+            **virtual_clients(self.scene, self._hosts, self._time),
             "engine": self._totals(),
             "schedule_depth": sum(
                 s["queue_depth"] for s in self.worker_stats
             ),
             "records_evicted": getattr(self.recorder, "evicted", 0),
+            "deadline": self._deadline(),
             "cluster": {
                 "n_workers": self.n_workers,
                 "alive": sum(1 for p in self._procs if p.is_alive()),

@@ -1,31 +1,34 @@
 """The shard worker process of the sharded cluster.
 
-One worker = one OS process owning a private
-:class:`~repro.core.engine.ForwardingEngine` +
-:class:`~repro.core.scheduler.ForwardSchedule` +
-:class:`~repro.core.clock.VirtualClock` +
-:class:`~repro.core.recording.MemoryRecorder`, fed a shard of senders
-over a pipe (see :mod:`repro.cluster.ipc` for the frame flavors).  The
-worker's event loop is strictly reactive:
+One worker = one OS process whose state is a
+:class:`~repro.core.forwarding.ForwardingCore` on a private
+:class:`~repro.core.clock.VirtualClock` — the same scene → neighbor
+tables → overload controller → engine wiring the in-process emulator
+and the TCP server run — fed a shard of senders over a pipe (see
+:mod:`repro.cluster.ipc` for the frame flavors).  The worker's event
+loop is strictly reactive:
 
-* a **packet batch** runs each frame through
-  :meth:`~repro.core.engine.ForwardingEngine.worker_ingest` — the clock
-  advances to the frame's client stamp, fires any due flush callbacks,
-  then ingests; frames carrying a parent-sampled trace id continue
-  their pipeline trace here, with the cross-process ``ipc_queue`` /
-  ``ipc_decode`` stages recorded first;
-* ``scene_snapshot`` swaps in a freshly rebuilt scene replica (stale
+* a **packet batch** runs each frame's clock up to its client stamp
+  (firing any flush callbacks that fell due), then enters the core's
+  virtual-clock ingest, exactly like an in-process host's frame; frames
+  carrying a parent-sampled trace id continue their pipeline trace
+  here, with the cross-process ``ipc_queue`` / ``ipc_decode`` stages
+  recorded first;
+* ``scene_snapshot`` swaps in a freshly rebuilt scene replica through
+  :meth:`~repro.core.forwarding.ForwardingCore.replace_scene` (stale
   versions are ignored, so replication is idempotent) — the bootstrap,
-  and the carrier of every scene change that is not a node move;
+  and the carrier of every scene change that is not a node move.  The
+  engine, its counters, deadline buckets and RNG position survive;
 * ``scene_moves`` applies the parent's node moves to the live replica
   as one tick, so the neighbor tables refresh incrementally (one mover)
   or per channel, vectorized (several) instead of being rebuilt;
 * ``flush`` runs the clock to the barrier time and acks with the
-  worker's **sample** (:meth:`_WorkerState.sample`): pipeline counters,
-  schedule depth, the process's busy fraction, and — when those planes
-  are on — the registry snapshot, the trace spans completed since the
-  last sample and the profiler snapshot, for the parent's cluster-wide
-  merge;
+  worker's **sample** (:meth:`_WorkerState.sample`): the core's health
+  sections (pipeline counters, schedule depth, overload snapshot,
+  deadline buckets) plus the shard fields — frames ingested, the
+  process's busy fraction and, when those planes are on, the registry
+  snapshot, the trace spans completed since the last sample and the
+  profiler snapshot, for the parent's cluster-wide merge;
 * ``telemetry_pull`` answers with the same sample *without* running the
   clock (the parent's periodic pull between barriers);
 * ``collect`` answers with the same sample as a ``worker_report`` and
@@ -36,14 +39,14 @@ Observability: when :attr:`WorkerConfig.telemetry_enabled` the worker
 builds a full :class:`~repro.obs.telemetry.Telemetry` bundle whose
 tracer runs *delegated* — the parent owns the 1-in-N sampling decision
 and worker trace ids are the parent's, so merged cluster spans are
-contiguous.  Every worker also keeps a
-:class:`~repro.obs.flightrec.FlightRecorder`; on a pipeline failure the
-last seconds of events/spans are dumped to a JSON artifact whose path
-rides the ``worker_error`` frame back to the parent.  When
-:attr:`WorkerConfig.profile_hz` is set the worker additionally runs its
-own :class:`~repro.obs.profiler.SamplingProfiler`; its cumulative
-folded-stack snapshot rides every sample and is delta-merged
-parent-side so one profile covers the whole cluster.
+contiguous; otherwise its telemetry is disabled outright.  Every worker
+also keeps a :class:`~repro.obs.flightrec.FlightRecorder`; on a
+pipeline failure the last seconds of events/spans are dumped to a JSON
+artifact whose path rides the ``worker_error`` frame back to the
+parent.  When :attr:`WorkerConfig.profile_hz` is set the core's
+:class:`~repro.obs.profiler.SamplingProfiler` runs in the worker; its
+cumulative folded-stack snapshot rides every sample and is
+delta-merged parent-side so one profile covers the whole cluster.
 
 Time discipline: the worker's virtual clock is driven **entirely by the
 client stamps on incoming frames** (the paper's parallel time-stamping,
@@ -59,14 +62,11 @@ import time
 from dataclasses import dataclass
 from typing import Any, Optional
 
-import numpy as np
-
 from ..core.clock import VirtualClock
-from ..core.engine import ForwardingEngine
-from ..core.forwarding import make_profiler, release_profiler
+from ..core.forwarding import ForwardingCore, release_profiler
 from ..core.geometry import Vec2
 from ..core.ids import NodeId
-from ..core.neighbor import ChannelIndexedNeighborTables
+from ..core.overload import OverloadConfig
 from ..core.packet import PacketRecord
 from ..core.recording import MemoryRecorder
 from ..net.messages import (
@@ -101,35 +101,32 @@ class WorkerConfig:
     #: Sampling-profiler rate (Hz); None runs the worker unprofiled.
     profile_hz: Optional[float] = None
 
-    def make_rng(self) -> np.random.Generator:
-        """The worker engine's RNG.
+    @property
+    def engine_seed(self) -> int | list[int] | None:
+        """The seed of the worker core's RNG.
 
-        A 1-worker cluster uses ``default_rng(seed)`` — bit-identical to
+        A 1-worker cluster uses ``seed`` itself — bit-identical to
         :class:`~repro.core.server.InProcessEmulator`'s engine stream,
         which is what makes the seeded-equivalence test exact.  Multiple
-        workers draw from per-worker child streams
-        (``default_rng([seed, index])``) so shards are decorrelated but
-        still reproducible run-to-run.
+        workers draw from per-worker child streams (``[seed, index]``)
+        so shards are decorrelated but still reproducible run-to-run.
         """
-        if self.seed is None:
-            return np.random.default_rng()
-        if self.n_workers == 1:
-            return np.random.default_rng(self.seed)
-        return np.random.default_rng([self.seed, self.worker_index])
+        if self.seed is None or self.n_workers == 1:
+            return self.seed
+        return [self.seed, self.worker_index]
 
 
-class _WorkerState:
-    """The mutable half of a worker: engine, clock, recorder, counters."""
+class _WorkerState(ForwardingCore):
+    """The mutable half of a worker: a forwarding core on the shard's
+    virtual clock, plus the replica version and the shard's counters."""
+
+    clock: VirtualClock
 
     def __init__(
         self,
         config: WorkerConfig,
         flight: Optional[FlightRecorder] = None,
     ) -> None:
-        self.config = config
-        self.clock = VirtualClock()
-        self.recorder = MemoryRecorder()
-        self.engine: Optional[ForwardingEngine] = None
         self.scene_version = -1
         self.shard_ingested = 0
         self.busy_seconds = 0.0
@@ -140,21 +137,12 @@ class _WorkerState:
         )
         #: Completed spans awaiting ship-back (drained by every sample).
         self.spans: list[Any] = []
-        #: The worker's own wall-clock sampler; its cumulative snapshot
-        #: rides every sample, delta-merged parent-side.
-        self.profiler = make_profiler(
-            config.profile_hz, f"worker-{config.worker_index}"
-        )
-        self.telemetry: Optional[Telemetry] = None
+        telemetry = Telemetry.disabled()
         if config.telemetry_enabled:
-            tele = Telemetry(
+            telemetry = Telemetry(
                 enabled=True, sample_every=max(int(config.sample_every), 1)
             )
-            tracer = tele.tracer
-            # The parent owns the sampling decision and the trace ids:
-            # delegated mode keeps the engine from double-sampling with
-            # worker-local ids that would collide at merge time.
-            tracer.delegated = True
+            tracer = telemetry.tracer
             # Per-stage durations are histogrammed exactly once — by the
             # parent, on the *merged* span — so the worker ships raw
             # spans and leaves its own stage histogram unfed.
@@ -162,7 +150,21 @@ class _WorkerState:
             # Buffer spans for ship-back instead of recording locally
             # (set before engine wiring, which only binds a None sink).
             tracer.sink = self._buffer_span
-            self.telemetry = tele
+        # The replica arrives with the first snapshot; until then the
+        # core runs on an empty scene nothing is ingested against.
+        super().__init__(
+            VirtualClock(),
+            role=f"worker-{config.worker_index}",
+            seed=config.engine_seed,
+            bounds=None,
+            recorder=None,
+            schedule_capacity=config.schedule_capacity,
+            use_client_stamps=config.use_client_stamps,
+            telemetry=telemetry,
+            lag_budget=OverloadConfig.lag_budget,
+            overload_config=None,
+            profile_hz=config.profile_hz,
+        )
 
     def _buffer_span(self, span: Any) -> None:
         self.spans.append(span)
@@ -177,37 +179,25 @@ class _WorkerState:
             return  # stale replica, a newer one already landed
         scene = build_scene(raw_scene)
         self._catch_up(scene.time)
-        scene.bind_time_source(self.clock.now)
-        neighbors = ChannelIndexedNeighborTables(scene)
-        if self.engine is None:
-            self.engine = ForwardingEngine(
-                scene,
-                neighbors,
-                self.clock,
-                self.recorder,
-                rng=self.config.make_rng(),
-                schedule_capacity=self.config.schedule_capacity,
-                use_client_stamps=self.config.use_client_stamps,
-                telemetry=self.telemetry,
-            )
-        else:
-            self.engine.scene = scene
-            self.engine.neighbors = neighbors
+        self.replace_scene(scene)
         self.scene_version = version
 
     def apply_moves(
         self, version: int, t: float, moves: list[list[Any]]
     ) -> None:
         """Apply a ``scene_moves`` frame to the live replica as one tick."""
-        if self.engine is None:
-            raise ClusterWorkerError(
-                "scene moves received before any scene snapshot"
-            )
+        self._require_replica("scene moves")
         self._catch_up(t)
-        self.engine.scene.move_nodes(
+        self.scene.move_nodes(
             [(NodeId(int(n)), Vec2(float(x), float(y))) for n, x, y in moves]
         )
         self.scene_version = version
+
+    def _require_replica(self, what: str) -> None:
+        if self.scene_version < 0:
+            raise ClusterWorkerError(
+                f"{what} received before any scene snapshot"
+            )
 
     def _catch_up(self, scene_time: float) -> None:
         # The parent's scene time may be ahead of this shard's stamp-driven
@@ -220,16 +210,15 @@ class _WorkerState:
     def ingest_batch(
         self, entries: list[tuple[bytes, int]], t_sent: float
     ) -> None:
-        engine = self.engine
-        if engine is None:
-            raise ClusterWorkerError(
-                "packet batch received before any scene snapshot"
-            )
-        tracing = self.telemetry is not None
+        self._require_replica("packet batch")
+        clock = self.clock
+        stamps = self.engine.use_client_stamps
+        tracing = self._tracer is not None
         # One dwell measurement serves the whole batch: every frame in
         # it sat in the same pipe for the same interval.
         dwell = max(time.time() - t_sent, 0.0) if tracing else 0.0
         for frame, trace_id in entries:
+            tr = None
             if trace_id and tracing:
                 tr = Trace(trace_id)
                 tr.stage("ipc_queue", dwell)
@@ -237,51 +226,37 @@ class _WorkerState:
                 _op, packet = decode_packet_binary(frame)
                 tr.stage("ipc_decode", time.perf_counter() - t0)
                 tr.bind(packet.source, packet)
-                engine.worker_ingest(packet, trace=tr)
             else:
                 _op, packet = decode_packet_binary(frame)
-                engine.worker_ingest(packet)
+            t = packet.t_origin
+            if stamps and t is not None and t > clock.now():
+                clock.run_until(t)
+            self._virtual_ingest(packet.source, packet, tr)
         self.shard_ingested += len(entries)
 
     def flush_to(self, t: float) -> None:
         self.clock.run_until(max(t, self.clock.now()))
-        if self.engine is not None:
-            self.engine.flush_due(self.clock.now())
+        self.engine.flush_due(self.clock.now())
 
     # -- reporting ------------------------------------------------------------
 
-    def counters(self) -> dict[str, int]:
-        e = self.engine
-        if e is None:
-            return {
-                "ingested": 0, "forwarded": 0,
-                "dropped": 0, "transport_dropped": 0,
-            }
-        return {
-            "ingested": e.ingested,
-            "forwarded": e.forwarded,
-            "dropped": e.dropped,
-            "transport_dropped": e.transport_dropped,
-        }
-
     def sample(self) -> dict[str, Any]:
         """The health/telemetry sample every reply to the parent
-        carries (:func:`repro.net.messages._with_sample`'s fields).
-        Taking it drains the completed-span buffer — the same drain
-        discipline as the packet log."""
+        carries: the core's health sections plus the shard fields
+        (:func:`repro.net.messages._with_sample`).  Taking it drains
+        the completed-span buffer — the same drain discipline as the
+        packet log."""
         wall = time.perf_counter() - self.started_at
         tele, prof = self.telemetry, self.profiler
         spans = None
-        if tele is not None:
+        if tele.enabled:
             spans = [ipc.span_to_row(s) for s in self.spans]
             self.spans = []
         return {
-            "counters": self.counters(),
-            "queue_depth":
-                len(self.engine.schedule) if self.engine is not None else 0,
+            **self._core_health(),
             "busy_fraction": self.busy_seconds / wall if wall > 0 else 0.0,
             "shard_ingested": self.shard_ingested,
-            "telemetry": tele.snapshot() if tele is not None else None,
+            "telemetry": tele.snapshot() if tele.enabled else None,
             "spans": spans,
             "profile": prof.snapshot() if prof is not None else None,
         }
@@ -290,9 +265,7 @@ class _WorkerState:
         """Take and clear the packet log (collect is a drain, so a
         second collect never double-reports)."""
         records = self.recorder.packets()
-        self.recorder = MemoryRecorder()
-        if self.engine is not None:
-            self.engine.recorder = self.recorder
+        self.recorder = self.engine.recorder = MemoryRecorder()
         return records
 
 

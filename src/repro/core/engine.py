@@ -378,38 +378,6 @@ class ForwardingEngine:
                 scheduled = scheduled[:accepted]
         return self._commit_ingest(packet, sender, scheduled, drops, tr)
 
-    def worker_ingest(
-        self, packet: Packet, *, trace: Optional[Trace] = None
-    ) -> list[ScheduledPacket]:
-        """Worker-mode entry (sharded cluster): one frame, clock included.
-
-        A shard worker owns a private :class:`~repro.core.clock.VirtualClock`
-        driven entirely by the client stamps on incoming frames.  This
-        entry reproduces the in-process emulator's clock discipline for
-        one frame — advance the virtual clock to the frame's origin
-        stamp (firing any flush callbacks that fell due), sync scene
-        mobility/time, ingest, then :meth:`arm_flush` — so a 1-worker
-        cluster runs the *identical* event sequence as
-        :class:`~repro.core.server.InProcessEmulator` (the
-        seeded-equivalence contract).
-
-        Requires ``self.clock`` to be a :class:`VirtualClock` (the
-        worker always builds one); the real-time stack never calls this.
-
-        ``trace`` is a cross-process pipeline trace continued from the
-        parent's sampling decision (its IPC stages already recorded);
-        the worker tracer runs *delegated*, so this is the only way a
-        worker frame gets traced.
-        """
-        clock = self.clock
-        t = packet.t_origin
-        if self.use_client_stamps and t is not None and t > clock.now():
-            clock.run_until(t)  # type: ignore[attr-defined]
-        self.scene.advance_time(clock.now())
-        entries = self.ingest(packet.source, packet, trace=trace)
-        self.arm_flush(entries)
-        return entries
-
     def arm_flush(self, entries: list[ScheduledPacket]) -> None:
         """Virtual-clock Step 5: wake the scan once per forward instant.
 

@@ -6,24 +6,26 @@ recorder → neighbor tables → overload controller → engine, wired once on
 whatever clock the shell hands it, plus the evidence a run leaves behind
 (the ``run-summary`` record and the core sections of ``health()``).
 :class:`~repro.core.server.InProcessEmulator` (virtual clock, virtual
-hosts) and :class:`~repro.core.tcpserver.PoEmServer` (real-time clock,
-sockets) subclass it and add their transport, nothing else.
-
-The sharded cluster's engines live in its workers, built per scene
-replica, so it is not a :class:`ForwardingCore`; parent and worker share
-the module-level helpers instead (:func:`make_profiler` /
-:func:`release_profiler`, :func:`record_run_summary`).
+hosts), :class:`~repro.core.tcpserver.PoEmServer` (real-time clock,
+sockets) and the sharded cluster's shard worker
+(:class:`~repro.cluster.worker._WorkerState`: a stamp-driven virtual
+clock, a pipe, a scene replica swapped in by :meth:`replace_scene`)
+subclass it and add their transport, nothing else.  The sharded parent
+owns no engine; it shares the module-level helpers
+(:func:`make_profiler` / :func:`release_profiler`,
+:func:`record_run_summary`, :func:`virtual_clients`).
 """
 
 from __future__ import annotations
 
 from time import perf_counter as _perf
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, Iterable, Optional
 
 import numpy as np
 
 from ..models.mobility import Bounds
 from ..obs.telemetry import Telemetry
+from ..obs.tracing import Trace
 from .clock import RealTimeClock, VirtualClock
 from .engine import ForwardingEngine
 from .ids import NodeId
@@ -41,6 +43,7 @@ __all__ = [
     "make_profiler",
     "release_profiler",
     "record_run_summary",
+    "virtual_clients",
 ]
 
 
@@ -88,8 +91,8 @@ def record_run_summary(
     Offline analysis should not have to infer the run end from the last
     packet: the summary pins stop time, pipeline ``totals`` and the
     ring-eviction count, plus whatever ``sections`` the deployment has
-    (``overload``/``deadline`` where an engine is local, ``cluster``
-    on the sharded parent).  A profiled run records its ``profile``
+    (``overload``/``deadline`` where an engine is local; ``cluster``
+    and the workers' summed ``deadline`` on the sharded parent).  A profiled run records its ``profile``
     event first, so ``poem profile <db>`` reads it back.  Both are about
     the *run*, not a node — ``node`` is the sentinel ``-1`` — and are
     recorded directly, so scene listeners and replay are not involved.
@@ -116,10 +119,33 @@ def record_run_summary(
     )
 
 
+def virtual_clients(
+    scene: Scene, hosts: Iterable[NodeId], now: float
+) -> dict[str, Any]:
+    """The ``clients`` and ``quarantined`` sections of ``health()`` for
+    a shell whose clients are virtual hosts (in-process, sharded): each
+    host still in the scene was seen ``now``, has no outbox, and is
+    stale exactly while quarantined."""
+    return {
+        "clients": {
+            int(nid): {
+                "label": scene.label(nid),
+                "last_seen": now,
+                "stale": scene.is_quarantined(nid),
+                "overflow": 0,
+                "outbox_depth": 0,
+            }
+            for nid in hosts
+            if nid in scene
+        },
+        "quarantined": {int(n): None for n in scene.quarantined_nodes()},
+    }
+
+
 class ForwardingCore:
     """Scene, recorder, neighbor tables, overload controller and engine
-    on one clock — what :class:`InProcessEmulator` and
-    :class:`PoEmServer` have in common."""
+    on one clock — what :class:`InProcessEmulator`, :class:`PoEmServer`
+    and the shard worker have in common."""
 
     def __init__(
         self,
@@ -129,7 +155,8 @@ class ForwardingCore:
         clock: RealTimeClock | VirtualClock,
         *,
         role: str,
-        seed: Optional[int],
+        # A list seeds a child stream (the shard workers' [seed, index]).
+        seed: int | list[int] | None,
         bounds: Optional[Bounds],
         recorder: Optional[Recorder],
         schedule_capacity: Optional[int],
@@ -177,6 +204,32 @@ class ForwardingCore:
         # Continuous profiling shares the overload controller, so it is
         # shed the moment the core leaves NOMINAL — before any fidelity.
         self.profiler = make_profiler(profile_hz, role, self.overload)
+
+    def replace_scene(self, scene: Scene) -> None:
+        """Swap in a new scene (a shard worker's fresh replica) under the
+        same engine: bound to this core's clock, with rebuilt neighbor
+        tables.  Counters, deadline buckets, the schedule and the RNG
+        position carry on.  The recorder is not attached: the replica's
+        scene events are the parent's to record."""
+        scene.bind_time_source(self.clock.now)
+        self.scene = self.engine.scene = scene
+        self.neighbors = self.engine.neighbors = (
+            ChannelIndexedNeighborTables(scene)
+        )
+
+    def _virtual_ingest(
+        self, source: NodeId, packet: Packet, trace: Optional[Trace] = None
+    ) -> None:
+        """Steps 1–5 of one frame on a virtual clock: scene mobility up
+        to now, ingest, then one wake-up per new forward instant
+        (:meth:`ForwardingEngine.arm_flush`).  The shells that run their
+        clock virtually (in-process hosts, shard workers) enter the
+        pipeline here and nowhere else."""
+        # Positions must reflect mobility up to now before the neighbor
+        # lookup and loss draws: the server's view is current.
+        self.scene.advance_time(self.clock.now())
+        engine = self.engine
+        engine.arm_flush(engine.ingest(source, packet, trace=trace))
 
     def _sampled_receive(self, source: NodeId, packet: Packet, t0: float):
         """Step 1 of a pipeline trace, for a shell whose tracer is on:

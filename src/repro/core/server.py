@@ -8,10 +8,11 @@ and time advances deterministically.  This is the test/benchmark stack —
 and also a perfectly usable headless emulator for scripted scenarios.
 
 :class:`PoEmServer` (in :mod:`repro.core.tcpserver`) is the paper-faithful
-deployment: a TCP server workstations connect to.  Both are shells
-around one :class:`~repro.core.forwarding.ForwardingCore` — scene,
-neighbor tables, engine, recorder, overload controller, run summary —
-and differ only in clocks and transports (DESIGN.md §2).
+deployment: a TCP server workstations connect to.  Both, like the
+sharded cluster's shard workers, are shells around one
+:class:`~repro.core.forwarding.ForwardingCore` — scene, neighbor
+tables, engine, recorder, overload controller, run summary — and differ
+only in clocks and transports (DESIGN.md §2).
 
 Client-side imperfections are first-class here because the paper's whole
 §2 argument is about them: each virtual host can be given a **clock
@@ -39,7 +40,7 @@ from ..protocols.base import (
     VirtualTimerService,
 )
 from .clock import SyncSample, VirtualClock
-from .forwarding import ForwardingCore, release_profiler
+from .forwarding import ForwardingCore, release_profiler, virtual_clients
 from .geometry import Vec2
 from .ids import ChannelId, IdAllocator, NodeId
 from .overload import OverloadConfig
@@ -292,17 +293,12 @@ class InProcessEmulator(ForwardingCore):
         delay = host.uplink.sample(host._rng)
 
         def arrive_at_server() -> None:
-            # Scene positions must reflect mobility up to 'now' before
-            # neighbor lookup / loss draws (the server's view is current).
-            self.scene.advance_time(self.clock.now())
             tr = None
             if self._tracer is not None:
                 tr = self._sampled_receive(
                     host.node_id, packet, _time_mod.perf_counter()
                 )
-            self.engine.arm_flush(
-                self.engine.ingest(host.node_id, packet, trace=tr)
-            )
+            self._virtual_ingest(host.node_id, packet, tr)
 
         if delay <= 0.0:
             arrive_at_server()
@@ -328,20 +324,7 @@ class InProcessEmulator(ForwardingCore):
             "time": self.clock.now(),
             "threads": {},
             "recent_failures": [],
-            "clients": {
-                int(nid): {
-                    "label": self.scene.label(nid),
-                    "last_seen": self.clock.now(),
-                    "stale": self.scene.is_quarantined(nid),
-                    "overflow": 0,
-                    "outbox_depth": 0,
-                }
-                for nid in self._hosts
-                if nid in self.scene
-            },
-            "quarantined": {
-                int(n): None for n in self.scene.quarantined_nodes()
-            },
+            **virtual_clients(self.scene, self._hosts, self.clock.now()),
             **self._core_health(),
         }
 

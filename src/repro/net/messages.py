@@ -203,42 +203,26 @@ def make_flush(t: float, flush_id: int) -> dict[str, Any]:
     return {"op": "flush", "t": float(t), "id": int(flush_id)}
 
 
-def _with_sample(
-    msg: dict[str, Any],
-    *,
-    counters: dict[str, int],
-    queue_depth: int = 0,
-    busy_fraction: float = 0.0,
-    shard_ingested: int = 0,
-    telemetry: Optional[dict[str, Any]] = None,
-    spans: Optional[list[list[Any]]] = None,
-    profile: Optional[dict[str, Any]] = None,
-) -> dict[str, Any]:
-    """Add a worker's health/telemetry sample to a reply: the one list
+def _with_sample(msg: dict[str, Any], **sample: Any) -> dict[str, Any]:
+    """Add a worker's health/telemetry sample to a reply: the one set
     of fields ``flushed``, ``telemetry_report`` and ``worker_report``
     all carry, so the parent refreshes on whichever arrives.
 
-    ``telemetry`` is the worker registry's
+    The sample (:meth:`repro.cluster.worker._WorkerState.sample`) is the
+    worker core's ``health()`` sections — ``engine`` totals,
+    ``schedule_depth``, ``records_evicted``, ``overload``, ``deadline``
+    — plus the shard fields ``busy_fraction``, ``shard_ingested`` and
+    one per optional plane: ``telemetry``, the worker registry's
     :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`, folded in
     parent-side through :class:`~repro.obs.metrics.SnapshotMerger`;
-    ``spans`` the trace spans completed since the last sample
-    (:func:`repro.cluster.ipc.span_to_row` rows); ``profile`` the worker
-    sampler's cumulative folded-stack snapshot
+    ``spans``, the trace spans completed since the last sample
+    (:func:`repro.cluster.ipc.span_to_row` rows); ``profile``, the
+    worker sampler's cumulative folded-stack snapshot
     (:meth:`~repro.obs.profiler.SamplingProfiler.snapshot`), folded
-    through :class:`~repro.obs.profiler.ProfileMerger`.  Each is left
-    out, not null, when the worker runs without that plane.
+    through :class:`~repro.obs.profiler.ProfileMerger`.  A plane's field
+    is left out, not null, when the worker runs without that plane.
     """
-    msg.update(
-        counters=counters,
-        queue_depth=int(queue_depth),
-        busy_fraction=float(busy_fraction),
-        shard_ingested=int(shard_ingested),
-    )
-    for key, value in (
-        ("telemetry", telemetry), ("spans", spans), ("profile", profile),
-    ):
-        if value is not None:
-            msg[key] = value
+    msg.update((k, v) for k, v in sample.items() if v is not None)
     return msg
 
 

@@ -26,9 +26,12 @@ sampling profiler in the flamegraph tradition:
 * a bounded ring of recent ``(wall time, thread, leaf frame)`` samples
   feeds the Chrome-trace timeline (:mod:`repro.obs.timeline`).
 
-Cluster story: each shard worker runs its *own* sampler and ships its
-cumulative folded-stack table in the sample every reply to the parent
-carries (:meth:`repro.cluster.worker._WorkerState.sample`); the parent
+Cluster story: each shard worker's forwarding core runs its *own*
+sampler — paused, like every core's, while that worker's overload
+controller is out of NOMINAL — and ships its cumulative folded-stack
+table in the sample every reply to the parent carries (the core's
+health sections plus the shard fields,
+:meth:`repro.cluster.worker._WorkerState.sample`); the parent
 folds them through
 :class:`ProfileMerger` — the same last-seen delta-merge idiom as
 :class:`~repro.obs.metrics.SnapshotMerger`, including the

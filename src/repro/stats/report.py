@@ -19,6 +19,7 @@ from typing import Optional, Union
 
 from ..core.overload import (
     DeadlineAccounting,
+    OverloadConfig,
     OverloadState,
     degraded_intervals,
     fidelity_verdict,
@@ -28,7 +29,7 @@ from ..core.recording import Recorder, RunDataset, load_dataset
 from .metrics import LatencyStats, jitter_stats, latency_stats
 
 __all__ = ["FlowStats", "NodeActivity", "RunReport", "build_report",
-           "format_report", "format_health"]
+           "format_report", "format_health", "recorded_lag_budget"]
 
 
 @dataclass(frozen=True)
@@ -124,15 +125,27 @@ class RunReport:
         )
 
 
+def recorded_lag_budget(dataset: RunDataset) -> float:
+    """The lag budget the run was judged against live: its run
+    summary's ``deadline.budget``, or the 10 ms default when the run
+    recorded none."""
+    deadline = (dataset.run_summary or {}).get("deadline") or {}
+    return float(deadline.get("budget", OverloadConfig.lag_budget))
+
+
 def build_report(
     source: Union[str, Recorder, RunDataset],
     *,
     top_flows: int = 10,
-    lag_budget: float = 0.010,
+    lag_budget: Optional[float] = None,
 ) -> RunReport:
     """Compute the run report of one recording (a recorder, a SQLite
-    path, or a loaded :class:`RunDataset`)."""
+    path, or a loaded :class:`RunDataset`).  Deliveries are bucketed
+    against ``lag_budget``, by default the run's own
+    (:func:`recorded_lag_budget`)."""
     dataset = load_dataset(source)
+    if lag_budget is None:
+        lag_budget = recorded_lag_budget(dataset)
     packets = dataset.packets
     stamps = [
         s

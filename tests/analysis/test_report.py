@@ -101,18 +101,18 @@ class TestAnalyze:
         assert "<html>" in render_html(rep)
 
 
-def on_time_recording(*states):
-    """20 data records, each delivered 1 ms after ``t_forward`` (well
-    inside the 10 ms budget), plus one recorded overload transition
-    into each of ``states`` and back to nominal."""
-    rec = MemoryRecorder()
+def lagged_recording(lag, *states, recorder=None):
+    """20 data records, each delivered ``lag`` after ``t_forward``, plus
+    one recorded overload transition into each of ``states`` and back
+    to nominal."""
+    rec = recorder if recorder is not None else MemoryRecorder()
     for i in range(20):
         t = 0.1 * i
         rec.record_packet(PacketRecord(
             record_id=i + 1, seqno=i + 1, source=1, destination=2,
             sender=1, receiver=2, channel=1, kind="data", size_bits=800,
             t_origin=t, t_receipt=t, t_forward=t + 0.005,
-            t_delivered=t + 0.006,
+            t_delivered=t + 0.005 + lag,
         ))
     for k, state in enumerate(states):
         for t, old, new in ((0.5 + k, "nominal", state),
@@ -122,6 +122,12 @@ def on_time_recording(*states):
                 details={"from": old, "to": new},
             ))
     return rec
+
+
+def on_time_recording(*states):
+    """:func:`lagged_recording` with every delivery 1 ms late, well
+    inside the 10 ms budget."""
+    return lagged_recording(0.001, *states)
 
 
 class TestOneVerdict:
@@ -140,6 +146,28 @@ class TestOneVerdict:
         assert stats.deadline_late == stats.deadline_missed == 0
         assert stats.fidelity == verdict
         assert analyze(rec).fidelity["verdict"] == verdict
+
+    def test_buckets_follow_the_runs_own_budget(self, tmp_path, capsys):
+        """A run judged live against 2 ms is re-judged against 2 ms, not
+        the 10 ms default: 5 ms late is late.  An explicit budget wins."""
+        path = str(tmp_path / "tight.sqlite")
+        rec = SqliteRecorder(path)
+        lagged_recording(0.005, recorder=rec)
+        InProcessEmulator(lag_budget=0.002, recorder=rec).record_run_summary()
+        rec.close()
+
+        stats = build_report(path)
+        assert stats.lag_budget == 0.002
+        assert stats.deadline_late == 20 and stats.fidelity == "degraded"
+        fidelity = analyze(path).fidelity
+        assert fidelity["late"] == 20 and fidelity["verdict"] == "degraded"
+        argv = ["analyze", path, "--format", "json", "--lineage", "0"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["fidelity"]["late"] == 20
+
+        assert build_report(path, lag_budget=0.010).deadline_late == 0
+        assert main([*argv, "--lag-budget", "0.010"]) == 0
+        assert json.loads(capsys.readouterr().out)["fidelity"]["late"] == 0
 
 
 class TestRenderers:

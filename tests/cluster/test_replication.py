@@ -5,6 +5,7 @@ the cross-worker merge must keep its order."""
 
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from repro.cluster import ShardedEmulator
 from repro.cluster.ipc import row_event_time
 from repro.cluster.sharded import _merge_rows
+from repro.cluster.snapshot import snapshot_to_dict
 from repro.cluster.worker import (
     ClusterWorkerError,
     WorkerConfig,
@@ -21,10 +23,16 @@ from repro.cluster.worker import (
 from repro.core.geometry import Vec2
 from repro.core.ids import BROADCAST_NODE, ChannelId, NodeId
 from repro.core.neighbor import ChannelIndexedNeighborTables
-from repro.models.link import DEFAULT_LINK, DelayModel, LinkModel
+from repro.core.packet import PacketStamper
+from repro.models.link import (
+    DEFAULT_LINK,
+    DelayModel,
+    LinkModel,
+    PacketLossModel,
+)
 from repro.models.mobility import ConstantVelocity
 from repro.models.radio import Radio, RadioConfig
-from repro.net.messages import decode_message
+from repro.net.messages import decode_message, encode_packet_binary
 
 TWO_RADIOS = RadioConfig.of(
     [
@@ -217,6 +225,59 @@ class TestReplicaCoherence:
         assert not any(t.is_alive() for t in threads)
         emu._sync_scene()
         assert_coherent(emu, pipe)
+
+
+class TestReplaceScene:
+    def test_a_newer_snapshot_keeps_the_engine_a_stale_one_is_ignored(self):
+        """``replace_scene`` swaps the replica under a running engine
+        (moves before any snapshot are
+        ``test_moves_before_any_snapshot_are_a_worker_error``)."""
+        emu, pipe = looped_cluster(n_nodes=4)
+        lossy = LinkModel(loss=PacketLossModel(p0=0.2, p1=0.6, d0=0.5))
+        for node in emu.scene.node_ids():
+            emu.scene.set_link_model(node, 0, lossy)  # loss draws use the RNG
+        emu._sync_scene()
+        state, stamper = pipe.state, PacketStamper(NodeId(1))
+        engine = state.engine
+        fresh_rng = engine._rng.bit_generator.state
+
+        def send(t: float) -> None:
+            packet = stamper.make_packet(
+                BROADCAST_NODE, b"x", channel=ChannelId(1), t_origin=t
+            )
+            frame = encode_packet_binary("packet", packet)
+            state.ingest_batch([(frame, 0)], time.time())
+
+        for i in range(5):
+            send(0.01 * (i + 1))
+        state.flush_to(0.1)
+        assert engine.forwarded > 0
+        assert engine._rng.bit_generator.state != fresh_rng
+
+        def kept():
+            return (
+                engine.ingested, engine.forwarded,
+                engine.deadlines.as_dict(), engine._rng.bit_generator.state,
+            )
+
+        before = kept()
+        # Structural, so it ships as a newer snapshot: node 1 now
+        # reaches nobody on channel 1.
+        emu.scene.set_radio_range(NodeId(1), 0, 1.0)
+        emu._sync_scene()
+        assert pipe.ops[-1] == "scene_snapshot"
+        assert state.engine is engine and engine.scene is state.scene
+        assert kept() == before
+        assert_coherent(emu, pipe)
+        send(0.2)
+        state.flush_to(0.3)
+        assert engine.ingested == before[0] + 1
+        assert engine.forwarded == before[1]
+
+        replica, version = state.scene, state.scene_version
+        stale = snapshot_to_dict(emu.scene.export_snapshot())
+        state.apply_snapshot(version - 1, stale)
+        assert state.scene is replica and state.scene_version == version
 
 
 class TestHandOffLock:

@@ -114,6 +114,24 @@ def test_engine_owning_shells_report_the_same_core_sections(runs):
     assert "cluster" in runs["sharded"][0]
 
 
+def test_every_deployment_reports_one_fidelity_verdict(runs):
+    inproc = runs["inproc"][0]["deadline"]
+    for health, recorder in runs.values():
+        summary = recorder.scene_events()[-1].details
+        for deadline in (health["deadline"], summary["deadline"]):
+            assert set(deadline) == set(inproc)
+            assert deadline["verdict"] == "real-time"
+            assert deadline["on_time"] == 1
+
+
+def test_shard_workers_sample_the_core_sections(runs):
+    health = runs["sharded"][0]
+    (worker,) = health["cluster"]["per_worker"]
+    assert set(worker["overload"]) == set(runs["inproc"][0]["overload"])
+    assert worker["deadline"] == health["deadline"]
+    assert "overload" not in health
+
+
 @pytest.mark.parametrize("name", ["inproc", "tcp", "sharded"])
 def test_profiled_run_ends_on_profile_then_run_summary(runs, name):
     _, recorder = runs[name]
@@ -134,4 +152,4 @@ def test_run_summary_keys_match_across_deployments(runs):
     }
     assert summary["inproc"] == summary["tcp"]
     assert summary["inproc"] == SUMMARY_KEYS | CORE_HEALTH_KEYS
-    assert summary["sharded"] == SUMMARY_KEYS | {"cluster"}
+    assert summary["sharded"] == SUMMARY_KEYS | {"cluster", "deadline"}

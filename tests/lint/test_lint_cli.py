@@ -109,8 +109,11 @@ def test_lint_deep_json_document(capsys):
     deep = doc["deep"]
     assert deep["clean"] is True
     assert deep["functions"] > 500
-    assert deep["static_lock_edges"] > 20
-    assert deep["thread_roots"]  # supervised threads, httpd, worker_main...
+    # Ceilings as well as floors: a change that grows the lock graph or
+    # adds a thread root fails here until the ceiling is raised on purpose.
+    assert 20 < deep["static_lock_edges"] <= 58
+    # Supervised threads, httpd, worker_main...
+    assert 0 < len(deep["thread_roots"]) <= 12
     assert deep["stale_baseline_entries"] == []
     assert all(e["justification"] for e in deep["baselined"])
 
