@@ -547,13 +547,18 @@ class Scene:
         """
         return self._tick_movers
 
-    def advance_time(self, t: float) -> list[NodeId]:
+    def advance_time(self, t: Optional[float] = None) -> list[NodeId]:
         """Advance scene time to ``t``, moving every mobile node.
 
-        Returns the ids of nodes that actually moved.  The engine calls
-        this on a fixed tick (real-time stack) or before each forwarding
-        decision (virtual stack), so positions used for loss/neighbor
-        computations always reflect the configured mobility.
+        Returns the ids of nodes that actually moved.  The virtual stacks
+        call this with their clock's instant before each forwarding
+        decision; the real-time server calls it with no argument before
+        each wake's ingests and on an idle tick, so positions used for
+        loss/neighbor computations always reflect the configured mobility.
+        With no ``t`` the bound time source (:meth:`bind_time_source`)
+        is read inside the scene lock, so no mutation's
+        :meth:`_sync_time` on another thread can leave scene time ahead
+        of the read.
 
         An instant is evaluated once: a repeated call for the instant
         already applied returns ``[]`` without touching a trajectory,
@@ -562,6 +567,8 @@ class Scene:
         as one tick (:meth:`_apply_moves`).
         """
         with self._lock:
+            if t is None:
+                t = self._time_source()
             if t < self._time:
                 raise SceneError(
                     f"cannot move scene time backwards ({self._time} -> {t})"

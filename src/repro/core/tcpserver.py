@@ -10,8 +10,13 @@ forward deadline as the timeout:
 
 * **wait** — one ``select`` over the listening socket, every client
   socket and a wake socketpair, until the schedule's head entry is due,
-  the next heartbeat is due, or ``scan_poll × 25`` s passed
+  the next heartbeat is due, the next mobility tick is due, or
+  ``scan_poll × 25`` s passed
   (:meth:`~repro.core.scheduler.ForwardSchedule.wait_ready`);
+* **advance** — a wake with readable sockets, or one ``mobility_tick``
+  after scene time was last evaluated, first advances the scene to the
+  clock (:meth:`~repro.core.scene.Scene.advance_time`), so every packet
+  is forwarded on the scene at its receipt, one wake stale at most;
 * **read** (Step 1) — one bounded ``recv`` per readable socket; every
   complete frame it brought is de-framed and handled inline: ingest
   (Steps 2–4), or the clock-sync reply with server time-stamps (§4.1
@@ -29,8 +34,9 @@ The harvest runs once per pass — a pass reads at most one
 harvest is one observation of the overload controller: harvesting inside
 a batch of frames as well made every host stall count several times over
 (see docs/performance.md).  ``select.select`` caps the server at
-descriptors below :data:`SELECT_MAX_FD`.  One **mobility thread** beside
-the loop ticks scene time forward.
+descriptors below :data:`SELECT_MAX_FD`.  ``mobility_tick`` is the
+longest an idle server leaves scene time unevaluated: the ``node-moved``
+events a replay draws stay that smooth with no traffic at all.
 
 Scene mutations arrive either from local code (scenario scripts, the GUI
 module) or from a connected operator console via ``scene_op`` messages.
@@ -38,7 +44,7 @@ module) or from a connected operator console via ``scene_op`` messages.
 Fault tolerance (the layer §3.2 implies but the paper never implements —
 "overload of server computation" is its only nod to degraded operation):
 
-* both threads run under a :class:`~repro.core.supervision.
+* the loop runs under a :class:`~repro.core.supervision.
   SupervisedThread`; a crash is recorded and the loop restarts with
   capped exponential backoff, its connections intact (they live on the
   server, not in the loop's frame).  A failure while handling one
@@ -247,7 +253,7 @@ class PoEmServer(ForwardingCore):
     # -- lifecycle ---------------------------------------------------------------
 
     def start(self) -> tuple[str, int]:
-        """Bind, listen, and start the loop and the mobility thread.
+        """Bind, listen, and start the loop (which also ticks scene time).
 
         Returns the bound (host, port) — port 0 lets the OS pick one.
         """
@@ -260,14 +266,10 @@ class PoEmServer(ForwardingCore):
         self._sock.setblocking(False)
         self._wake_r, self._wake_w = socket.socketpair()
         self._running = True
-        should_run = lambda: self._running  # noqa: E731
-        for target, name in (
-            (self._serve_loop, _LOOP),
-            (self._mobility_loop, "poem-mobility"),
-        ):
-            self.supervisor.spawn(
-                name, target, restartable=True, should_run=should_run
-            )
+        self.supervisor.spawn(
+            _LOOP, self._serve_loop, restartable=True,
+            should_run=lambda: self._running,
+        )
         if self.profiler is not None:
             self.profiler.start()
         if self._metrics_port is not None and self.telemetry.enabled:
@@ -393,7 +395,7 @@ class PoEmServer(ForwardingCore):
             out["metrics_address"] = list(self.metrics_address)
         return out
 
-    # -- the loop: wait, read, harvest, write -----------------------------------------
+    # -- the loop: wait, advance, read, harvest, write --------------------------------
 
     def _serve_loop(self) -> None:
         """Steps 1, 5 and 6 of every client on one thread (see the
@@ -402,15 +404,21 @@ class PoEmServer(ForwardingCore):
         clock, schedule = self.clock, self.engine.schedule
         idle = self._scan_poll * 25
         beat = self._heartbeat_interval
+        tick = self._mobility_tick
         next_beat = clock.now() + beat
         while self._running:
             now = clock.now()
+            wait = min(idle, self.scene.time + tick - now)
             readable, writable = schedule.wait_ready(
                 now,
-                min(idle, next_beat - now) if beat > 0 else idle,
+                min(wait, next_beat - now) if beat > 0 else wait,
                 [self._sock, self._wake_r, *self._conns],
                 [conn.sock for conn in self._blocked],
             )
+            # Scene time is the loop's: mobility up to this wake before
+            # any frame of it is forwarded, and once a tick when idle.
+            if readable or clock.now() - self.scene.time >= tick:
+                self.scene.advance_time()
             for sock in readable:
                 conn = self._conns.get(sock)
                 if conn is not None:
@@ -828,7 +836,7 @@ class PoEmServer(ForwardingCore):
         else:
             raise TransportError(f"unknown scene op: {op!r}")
 
-    # -- deliver / mobility ------------------------------------------------------------
+    # -- deliver -----------------------------------------------------------------
 
     def _deliver(self, receiver: NodeId, packet: Packet) -> None:
         """Step 6 hand-off (called by the harvest, on the loop thread):
@@ -844,25 +852,6 @@ class PoEmServer(ForwardingCore):
             self._enqueue(conn, frame, packet)
             if self._m_tx is not None:
                 self._m_tx.inc()
-
-    def _mobility_loop(self) -> None:
-        """Tick scene time forward.  Crashes surface in :meth:`health`
-        and the supervision layer restarts the loop with backoff (the
-        seed's bare re-raise died silently in a daemon thread)."""
-        import time as _time
-
-        while self._running:
-            _time.sleep(self._mobility_tick)
-            if not self._running:
-                return
-            try:
-                self.scene.advance_time(self.clock.now())
-            except SceneError:
-                # A concurrent mutation (register, overload-state
-                # transition, run-summary) synced scene time past our
-                # clock read between the read and the lock — benign;
-                # the next tick re-reads the clock.
-                continue
 
 
 def _radio_from_wire(raw: dict) -> Radio:

@@ -240,39 +240,39 @@ class TestServerHealthUnderCrash:
         srv = PoEmServer(seed=0, mobility_tick=0.01)
         srv.start()
         try:
-            # Sabotage one mobility tick: the loop crashes once, the
-            # supervisor records it and restarts the loop with backoff.
+            # Sabotage one mobility tick: scene time is the loop's, so
+            # poem-loop crashes once, the supervisor records it and
+            # restarts the loop with backoff.
             real_advance = srv.scene.advance_time
             state = {"armed": True}
 
-            def sabotaged(t):
+            def sabotaged(*args):
                 if state["armed"]:
                     state["armed"] = False
                     raise RuntimeError("injected mobility crash")
-                return real_advance(t)
+                return real_advance(*args)
 
             srv.scene.advance_time = sabotaged
             assert wait_for(
-                lambda: srv.health()["threads"]["poem-mobility"]["failures"]
-                >= 1
+                lambda: srv.health()["threads"]["poem-loop"]["failures"] >= 1
             )
             health = srv.health()
-            mob = health["threads"]["poem-mobility"]
-            assert mob["last_error"] == (
+            loop = health["threads"]["poem-loop"]
+            assert loop["last_error"] == (
                 "RuntimeError: injected mobility crash"
             )
             assert any(
-                f["thread"] == "poem-mobility"
+                f["thread"] == "poem-loop"
                 and "injected mobility crash" in f["error"]
                 for f in health["recent_failures"]
             )
-            # The loop comes back (restart with backoff) and keeps
-            # ticking the scene clock.
+            # The loop comes back (restart with backoff) and an idle
+            # server keeps ticking the scene clock.
             assert wait_for(
-                lambda: srv.health()["threads"]["poem-mobility"]["alive"]
+                lambda: srv.health()["threads"]["poem-loop"]["alive"]
             )
             assert wait_for(
-                lambda: srv.health()["threads"]["poem-mobility"]["restarts"]
+                lambda: srv.health()["threads"]["poem-loop"]["restarts"]
                 >= 1
             )
             t_before = srv.scene.time
@@ -286,9 +286,8 @@ class TestServerHealthUnderCrash:
         try:
             health = srv.health()
             assert health["running"] is True
-            assert set(health["threads"]) == {"poem-loop", "poem-mobility"}
-            for name in ("poem-loop", "poem-mobility"):
-                assert health["threads"][name]["alive"]
+            assert set(health["threads"]) == {"poem-loop"}
+            assert health["threads"]["poem-loop"]["alive"]
             for key in ("clients", "quarantined", "engine",
                         "recent_failures", "time"):
                 assert key in health
