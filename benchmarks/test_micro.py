@@ -93,10 +93,16 @@ def test_engine_unicast_pipeline(benchmark):
     )
     scene.move_node(NodeId(2), Vec2(scene.position(NodeId(1)).x + 10,
                                     scene.position(NodeId(1)).y))
+    # Every round's frame falls due at the same instant; flushing there
+    # delivers it on time (a far-future flush would saturate the overload
+    # controller and time the deadline-shed path instead).
+    engine.ingest(NodeId(1), packet)
+    due = engine.next_forward_time()
+    assert engine.flush_due(now=due) == 1
 
     def roundtrip():
         engine.ingest(NodeId(1), packet)
-        engine.flush_due(now=1e9)
+        engine.flush_due(now=due)
 
     benchmark(roundtrip)
 

@@ -57,7 +57,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..core.overload import MISS_FACTOR, DeadlineAccounting, degraded_intervals
+from ..core.overload import (
+    DEFAULT_LAG_BUDGET,
+    MISS_FACTOR,
+    DeadlineAccounting,
+    degraded_intervals,
+)
 from ..core.packet import DropReason
 from ..core.recording import RunDataset
 from .aggregates import WindowStats, windowed_aggregates
@@ -86,7 +91,7 @@ class Thresholds:
     and :func:`~repro.analysis.report.analyze` without thresholds take
     ``lag_budget`` from the run's summary instead)."""
 
-    lag_budget: float = 0.010
+    lag_budget: float = DEFAULT_LAG_BUDGET
     """Max tolerated scheduler lag (s) before a span is a spike."""
 
     inversion_tolerance: float = 0.001

@@ -53,7 +53,7 @@ from ..core.forwarding import (
 )
 from ..core.geometry import Vec2
 from ..core.ids import ChannelId, IdAllocator, NodeId
-from ..core.overload import OverloadConfig, OverloadState, fidelity_verdict
+from ..core.overload import DEFAULT_LAG_BUDGET, OverloadState, fidelity_verdict
 from ..core.packet import Packet, PacketRecord, PacketStamper
 from ..core.recording import MemoryRecorder, Recorder
 from ..core.scene import Scene, SceneEvent
@@ -925,7 +925,7 @@ class ShardedEmulator:
         sampled = [s for s in self.worker_stats if s["deadline"]]
         section = {
             "budget": sampled[0]["deadline"]["budget"]
-            if sampled else OverloadConfig.lag_budget,
+            if sampled else DEFAULT_LAG_BUDGET,
             **{key: sum(s["deadline"][key] for s in sampled)
                for key in ("on_time", "late", "missed")},
         }

@@ -66,7 +66,7 @@ from ..core.clock import VirtualClock
 from ..core.forwarding import ForwardingCore, release_profiler
 from ..core.geometry import Vec2
 from ..core.ids import NodeId
-from ..core.overload import OverloadConfig
+from ..core.overload import DEFAULT_LAG_BUDGET
 from ..core.packet import PacketRecord
 from ..core.recording import MemoryRecorder
 from ..net.messages import (
@@ -161,8 +161,7 @@ class _WorkerState(ForwardingCore):
             schedule_capacity=config.schedule_capacity,
             use_client_stamps=config.use_client_stamps,
             telemetry=telemetry,
-            lag_budget=OverloadConfig.lag_budget,
-            overload_config=None,
+            lag_budget=DEFAULT_LAG_BUDGET,
             profile_hz=config.profile_hz,
         )
 

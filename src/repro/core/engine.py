@@ -46,7 +46,7 @@ from ..obs.tracing import Trace
 from .clock import EmulationClock
 from .ids import NodeId
 from .neighbor import NeighborScheme
-from .overload import DeadlineAccounting, OverloadController
+from .overload import DEFAULT_LAG_BUDGET, DeadlineAccounting, OverloadController
 from .packet import DropReason, Packet, PacketRecord
 from .recording import MemoryRecorder, Recorder
 from .scene import Scene
@@ -76,8 +76,7 @@ class ForwardingEngine:
         mac: Optional[MacModel] = None,
         energy: Optional[EnergyTracker] = None,
         telemetry: Optional[Telemetry] = None,
-        lag_budget: float = 0.010,
-        overload: Optional[OverloadController] = None,
+        lag_budget: float = DEFAULT_LAG_BUDGET,
     ) -> None:
         self.scene = scene
         self.neighbors = neighbors
@@ -88,11 +87,12 @@ class ForwardingEngine:
         self.use_client_stamps = use_client_stamps
         self.mac = mac if mac is not None else IdealMac()
         self.energy = energy
-        # Overload-resilience plane: deadline buckets always accounted;
-        # the controller (owned by the deployment) is optional — None
-        # keeps every degradation branch a single `is not None` check.
+        # Overload-resilience plane: the controller and the deadline
+        # buckets judge against the one lag budget.
         self.deadlines = DeadlineAccounting(lag_budget)
-        self.overload = overload
+        self.overload = OverloadController(
+            lag_budget, capacity=schedule_capacity, time_fn=clock.now
+        )
         self._rng = rng if rng is not None else np.random.default_rng()
         self._lock = threading.Lock()
         # Counters surfaced to the GUI/stats panes.
@@ -162,8 +162,7 @@ class ForwardingEngine:
             "(10x the lag budget)",
             lambda: self.deadlines.missed,
         )
-        if self.overload is not None:
-            self.overload.bind_telemetry(reg)
+        self.overload.bind_telemetry(reg)
         self._m_drop_family = reg.counter(
             "poem_engine_drop_reason_total",
             "Drops by reason (the DropReason taxonomy)",
@@ -219,7 +218,7 @@ class ForwardingEngine:
             tracer is not None
             and tr is None
             and not tracer.delegated
-            and (ov is None or ov.allow_tracing)
+            and ov.allow_tracing
         ):
             tr = tracer.maybe_start()
             if tr is not None:
@@ -236,12 +235,11 @@ class ForwardingEngine:
         # door once the schedule passes the admission depth — the drop
         # carries the dedicated deadline-shed cause, *before* the
         # capacity bound turns the loss into queue-overflow noise.
-        if ov is not None:
-            limit = ov.admission_limit  # None unless SATURATED
-            if limit is not None and len(self.schedule) >= limit:
-                ov.note_shed()
-                drops.append((None, DropReason.DEADLINE_SHED, packet))
-                return self._commit_ingest(packet, sender, [], drops, tr)
+        limit = ov.admission_limit  # None unless SATURATED
+        if limit is not None and len(self.schedule) >= limit:
+            ov.note_shed()
+            drops.append((None, DropReason.DEADLINE_SHED, packet))
+            return self._commit_ingest(packet, sender, [], drops, tr)
 
         # Quarantined sender (liveness layer): topology kept, traffic cut.
         quarantined = self.scene.quarantined_snapshot()
@@ -478,7 +476,7 @@ class ForwardingEngine:
         if now is None:
             now = self.clock.now()
         n = self._deliver_batch(self.schedule.pop_due(now), now)
-        if n == 0 and self.overload is not None:
+        if n == 0:
             # An idle pass is a quiet observation: it lets the overload
             # controller's EWMA decay so degraded states can recover.
             self.overload.observe(0.0, len(self.schedule))
@@ -494,35 +492,29 @@ class ForwardingEngine:
         harvest feeds a quiet observation so degraded states decay.
         """
         ov = self.overload
-        window = ov.fire_window if ov is not None else 0.0
-        due = self.schedule.wait_due(now, fire_window=window)
+        due = self.schedule.wait_due(now, fire_window=ov.fire_window)
         if not due:
-            if ov is not None:
-                ov.observe(0.0, len(self.schedule))
+            ov.observe(0.0, len(self.schedule))
             return 0
         return self._deliver_batch(due, now)
 
-    def flush_all(self) -> int:
-        """Deliver everything still scheduled (shutdown path)."""
-        return self._deliver_batch(self.schedule.drain(), None)
-
-    def _deliver_batch(
-        self, due: list[ScheduledPacket], now: Optional[float]
-    ) -> int:
+    def _deliver_batch(self, due: list[ScheduledPacket], now: float) -> int:
         """Deliver a batch of due entries with batched recording: one
         counter-lock acquisition and one ``record_many`` per flush.
 
-        Telemetry: every entry feeds the scheduler-lag histogram
-        (``actual_fire − t_forward``, the deadline-slack metric) and the
-        deadline-accounting buckets; entries belonging to a sampled trace
-        additionally record their ``scan_wakeup`` / ``send`` / ``record``
-        stage durations.
+        Every entry feeds the scheduler-lag histogram (``now −
+        t_forward``, the deadline-slack metric); every delivery also
+        lands in a deadline-accounting bucket at the point its record is
+        built, so the live buckets count exactly the recorded
+        deliveries.  Entries belonging to a sampled trace additionally
+        record their ``scan_wakeup`` / ``send`` / ``record`` stage
+        durations.
 
-        Under a SATURATED overload controller two load-shedding levers
-        engage: entries already later than the shed horizon are dropped
-        (``deadline-shed`` — delivering them would only push the backlog
-        further behind real time), and per-packet delivery rows are
-        coalesced into counters instead of ``record_many`` calls.
+        Under a SATURATED overload controller, entries already later
+        than the shed horizon are dropped as ``deadline-shed`` —
+        delivering them would only push the backlog further behind real
+        time.  A shed frame is a drop, not a delivery: it gets a drop
+        row and no deadline bucket.
         """
         if not due:
             return 0
@@ -530,9 +522,7 @@ class ForwardingEngine:
         m_lag = self._m_lag
         ov = self.overload
         deadlines = self.deadlines
-        shed_horizon = (
-            ov.shed_horizon if ov is not None and now is not None else None
-        )
+        shed_horizon = ov.shed_horizon
         max_lag = 0.0
         shed: list[ScheduledPacket] = []
         delivered: list[tuple[Packet, NodeId, NodeId, None]] = []
@@ -549,23 +539,20 @@ class ForwardingEngine:
                 tr = tracer.inflight_pop(
                     (int(entry.packet.source), int(entry.packet.seqno))
                 )
-            lag = 0.0
-            if now is not None:
-                lag = now - entry.t_forward
-                if lag < 0.0:
-                    lag = 0.0
-                if lag > max_lag:
-                    max_lag = lag
-                if m_lag is not None:
-                    m_lag.observe(lag)
-                deadlines.note(lag)
-                if shed_horizon is not None and lag > shed_horizon:
-                    shed.append(entry)
-                    if tr is not None:
-                        tracer.finalize(tr, "deadline-shed")
-                    continue
+            lag = now - entry.t_forward
+            if lag < 0.0:
+                lag = 0.0
+            if lag > max_lag:
+                max_lag = lag
+            if m_lag is not None:
+                m_lag.observe(lag)
+            if shed_horizon is not None and lag > shed_horizon:
+                shed.append(entry)
+                if tr is not None:
+                    tracer.finalize(tr, "deadline-shed")
+                continue
             t_delivered = entry.t_forward
-            if now is not None and now > t_delivered:
+            if now > t_delivered:
                 t_delivered = now
             if (
                 entry.packet is not stamped_from
@@ -589,6 +576,7 @@ class ForwardingEngine:
                     tracer.finalize(tr, "dropped-at-delivery")
                     tr = None
             if packet is not None:
+                deadlines.note(lag)
                 delivered.append((packet, entry.sender, entry.receiver, None))
                 if tr is not None:
                     finished_traces.append(tr)
@@ -596,20 +584,14 @@ class ForwardingEngine:
         if count:
             with self._lock:
                 self.forwarded += count
-            if ov is not None and ov.coalesce_records:
-                # Saturated: shed the per-packet rows, keep the counters.
-                ov.note_coalesced(count)
+            start = self.recorder.reserve_record_ids(count)
+            _t0 = _perf() if finished_traces else 0.0
+            self.recorder.record_many(self._make_records(start, delivered))
+            if finished_traces:
+                record_dur = _perf() - _t0
                 for tr in finished_traces:
+                    tr.stage("record", record_dur)
                     tracer.finalize(tr, "delivered")
-            else:
-                start = self.recorder.reserve_record_ids(count)
-                _t0 = _perf() if finished_traces else 0.0
-                self.recorder.record_many(self._make_records(start, delivered))
-                if finished_traces:
-                    record_dur = _perf() - _t0
-                    for tr in finished_traces:
-                        tr.stage("record", record_dur)
-                        tracer.finalize(tr, "delivered")
         if shed:
             n = len(shed)
             with self._lock:
@@ -629,8 +611,7 @@ class ForwardingEngine:
                     ),
                 )
             )
-        if ov is not None and now is not None:
-            ov.observe(max_lag, len(self.schedule))
+        ov.observe(max_lag, len(self.schedule))
         return count
 
     def next_forward_time(self) -> Optional[float]:

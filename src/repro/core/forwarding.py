@@ -2,9 +2,10 @@
 
 DESIGN.md §2: the deployments differ "only in clocks and transports".
 :class:`ForwardingCore` is the part that does not differ — scene →
-recorder → neighbor tables → overload controller → engine, wired once on
-whatever clock the shell hands it, plus the evidence a run leaves behind
-(the ``run-summary`` record and the core sections of ``health()``).
+recorder → neighbor tables → engine (which owns the overload
+controller), wired once on whatever clock the shell hands it, plus the
+evidence a run leaves behind (the ``run-summary`` record and the core
+sections of ``health()``).
 :class:`~repro.core.server.InProcessEmulator` (virtual clock, virtual
 hosts), :class:`~repro.core.tcpserver.PoEmServer` (real-time clock,
 sockets) and the sharded cluster's shard worker
@@ -30,7 +31,7 @@ from .clock import RealTimeClock, VirtualClock
 from .engine import ForwardingEngine
 from .ids import NodeId
 from .neighbor import ChannelIndexedNeighborTables
-from .overload import OverloadConfig, OverloadController, fidelity_verdict
+from .overload import fidelity_verdict
 from .packet import Packet
 from .recording import MemoryRecorder, Recorder
 from .scene import Scene, SceneEvent
@@ -143,9 +144,9 @@ def virtual_clients(
 
 
 class ForwardingCore:
-    """Scene, recorder, neighbor tables, overload controller and engine
-    on one clock — what :class:`InProcessEmulator`, :class:`PoEmServer`
-    and the shard worker have in common."""
+    """Scene, recorder, neighbor tables and engine (with its overload
+    controller) on one clock — what :class:`InProcessEmulator`,
+    :class:`PoEmServer` and the shard worker have in common."""
 
     def __init__(
         self,
@@ -163,7 +164,6 @@ class ForwardingCore:
         use_client_stamps: bool,
         telemetry: Optional[Telemetry],
         lag_budget: float,
-        overload_config: Optional[OverloadConfig],
         profile_hz: Optional[float],
         mac=None,
         energy=None,
@@ -180,13 +180,6 @@ class ForwardingCore:
         self._tracer = self.telemetry.tracer
         if self._tracer is not None:
             self._tracer.delegated = True
-        if overload_config is None:
-            overload_config = OverloadConfig(lag_budget=lag_budget)
-        self.overload = OverloadController(
-            overload_config,
-            capacity=schedule_capacity,
-            time_fn=clock.now,
-        )
         self.engine = ForwardingEngine(
             self.scene,
             self.neighbors,
@@ -198,9 +191,9 @@ class ForwardingCore:
             mac=mac,
             energy=energy,
             telemetry=self.telemetry,
-            lag_budget=overload_config.lag_budget,
-            overload=self.overload,
+            lag_budget=lag_budget,
         )
+        self.overload = self.engine.overload
         # Continuous profiling shares the overload controller, so it is
         # shed the moment the core leaves NOMINAL — before any fidelity.
         self.profiler = make_profiler(profile_hz, role, self.overload)

@@ -15,21 +15,25 @@ states::
        ◀──recover (hysteresis)──┘ ◀──recover──────────┘
 
 Escalation is immediate (a saturated server must shed *now*); recovery
-steps down **one level at a time** after ``recovery_observations``
+steps down **one level at a time** after :data:`RECOVERY_OBSERVATIONS`
 consecutive quiet observations, so a bursty load cannot flap the
 controller.  Each state sheds the lowest-value work first:
 
 * ``PRESSURED`` — trace sampling off, modest fire-window batching;
-* ``SATURATED`` — additionally: per-packet delivery records coalesced
-  into counters, frames already late by more than the shed horizon
-  dropped with the dedicated ``deadline-shed`` cause, and new ingest
-  shed at the door once the schedule passes the admission depth.
+* ``SATURATED`` — additionally: frames already late by more than the
+  shed horizon dropped with the dedicated ``deadline-shed`` cause, and
+  new ingest shed at the door once the schedule passes the admission
+  depth.  Every delivery is still recorded.
+
+The lag budget is the plane's one setting: every lag threshold is a
+fixed multiple of it and every depth threshold a fixed fraction of the
+schedule capacity (the module constants below, see docs/overload.md).
 
 The controller itself is deployment-agnostic and pure (injected
 ``time_fn``, no I/O): the owning server wires ``on_transition`` to the
 log/record/telemetry planes.  :class:`DeadlineAccounting` is the
 companion bookkeeping: every delivery lands in an on-time / late /
-missed bucket against a configurable lag budget.  :func:`fidelity_verdict`
+missed bucket against the lag budget.  :func:`fidelity_verdict`
 is the one rule that turns buckets and states into the run's verdict —
 live in ``health()``, offline in ``poem stats`` / ``poem analyze``.
 """
@@ -39,7 +43,6 @@ from __future__ import annotations
 import math
 import threading
 import time
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 from ..errors import PoEmError
@@ -49,17 +52,48 @@ if TYPE_CHECKING:
 
 __all__ = [
     "OverloadState",
-    "OverloadConfig",
     "OverloadController",
     "DeadlineAccounting",
+    "DEFAULT_LAG_BUDGET",
     "MISS_FACTOR",
     "fidelity_verdict",
     "degraded_intervals",
 ]
 
+DEFAULT_LAG_BUDGET = 0.010
+"""On-time threshold (s) for a single delivery; anchors everything."""
+
 MISS_FACTOR = 10.0
-"""A delivery later than this many lag budgets is a *miss*; the same
-factor escalates a forensics lag warning to critical."""
+"""A delivery later than this many lag budgets is a *miss*; a SATURATED
+flush sheds such a frame instead of delivering it, and the same factor
+escalates a forensics lag warning to critical."""
+
+SATURATE_FACTOR = 5.0
+"""EWMA lag ≥ this many budgets ⇒ SATURATED (≥ one budget ⇒ PRESSURED)."""
+
+DEPTH_PRESSURED = 0.5
+"""Schedule depth as a capacity fraction ⇒ at least PRESSURED (ignored
+when the schedule is unbounded)."""
+
+DEPTH_SATURATED = 0.9
+"""Schedule depth as a capacity fraction ⇒ SATURATED."""
+
+ADMISSION_FRACTION = 0.8
+"""While SATURATED, new ingest is shed at the door once depth reaches
+this capacity fraction — backpressure *before* the schedule overflows."""
+
+EWMA_ALPHA = 0.25
+"""EWMA smoothing weight for new lag observations."""
+
+RECOVERY_OBSERVATIONS = 5
+"""Consecutive quiet observations required to step down one level."""
+
+FIRE_WINDOW_PRESSURED = 0.001
+"""Fire-window batching (s) under PRESSURED: near-due entries fire up to
+this much early, amortizing wakeups."""
+
+FIRE_WINDOW_SATURATED = 0.005
+"""Fire-window batching (s) under SATURATED."""
 
 
 class OverloadState:
@@ -77,88 +111,6 @@ _ORDER = OverloadState.ALL
 _SEV = OverloadState.SEVERITY
 
 
-@dataclass(frozen=True)
-class OverloadConfig:
-    """Tuning knobs of the overload controller (see docs/overload.md).
-
-    All lag thresholds derive from ``lag_budget`` so one number moves
-    the whole envelope: a delivery within the budget is *on time*, an
-    EWMA beyond it is *pressure*, beyond ``saturate_factor`` times it is
-    *saturation*, and an individual frame already ``shed_lag_factor``
-    budgets late is not worth delivering at all.
-    """
-
-    lag_budget: float = 0.010
-    """On-time threshold (s) for a single delivery; anchors everything."""
-
-    pressure_factor: float = 1.0
-    """EWMA lag ≥ ``pressure_factor × lag_budget`` ⇒ at least PRESSURED."""
-
-    saturate_factor: float = 5.0
-    """EWMA lag ≥ ``saturate_factor × lag_budget`` ⇒ SATURATED."""
-
-    shed_lag_factor: float = 10.0
-    """A frame late by more than this many budgets is shed (SATURATED)."""
-
-    depth_pressured: float = 0.5
-    """Schedule depth as a capacity fraction ⇒ at least PRESSURED
-    (ignored when the schedule is unbounded)."""
-
-    depth_saturated: float = 0.9
-    """Schedule depth as a capacity fraction ⇒ SATURATED."""
-
-    admission_fraction: float = 0.8
-    """While SATURATED, new ingest is shed at the door once depth
-    reaches this capacity fraction — backpressure *before* the schedule
-    overflows."""
-
-    ewma_alpha: float = 0.25
-    """EWMA smoothing weight for new lag observations."""
-
-    recovery_observations: int = 5
-    """Consecutive quiet observations required to step down one level."""
-
-    fire_window_pressured: float = 0.001
-    """Fire-window batching (s) under PRESSURED: near-due entries fire
-    up to this much early, amortizing wakeups."""
-
-    fire_window_saturated: float = 0.005
-    """Fire-window batching (s) under SATURATED."""
-
-    def __post_init__(self) -> None:
-        if self.lag_budget <= 0.0:
-            raise PoEmError(
-                f"lag_budget must be positive, got {self.lag_budget}"
-            )
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise PoEmError(
-                f"ewma_alpha must be in (0, 1], got {self.ewma_alpha}"
-            )
-        if self.recovery_observations < 1:
-            raise PoEmError(
-                "recovery_observations must be >= 1, got "
-                f"{self.recovery_observations}"
-            )
-        for name in ("pressure_factor", "saturate_factor",
-                     "shed_lag_factor"):
-            if getattr(self, name) <= 0.0:
-                raise PoEmError(f"{name} must be positive")
-        if self.saturate_factor < self.pressure_factor:
-            raise PoEmError(
-                "saturate_factor must be >= pressure_factor"
-            )
-        for name in ("depth_pressured", "depth_saturated",
-                     "admission_fraction"):
-            v = getattr(self, name)
-            if not 0.0 < v <= 1.0:
-                raise PoEmError(
-                    f"{name} must be a fraction in (0, 1], got {v}"
-                )
-        for name in ("fire_window_pressured", "fire_window_saturated"):
-            if getattr(self, name) < 0.0:
-                raise PoEmError(f"{name} must be >= 0")
-
-
 class OverloadController:
     """EWMA-lag + depth state machine driving graceful degradation.
 
@@ -174,14 +126,15 @@ class OverloadController:
 
     def __init__(
         self,
-        config: Optional[OverloadConfig] = None,
+        lag_budget: float = DEFAULT_LAG_BUDGET,
         *,
         capacity: Optional[int] = None,
         time_fn: Callable[[], float] = time.monotonic,
         on_transition: Optional[Callable[[str, str, dict], None]] = None,
     ) -> None:
-        self.config = config if config is not None else OverloadConfig()
-        self.capacity = capacity
+        if lag_budget <= 0.0:
+            raise PoEmError(f"lag_budget must be positive, got {lag_budget}")
+        self.lag_budget = lag_budget
         self.on_transition = on_transition
         self._time_fn = time_fn
         self._lock = threading.Lock()
@@ -194,20 +147,17 @@ class OverloadController:
         self._time_in = {s: 0.0 for s in OverloadState.ALL}
         self.transitions = 0
         self.shed_total = 0
-        self.records_coalesced = 0
-        cfg = self.config
-        self._pressured_lag = cfg.lag_budget * cfg.pressure_factor
-        self._saturated_lag = cfg.lag_budget * cfg.saturate_factor
-        self._shed_horizon = cfg.lag_budget * cfg.shed_lag_factor
+        self._saturated_lag = lag_budget * SATURATE_FACTOR
+        self._shed_horizon = lag_budget * MISS_FACTOR
         if capacity is not None:
             self._depth_pressured: Optional[int] = max(
-                int(capacity * cfg.depth_pressured), 1
+                int(capacity * DEPTH_PRESSURED), 1
             )
             self._depth_saturated: Optional[int] = max(
-                int(capacity * cfg.depth_saturated), 1
+                int(capacity * DEPTH_SATURATED), 1
             )
             self._admission_limit: Optional[int] = max(
-                int(capacity * cfg.admission_fraction), 1
+                int(capacity * ADMISSION_FRACTION), 1
             )
         else:
             self._depth_pressured = None
@@ -223,7 +173,7 @@ class OverloadController:
             and depth >= self._depth_saturated
         ):
             return OverloadState.SATURATED
-        if ewma >= self._pressured_lag or (
+        if ewma >= self.lag_budget or (
             self._depth_pressured is not None
             and depth >= self._depth_pressured
         ):
@@ -243,7 +193,7 @@ class OverloadController:
             lag = 0.0
         event: Optional[tuple[str, str, dict]] = None
         with self._lock:
-            self._ewma += self.config.ewma_alpha * (lag - self._ewma)
+            self._ewma += EWMA_ALPHA * (lag - self._ewma)
             self._depth = depth
             target = self._classify(self._ewma, depth)
             current = self._state
@@ -251,7 +201,7 @@ class OverloadController:
                 event = self._transition_locked(target)
             elif _SEV[target] < _SEV[current]:
                 self._quiet += 1
-                if self._quiet >= self.config.recovery_observations:
+                if self._quiet >= RECOVERY_OBSERVATIONS:
                     # Hysteresis: one severity level per recovery span.
                     event = self._transition_locked(
                         _ORDER[_SEV[current] - 1]
@@ -292,12 +242,6 @@ class OverloadController:
         with self._lock:
             self.shed_total += n
 
-    def note_coalesced(self, n: int = 1) -> None:
-        """Count delivered frames whose per-packet records were folded
-        into this counter instead of being written (SATURATED only)."""
-        with self._lock:
-            self.records_coalesced += n
-
     # -- degradation policy (lock-free reads from the hot path) ---------------
 
     @property
@@ -318,17 +262,12 @@ class OverloadController:
         return self._state == OverloadState.NOMINAL
 
     @property
-    def coalesce_records(self) -> bool:
-        """Per-delivery records collapse to counters while SATURATED."""
-        return self._state == OverloadState.SATURATED
-
-    @property
     def fire_window(self) -> float:
         state = self._state
         if state == OverloadState.SATURATED:
-            return self.config.fire_window_saturated
+            return FIRE_WINDOW_SATURATED
         if state == OverloadState.PRESSURED:
-            return self.config.fire_window_pressured
+            return FIRE_WINDOW_PRESSURED
         return 0.0
 
     @property
@@ -370,11 +309,10 @@ class OverloadController:
                 "state": self._state,
                 "worst": self._worst,
                 "lag_ewma": self._ewma,
-                "lag_budget": self.config.lag_budget,
+                "lag_budget": self.lag_budget,
                 "depth": self._depth,
                 "transitions": self.transitions,
                 "shed": self.shed_total,
-                "coalesced": self.records_coalesced,
                 "degraded_seconds": (
                     self._accumulated_locked(OverloadState.PRESSURED)
                     + saturated
@@ -401,12 +339,6 @@ class OverloadController:
             lambda: self.shed_total,
         )
         registry.counter_fn(
-            "poem_records_coalesced_total",
-            "Delivered frames whose per-packet records were coalesced "
-            "into counters under saturation",
-            lambda: self.records_coalesced,
-        )
-        registry.counter_fn(
             "poem_overload_degraded_seconds_total",
             "Cumulative seconds spent outside the NOMINAL state",
             self.degraded_seconds,
@@ -422,14 +354,17 @@ class DeadlineAccounting:
     """On-time / late / missed buckets for every delivery (Step 5-6).
 
     ``lag ≤ budget`` is on time, ``lag ≤ MISS_FACTOR × budget`` is late,
-    anything beyond is a miss.  Counters are bare ints bumped from the
-    delivery path (single scan thread per deployment); readers tolerate
-    a torn-by-one snapshot.
+    anything beyond is a miss.  The engine notes a lag exactly where it
+    builds a delivery record, so the live buckets and those
+    ``build_report`` computes from the recording count the same
+    deliveries; a shed frame is a drop and lands in no bucket.  Counters
+    are bare ints bumped from the delivery path (single scan thread per
+    deployment); readers tolerate a torn-by-one snapshot.
     """
 
     __slots__ = ("budget", "on_time", "late", "missed")
 
-    def __init__(self, budget: float = 0.010) -> None:
+    def __init__(self, budget: float = DEFAULT_LAG_BUDGET) -> None:
         if budget <= 0.0:
             raise PoEmError(f"lag budget must be positive, got {budget}")
         self.budget = budget

@@ -43,7 +43,7 @@ from .clock import SyncSample, VirtualClock
 from .forwarding import ForwardingCore, release_profiler, virtual_clients
 from .geometry import Vec2
 from .ids import ChannelId, IdAllocator, NodeId
-from .overload import OverloadConfig
+from .overload import DEFAULT_LAG_BUDGET
 from .packet import Packet, PacketStamper
 from .recording import Recorder
 
@@ -174,8 +174,7 @@ class InProcessEmulator(ForwardingCore):
         mac=None,
         energy=None,
         telemetry: Optional[Telemetry] = None,
-        lag_budget: float = 0.010,
-        overload_config: Optional[OverloadConfig] = None,
+        lag_budget: float = DEFAULT_LAG_BUDGET,
         profile_hz: Optional[float] = None,
     ) -> None:
         # Virtual-clock runs fire exactly at t_forward, so the overload
@@ -194,7 +193,6 @@ class InProcessEmulator(ForwardingCore):
             energy=energy,
             telemetry=telemetry,
             lag_budget=lag_budget,
-            overload_config=overload_config,
             profile_hz=profile_hz,
         )
         self.engine.deliver = self._deliver_to_host

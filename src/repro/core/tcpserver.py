@@ -88,7 +88,7 @@ from .clock import RealTimeClock, SyncRequest, SyncSample, make_sync_reply
 from .forwarding import ForwardingCore, release_profiler
 from .geometry import Vec2
 from .ids import ChannelId, IdAllocator, NodeId, RadioIndex
-from .overload import OverloadConfig, OverloadState
+from .overload import DEFAULT_LAG_BUDGET, OverloadState
 from .packet import DropReason, Packet
 from .recording import Recorder
 from .scene import SceneEvent
@@ -159,8 +159,7 @@ class PoEmServer(ForwardingCore):
         telemetry: Optional[Telemetry] = None,
         metrics_port: Optional[int] = None,
         metrics_host: str = "127.0.0.1",
-        lag_budget: float = 0.010,
-        overload_config: Optional[OverloadConfig] = None,
+        lag_budget: float = DEFAULT_LAG_BUDGET,
         profile_hz: Optional[float] = None,
     ) -> None:
         self._host = host
@@ -175,7 +174,6 @@ class PoEmServer(ForwardingCore):
             use_client_stamps=use_client_stamps,
             telemetry=telemetry,
             lag_budget=lag_budget,
-            overload_config=overload_config,
             profile_hz=profile_hz,
         )
         self.overload.on_transition = self._on_overload_transition

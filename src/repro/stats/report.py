@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from ..core.overload import (
+    DEFAULT_LAG_BUDGET,
     DeadlineAccounting,
-    OverloadConfig,
     OverloadState,
     degraded_intervals,
     fidelity_verdict,
@@ -77,7 +77,7 @@ class RunReport:
     """Records the recorder's ring bound discarded before this report —
     when non-zero, the totals above describe a *suffix* of the run."""
 
-    lag_budget: float = 0.010
+    lag_budget: float = DEFAULT_LAG_BUDGET
     deadline_on_time: int = 0
     deadline_late: int = 0
     deadline_missed: int = 0
@@ -130,7 +130,7 @@ def recorded_lag_budget(dataset: RunDataset) -> float:
     summary's ``deadline.budget``, or the 10 ms default when the run
     recorded none."""
     deadline = (dataset.run_summary or {}).get("deadline") or {}
-    return float(deadline.get("budget", OverloadConfig.lag_budget))
+    return float(deadline.get("budget", DEFAULT_LAG_BUDGET))
 
 
 def build_report(
@@ -363,8 +363,6 @@ def format_health(health: dict) -> str:
         )
         if overload.get("shed"):
             line += f"  shed {overload['shed']}"
-        if overload.get("coalesced"):
-            line += f"  coalesced {overload['coalesced']}"
         if overload.get("degraded_seconds"):
             line += f"  degraded {float(overload['degraded_seconds']):.2f}s"
         lines.append(line)

@@ -31,7 +31,8 @@ def packet(src, dst, *, channel=1, bits=1000, t_origin=None, seq=1):
     )
 
 
-def build_engine(*, link=None, capacity=None, use_client_stamps=True, seed=0):
+def build_engine(*, link=None, capacity=None, use_client_stamps=True, seed=0,
+                 lag_budget=0.010):
     link = link or LinkModel(
         bandwidth=BandwidthModel(peak=1e6), delay=DelayModel(base=0.01)
     )
@@ -47,6 +48,7 @@ def build_engine(*, link=None, capacity=None, use_client_stamps=True, seed=0):
         rng=np.random.default_rng(seed),
         schedule_capacity=capacity,
         use_client_stamps=use_client_stamps,
+        lag_budget=lag_budget,
     )
     return engine, scene, clock
 
@@ -154,12 +156,6 @@ class TestDeliver:
         assert engine.flush_due(now=100.0) == 0
         drops = engine.recorder.dropped_packets()
         assert drops and drops[0].drop_reason == DropReason.NODE_REMOVED
-
-    def test_flush_all(self):
-        engine, _, _ = build_engine()
-        engine.ingest(n(2), packet(2, -1, t_origin=0.0))
-        assert engine.flush_all() == 2
-        assert engine.next_forward_time() is None
 
     def test_counters(self):
         engine, _, _ = build_engine()
@@ -290,8 +286,11 @@ class TestArmFlush:
     def test_instant_is_disarmed_before_its_flush(self):
         """A frame relayed with no latency from inside a delivery, due at
         the instant being flushed, arms that instant again instead of
-        being stranded behind a wake-up that is already running."""
-        engine, _, clock = build_engine()
+        being stranded behind a wake-up that is already running.
+
+        Both stamps lag 4 s; a 10 s budget keeps the overload plane
+        NOMINAL, so the relayed frame is delivered rather than shed."""
+        engine, _, clock = build_engine(lag_budget=10.0)
         clock.run_until(5.0)
         heard = []
 
@@ -438,11 +437,10 @@ class TestDropReasonMetric:
 
 
 class TestOverloadPlane:
-    """Admission control, deadline shedding, coalescing, accounting."""
+    """Admission control, deadline shedding, accounting."""
 
     @staticmethod
     def build(**kwargs):
-        from repro.core.overload import OverloadConfig, OverloadController
         from repro.core.recording import MemoryRecorder
 
         link = LinkModel(
@@ -456,11 +454,6 @@ class TestOverloadPlane:
             )
         clock = VirtualClock()
         capacity = kwargs.pop("capacity", None)
-        overload = OverloadController(
-            OverloadConfig(lag_budget=0.010, ewma_alpha=1.0),
-            capacity=capacity,
-            time_fn=clock.now,
-        )
         recorder = MemoryRecorder()
         engine = ForwardingEngine(
             scene,
@@ -469,10 +462,9 @@ class TestOverloadPlane:
             recorder,
             rng=np.random.default_rng(0),
             schedule_capacity=capacity,
-            overload=overload,
             **kwargs,
         )
-        return engine, overload, recorder, clock
+        return engine, engine.overload, recorder, clock
 
     def test_queue_overflow_suffix_records_carry_forward_stamp(self):
         """The rejected push_many suffix is recorded from each entry's
@@ -520,11 +512,13 @@ class TestOverloadPlane:
         ]
         assert len(sheds) == 1
         assert sheds[0].t_forward is not None
-        assert engine.deadlines.missed == 1
+        # A shed frame is a drop, not a late delivery: no bucket.
+        assert engine.deadlines.missed == 0
+        assert engine.deadlines.total == 0
         assert ov.shed_total == 1
         assert engine.transport_dropped == 1
 
-    def test_saturated_flush_coalesces_delivery_records(self):
+    def test_saturated_flush_records_the_delivery(self):
         engine, ov, recorder, clock = self.build()
         engine.ingest(n(1), packet(1, 2, t_origin=0.0, seq=1))
         ov.observe(1.0, 0)  # SATURATED
@@ -533,9 +527,12 @@ class TestOverloadPlane:
         clock.run()
         # Deliver exactly at t_forward: lag 0, under the shed horizon.
         assert engine.flush_due(t) == 1
-        assert ov.records_coalesced == 1
-        # The per-packet delivery row was folded into the counter.
-        assert all(r.dropped for r in recorder.packets() if r.t_delivered)
+        assert ov.state == "saturated"
+        (row,) = recorder.packets()
+        assert not row.dropped
+        assert row.t_delivered == t
+        assert engine.deadlines.on_time == 1
+        assert engine.deadlines.total == 1
         assert engine.forwarded == 1
 
     def test_nominal_flush_buckets_deadlines(self):
@@ -567,5 +564,5 @@ class TestOverloadPlane:
     def test_tracing_disabled_outside_nominal(self):
         engine, ov, _, _ = self.build()
         assert ov.allow_tracing
-        ov.observe(0.02, 0)
+        ov.observe(0.08, 0)  # EWMA 0.02: PRESSURED
         assert not ov.allow_tracing

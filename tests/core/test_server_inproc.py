@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core.geometry import Vec2
 from repro.core.ids import BROADCAST_NODE, ChannelId, NodeId
+from repro.core.overload import OverloadController
 from repro.core.server import InProcessEmulator
 from repro.errors import ProtocolError, SceneError
 from repro.models.link import (
@@ -266,8 +267,9 @@ def run_scenario(emulator_class, scenario):
     )
     # The overload plane counts scan passes (one per timer that fires),
     # so its state follows the number of timers, not the order of the
-    # pipeline; it is pinned on its own below.
-    emu.engine.overload = None
+    # pipeline; it is pinned on its own below.  Here it is a controller
+    # no lag can move (infinite budget, unbounded schedule): NOMINAL.
+    emu.engine.overload = OverloadController(float("inf"))
     p = scenario["loss"]
     link = LinkModel(
         loss=PacketLossModel(p0=p, p1=p, radio_range=100.0),

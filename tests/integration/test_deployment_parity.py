@@ -18,6 +18,7 @@ from repro.core.ids import ChannelId
 from repro.core.server import InProcessEmulator
 from repro.core.tcpserver import PoEmServer
 from repro.models.radio import RadioConfig
+from repro.stats.report import build_report
 
 RADIOS = RadioConfig.single(1, 100.0)
 CH = ChannelId(1)
@@ -118,10 +119,17 @@ def test_every_deployment_reports_one_fidelity_verdict(runs):
     inproc = runs["inproc"][0]["deadline"]
     for health, recorder in runs.values():
         summary = recorder.scene_events()[-1].details
+        report = build_report(recorder)
+        recorded = (
+            report.deadline_on_time, report.deadline_late,
+            report.deadline_missed,
+        )
         for deadline in (health["deadline"], summary["deadline"]):
             assert set(deadline) == set(inproc)
             assert deadline["verdict"] == "real-time"
             assert deadline["on_time"] == 1
+            live = (deadline["on_time"], deadline["late"], deadline["missed"])
+            assert live == recorded
 
 
 def test_shard_workers_sample_the_core_sections(runs):

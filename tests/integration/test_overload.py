@@ -22,7 +22,7 @@ from repro.analysis.report import analyze, render_text
 from repro.core.client import PoEmClient
 from repro.core.geometry import Vec2
 from repro.core.ids import ChannelId
-from repro.core.overload import OverloadConfig, OverloadState
+from repro.core.overload import OverloadState
 from repro.core.packet import DropReason
 from repro.core.tcpserver import PoEmServer
 from repro.models.radio import RadioConfig
@@ -33,7 +33,7 @@ RADIOS = RadioConfig.single(1, 100.0)
 
 #: A budget no real scheduler can hold (1 µs): any delivery lag reads as
 #: saturation, making the chaos scenario's *outcome* machine-independent.
-IMPOSSIBLE_BUDGET = OverloadConfig(lag_budget=1e-6, recovery_observations=2)
+IMPOSSIBLE_BUDGET = 1e-6
 
 
 def wait_for(predicate, timeout=10.0, poll=0.02):
@@ -43,6 +43,18 @@ def wait_for(predicate, timeout=10.0, poll=0.02):
             return True
         time.sleep(poll)
     return False
+
+
+def deadline_buckets(srv):
+    """The live on-time / late / missed buckets and the ones
+    ``build_report`` computes from the recording, side by side."""
+    live = srv.health()["deadline"]
+    report = build_report(srv.recorder)
+    return (
+        (live["on_time"], live["late"], live["missed"]),
+        (report.deadline_on_time, report.deadline_late,
+         report.deadline_missed),
+    )
 
 
 def start_pair(srv):
@@ -63,7 +75,7 @@ class TestSaturationArc:
             scan_poll=0.001,
             heartbeat_interval=0.1,
             schedule_capacity=4096,
-            overload_config=IMPOSSIBLE_BUDGET,
+            lag_budget=IMPOSSIBLE_BUDGET,
         )
         srv.start()
         a = b = None
@@ -116,9 +128,11 @@ class TestSaturationArc:
         report = analyze(srv.recorder)
         fidelity = report.fidelity
         assert fidelity["verdict"] == "overloaded"
-        # One rule: live health, `poem stats` and `poem analyze` agree
-        # (their buckets may not: saturated deliveries are coalesced
-        # into counters and leave no record).
+        # One rule: live health, `poem stats` and `poem analyze` agree,
+        # on the verdict and on the buckets behind it — every delivery
+        # left its record, saturated or not.
+        live, recorded = deadline_buckets(srv)
+        assert live == recorded
         assert srv.health()["deadline"]["verdict"] == "overloaded"
         assert build_report(srv.recorder).fidelity == "overloaded"
         assert fidelity["shed"] > 0
@@ -140,7 +154,7 @@ class TestSaturationArc:
             seed=0,
             scan_poll=0.001,
             schedule_capacity=4096,
-            overload_config=IMPOSSIBLE_BUDGET,
+            lag_budget=IMPOSSIBLE_BUDGET,
         )
         srv.start()
         a = b = None
@@ -180,7 +194,7 @@ class TestShutdownUnderStorm:
             seed=0,
             scan_poll=0.001,
             schedule_capacity=4096,
-            overload_config=IMPOSSIBLE_BUDGET,
+            lag_budget=IMPOSSIBLE_BUDGET,
         )
         srv.start()
         a = b = None
@@ -218,7 +232,7 @@ class TestShutdownUnderStorm:
 def test_stall_recovers():
     """A host stall must not leave the server SATURATED for good.
 
-    Default ``OverloadConfig``, one sender at about 2000 pps, and the
+    Default lag budget, one sender at about 2000 pps, and the
     loop stalled once for 1.2 s inside an ingest (a suspended process, a
     swapped-out page).  The frames that piled up in the socket meanwhile
     carry stamps that old, so the controller must saturate and shed; but
@@ -227,7 +241,8 @@ def test_stall_recovers():
     stall's end.  (The receiver threads this loop replaced paused 2 ms
     per frame while SATURATED, admitted 500 pps of the 2000 offered, and
     never came back.)  The run left real-time territory and the report
-    has to say so.
+    has to say so — with the same on-time / late / missed counts live
+    and from the recording.
     """
     srv = PoEmServer(seed=0)
     srv.start()
@@ -290,3 +305,6 @@ def test_stall_recovers():
     assert fidelity["degraded_seconds"] > 0.0
     assert srv.health()["deadline"]["verdict"] == fidelity["verdict"]
     assert build_report(srv.recorder).fidelity == fidelity["verdict"]
+    live, recorded = deadline_buckets(srv)
+    assert live == recorded
+    assert sum(live) == srv.engine.forwarded
