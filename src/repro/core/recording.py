@@ -317,13 +317,17 @@ class SqliteRecorder(Recorder):
 
     ``path`` may be ``":memory:"`` for an ephemeral database.  One
     connection is shared across threads behind a lock (cheaper and simpler
-    than per-thread connections at emulator record rates; writes are
-    batched by sqlite's default journaling).
+    than per-thread connections at emulator record rates).  A file
+    database runs in write-ahead-log mode: a commit appends to the log
+    instead of creating and deleting a rollback journal, whose directory
+    fsyncs can cost tens of ms on a VM disk and would stall the serving
+    loop that records each frame.
     """
 
     def __init__(self, path: str) -> None:
         try:
             self._conn = sqlite3.connect(path, check_same_thread=False)
+            self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.executescript(_SCHEMA)
             self._conn.commit()
         except sqlite3.Error as exc:
