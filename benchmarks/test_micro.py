@@ -114,7 +114,7 @@ def test_schedule_push_pop(benchmark):
         size_bits=8, seqno=1, channel=ChannelId(1),
     )
     entry = ScheduledPacket(t_forward=1.0, packet=packet,
-                            receiver=NodeId(2), sender=NodeId(1))
+                            receivers=(NodeId(2),), sender=NodeId(1))
 
     def push_pop():
         for _ in range(100):
@@ -154,7 +154,7 @@ def test_scheduler_p99_lag_under_load(benchmark):
         for i in range(200):
             s.push(ScheduledPacket(
                 t_forward=t0 + i * 1e-4, packet=packet,
-                receiver=NodeId(2), sender=NodeId(1),
+                receivers=(NodeId(2),), sender=NodeId(1),
             ))
         harvested = 0
         while harvested < 200:
@@ -276,6 +276,10 @@ def test_virtual_round_64(benchmark):
     number of rounds the timer then runs: ``VirtualClock.call_at`` calls
     per 1000 delivered frames (1000 when every scheduled entry armed its
     own timer, one call per round since ``ForwardingEngine.arm_flush``).
+    ``count_schedule_entries_per_1k_deliveries`` counts, over the same
+    pass, the entries ``ForwardSchedule.push_many`` takes per 1000
+    delivered frames: 1000 when every (packet, receiver) pair was its
+    own entry, about one per frame since a fan-out group is one entry.
     """
     link = LinkModel(
         loss=PacketLossModel(p0=0.1, p1=0.9, d0=50.0, radio_range=200.0)
@@ -301,17 +305,27 @@ def test_virtual_round_64(benchmark):
     emu, one_round = build()
     armed = [0]
     call_at = emu.clock.call_at
+    entries = [0]
+    push_many = emu.engine.schedule.push_many
 
     def counting_call_at(when, fn):
         armed[0] += 1
         return call_at(when, fn)
 
+    def counting_push_many(batch):
+        entries[0] += len(batch)
+        return push_many(batch)
+
     emu.clock.call_at = counting_call_at
+    emu.engine.schedule.push_many = counting_push_many
     for _ in range(10):
         one_round()
     assert emu.engine.ingested == 640
     benchmark.extra_info["count_timers_per_1k_deliveries"] = round(
         1000.0 * armed[0] / emu.engine.forwarded, 3
+    )
+    benchmark.extra_info["count_schedule_entries_per_1k_deliveries"] = round(
+        1000.0 * entries[0] / emu.engine.forwarded, 3
     )
     benchmark.extra_info["cpu_count"] = multiprocessing.cpu_count()
 

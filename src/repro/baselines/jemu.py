@@ -55,17 +55,14 @@ class _DropSceneEvents(Recorder):
     def __init__(self, inner: Recorder) -> None:
         self._inner = inner
 
-    def next_record_id(self) -> int:
-        return self._inner.next_record_id()
+    def record_packet(self, row) -> int:
+        return self._inner.record_packet(row)
 
-    def reserve_record_ids(self, n: int) -> int:
-        return self._inner.reserve_record_ids(n)
+    def record_many(self, rows) -> int:
+        return self._inner.record_many(rows)
 
-    def record_packet(self, record) -> None:
-        self._inner.record_packet(record)
-
-    def record_many(self, records) -> None:
-        self._inner.record_many(records)
+    def __len__(self) -> int:
+        return len(self._inner)
 
     def record_scene(self, event: SceneEvent) -> None:
         pass  # not recorded — no replay support

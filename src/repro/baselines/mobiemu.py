@@ -40,7 +40,7 @@ import numpy as np
 from ..core.clock import VirtualClock
 from ..core.geometry import Vec2, distance
 from ..core.ids import ChannelId, IdAllocator, NodeId
-from ..core.packet import DropReason, Packet, PacketRecord, PacketStamper
+from ..core.packet import DropReason, Packet, PacketStamper, packet_row
 from ..core.recording import MemoryRecorder, Recorder
 from ..core.scene import Scene, SceneEvent
 from ..errors import ConfigurationError, ProtocolError, SceneError
@@ -334,22 +334,7 @@ class MobiEmuEmulator:
         drop_reason: Optional[str],
     ) -> None:
         self.recorder.record_packet(
-            PacketRecord(
-                record_id=self.recorder.next_record_id(),
-                seqno=int(packet.seqno),
-                source=int(packet.source),
-                destination=int(packet.destination),
-                sender=int(sender),
-                receiver=None if receiver is None else int(receiver),
-                channel=int(packet.channel),
-                kind=packet.kind,
-                size_bits=packet.size_bits,
-                t_origin=packet.t_origin,
-                t_receipt=packet.t_receipt,
-                t_forward=packet.t_forward,
-                t_delivered=packet.t_delivered,
-                drop_reason=drop_reason,
-            )
+            packet_row(packet, sender, receiver, drop_reason)
         )
 
     # -- ground-truth audit -------------------------------------------------------------

@@ -281,7 +281,7 @@ def _cmd_run_scenario(args: argparse.Namespace) -> int:
         # Clean-shutdown marker: lets `poem analyze` frame the run
         # without inferring its end from the last packet.
         emu.record_run_summary()
-        packets = len(recorder.packets())
+        packets = len(recorder)
         events = len(recorder.scene_events())
         print(
             f"recorded {packets} packet rows and {events} scene events "

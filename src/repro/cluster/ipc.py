@@ -40,9 +40,11 @@ Record frame layout::
                   NaN = None), drop_reason (uint16 string index;
                   0xFFFF = None)
 
-Rows carry no record id: the parent assigns the final ids after the
-cross-worker merge, so each :class:`~repro.core.packet.PacketRecord` is
-built exactly once (:func:`record_from_row`).  Both binary decoders
+Rows carry no record id: they are the workers' recorder rows
+(:data:`~repro.core.packet.PacketRow`), and the parent's recorder
+assigns the final ids as it appends the cross-worker merge, so each
+:class:`~repro.core.packet.PacketRecord` is built exactly once
+(:func:`record_from_row`).  Both binary decoders
 reject every malformed frame — truncation, trailing bytes, a
 count/length mismatch, a bad string table or string index — with
 :class:`~repro.errors.ClusterError`.
@@ -56,7 +58,7 @@ from __future__ import annotations
 import struct
 from typing import Any, Optional, Sequence
 
-from ..core.packet import PacketRecord
+from ..core.packet import PacketRecord, PacketRow
 from ..errors import ClusterError
 from ..obs.tracing import TraceSpan
 
@@ -141,41 +143,43 @@ _NO_STRING = 0xFFFF  # drop_reason index meaning None
 _NAN = float("nan")
 
 
-def encode_record_frame(records: Sequence[PacketRecord]) -> bytes:
-    """Pack a worker's packet log into one record frame."""
+def encode_record_frame(rows: Sequence[PacketRow]) -> bytes:
+    """Pack a worker's packet log (its rows, in log order) into one
+    record frame."""
     strings: dict[str, int] = {}
     index = strings.setdefault
     pack = _RECORD_ROW.pack
-    rows = []
+    packed = []
     try:
-        for r in records:
-            rows.append(
+        for (
+            seqno, source, destination, sender, receiver, channel, kind,
+            size_bits, t_origin, t_receipt, t_forward, t_delivered, drop,
+        ) in rows:
+            packed.append(
                 pack(
-                    r.seqno, r.source, r.destination, r.sender,
-                    -1 if r.receiver is None else r.receiver,
-                    r.channel, index(r.kind, len(strings)), r.size_bits,
-                    _NAN if r.t_origin is None else r.t_origin,
-                    _NAN if r.t_receipt is None else r.t_receipt,
-                    _NAN if r.t_forward is None else r.t_forward,
-                    _NAN if r.t_delivered is None else r.t_delivered,
-                    _NO_STRING if r.drop_reason is None
-                    else index(r.drop_reason, len(strings)),
+                    seqno, source, destination, sender,
+                    -1 if receiver is None else receiver,
+                    channel, index(kind, len(strings)), size_bits,
+                    _NAN if t_origin is None else t_origin,
+                    _NAN if t_receipt is None else t_receipt,
+                    _NAN if t_forward is None else t_forward,
+                    _NAN if t_delivered is None else t_delivered,
+                    _NO_STRING if drop is None
+                    else index(drop, len(strings)),
                 )
             )
-        parts = [_RECORD_HEADER.pack(RECORD_MAGIC, len(rows), len(strings))]
+        parts = [_RECORD_HEADER.pack(RECORD_MAGIC, len(packed), len(strings))]
         for raw in (s.encode("utf-8") for s in strings):
             parts += (_STRING_LEN.pack(len(raw)), raw)
     except struct.error as exc:
         raise ClusterError(f"record does not fit the frame: {exc}") from exc
-    return b"".join(parts + rows)
+    return b"".join(parts + packed)
 
 
-def decode_record_frame(data: bytes) -> list[tuple]:
-    """Unpack a record frame into rows, in worker-log order.
-
-    A row is a :class:`PacketRecord`'s fields minus ``record_id``, with
-    ``None`` and the strings restored — :func:`record_from_row` turns it
-    into the record once the parent knows its final id.
+def decode_record_frame(data: bytes) -> list[PacketRow]:
+    """Unpack a record frame into rows, in worker-log order, with
+    ``None`` and the strings restored — the parent's recorder assigns
+    their ids and :func:`record_from_row` builds the records.
     """
     try:
         magic, count, n_strings = _RECORD_HEADER.unpack_from(data)
@@ -216,12 +220,12 @@ def decode_record_frame(data: bytes) -> list[tuple]:
         raise ClusterError(f"malformed record frame: {exc}") from exc
 
 
-def record_from_row(row: tuple, record_id: int) -> PacketRecord:
+def record_from_row(row: PacketRow, record_id: int) -> PacketRecord:
     """*The* per-row record builder: one decoded row + its final id."""
     return PacketRecord(record_id, *row)
 
 
-def row_event_time(row: tuple) -> float:
+def row_event_time(row: PacketRow) -> float:
     """Merge key: when the row's terminal event happened (delivery time,
     falling back through the stamp chain)."""
     for stamp in (row[11], row[10], row[9], row[8]):

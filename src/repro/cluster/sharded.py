@@ -841,9 +841,10 @@ class ShardedEmulator:
     def collect(self) -> list[PacketRecord]:
         """Drain every worker's packet log into the parent recorder.
 
-        Streams are merged in event-time order (:func:`_merge_rows`) and
-        each record is built once, with an id reserved from the parent
-        recorder, so record ids are unique and monotone in merge order.
+        Streams are merged in event-time order (:func:`_merge_rows`), the
+        parent recorder appends the merged rows and assigns their ids, and
+        each returned record is built once with its id, so record ids are
+        unique and monotone in merge order.
         With one worker the merge is a passthrough — record ids come out
         identical to an in-process run's.
 
@@ -865,12 +866,11 @@ class ShardedEmulator:
         rows = _merge_rows(streams)
         merged: list[PacketRecord] = []
         if rows:
-            start = self.recorder.reserve_record_ids(len(rows))
+            first = self.recorder.record_many(rows)
             merged = [
-                ipc.record_from_row(row, start + i)
+                ipc.record_from_row(row, first + i)
                 for i, row in enumerate(rows)
             ]
-            self.recorder.record_many(merged)
         self.recorder.record_scene(
             SceneEvent(
                 time=self._time,

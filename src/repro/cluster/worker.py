@@ -67,7 +67,7 @@ from ..core.forwarding import ForwardingCore, release_profiler
 from ..core.geometry import Vec2
 from ..core.ids import NodeId
 from ..core.overload import DEFAULT_LAG_BUDGET
-from ..core.packet import PacketRecord
+from ..core.packet import PacketRow
 from ..core.recording import MemoryRecorder
 from ..net.messages import (
     decode_message,
@@ -260,12 +260,12 @@ class _WorkerState(ForwardingCore):
             "profile": prof.snapshot() if prof is not None else None,
         }
 
-    def drain_records(self) -> list[PacketRecord]:
-        """Take and clear the packet log (collect is a drain, so a
+    def drain_rows(self) -> list[PacketRow]:
+        """Take and clear the packet log's rows (collect is a drain, so a
         second collect never double-reports)."""
-        records = self.recorder.packets()
+        rows = self.recorder.rows()
         self.recorder = self.engine.recorder = MemoryRecorder()
-        return records
+        return rows
 
 
 class ClusterWorkerError(Exception):
@@ -340,7 +340,7 @@ def worker_main(conn, config: WorkerConfig) -> None:
             elif op == "collect":
                 # Encoded first: a log that does not fit the frame must
                 # surface as worker_error, not after a report went out.
-                frame = ipc.encode_record_frame(state.drain_records())
+                frame = ipc.encode_record_frame(state.drain_rows())
                 report = make_worker_report(
                     config.worker_index, **state.sample()
                 )

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -47,10 +47,10 @@ from .clock import EmulationClock
 from .ids import NodeId
 from .neighbor import NeighborScheme
 from .overload import DEFAULT_LAG_BUDGET, DeadlineAccounting, OverloadController
-from .packet import DropReason, Packet, PacketRecord
+from .packet import DropReason, Packet, PacketRow, packet_row
 from .recording import MemoryRecorder, Recorder
 from .scene import Scene
-from .scheduler import ForwardSchedule, ScheduledPacket
+from .scheduler import ForwardSchedule, ScheduledPacket, take_pairs
 
 __all__ = ["ForwardingEngine", "DeliverFn"]
 
@@ -307,6 +307,7 @@ class ForwardingEngine:
 
         scheduled: list[ScheduledPacket] = []
         n = len(targets)
+        drops_before = len(drops)  # loss-model drops of the fan-out follow
         if n == 1:
             # Scalar fast path: unicast (and 1-neighbor broadcasts) skip
             # ndarray round trips and keep the historical RNG stream.
@@ -323,10 +324,8 @@ class ForwardingEngine:
                     t_forward = t_receipt
                 scheduled.append(
                     ScheduledPacket(
-                        t_forward=t_forward,
-                        packet=packet.with_forward(t_forward),
-                        receiver=targets[0],
-                        sender=sender,
+                        t_forward, packet.with_forward(t_forward),
+                        (targets[0],), sender,
                     )
                 )
         elif n:
@@ -338,23 +337,32 @@ class ForwardingEngine:
             np.maximum(t_fwd, t_receipt, out=t_fwd)  # causality floor
             t_fwd_list = t_fwd.tolist()
             mask_list = drop_mask.tolist() if drop_mask.any() else None
-            # Packet is immutable, so consecutive receivers with the same
-            # forward time share one stamped copy (every receiver, when
-            # the link's bandwidth does not depend on distance).
-            fwd = packet
+            # One schedule entry per run of accepted receivers sharing a
+            # forward time (every receiver, when the link's bandwidth
+            # does not depend on distance), each with one stamped copy.
+            run: list[NodeId] = []
+            tf_run = None
             for i, target in enumerate(targets):
                 if mask_list is not None and mask_list[i]:
                     drops.append((target, DropReason.LOSS_MODEL, packet))
                     continue
                 tf = t_fwd_list[i]
-                if tf != fwd.t_forward:
-                    fwd = packet.with_forward(tf)
+                if tf != tf_run:
+                    if run:
+                        scheduled.append(
+                            ScheduledPacket(
+                                tf_run, packet.with_forward(tf_run),
+                                tuple(run), sender,
+                            )
+                        )
+                    run = []
+                    tf_run = tf
+                run.append(target)
+            if run:
                 scheduled.append(
                     ScheduledPacket(
-                        t_forward=tf,
-                        packet=fwd,
-                        receiver=target,
-                        sender=sender,
+                        tf_run, packet.with_forward(tf_run), tuple(run),
+                        sender,
                     )
                 )
         if tr is not None:
@@ -366,14 +374,18 @@ class ForwardingEngine:
                 _t0 = _perf()
                 accepted = self.schedule.push_many(scheduled)
                 tr.stage("schedule_push", _perf() - _t0)
-            if accepted != len(scheduled):
-                # The rejected suffix carries each entry's own forwarded
+            # The pairs offered are the targets the loss model kept.
+            if accepted != n - (len(drops) - drops_before):
+                # Each rejected pair carries its group's forwarded
                 # packet, so the drop record keeps its t_forward stamp.
                 drops.extend(
-                    (e.receiver, DropReason.QUEUE_OVERFLOW, e.packet)
-                    for e in scheduled[accepted:]
+                    [
+                        (receiver, DropReason.QUEUE_OVERFLOW, entry.packet)
+                        for entry in scheduled
+                        for receiver in entry.receivers
+                    ][accepted:]
                 )
-                scheduled = scheduled[:accepted]
+                scheduled = take_pairs(scheduled, accepted)
         return self._commit_ingest(packet, sender, scheduled, drops, tr)
 
     def arm_flush(self, entries: list[ScheduledPacket]) -> None:
@@ -416,8 +428,8 @@ class ForwardingEngine:
         drops: list[tuple[Optional[NodeId], str, Packet]],
         trace: Optional[Trace] = None,
     ) -> list[ScheduledPacket]:
-        """Fold one ingest's counter updates and drop records into a
-        single lock acquisition and at most one recorder call.
+        """Fold one ingest's counter updates and drop rows into a single
+        lock acquisition and at most one recorder call.
 
         Each drop tuple carries the packet instance to record — for
         pre-schedule drops that is the receipt-stamped base packet, but
@@ -445,21 +457,12 @@ class ForwardingEngine:
         if trace is not None and self._tracer is not None:
             self._tracer.commit(trace, scheduled, drops)
         if n_drops:
-            if n_drops == 1:
-                receiver, reason, p = drops[0]
-                self.recorder.record_packet(
-                    self._make_record(p, sender, receiver, reason)
-                )
-            else:
-                self.recorder.record_many(
-                    self._make_records(
-                        self.recorder.reserve_record_ids(n_drops),
-                        (
-                            (p, sender, receiver, reason)
-                            for receiver, reason, p in drops
-                        ),
-                    )
-                )
+            self.recorder.record_many(
+                [
+                    packet_row(p, sender, receiver, reason)
+                    for receiver, reason, p in drops
+                ]
+            )
         return scheduled
 
     # -- Steps 5–7 -------------------------------------------------------------
@@ -502,19 +505,22 @@ class ForwardingEngine:
         """Deliver a batch of due entries with batched recording: one
         counter-lock acquisition and one ``record_many`` per flush.
 
-        Every entry feeds the scheduler-lag histogram (``now −
-        t_forward``, the deadline-slack metric); every delivery also
-        lands in a deadline-accounting bucket at the point its record is
-        built, so the live buckets count exactly the recorded
-        deliveries.  Entries belonging to a sampled trace additionally
-        record their ``scan_wakeup`` / ``send`` / ``record`` stage
-        durations.
+        The frame-level work is done once per entry (fan-out group):
+        trace lookup, scheduler lag, the shed decision, the
+        delivery-stamped copy, one count-weighted observation of the
+        scheduler-lag histogram (``now − t_forward``, the deadline-slack
+        metric).  Each receiver's deliveries land in the lag's
+        deadline-accounting bucket where their rows are built, so the
+        live buckets count exactly the recorded deliveries.  A sampled
+        trace follows the first receiver of the first entry of its
+        packet and records its ``scan_wakeup`` / ``send`` / ``record``
+        stage durations.
 
         Under a SATURATED overload controller, entries already later
         than the shed horizon are dropped as ``deadline-shed`` —
         delivering them would only push the backlog further behind real
         time.  A shed frame is a drop, not a delivery: it gets a drop
-        row and no deadline bucket.
+        row per receiver and no deadline bucket.
         """
         if not due:
             return 0
@@ -522,78 +528,90 @@ class ForwardingEngine:
         m_lag = self._m_lag
         ov = self.overload
         deadlines = self.deadlines
+        deliver = self._deliver
         shed_horizon = ov.shed_horizon
         max_lag = 0.0
         shed: list[ScheduledPacket] = []
-        delivered: list[tuple[Packet, NodeId, NodeId, None]] = []
+        rows: list[PacketRow] = []
+        append = rows.append
         finished_traces: list[Trace] = []
-        # Consecutive entries of one fan-out carry the same forwarded
-        # packet object (see ingest) and fall due together: they share
-        # one delivery-stamped copy too.  A local, not an attribute —
-        # flushes run on more than one thread.
-        stamped_from: Optional[Packet] = None
-        stamped: Optional[Packet] = None
         for entry in due:
+            receivers = entry.receivers
             tr = None
             if tracer is not None and tracer.active:
                 tr = tracer.inflight_pop(
                     (int(entry.packet.source), int(entry.packet.seqno))
                 )
-            lag = now - entry.t_forward
+            t_forward = entry.t_forward
+            lag = now - t_forward
             if lag < 0.0:
                 lag = 0.0
             if lag > max_lag:
                 max_lag = lag
             if m_lag is not None:
-                m_lag.observe(lag)
+                m_lag.observe(lag, len(receivers))
             if shed_horizon is not None and lag > shed_horizon:
                 shed.append(entry)
                 if tr is not None:
                     tracer.finalize(tr, "deadline-shed")
                 continue
-            t_delivered = entry.t_forward
-            if now > t_delivered:
-                t_delivered = now
-            if (
-                entry.packet is not stamped_from
-                or stamped.t_delivered != t_delivered
-            ):
-                stamped_from = entry.packet
-                stamped = stamped_from.stamped(t_delivered=t_delivered)
-            if tr is None:
-                packet = self._deliver(entry, stamped)
-            else:
-                tr.lag = lag
-                tr.receiver = int(entry.receiver)
-                tr.stage("scan_wakeup", lag)
-                _t0 = _perf()
-                packet = self._deliver(entry, stamped)
-                tr.stage("send", _perf() - _t0)
-                if packet is None:
-                    # Dropped at delivery time (node removed/quarantined,
-                    # retro-collision, drained receiver); the drop row
-                    # was already written by _deliver.
-                    tracer.finalize(tr, "dropped-at-delivery")
+            t_delivered = t_forward if t_forward > now else now
+            packet = entry.packet.stamped(t_delivered=t_delivered)
+            sender = int(entry.sender)
+            seqno = int(packet.seqno)
+            source = int(packet.source)
+            destination = int(packet.destination)
+            channel = int(packet.channel)
+            kind = packet.kind
+            size_bits = packet.size_bits
+            t_origin = packet.t_origin
+            t_receipt = packet.t_receipt
+            n_rows = len(rows)
+            for receiver in receivers:
+                if tr is None:
+                    ok = deliver(entry, receiver, packet)
+                else:
+                    tr.lag = lag
+                    tr.receiver = int(receiver)
+                    tr.stage("scan_wakeup", lag)
+                    _t0 = _perf()
+                    ok = deliver(entry, receiver, packet)
+                    tr.stage("send", _perf() - _t0)
+                    if ok:
+                        finished_traces.append(tr)
+                    else:
+                        # Dropped at delivery time (node removed or
+                        # quarantined, retro-collision, drained receiver);
+                        # the drop row was already written by _deliver.
+                        tracer.finalize(tr, "dropped-at-delivery")
                     tr = None
-            if packet is not None:
-                deadlines.note(lag)
-                delivered.append((packet, entry.sender, entry.receiver, None))
-                if tr is not None:
-                    finished_traces.append(tr)
-        count = len(delivered)
+                if ok:
+                    append((
+                        seqno, source, destination, sender, int(receiver),
+                        channel, kind, size_bits, t_origin, t_receipt,
+                        t_forward, t_delivered, None,
+                    ))
+            if len(rows) > n_rows:
+                deadlines.note(lag, len(rows) - n_rows)
+        count = len(rows)
         if count:
             with self._lock:
                 self.forwarded += count
-            start = self.recorder.reserve_record_ids(count)
             _t0 = _perf() if finished_traces else 0.0
-            self.recorder.record_many(self._make_records(start, delivered))
+            self.recorder.record_many(rows)
             if finished_traces:
                 record_dur = _perf() - _t0
                 for tr in finished_traces:
                     tr.stage("record", record_dur)
                     tracer.finalize(tr, "delivered")
         if shed:
-            n = len(shed)
+            shed_rows = [
+                packet_row(e.packet, e.sender, receiver,
+                           DropReason.DEADLINE_SHED)
+                for e in shed
+                for receiver in e.receivers
+            ]
+            n = len(shed_rows)
             with self._lock:
                 self.dropped += n
                 self.transport_dropped += n
@@ -601,16 +619,7 @@ class ForwardingEngine:
             if fam is not None:
                 fam.labels(DropReason.DEADLINE_SHED).inc(n)
             ov.note_shed(n)
-            start = self.recorder.reserve_record_ids(n)
-            self.recorder.record_many(
-                self._make_records(
-                    start,
-                    (
-                        (e.packet, e.sender, e.receiver, DropReason.DEADLINE_SHED)
-                        for e in shed
-                    ),
-                )
-            )
+            self.recorder.record_many(shed_rows)
         ov.observe(max_lag, len(self.schedule))
         return count
 
@@ -619,58 +628,48 @@ class ForwardingEngine:
         return self.schedule.peek_time()
 
     def _deliver(
-        self, entry: ScheduledPacket, delivered: Packet
-    ) -> Optional[Packet]:
-        """Deliver one due entry as ``delivered`` (its delivery-stamped
-        packet); returns it, or None when it cannot be delivered (the
-        drop is recorded here; the delivery record is written by the
-        caller's batched path)."""
-        if entry.receiver not in self.scene:
-            self._record_drop(
-                entry.packet, entry.sender, entry.receiver,
-                DropReason.NODE_REMOVED,
-            )
-            return None
+        self, entry: ScheduledPacket, receiver: NodeId, delivered: Packet
+    ) -> bool:
+        """Deliver ``entry``'s frame to one of its receivers as
+        ``delivered`` (its delivery-stamped packet); False when it cannot
+        be delivered (the drop is recorded here; the delivery row is
+        written by the caller's batched path).
+
+        Every check runs per receiver: a delivery callback can run a
+        relay's transmit inline, and its medium access can retro-collide
+        the very frame being delivered."""
+        sender = entry.sender
+        packet = entry.packet
+        if receiver not in self.scene:
+            self._record_drop(packet, sender, receiver, DropReason.NODE_REMOVED)
+            return False
         # A receiver quarantined after scheduling hears nothing either.
-        if entry.receiver in self.scene.quarantined_snapshot():
-            self._record_drop(
-                entry.packet, entry.sender, entry.receiver,
-                DropReason.NODE_STALE,
-            )
-            return None
+        if receiver in self.scene.quarantined_snapshot():
+            self._record_drop(packet, sender, receiver, DropReason.NODE_STALE)
+            return False
         # ALOHA-style retroactive collision: a later overlapping frame may
         # have corrupted this one after it was scheduled.
-        if entry.packet.t_receipt is not None and self.mac.was_collided(
-            entry.packet.channel, entry.sender, entry.packet.t_receipt
+        if packet.t_receipt is not None and self.mac.was_collided(
+            packet.channel, sender, packet.t_receipt
         ):
-            self._record_drop(
-                entry.packet, entry.sender, entry.receiver,
-                DropReason.COLLISION,
-            )
-            return None
+            self._record_drop(packet, sender, receiver, DropReason.COLLISION)
+            return False
         # Spatially-adjudicated collision (hidden terminal): corrupted only
         # at receivers that hear both overlapping transmissions.
-        if entry.packet.t_receipt is not None and self.mac.receiver_corrupted(
-            entry.packet.channel, entry.sender, entry.packet.t_receipt,
-            entry.receiver, self.scene,
+        if packet.t_receipt is not None and self.mac.receiver_corrupted(
+            packet.channel, sender, packet.t_receipt, receiver, self.scene,
         ):
-            self._record_drop(
-                entry.packet, entry.sender, entry.receiver,
-                DropReason.COLLISION,
-            )
-            return None
+            self._record_drop(packet, sender, receiver, DropReason.COLLISION)
+            return False
         # Receiving costs energy too; a drained receiver hears nothing.
         if self.energy is not None and not self.energy.charge_rx(
-            entry.receiver, entry.packet.size_bits
+            receiver, packet.size_bits
         ):
-            self._record_drop(
-                entry.packet, entry.sender, entry.receiver,
-                DropReason.NO_ENERGY,
-            )
-            return None
+            self._record_drop(packet, sender, receiver, DropReason.NO_ENERGY)
+            return False
         if self.deliver is not None:
-            self.deliver(entry.receiver, delivered)
-        return delivered
+            self.deliver(receiver, delivered)
+        return True
 
     def record_transport_drop(
         self,
@@ -688,75 +687,6 @@ class ForwardingEngine:
 
     # -- recording helpers -------------------------------------------------------
 
-    def _make_record(
-        self,
-        packet: Packet,
-        sender: NodeId,
-        receiver: Optional[NodeId],
-        drop_reason: Optional[str] = None,
-        *,
-        record_id: Optional[int] = None,
-    ) -> PacketRecord:
-        if record_id is None:
-            record_id = self.recorder.next_record_id()
-        return PacketRecord(
-            record_id=record_id,
-            seqno=int(packet.seqno),
-            source=int(packet.source),
-            destination=int(packet.destination),
-            sender=int(sender),
-            receiver=None if receiver is None else int(receiver),
-            channel=int(packet.channel),
-            kind=packet.kind,
-            size_bits=packet.size_bits,
-            t_origin=packet.t_origin,
-            t_receipt=packet.t_receipt,
-            t_forward=packet.t_forward,
-            t_delivered=packet.t_delivered,
-            drop_reason=drop_reason,
-        )
-
-    def _make_records(
-        self,
-        start: int,
-        rows: Iterable[tuple[Packet, NodeId, Optional[NodeId], Optional[str]]],
-    ) -> list[PacketRecord]:
-        """:meth:`_make_record` over a batch of ``(packet, sender,
-        receiver, drop_reason)`` rows, ids counting up from ``start``.
-
-        The receivers of a fan-out carry the same stamped packet object
-        (see :meth:`ingest` / :meth:`_deliver_batch`), so the per-packet
-        fields are read once per run of rows sharing a packet and only
-        id, hop and outcome per row."""
-        records: list[PacketRecord] = []
-        append = records.append
-        record_id = start
-        last: Optional[Packet] = None
-        for packet, sender, receiver, drop_reason in rows:
-            if packet is not last:
-                last = packet
-                seqno = int(packet.seqno)
-                source = int(packet.source)
-                destination = int(packet.destination)
-                channel = int(packet.channel)
-                kind = packet.kind
-                size_bits = packet.size_bits
-                t_origin = packet.t_origin
-                t_receipt = packet.t_receipt
-                t_forward = packet.t_forward
-                t_delivered = packet.t_delivered
-            append(
-                PacketRecord(
-                    record_id, seqno, source, destination, int(sender),
-                    None if receiver is None else int(receiver),
-                    channel, kind, size_bits,
-                    t_origin, t_receipt, t_forward, t_delivered,
-                    drop_reason,
-                )
-            )
-            record_id += 1
-        return records
-
     def _record_drop(
         self,
         packet: Packet,
@@ -772,5 +702,5 @@ class ForwardingEngine:
         if fam is not None:
             fam.labels(reason).inc()
         self.recorder.record_packet(
-            self._make_record(packet, sender, receiver, reason)
+            packet_row(packet, sender, receiver, reason)
         )

@@ -372,13 +372,14 @@ class DeadlineAccounting:
         self.late = 0
         self.missed = 0
 
-    def note(self, lag: float) -> None:
+    def note(self, lag: float, n: int = 1) -> None:
+        """Count ``n`` deliveries that lagged ``lag`` seconds."""
         if lag <= self.budget:
-            self.on_time += 1
+            self.on_time += n
         elif lag <= self.budget * MISS_FACTOR:
-            self.late += 1
+            self.late += n
         else:
-            self.missed += 1
+            self.missed += n
 
     @property
     def total(self) -> int:

@@ -34,7 +34,10 @@ from typing import Optional
 from ..errors import ConfigurationError
 from .ids import BROADCAST_NODE, ChannelId, NodeId, RadioIndex, SequenceNumber
 
-__all__ = ["Packet", "PacketRecord", "PacketStamper", "DropReason"]
+__all__ = [
+    "Packet", "PacketRecord", "PacketRow", "packet_row", "PacketStamper",
+    "DropReason",
+]
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,6 +183,29 @@ class PacketRecord:
     @property
     def dropped(self) -> bool:
         return self.drop_reason is not None
+
+
+PacketRow = tuple
+"""A :class:`PacketRecord`'s fields minus ``record_id``, in field order:
+what the write path appends (the recorder assigns the id) and what the
+cluster's record frame ships.  ``PacketRecord(record_id, *row)`` is the
+record."""
+
+
+def packet_row(
+    packet: Packet,
+    sender: NodeId,
+    receiver: Optional[NodeId],
+    drop_reason: Optional[str] = None,
+) -> PacketRow:
+    """The row of one ``(packet, receiver)`` outcome on hop ``sender``."""
+    return (
+        int(packet.seqno), int(packet.source), int(packet.destination),
+        int(sender), None if receiver is None else int(receiver),
+        int(packet.channel), packet.kind, packet.size_bits,
+        packet.t_origin, packet.t_receipt, packet.t_forward,
+        packet.t_delivered, drop_reason,
+    )
 
 
 class PacketStamper:

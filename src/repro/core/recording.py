@@ -34,12 +34,13 @@ import sqlite3
 import threading
 from abc import ABC, abstractmethod
 from collections import deque
+from itertools import chain
 from typing import Optional, Sequence, Union
 
 from ..errors import AnalysisError, RecordingError
 from .clock import SyncSample
 from .ids import NodeId
-from .packet import PacketRecord
+from .packet import PacketRecord, PacketRow
 from .scene import SceneEvent
 
 __all__ = [
@@ -103,11 +104,23 @@ CREATE INDEX IF NOT EXISTS idx_sync_node_time ON sync_samples (node, t_server);
 
 
 class Recorder(ABC):
-    """Interface of both recorder backends."""
+    """Interface of both recorder backends.
+
+    The write path appends *rows* (:data:`~repro.core.packet.PacketRow`:
+    a record's fields minus ``record_id``) and the recorder assigns each
+    row its id as it appends it — consecutive, in append order, and
+    continuing where a reopened recording left off.  The read path
+    (:meth:`packets`) builds the :class:`PacketRecord` objects.
+    """
 
     @abstractmethod
-    def record_packet(self, record: PacketRecord) -> None:
-        """Append one packet outcome row."""
+    def record_packet(self, row: PacketRow) -> int:
+        """Append one packet outcome row; returns its record id."""
+
+    @abstractmethod
+    def record_many(self, rows: Sequence[PacketRow]) -> int:
+        """Append a batch of packet rows under one acquisition (the hot
+        path); returns the first one's record id."""
 
     @abstractmethod
     def record_scene(self, event: SceneEvent) -> None:
@@ -115,7 +128,11 @@ class Recorder(ABC):
 
     @abstractmethod
     def packets(self) -> list[PacketRecord]:
-        """All packet rows, in record order."""
+        """All packet records, in record order."""
+
+    @abstractmethod
+    def __len__(self) -> int:
+        """Number of packet records held, counted without building them."""
 
     @abstractmethod
     def scene_events(self) -> list[SceneEvent]:
@@ -124,34 +141,6 @@ class Recorder(ABC):
     @abstractmethod
     def close(self) -> None:
         """Flush and release resources."""
-
-    # -- batched hot path -----------------------------------------------------
-
-    def record_many(self, records: Sequence[PacketRecord]) -> None:
-        """Append a batch of packet rows.
-
-        Backends override this with a single-acquisition implementation;
-        the default loops for third-party recorders that only implement
-        :meth:`record_packet`.
-        """
-        for record in records:
-            self.record_packet(record)
-
-    def reserve_record_ids(self, n: int) -> int:
-        """Allocate ``n`` consecutive record ids; returns the first.
-
-        One lock acquisition covers a whole broadcast fan-out's worth of
-        rows (vs one :meth:`next_record_id` call per row).  The default
-        draws ``n`` ids through :meth:`next_record_id` — consecutive only
-        when no other thread allocates concurrently; both built-in
-        backends override it with a single atomic bump.
-        """
-        if n <= 0:
-            raise RecordingError(f"must reserve a positive count, got {n}")
-        first = self.next_record_id()
-        for _ in range(n - 1):
-            self.next_record_id()
-        return first
 
     # -- pipeline trace spans (observability plane) ---------------------------
 
@@ -187,10 +176,6 @@ class Recorder(ABC):
 
     # -- shared conveniences --------------------------------------------------
 
-    def next_record_id(self) -> int:
-        """Allocate a packet record id (engine fills it into the record)."""
-        raise NotImplementedError
-
     def dropped_packets(self) -> list[PacketRecord]:
         return [p for p in self.packets() if p.dropped]
 
@@ -199,14 +184,17 @@ class Recorder(ABC):
         scene.add_listener(self.record_scene)
 
 
+_ROW_FIELDS = 13  # fields of a PacketRow
+
+
 class MemoryRecorder(Recorder):
     """In-memory recorder: an append-only chain of fixed-size segments.
 
-    The packet log is stored as a list of *segments* (bounded-length
-    lists).  Appends only ever touch the tail segment, so:
+    The packet log is stored as a list of *segments* of rows.  Appends
+    only ever touch the open tail segment, so:
 
-    * :meth:`record_many` appends a whole broadcast fan-out under a
-      single lock acquisition;
+    * :meth:`record_many` appends a whole flush's rows under a single
+      lock acquisition;
     * a segment, once full, is never mutated again — cheap to hand to
       exporters/readers;
     * with ``capacity`` set, the segment chain becomes a **ring**: the
@@ -214,6 +202,13 @@ class MemoryRecorder(Recorder):
       (bounded memory for long soak runs; :attr:`evicted` counts what
       the ring overwrote).  Default is unbounded, preserving the paper's
       complete-record semantics.
+
+    A segment is a flat list of the rows' fields, 13 per row: a field
+    costs one 8-byte slot and a row no object of its own (a 13-field
+    tuple costs 144 bytes), and none of the ints, floats, strings and
+    None it holds is an object the garbage collector tracks.  Ids are
+    implicit: the row at position ``i`` of the retained log has id
+    ``evicted + i + 1``.  Rows and records are rebuilt only when read.
     """
 
     SEGMENT_SIZE = 4096
@@ -226,53 +221,62 @@ class MemoryRecorder(Recorder):
         if capacity is not None and capacity <= 0:
             raise RecordingError(f"capacity must be positive, got {capacity}")
         self._capacity = capacity
-        self._segments: list[list[PacketRecord]] = [[]]
+        self._segments: list[list] = [[]]
         self._count = 0
         self.evicted = 0  # records discarded by the ring bound
         self._events: list[SceneEvent] = []
         self._syncs: list[SyncSample] = []
         self._spans: deque = deque(maxlen=self.SPAN_CAPACITY)
         self._lock = threading.Lock()
-        self._next_id = 1
-
-    def next_record_id(self) -> int:
-        with self._lock:
-            rid = self._next_id
-            self._next_id += 1
-            return rid
-
-    def reserve_record_ids(self, n: int) -> int:
-        with self._lock:
-            rid = self._next_id
-            self._next_id += n
-            return rid
 
     # -- appends (lock held) ---------------------------------------------------
 
-    def _append(self, record: PacketRecord) -> None:
-        tail = self._segments[-1]
-        if len(tail) >= self.SEGMENT_SIZE:
-            tail = []
-            self._segments.append(tail)
-        tail.append(record)
-        self._count += 1
-        if (
-            self._capacity is not None
-            and self._count > self._capacity
-            and len(self._segments) > 1
+    def _extend(self, rows: Sequence[PacketRow]) -> int:
+        first = self.evicted + self._count + 1
+        segments = self._segments
+        size = self.SEGMENT_SIZE
+        done, n = 0, len(rows)
+        while done < n:
+            tail = segments[-1]
+            room = size - len(tail) // _ROW_FIELDS
+            if room == 0:
+                segments.append([])
+                continue
+            batch = rows[done : done + room]
+            before = len(tail)
+            tail.extend(chain.from_iterable(batch))
+            if len(tail) - before != _ROW_FIELDS * len(batch):
+                del tail[before:]
+                self._count += done
+                raise RecordingError(
+                    f"a packet row has {_ROW_FIELDS} fields"
+                )
+            done += room
+        self._count += n
+        capacity = self._capacity
+        while (
+            capacity is not None
+            and self._count > capacity
+            and len(segments) > 1
         ):
-            oldest = self._segments.pop(0)
-            self._count -= len(oldest)
-            self.evicted += len(oldest)
+            del segments[0]
+            self._count -= size
+            self.evicted += size
+        return first
 
-    def record_packet(self, record: PacketRecord) -> None:
-        with self._lock:
-            self._append(record)
+    def _rows(self) -> list[PacketRow]:
+        out: list[PacketRow] = []
+        for segment in self._segments:
+            out.extend(zip(*[iter(segment)] * _ROW_FIELDS))
+        return out
 
-    def record_many(self, records: Sequence[PacketRecord]) -> None:
+    def record_packet(self, row: PacketRow) -> int:
         with self._lock:
-            for record in records:
-                self._append(record)
+            return self._extend((row,))
+
+    def record_many(self, rows: Sequence[PacketRow]) -> int:
+        with self._lock:
+            return self._extend(rows)
 
     def record_scene(self, event: SceneEvent) -> None:
         with self._lock:
@@ -282,12 +286,18 @@ class MemoryRecorder(Recorder):
         with self._lock:
             return self._count
 
+    def rows(self) -> list[PacketRow]:
+        """Every retained row, in record order (no records built)."""
+        with self._lock:
+            return self._rows()
+
     def packets(self) -> list[PacketRecord]:
         with self._lock:
-            out: list[PacketRecord] = []
-            for segment in self._segments:
-                out.extend(segment)
-            return out
+            first = self.evicted + 1
+            rows = self._rows()
+        return [
+            PacketRecord(first + i, *row) for i, row in enumerate(rows)
+        ]
 
     def scene_events(self) -> list[SceneEvent]:
         with self._lock:
@@ -336,80 +346,52 @@ class SqliteRecorder(Recorder):
         # sqlite with check_same_thread=False requires exactly one
         # in-flight statement, so every DB call below sits inside the
         # critical section on purpose.  The hot path never blocks here —
-        # engine/scheduler batch through record_many() (one acquisition
-        # per fan-out); the POEM002 suppressions below all cite this.
+        # the engine batches through record_many() (one acquisition per
+        # ingest and per flush); the POEM002 suppressions below all cite
+        # this.
         self._lock = threading.Lock()
-        self._next_id = self._load_next_id()
-
-    def _load_next_id(self) -> int:
+        # SQLite gives an inserted row without a rowid the table's
+        # largest id + 1, so with this recorder the file's one writer,
+        # the id of the next row is known without asking.
         row = self._conn.execute("SELECT MAX(record_id) FROM packets").fetchone()
-        return (row[0] or 0) + 1
+        self._next_id = (row[0] or 0) + 1
 
-    def next_record_id(self) -> int:
-        with self._lock:
-            rid = self._next_id
-            self._next_id += 1
-            return rid
+    _INSERT_PACKET = (
+        "INSERT INTO packets (seqno, source, destination, sender, receiver,"
+        " channel, kind, size_bits, t_origin, t_receipt, t_forward,"
+        " t_delivered, drop_reason) VALUES (?,?,?,?,?,?,?,?,?,?,?,?,?)"
+    )
 
-    def reserve_record_ids(self, n: int) -> int:
-        with self._lock:
-            rid = self._next_id
-            self._next_id += n
-            return rid
-
-    def record_many(self, records: Sequence[PacketRecord]) -> None:
+    def record_many(self, rows: Sequence[PacketRow]) -> int:
         """One ``executemany`` + one commit for a whole batch."""
-        if not records:
-            return
         with self._lock:  # poem: ignore[POEM002] — serialized sqlite connection (see _lock note)
+            first = self._next_id
+            if not rows:
+                return first
             try:
-                self._conn.executemany(
-                    "INSERT INTO packets (record_id, seqno, source, destination,"
-                    " sender, receiver, channel, kind, size_bits, t_origin,"
-                    " t_receipt, t_forward, t_delivered, drop_reason)"
-                    " VALUES (?,?,?,?,?,?,?,?,?,?,?,?,?,?)",
-                    [
-                        (
-                            r.record_id, r.seqno, r.source, r.destination,
-                            r.sender, r.receiver, r.channel, r.kind,
-                            r.size_bits, r.t_origin, r.t_receipt,
-                            r.t_forward, r.t_delivered, r.drop_reason,
-                        )
-                        for r in records
-                    ],
-                )
+                self._conn.executemany(self._INSERT_PACKET, rows)
                 self._conn.commit()
             except sqlite3.Error as exc:
+                self._conn.rollback()
                 raise RecordingError(f"batch packet insert failed: {exc}") from exc
+            self._next_id = first + len(rows)
+            return first
 
-    def record_packet(self, record: PacketRecord) -> None:
+    def record_packet(self, row: PacketRow) -> int:
         with self._lock:  # poem: ignore[POEM002] — serialized sqlite connection (see _lock note)
             try:
-                self._conn.execute(
-                    "INSERT INTO packets (record_id, seqno, source, destination,"
-                    " sender, receiver, channel, kind, size_bits, t_origin,"
-                    " t_receipt, t_forward, t_delivered, drop_reason)"
-                    " VALUES (?,?,?,?,?,?,?,?,?,?,?,?,?,?)",
-                    (
-                        record.record_id,
-                        record.seqno,
-                        record.source,
-                        record.destination,
-                        record.sender,
-                        record.receiver,
-                        record.channel,
-                        record.kind,
-                        record.size_bits,
-                        record.t_origin,
-                        record.t_receipt,
-                        record.t_forward,
-                        record.t_delivered,
-                        record.drop_reason,
-                    ),
-                )
+                self._conn.execute(self._INSERT_PACKET, row)
                 self._conn.commit()
             except sqlite3.Error as exc:
+                self._conn.rollback()
                 raise RecordingError(f"packet insert failed: {exc}") from exc
+            record_id = self._next_id
+            self._next_id += 1
+            return record_id
+
+    def __len__(self) -> int:
+        with self._lock:  # poem: ignore[POEM002] — serialized sqlite connection (see _lock note)
+            return self._conn.execute("SELECT COUNT(*) FROM packets").fetchone()[0]
 
     def record_scene(self, event: SceneEvent) -> None:
         with self._lock:  # poem: ignore[POEM002] — serialized sqlite connection (see _lock note)
@@ -424,28 +406,15 @@ class SqliteRecorder(Recorder):
             except sqlite3.Error as exc:
                 raise RecordingError(f"scene insert failed: {exc}") from exc
 
-    _PACKET_COLUMNS = (
-        "record_id, seqno, source, destination, sender, receiver,"
-        " channel, kind, size_bits, t_origin, t_receipt, t_forward,"
-        " t_delivered, drop_reason"
-    )
-
-    @staticmethod
-    def _row_to_record(r) -> PacketRecord:
-        return PacketRecord(
-            record_id=r[0], seqno=r[1], source=r[2], destination=r[3],
-            sender=r[4], receiver=r[5], channel=r[6], kind=r[7],
-            size_bits=r[8], t_origin=r[9], t_receipt=r[10],
-            t_forward=r[11], t_delivered=r[12], drop_reason=r[13],
-        )
-
     def packets(self) -> list[PacketRecord]:
         with self._lock:  # poem: ignore[POEM002] — serialized sqlite connection (see _lock note)
             rows = self._conn.execute(
-                f"SELECT {self._PACKET_COLUMNS} FROM packets"
+                "SELECT record_id, seqno, source, destination, sender,"
+                " receiver, channel, kind, size_bits, t_origin, t_receipt,"
+                " t_forward, t_delivered, drop_reason FROM packets"
                 " ORDER BY record_id"
             ).fetchall()
-        return [self._row_to_record(r) for r in rows]
+        return [PacketRecord(*r) for r in rows]
 
     def scene_events(self) -> list[SceneEvent]:
         with self._lock:  # poem: ignore[POEM002] — serialized sqlite connection (see _lock note)

@@ -1,7 +1,8 @@
 """The forwarding schedule (§3.2 Steps 4–6).
 
 After the scheduling thread computes ``t_forward`` for each (packet,
-receiver) pair, the pair is "listed into the schedule"; a scanning thread
+receiver) pair, the frame is "listed into the schedule" — one entry per
+run of receivers that share a forward time; a scanning thread
 "keeps watching the schedule and initiates a sending thread once the
 emulation clock meets the time to forward".
 
@@ -34,31 +35,64 @@ from ..errors import SchedulerError
 from .ids import NodeId
 from .packet import Packet
 
-__all__ = ["ScheduledPacket", "ForwardSchedule"]
+__all__ = ["ScheduledPacket", "ForwardSchedule", "take_pairs"]
 
 
 @dataclass(frozen=True, slots=True)
 class ScheduledPacket:
-    """One (packet, receiver) pair awaiting its forward time.
+    """One fan-out group awaiting its forward time: ``packet`` leaves for
+    every node of ``receivers`` at ``t_forward``.
 
-    ``sender`` is the node that transmitted this hop's frame (it differs
-    from ``packet.source`` on relayed hops) — the packet log records both.
+    A group is a run of consecutive (packet, receiver) pairs of one
+    ingest that share a forward time, so the schedule lists a frame once,
+    not once per receiver.  ``sender`` is the node that transmitted this
+    hop's frame (it differs from ``packet.source`` on relayed hops) — the
+    packet log records both.
     """
 
     t_forward: float
     packet: Packet
-    receiver: NodeId
+    receivers: tuple[NodeId, ...]
     sender: NodeId
 
 
+def take_pairs(
+    entries: Sequence[ScheduledPacket], n: int
+) -> list[ScheduledPacket]:
+    """The leading groups of ``entries`` that hold exactly their first
+    ``n`` (packet, receiver) pairs, the last group split if need be."""
+    taken: list[ScheduledPacket] = []
+    for entry in entries:
+        k = len(entry.receivers)
+        if n >= k:
+            taken.append(entry)
+            n -= k
+            continue
+        if n > 0:
+            taken.append(
+                ScheduledPacket(
+                    entry.t_forward, entry.packet, entry.receivers[:n],
+                    entry.sender,
+                )
+            )
+        break
+    return taken
+
+
 class ForwardSchedule:
-    """Priority queue of :class:`ScheduledPacket`, ordered by forward time."""
+    """Priority queue of :class:`ScheduledPacket`, ordered by forward time.
+
+    ``len()``, ``capacity`` and the accepted/rejected counters count
+    (packet, receiver) pairs, not entries: a group of ``k`` receivers
+    occupies ``k`` units of the server's buffering.
+    """
 
     def __init__(self, capacity: Optional[int] = None) -> None:
         if capacity is not None and capacity <= 0:
             raise SchedulerError(f"capacity must be positive, got {capacity}")
         self._capacity = capacity
         self._heap: list[tuple[float, int, ScheduledPacket]] = []
+        self._pairs = 0  # (packet, receiver) pairs over every heap entry
         self._seq = itertools.count()
         self._lock = threading.Lock()
         self._closed = False
@@ -72,74 +106,70 @@ class ForwardSchedule:
         """Register schedule metrics on an obs registry.
 
         * ``poem_schedule_accepted_total`` / ``poem_schedule_rejected_total``
-          — push outcomes (rejected == queue-overflow drops upstream);
+          — push outcomes in pairs (rejected == queue-overflow drops
+          upstream);
         * ``poem_schedule_depth`` — a callback gauge over ``len(self)``,
           sampled only when scraped (zero hot-path cost).
         """
         self._m_accepted = registry.counter(
             "poem_schedule_accepted_total",
-            "Entries accepted into the forwarding schedule",
+            "(packet, receiver) pairs accepted into the forwarding schedule",
         )
         self._m_rejected = registry.counter(
             "poem_schedule_rejected_total",
-            "Entries rejected by the schedule capacity bound",
+            "(packet, receiver) pairs rejected by the schedule capacity bound",
         )
         registry.gauge_fn(
             "poem_schedule_depth",
-            "Current number of entries awaiting their forward time",
+            "Current number of (packet, receiver) pairs awaiting their "
+            "forward time",
             lambda: len(self),
         )
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._heap)
+            return self._pairs
 
     @property
     def capacity(self) -> Optional[int]:
         return self._capacity
 
     def push(self, entry: ScheduledPacket) -> bool:
-        """Enqueue; returns False (dropping the entry) when at capacity."""
-        with self._lock:
-            if self._closed:
-                raise SchedulerError("schedule is closed")
-            if self._capacity is not None and len(self._heap) >= self._capacity:
-                if self._m_rejected is not None:
-                    self._m_rejected.inc()
-                return False
-            heapq.heappush(
-                self._heap, (entry.t_forward, next(self._seq), entry)
-            )
-        if self._m_accepted is not None:
-            self._m_accepted.inc()
-        return True
+        """Enqueue one entry; False when the capacity bound rejected any
+        of its pairs (see :meth:`push_many`)."""
+        return self.push_many((entry,)) == len(entry.receivers)
 
     def push_many(self, entries: Sequence[ScheduledPacket]) -> int:
         """Enqueue a batch under **one** lock acquisition (hot path).
 
-        Accepts a prefix of ``entries`` up to remaining capacity and
-        returns how many were accepted — callers record
-        ``entries[accepted:]`` as queue-overflow drops.
+        Accepts the batch's pairs up to the remaining capacity — a
+        prefix, the last group split where the bound falls — and returns
+        how many pairs were accepted; callers record the rest as
+        queue-overflow drops.
         """
         if not entries:
             return 0
+        offered = 0
+        for entry in entries:
+            offered += len(entry.receivers)
         with self._lock:
             if self._closed:
                 raise SchedulerError("schedule is closed")
-            if self._capacity is None:
-                accepted = len(entries)
-            else:
-                accepted = min(
-                    max(self._capacity - len(self._heap), 0), len(entries)
-                )
+            accepted = offered
+            if self._capacity is not None:
+                room = self._capacity - self._pairs
+                if room < offered:
+                    accepted = max(room, 0)
+                    entries = take_pairs(entries, accepted)
             heap, seq = self._heap, self._seq
-            for entry in entries[:accepted]:
+            for entry in entries:
                 heapq.heappush(heap, (entry.t_forward, next(seq), entry))
+            self._pairs += accepted
         if self._m_accepted is not None:
             if accepted:
                 self._m_accepted.inc(accepted)
-            if accepted < len(entries):
-                self._m_rejected.inc(len(entries) - accepted)
+            if accepted < offered:
+                self._m_rejected.inc(offered - accepted)
         return accepted
 
     def peek_time(self) -> Optional[float]:
@@ -151,8 +181,13 @@ class ForwardSchedule:
         """Remove and return every entry with ``t_forward <= now``, in order."""
         due: list[ScheduledPacket] = []
         with self._lock:
-            while self._heap and self._heap[0][0] <= now:
-                due.append(heapq.heappop(self._heap)[2])
+            heap = self._heap
+            pairs = 0
+            while heap and heap[0][0] <= now:
+                entry = heapq.heappop(heap)[2]
+                pairs += len(entry.receivers)
+                due.append(entry)
+            self._pairs -= pairs
         return due
 
     #: Precision quantum (s) of the real-time deployment: the longest
@@ -219,6 +254,7 @@ class ForwardSchedule:
         """Remove and return everything (shutdown path), in order."""
         with self._lock:
             out = [heapq.heappop(self._heap)[2] for _ in range(len(self._heap))]
+            self._pairs = 0
             return out
 
     def close(self) -> None:

@@ -67,9 +67,9 @@ RULES: dict[str, Rule] = {
             "per-packet-record",
             "per-packet Recorder.record_packet() inside a loop on a "
             "hot-path module",
-            "batch with reserve_record_ids(n) + record_many([...]) — one "
-            "lock acquisition per fan-out, not per packet (PR 2's "
-            "hot-path contract)",
+            "batch the rows: one record_many(rows) per fan-out — one "
+            "lock acquisition per fan-out, not per packet (the hot-path "
+            "contract)",
         ),
         Rule(
             "POEM005",

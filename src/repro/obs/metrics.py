@@ -215,8 +215,9 @@ class Histogram:
         self._lock = threading.Lock()
         self._merge_shard: Optional[list] = None
 
-    def observe(self, v: float) -> None:
-        """Record one observation. Lock-free (thread-private shard)."""
+    def observe(self, v: float, n: int = 1) -> None:
+        """Record ``n`` observations of ``v``. Lock-free (thread-private
+        shard)."""
         try:
             shard = self._local.shard
         except AttributeError:
@@ -224,9 +225,9 @@ class Histogram:
             self._local.shard = shard
             with self._lock:
                 self._shards.append(shard)
-        shard[0][bisect_left(self.bounds, v)] += 1
-        shard[1] += v
-        shard[2] += 1
+        shard[0][bisect_left(self.bounds, v)] += n
+        shard[1] += v * n
+        shard[2] += n
 
     def merge_folded(self, counts: Sequence[int], total: float) -> None:
         """Bucket-wise add an already-folded ``(counts, sum)`` delta.

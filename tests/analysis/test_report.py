@@ -5,6 +5,7 @@ that exposes them — ``poem analyze``, the console command, ``/report``.
 import io
 import json
 import urllib.request
+from dataclasses import astuple
 
 import pytest
 
@@ -108,12 +109,12 @@ def lagged_recording(lag, *states, recorder=None):
     rec = recorder if recorder is not None else MemoryRecorder()
     for i in range(20):
         t = 0.1 * i
-        rec.record_packet(PacketRecord(
+        rec.record_packet(astuple(PacketRecord(
             record_id=i + 1, seqno=i + 1, source=1, destination=2,
             sender=1, receiver=2, channel=1, kind="data", size_bits=800,
             t_origin=t, t_receipt=t, t_forward=t + 0.005,
             t_delivered=t + 0.005 + lag,
-        ))
+        ))[1:])
     for k, state in enumerate(states):
         for t, old, new in ((0.5 + k, "nominal", state),
                             (0.7 + k, state, "nominal")):

@@ -1,6 +1,8 @@
 """Tests for the sharded cluster's deterministic plumbing: the shard
 map, the scene-snapshot codec, and the pipe framing (no processes)."""
 
+from dataclasses import astuple
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -188,8 +190,13 @@ class TestPacketBatchFraming:
         assert not is_packet_batch(b"")
 
 
+def _rows(records):
+    """The records' rows: each one's fields minus ``record_id``."""
+    return [astuple(record)[1:] for record in records]
+
+
 def _round_trip(records):
-    rows = decode_record_frame(encode_record_frame(records))
+    rows = decode_record_frame(encode_record_frame(_rows(records)))
     assert len(rows) == len(records)
     return [
         record_from_row(row, record.record_id)
@@ -258,7 +265,7 @@ class TestRecordRows:
         assert _round_trip([record]) == [record]
 
     def test_wrong_arity_raises(self):
-        frame = encode_record_frame([_delivered_record()])
+        frame = encode_record_frame(_rows([_delivered_record()]))
         with pytest.raises(ClusterError):
             decode_record_frame(frame + b"\x00" * 17)  # not a whole row
 
@@ -270,7 +277,7 @@ class TestRecordRows:
 
     @given(_RECORDS, st.data())
     def test_truncated_frames_raise_cluster_error(self, records, data):
-        frame = encode_record_frame(records)
+        frame = encode_record_frame(_rows(records))
         cut = data.draw(st.integers(min_value=0, max_value=len(frame) - 1))
         with pytest.raises(ClusterError):
             decode_record_frame(frame[:cut])
@@ -281,7 +288,7 @@ class TestRecordRows:
     def test_mutated_frames_raise_nothing_but_cluster_error(
         self, records, data
     ):
-        frame = bytearray(encode_record_frame(records))
+        frame = bytearray(encode_record_frame(_rows(records)))
         for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
             at = data.draw(st.integers(min_value=0, max_value=len(frame) - 1))
             frame[at] = data.draw(st.integers(min_value=0, max_value=255))
@@ -291,21 +298,21 @@ class TestRecordRows:
             pass  # anything else propagates and fails the test
 
     def test_string_index_out_of_range_raises(self):
-        frame = bytearray(encode_record_frame([_delivered_record()]))
+        frame = bytearray(encode_record_frame(_rows([_delivered_record()])))
         kind_at = len(frame) - 92 + 48  # the one row's kind index
         frame[kind_at : kind_at + 2] = b"\x00\x07"
         with pytest.raises(ClusterError):
             decode_record_frame(bytes(frame))
 
     def test_bad_string_table_raises(self):
-        frame = bytearray(encode_record_frame([_delivered_record()]))
+        frame = bytearray(encode_record_frame(_rows([_delivered_record()])))
         frame[9] = 0xFF  # first byte of the only string: invalid utf-8
         with pytest.raises(ClusterError):
             decode_record_frame(bytes(frame))
 
     def test_value_outside_the_row_raises(self):
         with pytest.raises(ClusterError):
-            encode_record_frame([_delivered_record(seqno=2**63)])
+            encode_record_frame(_rows([_delivered_record(seqno=2**63)]))
 
 
 def _delivered_record(seqno=1):

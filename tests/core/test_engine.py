@@ -8,7 +8,7 @@ from repro.core.engine import ForwardingEngine
 from repro.core.geometry import Vec2
 from repro.core.ids import BROADCAST_NODE, ChannelId, NodeId
 from repro.core.neighbor import ChannelIndexedNeighborTables
-from repro.core.packet import DropReason, Packet
+from repro.core.packet import DropReason, Packet, PacketRecord, packet_row
 from repro.core.scene import Scene
 from repro.models.link import (
     BandwidthModel,
@@ -58,7 +58,7 @@ class TestIngest:
         engine, _, _ = build_engine()
         entries = engine.ingest(n(1), packet(1, 2, t_origin=0.0))
         assert len(entries) == 1
-        assert entries[0].receiver == n(2)
+        assert entries[0].receivers == (n(2),)
 
     def test_forward_time_formula(self):
         """t_forward = t_receipt + delay + size/bandwidth (Step 3)."""
@@ -83,7 +83,7 @@ class TestIngest:
     def test_broadcast_reaches_all_neighbors(self):
         engine, _, _ = build_engine()
         entries = engine.ingest(n(2), packet(2, -1, t_origin=0.0))
-        assert {e.receiver for e in entries} == {n(1), n(3)}
+        assert {r for e in entries for r in e.receivers} == {n(1), n(3)}
 
     def test_non_neighbor_dropped(self):
         engine, scene, _ = build_engine()
@@ -174,6 +174,21 @@ class TestDeliver:
         assert rec.sender == 2 and rec.source == 1
 
 
+def pairs(entries):
+    """The (receiver, entry) pairs of scheduled fan-out groups, in
+    schedule order."""
+    return [(r, e) for e in entries for r in e.receivers]
+
+
+def records(rows, start=1):
+    """The reference records of ``(packet, sender, receiver, reason)``
+    outcomes: one ``packet_row`` each, ids counting up from ``start``."""
+    return [
+        PacketRecord(start + i, *packet_row(p, s, r, reason))
+        for i, (p, s, r, reason) in enumerate(rows)
+    ]
+
+
 class TestSharedStampedCopies:
     """One stamped ``Packet`` copy serves every receiver of a fan-out
     that gets the same stamp; the outcome is field-for-field what one
@@ -185,7 +200,7 @@ class TestSharedStampedCopies:
         delivered = []
         engine.deliver = lambda rcv, p: delivered.append((rcv, p))
         entries = engine.ingest(n(2), packet(2, -1, t_origin=1.0))
-        assert [e.receiver for e in entries] == [n(1), n(3)]
+        assert [r for r, _ in pairs(entries)] == [n(1), n(3)]
         assert engine.flush_due(now=50.0) == 2
         return engine, entries, delivered
 
@@ -194,25 +209,24 @@ class TestSharedStampedCopies:
         """The per-receiver-copy pipeline: every stamp on its own copy."""
         base = packet(2, -1, t_origin=1.0).stamped(t_receipt=1.0)
         out = []
-        for e in entries:
+        for r, e in pairs(entries):
             fwd = base.stamped(t_forward=e.t_forward)
-            out.append((e.receiver, fwd, fwd.stamped(t_delivered=now)))
+            out.append((r, fwd, fwd.stamped(t_delivered=now)))
         return out
 
     def test_constant_bandwidth_broadcast_shares_one_copy(self):
         engine, entries, delivered = self.run_broadcast(None)
         ref = self.reference(entries, 50.0)
-        assert entries[0].t_forward == entries[1].t_forward
-        assert entries[0].packet is entries[1].packet
+        (group,) = entries  # one schedule entry for the whole fan-out
+        assert group.receivers == (n(1), n(3))
         assert delivered[0][1] is delivered[1][1]
-        assert [(e.receiver, e.packet) for e in entries] == [
+        assert [(r, e.packet) for r, e in pairs(entries)] == [
             (r, fwd) for r, fwd, _ in ref
         ]
         assert delivered == [(r, done) for r, _, done in ref]
-        assert engine.recorder.packets() == [
-            engine._make_record(done, n(2), r, record_id=i)
-            for i, (r, _, done) in enumerate(ref, start=1)
-        ]
+        assert engine.recorder.packets() == records(
+            [(done, n(2), r, None) for r, _, done in ref]
+        )
 
     def test_distance_dependent_bandwidth_stamps_each_receiver(self):
         link = LinkModel(
@@ -222,6 +236,7 @@ class TestSharedStampedCopies:
         engine, entries, delivered = self.run_broadcast(link)
         ref = self.reference(entries, 50.0)
         # n(1) is 50 away, n(3) is 40 away: different serialization time.
+        assert [len(e.receivers) for e in entries] == [1, 1]
         assert entries[0].t_forward > entries[1].t_forward
         for e in entries:
             assert e.packet.t_forward == e.t_forward
@@ -261,7 +276,7 @@ class TestArmFlush:
         engine, _, clock = build_engine()
         first = engine.ingest(n(2), packet(2, -1, t_origin=1.0, seq=1))
         engine.arm_flush(first)
-        assert len(first) == 2 and clock.pending() == 1
+        assert len(pairs(first)) == 2 and clock.pending() == 1
         engine.arm_flush(engine.ingest(n(2), packet(2, -1, t_origin=1.0, seq=2)))
         assert clock.pending() == 1  # same forward instant: already armed
         later = engine.ingest(n(2), packet(2, -1, t_origin=2.0, seq=3))
@@ -309,49 +324,38 @@ class TestArmFlush:
 
 
 class TestBatchRecords:
-    """``_make_records`` reads the per-packet fields once per run of rows
-    sharing a packet object; every row must still be field-for-field
-    what ``_make_record`` builds one at a time."""
+    """The rows the engine builds — inline per delivery, through
+    ``packet_row`` per drop — read back field-for-field as the
+    reference records of one ``packet_row`` per outcome."""
 
     DISTANCE_LINK = LinkModel(
         bandwidth=BandwidthModel(peak=1e6, edge=1e5, radio_range=100.0),
         delay=DelayModel(base=0.01),
     )
 
-    @staticmethod
-    def per_row(engine, rows, start):
-        return [
-            engine._make_record(p, s, r, reason, record_id=start + i)
-            for i, (p, s, r, reason) in enumerate(rows)
-        ]
-
     def fan_out(self, link):
         engine, _, _ = build_engine(link=link)
         entries = engine.ingest(n(2), packet(2, -1, t_origin=1.0))
-        rows = [(e.packet, e.sender, e.receiver, None) for e in entries]
-        assert engine._make_records(7, rows) == self.per_row(engine, rows, 7)
         assert engine.flush_due(now=50.0) == 2
         return engine, entries
 
     def test_constant_bandwidth_fanout_sharing_one_packet(self):
         engine, entries = self.fan_out(None)
-        assert entries[0].packet is entries[1].packet
-        done = entries[0].packet.stamped(t_delivered=50.0)
-        assert engine.recorder.packets() == self.per_row(
-            engine, [(done, n(2), e.receiver, None) for e in entries], 1
+        (group,) = entries
+        done = group.packet.stamped(t_delivered=50.0)
+        assert engine.recorder.packets() == records(
+            [(done, n(2), r, None) for r in group.receivers]
         )
 
     def test_distance_dependent_bandwidth_stamps_per_receiver(self):
         engine, entries = self.fan_out(self.DISTANCE_LINK)
         assert entries[0].t_forward != entries[1].t_forward
         by_time = sorted(entries, key=lambda e: e.t_forward)  # pop order
-        assert engine.recorder.packets() == self.per_row(
-            engine,
+        assert engine.recorder.packets() == records(
             [
-                (e.packet.stamped(t_delivered=50.0), n(2), e.receiver, None)
-                for e in by_time
-            ],
-            1,
+                (e.packet.stamped(t_delivered=50.0), n(2), r, None)
+                for r, e in pairs(by_time)
+            ]
         )
 
     def test_base_drops_mixed_with_rejected_schedule_suffix(self):
@@ -373,18 +377,16 @@ class TestBatchRecords:
         assert kept is pushed[0] and len(pushed) == 2
         rejected = pushed[1]
         base = packet(2, -1, t_origin=1.0).stamped(t_receipt=1.0)
-        records = engine.recorder.packets()
-        assert records == self.per_row(
-            engine,
+        got = engine.recorder.packets()
+        assert got == records(
             [
                 (base, n(2), n(1), DropReason.NODE_STALE),
-                (rejected.packet, n(2), rejected.receiver,
+                (rejected.packet, n(2), rejected.receivers[0],
                  DropReason.QUEUE_OVERFLOW),
-            ],
-            1,
+            ]
         )
-        assert records[0].t_forward is None
-        assert records[1].t_forward == rejected.t_forward != kept.t_forward
+        assert got[0].t_forward is None
+        assert got[1].t_forward == rejected.t_forward != kept.t_forward
 
     def test_rows_without_receiver(self):
         engine, _, _ = build_engine()
@@ -395,10 +397,13 @@ class TestBatchRecords:
             (base, n(2), n(1), None),
             (other, n(1), None, DropReason.NO_SUCH_CHANNEL),
         ]
-        records = engine._make_records(40, rows)
-        assert records == self.per_row(engine, rows, 40)
-        assert [r.receiver for r in records] == [None, 1, None]
-        assert [r.record_id for r in records] == [40, 41, 42]
+        first = engine.recorder.record_many(
+            [packet_row(p, s, r, reason) for p, s, r, reason in rows]
+        )
+        got = engine.recorder.packets()
+        assert got == records(rows, first)
+        assert [r.receiver for r in got] == [None, 1, None]
+        assert [r.record_id for r in got] == [1, 2, 3]
 
 
 class TestDropReasonMetric:

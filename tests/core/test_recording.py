@@ -1,6 +1,7 @@
 """Tests for repro.core.recording — both recorder backends."""
 
 import threading
+from dataclasses import astuple
 
 import pytest
 
@@ -21,6 +22,11 @@ def record(i, *, t_origin=0.0, drop=None):
     )
 
 
+def row(i, *, t_origin=0.0, drop=None):
+    """``record(i)``'s row: the fields minus ``record_id``."""
+    return astuple(record(i, t_origin=t_origin, drop=drop))[1:]
+
+
 @pytest.fixture(params=["memory", "sqlite-mem", "sqlite-file"])
 def recorder(request, tmp_path):
     if request.param == "memory":
@@ -36,12 +42,12 @@ def recorder(request, tmp_path):
 class TestBothBackends:
     def test_roundtrip_packet(self, recorder):
         rec = record(1, t_origin=2.5)
-        recorder.record_packet(rec)
+        assert recorder.record_packet(row(1, t_origin=2.5)) == 1
         (got,) = recorder.packets()
         assert got == rec
 
     def test_roundtrip_drop(self, recorder):
-        recorder.record_packet(record(1, drop="loss-model"))
+        recorder.record_packet(row(1, drop="loss-model"))
         (got,) = recorder.packets()
         assert got.dropped and got.drop_reason == "loss-model"
         assert got.t_delivered is None
@@ -55,16 +61,16 @@ class TestBothBackends:
 
     def test_order_preserved(self, recorder):
         for i in range(5):
-            recorder.record_packet(record(i + 1, t_origin=float(5 - i)))
+            recorder.record_packet(row(i + 1, t_origin=float(5 - i)))
         assert [p.record_id for p in recorder.packets()] == [1, 2, 3, 4, 5]
 
     def test_record_ids_unique(self, recorder):
-        ids = [recorder.next_record_id() for _ in range(100)]
+        ids = [recorder.record_packet(row(1)) for _ in range(100)]
         assert len(set(ids)) == 100
 
     def test_delivered_vs_dropped(self, recorder):
-        recorder.record_packet(record(1))
-        recorder.record_packet(record(2, drop="not-neighbor"))
+        recorder.record_packet(row(1))
+        recorder.record_packet(row(2, drop="not-neighbor"))
         assert len(recorder.dropped_packets()) == 1
 
     def test_attach_to_scene(self, recorder):
@@ -78,8 +84,7 @@ class TestBothBackends:
     def test_thread_safety(self, recorder):
         def writer(base):
             for i in range(50):
-                recorder.record_packet(record(recorder.next_record_id(),
-                                              t_origin=float(base + i)))
+                recorder.record_packet(row(i, t_origin=float(base + i)))
 
         threads = [threading.Thread(target=writer, args=(k * 100,))
                    for k in range(4)]
@@ -87,14 +92,15 @@ class TestBothBackends:
             t.start()
         for t in threads:
             t.join()
-        assert len(recorder.packets()) == 200
+        assert len(recorder.packets()) == len(recorder) == 200
+        assert [p.record_id for p in recorder.packets()] == list(range(1, 201))
 
 
 class TestSqliteSpecific:
     def test_persistence_across_connections(self, tmp_path):
         path = str(tmp_path / "persist.sqlite")
         r1 = SqliteRecorder(path)
-        r1.record_packet(record(1))
+        r1.record_packet(row(1))
         r1.record_scene(SceneEvent(0.0, "node-added", NodeId(1),
                                    {"x": 0, "y": 0, "radios": []}))
         r1.close()
@@ -102,7 +108,7 @@ class TestSqliteSpecific:
         assert len(r2.packets()) == 1
         assert len(r2.scene_events()) == 1
         # Fresh ids continue after the persisted maximum.
-        assert r2.next_record_id() == 2
+        assert r2.record_packet(row(2)) == 2
         r2.close()
 
     def test_bad_path_raises(self):
@@ -113,52 +119,57 @@ class TestSqliteSpecific:
 
 
 class TestBatchedHotPath:
-    """record_many / reserve_record_ids — the engine's batched interface."""
+    """record_many — the engine's batched interface; the recorder
+    assigns the ids."""
 
     def test_record_many_matches_singles(self, recorder):
-        start = recorder.reserve_record_ids(3)
-        recorder.record_many([record(start + i) for i in range(3)])
-        assert [p.record_id for p in recorder.packets()] == [
-            start, start + 1, start + 2
-        ]
+        start = recorder.record_many([row(i + 1) for i in range(3)])
+        assert start == 1
+        assert recorder.packets() == [record(i + 1) for i in range(3)]
 
     def test_reserve_is_consecutive_and_disjoint(self, recorder):
-        a = recorder.reserve_record_ids(5)
-        b = recorder.reserve_record_ids(2)
-        c = recorder.next_record_id()
+        a = recorder.record_many([row(1)] * 5)
+        b = recorder.record_many([row(2)] * 2)
+        c = recorder.record_packet(row(3))
         assert b == a + 5
         assert c == b + 2
 
     def test_record_many_empty(self, recorder):
         recorder.record_many([])
         assert recorder.packets() == []
+        assert len(recorder) == 0
 
     def test_concurrent_reserve_disjoint(self, recorder):
-        """Reserved ranges never overlap across threads."""
+        """Batches appended from several threads get disjoint id ranges
+        that hold exactly their own rows."""
         starts = []
         lock = threading.Lock()
 
-        def worker():
+        def worker(k):
             for _ in range(50):
-                s = recorder.reserve_record_ids(4)
+                s = recorder.record_many([row(k)] * 4)
                 with lock:
-                    starts.append(s)
+                    starts.append((s, k))
 
-        threads = [threading.Thread(target=worker) for _ in range(4)]
+        threads = [
+            threading.Thread(target=worker, args=(k,)) for k in range(4)
+        ]
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
-        ranges = sorted(starts)
-        for prev, nxt in zip(ranges, ranges[1:]):
-            assert nxt >= prev + 4
+            t.join(timeout=30.0)
+        assert not any(t.is_alive() for t in threads)
+        by_id = {p.record_id: p.seqno for p in recorder.packets()}
+        assert len(by_id) == 800
+        for s, k in starts:
+            assert [by_id[s + j] for j in range(4)] == [k] * 4
 
 
 class TestMemorySegments:
     def test_segment_rollover_preserves_order(self):
         r = MemoryRecorder()
         n = MemoryRecorder.SEGMENT_SIZE + 10
-        r.record_many([record(i + 1) for i in range(n)])
+        assert r.record_many([row(i + 1) for i in range(n)]) == 1
         assert len(r) == n
         assert [p.record_id for p in r.packets()] == list(range(1, n + 1))
 
@@ -168,7 +179,7 @@ class TestMemorySegments:
         r = MemoryRecorder(capacity=MemoryRecorder.SEGMENT_SIZE)
         n = MemoryRecorder.SEGMENT_SIZE * 3
         for i in range(n):
-            r.record_packet(record(i + 1))
+            r.record_packet(row(i + 1))
         assert len(r) <= MemoryRecorder.SEGMENT_SIZE * 2
         assert r.evicted == n - len(r)
         # The survivors are the *newest* records, still in order.
@@ -178,7 +189,7 @@ class TestMemorySegments:
     def test_unbounded_by_default(self):
         r = MemoryRecorder()
         for i in range(10):
-            r.record_packet(record(i + 1))
+            r.record_packet(row(i + 1))
         assert r.evicted == 0
         assert len(r) == 10
 
@@ -186,6 +197,90 @@ class TestMemorySegments:
         from repro.errors import RecordingError
         with pytest.raises(RecordingError):
             MemoryRecorder(capacity=0)
+
+    def test_row_of_wrong_arity_is_refused(self):
+        """Rows are stored as flat fields, so a short row would shift
+        every later one: it is refused and leaves the log intact."""
+        from repro.errors import RecordingError
+        r = MemoryRecorder()
+        r.record_many([row(1), row(2)])
+        with pytest.raises(RecordingError):
+            r.record_many([row(3), row(4)[:-1]])
+        assert r.record_packet(row(5)) == 3
+        assert [p.seqno for p in r.packets()] == [1, 2, 5]
+
+
+class TestRecorderParity:
+    """One row sequence, every backend: identical records, ids included.
+    The recorder owns the ids: ``record_many`` returns the first, ids
+    count on across batches, across ring evictions and across reopening
+    a SQLite file."""
+
+    @staticmethod
+    def batches():
+        """Singles and batches of varied rows: drops, a missing
+        receiver, stamps left unset."""
+        rows = []
+        for i in range(1, 9001):
+            r = list(row(i, t_origin=i * 1e-3, drop=(
+                "loss-model" if i % 7 == 0 else None
+            )))
+            if i % 11 == 0:
+                r[4] = None  # dropped before a receiver was chosen
+                r[10] = None
+            rows.append(tuple(r))
+        out, i = [], 0
+        for size in (1, 5, 1, 300, 1, 1, 5000, 17, 3674):
+            out.append(rows[i : i + size])
+            i += size
+        assert i == len(rows)
+        return out
+
+    @staticmethod
+    def feed(recorder, batches):
+        firsts = []
+        for batch in batches:
+            if len(batch) == 1:
+                firsts.append(recorder.record_packet(batch[0]))
+            else:
+                firsts.append(recorder.record_many(batch))
+        return firsts
+
+    def test_backends_return_identical_records(self, tmp_path):
+        batches = self.batches()
+        n = sum(len(b) for b in batches)
+        expected_firsts = []
+        next_id = 1
+        for b in batches:
+            expected_firsts.append(next_id)
+            next_id += len(b)
+        memory = MemoryRecorder()
+        ring = MemoryRecorder(capacity=MemoryRecorder.SEGMENT_SIZE)
+        sqlite = SqliteRecorder(str(tmp_path / "parity.sqlite"))
+        try:
+            for backend in (memory, ring, sqlite):
+                assert self.feed(backend, batches) == expected_firsts
+            reference = sqlite.packets()
+            assert [p.record_id for p in reference] == list(range(1, n + 1))
+            assert memory.packets() == reference
+            assert len(memory) == len(sqlite) == n
+            # The ring keeps the newest records under their own ids.
+            kept = ring.packets()
+            assert ring.evicted > 0 and len(ring) == len(kept)
+            assert kept == reference[ring.evicted :]
+            # Ids continue after eviction and after reopening the file.
+            assert ring.record_many(batches[0]) == n + 1
+            assert memory.record_many(batches[0]) == n + 1
+        finally:
+            sqlite.close()
+        reopened = SqliteRecorder(str(tmp_path / "parity.sqlite"))
+        try:
+            assert len(reopened) == n
+            assert reopened.record_many(batches[0]) == n + 1
+            assert reopened.packets() == memory.packets()
+            assert ring.packets() == memory.packets()[ring.evicted :]
+        finally:
+            reopened.close()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for repro.core.replay — post-emulation reconstruction."""
 
+from dataclasses import astuple
+
 import pytest
 
 from repro.core.geometry import Vec2
@@ -162,7 +164,7 @@ def _ring_recording():
     scene.add_node(n(2), Vec2(50, 0), RadioConfig.single(1, 100.0), label="B")
     total = MemoryRecorder.SEGMENT_SIZE * 3
     for i in range(total):
-        recorder.record_packet(_packet(i + 1, t=i * 0.001))
+        recorder.record_packet(astuple(_packet(i + 1, t=i * 0.001))[1:])
     assert recorder.evicted > 0
     return recorder
 

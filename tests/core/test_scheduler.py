@@ -5,7 +5,7 @@ import threading
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.ids import ChannelId, NodeId
@@ -19,7 +19,7 @@ def entry(t: float, seq: int = 1) -> ScheduledPacket:
         source=NodeId(1), destination=NodeId(2), payload=b"x",
         size_bits=8, seqno=seq, channel=ChannelId(1),
     )
-    return ScheduledPacket(t_forward=t, packet=packet, receiver=NodeId(2),
+    return ScheduledPacket(t_forward=t, packet=packet, receivers=(NodeId(2),),
                            sender=NodeId(1))
 
 
@@ -283,3 +283,101 @@ class TestHybridWait:
         s = ForwardSchedule()
         s.push(entry(1.004))
         assert s.wait_due(now=1.0) == []
+
+
+class TestFanOutGroups:
+    """One entry per fan-out group, counted in (packet, receiver) pairs:
+    the schedule behaves exactly like a flat schedule of pairs."""
+
+    @staticmethod
+    def group(t, seq, receivers):
+        packet = Packet(
+            source=NodeId(1), destination=NodeId(0), payload=b"x",
+            size_bits=8, seqno=seq, channel=ChannelId(1),
+        )
+        return ScheduledPacket(
+            t_forward=t, packet=packet,
+            receivers=tuple(NodeId(r) for r in receivers), sender=NodeId(1),
+        )
+
+    def test_len_counts_pairs(self):
+        s = ForwardSchedule()
+        assert s.push_many([self.group(1.0, 1, (2, 3, 4)),
+                            self.group(2.0, 2, (5,))]) == 4
+        assert len(s) == 4
+        assert [len(e.receivers) for e in s.pop_due(1.0)] == [3]
+        assert len(s) == 1
+        s.drain()
+        assert len(s) == 0
+
+    def test_capacity_splits_the_last_group(self):
+        s = ForwardSchedule(capacity=4)
+        groups = [self.group(1.0, 1, (2, 3)), self.group(1.0, 2, (4, 5, 6))]
+        assert s.push_many(groups) == 4
+        assert len(s) == 4
+        due = s.pop_due(1.0)
+        assert [e.receivers for e in due] == [(2, 3), (4, 5)]
+        assert due[0] is groups[0]
+        assert not s.push(self.group(2.0, 3, (7,) * 5))  # 4 of 5 fit
+        assert len(s) == 4
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([None, 1, 2, 3, 4, 5]),
+        st.lists(
+            st.one_of(
+                st.tuples(
+                    st.just("push"),
+                    st.lists(
+                        st.tuples(st.integers(0, 6),
+                                  st.integers(1, 4)),
+                        max_size=4,
+                    ),
+                ),
+                st.tuples(st.just("pop"), st.integers(0, 6)),
+                st.tuples(st.just("wait"), st.integers(0, 6)),
+            ),
+            max_size=25,
+        ),
+    )
+    def test_matches_a_flat_pair_schedule(self, capacity, ops):
+        """Random groups and interleaved ``push_many`` / ``pop_due`` /
+        ``wait_due(fire_window)`` against a reference model that lists
+        every (packet, receiver) pair on its own: the same accepted
+        counts, the same ``len()`` and the same popped pair order."""
+        s = ForwardSchedule(capacity)
+        flat: list[tuple[float, int, int, int]] = []  # (t, order, seq, rcv)
+        order = 0
+        seq = 0
+        for op, arg in ops:
+            if op == "push":
+                groups = []
+                pairs = []
+                for t, k in arg:
+                    seq += 1
+                    receivers = tuple(range(10 * seq, 10 * seq + k))
+                    groups.append(self.group(float(t), seq, receivers))
+                    pairs += [(float(t), seq, r) for r in receivers]
+                room = len(pairs) if capacity is None else max(
+                    capacity - len(flat), 0
+                )
+                want = pairs[:room]
+                for t, sq, r in want:
+                    flat.append((t, order, sq, r))
+                    order += 1
+                assert s.push_many(groups) == len(want)
+            else:
+                cut = float(arg) if op == "pop" else arg - 0.5
+                if op == "pop":
+                    got = s.pop_due(cut)
+                else:
+                    got = s.wait_due(cut, fire_window=0.5)
+                flat.sort()
+                want = [(sq, r) for t, _, sq, r in flat if t <= float(arg)]
+                flat = [p for p in flat if p[0] > float(arg)]
+                assert [
+                    (int(e.packet.seqno), int(r))
+                    for e in got for r in e.receivers
+                ] == want
+                assert all(e.receivers for e in got)
+            assert len(s) == len(flat)

@@ -208,7 +208,8 @@ FRAME_BITS = 1024  # one TICK of serialization at 2**20 bit/s
 
 class PerEntryTimerEmulator(InProcessEmulator):
     """The oracle: the clock discipline before ``arm_flush`` — the same
-    ``engine.ingest``, then one ``call_at`` per scheduled entry.
+    ``engine.ingest``, then one ``call_at`` per scheduled (packet,
+    receiver) pair.
 
     It also works out which of its timers the coalesced scheme arms as
     well (the first for an instant that is not armed) and which it does
@@ -242,14 +243,17 @@ class PerEntryTimerEmulator(InProcessEmulator):
         self.clock.call_at = watching_call_at
 
     def _arm_per_entry(self, entries):
+        # One timer per (packet, receiver) pair: a fan-out group of k
+        # receivers counts as the k entries it replaces.
         now = self.clock.now()
         for entry in entries:
             when = max(entry.t_forward, now)
-            if when in self._instants:
-                self.clock.call_at(when, self._leftover_timer)
-            else:
-                self._instants.add(when)
-                self.clock.call_at(when, self._own_timer)
+            for _ in entry.receivers:
+                if when in self._instants:
+                    self.clock.call_at(when, self._leftover_timer)
+                else:
+                    self._instants.add(when)
+                    self.clock.call_at(when, self._own_timer)
 
     def _own_timer(self):
         self._instants.discard(self.clock.now())
@@ -463,15 +467,17 @@ class TestFlushWakeups:
     def test_one_wakeup_per_distinct_forward_instant(self):
         emu, hosts, scheduled = self.broadcast_round(edge=1e5)
         instants = {e.t_forward for e in scheduled}
-        assert 1 < len(instants) < len(scheduled)
+        pairs = sum(len(e.receivers) for e in scheduled)
+        assert 1 < len(instants) < pairs
         assert emu.clock.pending() == len(instants)
         emu.run_for(1.0)
         assert emu.clock.pending() == 0 and len(emu.engine.schedule) == 0
-        assert sum(len(h.received) for h in hosts) == len(scheduled)
+        assert sum(len(h.received) for h in hosts) == pairs
 
     def test_constant_bandwidth_round_is_one_wakeup(self):
         emu, _, scheduled = self.broadcast_round(edge=None)
-        assert len(scheduled) > 64
+        assert len(scheduled) == 64  # one schedule entry per fan-out
+        assert sum(len(e.receivers) for e in scheduled) > 64
         assert emu.clock.pending() == 1
 
     def test_overload_observes_once_per_forward_instant(self):

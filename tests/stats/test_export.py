@@ -2,6 +2,7 @@
 
 import csv
 import json
+from dataclasses import astuple
 
 import pytest
 
@@ -112,7 +113,7 @@ class TestCliExport:
         db = tmp / "rec.sqlite"
         sq = SqliteRecorder(str(db))
         for p in emu.recorder.packets():
-            sq.record_packet(p)
+            sq.record_packet(astuple(p)[1:])
         for e in emu.recorder.scene_events():
             sq.record_scene(e)
         sq.close()
@@ -130,7 +131,7 @@ class TestCliExport:
         db = tmp / "rec2.sqlite"
         sq = SqliteRecorder(str(db))
         for p in emu.recorder.packets():
-            sq.record_packet(p)
+            sq.record_packet(astuple(p)[1:])
         sq.close()
         out = tmp / "out.jsonl"
         assert main(["export", str(db), "--format", "jsonl",

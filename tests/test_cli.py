@@ -52,6 +52,19 @@ class TestRunScenario:
         out = capsys.readouterr().out
         assert "recorded" in out and "2 nodes" in out
         assert record.exists()
+        # The count comes from len(recorder), not a load of every record.
+        from repro.core.recording import SqliteRecorder
+
+        recorder = SqliteRecorder(str(record))
+        try:
+            rows, events = len(recorder.packets()), len(recorder.scene_events())
+        finally:
+            recorder.close()
+        assert rows > 0
+        assert (
+            f"recorded {rows} packet rows and {events} scene events "
+            f"to {record} (5.0s of emulation, 2 nodes)"
+        ) in out.splitlines()
 
     def test_missing_nodes_file(self, workspace, capsys):
         tmp, _, scenario = workspace
