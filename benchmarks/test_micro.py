@@ -390,20 +390,8 @@ def test_client_receive_100(benchmark):
         b.close()
 
 
-def test_packet_wire_codec(benchmark):
-    packet = Packet(
-        source=NodeId(1), destination=NodeId(2), payload=b"p" * 256,
-        size_bits=2048, seqno=7, channel=ChannelId(1), t_origin=1.0,
-    )
-
-    def codec():
-        messages.packet_from_wire(messages.packet_to_wire(packet))
-
-    benchmark(codec)
-
-
 def test_packet_wire_codec_binary(benchmark):
-    """Struct-packed codec for the same packet shape as the JSON bench."""
+    """The 0xB1 packet codec: one encode + decode of a 256-B packet."""
     packet = Packet(
         source=NodeId(1), destination=NodeId(2), payload=b"p" * 256,
         size_bits=2048, seqno=7, channel=ChannelId(1), t_origin=1.0,

@@ -2,7 +2,7 @@
 
 Each worker hangs off one ``multiprocessing`` pipe.  Three frame flavors
 share it, distinguished by the first byte exactly like the TCP stack's
-binary negotiation (:mod:`repro.net.messages`):
+packet and control frames (:mod:`repro.net.messages`):
 
 * **control** — a JSON message (first byte ``{``), encoded/decoded by
   the existing :func:`~repro.net.messages.encode_message` codec;

@@ -58,7 +58,7 @@ from ..core.packet import Packet, PacketRecord, PacketStamper
 from ..core.recording import MemoryRecorder, Recorder
 from ..core.scene import Scene, SceneEvent
 from ..core.supervision import SupervisedThread
-from ..errors import ClusterError, ProtocolError
+from ..errors import ClusterError, ProtocolError, TransportError
 from ..models.mobility import Bounds
 from ..models.radio import RadioConfig
 from ..net.messages import (
@@ -527,14 +527,32 @@ class ShardedEmulator:
         A closed pipe means the worker is already gone: that must
         surface through the worker-failure path (flight dump, crash
         artifact, ``ClusterError``) — never as a raw
-        ``BrokenPipeError`` racing the barrier's own detection.
+        ``BrokenPipeError`` racing the barrier's own detection.  A
+        worker that died of a pipeline error wrote ``worker_error``
+        before it exited; that frame is still queued in the pipe, and
+        its artifact path goes into the failure.
         """
         try:
             self._conns[worker].send_bytes(data)
         except (OSError, ValueError) as exc:
             raise self._worker_failure(
-                worker, f"shard worker {worker} pipe closed: {exc}"
+                worker,
+                f"shard worker {worker} pipe closed: {exc}",
+                worker_flight=self._queued_flight(worker),
             ) from exc
+
+    def _queued_flight(self, worker: int) -> Optional[str]:
+        """The artifact path of a ``worker_error`` left in a dead
+        worker's pipe, or None."""
+        conn = self._conns[worker]
+        try:
+            while conn.poll(0.1):
+                msg = decode_message(conn.recv_bytes())
+                if msg.get("op") == "worker_error":
+                    return msg.get("flight")
+        except (EOFError, OSError, TransportError):
+            pass  # drained to EOF with no worker_error in it
+        return None
 
     def _send_batch(self, shard: int) -> None:
         buffer = self._buffers[shard]

@@ -70,7 +70,6 @@ class PoEmClient(ProtocolHost):
         radios: RadioConfig,
         *,
         label: str = "",
-        binary: bool = True,
         sync_rounds: int = 5,
         connect_timeout: float = 5.0,
         auto_reconnect: bool = False,
@@ -87,8 +86,6 @@ class PoEmClient(ProtocolHost):
         self._position = position
         self._radios = radios
         self._label = label
-        self._request_binary = binary
-        self._binary = False  # set by the registered reply (negotiated)
         self._sync_rounds = sync_rounds
         self._connect_timeout = connect_timeout
         self._auto_reconnect = auto_reconnect
@@ -111,7 +108,6 @@ class PoEmClient(ProtocolHost):
             local_clock if local_clock is not None else RealTimeClock()
         )
         self.clock = SynchronizedClock(self._local_clock)
-        self._sync_report_ok = False  # server advertises forensics capture
         self.last_sync: Optional[SyncResult] = None
         self._stamper: Optional[PacketStamper] = None
         self._timers = ThreadTimerService()
@@ -198,14 +194,12 @@ class PoEmClient(ProtocolHost):
         ``cause`` labels the §4.1 sync samples this handshake produces
         (``register`` or ``reconnect``) in the forensics log.
         """
-        self._binary = False  # renegotiated on every (re)connect
         self._send(
             {
                 "op": "register",
                 "x": self._position.x,
                 "y": self._position.y,
                 "label": self._label,
-                "binary": self._request_binary,
                 "radios": [
                     {"channel": int(r.channel), "range": r.range}
                     for r in self._radios.radios
@@ -215,14 +209,6 @@ class PoEmClient(ProtocolHost):
         msg = self._recv_expect("registered")
         self._node_id = NodeId(int(msg["node"]))
         self.reclaimed = bool(msg.get("reclaimed", False))
-        # An old server ignores the flag and omits it from the reply;
-        # we then keep speaking JSON in both directions.
-        self._binary = bool(msg.get("binary", False))
-        # A forensics-capable server (PR 4+) records every §4.1 exchange
-        # in its sync_samples table; it advertises that so we know the
-        # sync_report op exists.  Old servers close the connection on an
-        # unknown op, so the report is strictly capability-gated.
-        self._sync_report_ok = bool(msg.get("forensics", False))
         self._stamper = PacketStamper(self._node_id)
         self.synchronize(cause=cause)
         self._sock.settimeout(None)
@@ -237,10 +223,9 @@ class PoEmClient(ProtocolHost):
         Callable again at any time — "how to set the synchronization
         frequency is determined by the user" (§4.1).
 
-        When the server advertised forensics capture, every round's
-        result is reported back (``sync_report``) so the recorder's
-        ``sync_samples`` table sees the full exchange history — the
-        input of the offline clock-drift audit
+        Every round's result is reported back (``sync_report``) so the
+        recorder's ``sync_samples`` table sees the full exchange history
+        — the input of the offline clock-drift audit
         (:mod:`repro.analysis.drift`).  ``cause`` labels the samples:
         ``register``/``reconnect`` from the handshake, ``resync`` when
         called explicitly.
@@ -279,25 +264,24 @@ class PoEmClient(ProtocolHost):
         assert best is not None
         self.clock.set_offset(best.offset)
         self.last_sync = best
-        if self._sync_report_ok:
-            try:
-                self._send(
-                    {
-                        "op": "sync_report",
-                        "cause": cause,
-                        "samples": [
-                            {
-                                "offset": r.offset,
-                                "delay": r.round_trip_delay,
-                                "t_server": r.t_s4,
-                                "t_client": c4,
-                            }
-                            for r, c4 in collected
-                        ],
-                    }
-                )
-            except TransportError:
-                pass  # best-effort forensics: the sync itself succeeded
+        try:
+            self._send(
+                {
+                    "op": "sync_report",
+                    "cause": cause,
+                    "samples": [
+                        {
+                            "offset": r.offset,
+                            "delay": r.round_trip_delay,
+                            "t_server": r.t_s4,
+                            "t_client": c4,
+                        }
+                        for r, c4 in collected
+                    ],
+                }
+            )
+        except TransportError:
+            pass  # best-effort forensics: the sync itself succeeded
         return best
 
     def close(self) -> None:
@@ -377,12 +361,7 @@ class PoEmClient(ProtocolHost):
             self.outage_drops += 1
             return packet
         try:
-            if self._binary:
-                self._send_raw(messages.encode_packet_binary("packet", packet))
-            else:
-                self._send(
-                    {"op": "packet", "packet": messages.packet_to_wire(packet)}
-                )
+            self._send_raw(messages.encode_packet_binary("packet", packet))
         except TransportError:
             if self._auto_reconnect and self._running:
                 self.outage_drops += 1
@@ -446,11 +425,6 @@ class PoEmClient(ProtocolHost):
             msg = messages.decode_message(frame)
             if msg["op"] == op:
                 return msg
-            if msg["op"] == "deliver":
-                self._early_deliveries.append(
-                    messages.packet_from_wire(msg["packet"])
-                )
-                continue
             if msg["op"] == "ping":
                 self.server_overload = msg.get("overload")
                 try:
@@ -484,13 +458,7 @@ class PoEmClient(ProtocolHost):
             except TransportError:
                 continue  # corrupted frame payload: skip it
             op = msg.get("op")
-            if op == "deliver":
-                try:
-                    packet = messages.packet_from_wire(msg["packet"])
-                except (TransportError, KeyError):
-                    continue
-                self._dispatch_packet(packet)
-            elif op == "sync_rep":
+            if op == "sync_rep":
                 self._sync_replies.put(msg)
             elif op == "ping":
                 self.server_overload = msg.get("overload")

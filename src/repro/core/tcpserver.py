@@ -120,7 +120,6 @@ class _ClientConnection:
         self.name = f"poem-conn-{next(_conn_ids)}"
         self.last_seen = now
         self.reclaimed = False
-        self.binary = False  # negotiated binary packet/deliver encoding
         self.overflow = 0  # frames displaced from the bounded outbox
         self.inbuf = framing.FrameBuffer()
         # Bounded out-buffer of (frame, packet|None) not yet written.
@@ -209,17 +208,13 @@ class PoEmServer(ForwardingCore):
         self._metrics_port = metrics_port
         self._metrics_httpd = None  # obs.httpd.TelemetryHTTPServer
         self.metrics_address: Optional[tuple[str, int]] = None
-        self._m_rx_binary = self._m_rx_json = None
-        self._m_tx = self._m_overflow = self._m_quarantines = None
+        self._m_rx = self._m_tx = self._m_overflow = self._m_quarantines = None
         if self.telemetry.enabled:
             reg = self.telemetry.registry
-            rx = reg.counter(
+            self._m_rx = reg.counter(
                 "poem_server_frames_received_total",
-                "Data frames received from clients, by wire encoding",
-                labels=("encoding",),
+                "Packet frames received from clients",
             )
-            self._m_rx_binary = rx.labels("binary")
-            self._m_rx_json = rx.labels("json")
             self._m_tx = reg.counter(
                 "poem_server_frames_sent_total",
                 "Deliver frames queued onto client outboxes",
@@ -517,39 +512,30 @@ class PoEmServer(ForwardingCore):
             self._blocked.discard(conn)
 
     def _handle_frame(self, conn: _ClientConnection, frame: bytes) -> bool:
-        """Dispatch one raw frame — binary fast path or JSON control path.
+        """Dispatch one raw frame: a 0xB1 packet runs Steps 2–4, anything
+        else is a JSON control message.
 
         Returns True on an orderly ``bye``.  The magic-byte sniff is safe
         because a JSON message's first byte is always ``{`` (0x7B), never
-        the binary magic 0xB1.
+        the binary magic 0xB1.  ``t0``, when the frame was taken off the
+        buffer, is Step 1 of a sampled trace.
         """
         t0 = _perf() if self._tracer is not None else 0.0
-        if messages.is_binary_frame(frame):
-            op, packet = messages.decode_packet_binary(frame)
-            if op != "packet":
-                raise TransportError(
-                    f"client sent server-only binary op {op!r}"
-                )
-            self._ingest(conn, packet, self._m_rx_binary, t0)
-            return False
-        return self._handle_message(conn, messages.decode_message(frame), t0)
-
-    def _ingest(
-        self, conn: _ClientConnection, packet: Packet, m_rx, t0: float
-    ) -> None:
-        """Steps 2–4 for one received packet; ``t0`` is when its frame
-        was taken off the buffer (Step 1 of a sampled trace)."""
+        if not messages.is_binary_frame(frame):
+            return self._handle_message(conn, messages.decode_message(frame))
+        op, packet = messages.decode_packet_binary(frame)
+        if op != "packet":
+            raise TransportError(f"client sent server-only binary op {op!r}")
         if conn.node_id is None:
             raise TransportError("packet before register")
         tr = None
         if self._tracer is not None:
-            m_rx.inc()
+            self._m_rx.inc()
             tr = self._sampled_receive(conn.node_id, packet, t0)
         self.engine.ingest(conn.node_id, packet, trace=tr)
+        return False
 
-    def _handle_message(
-        self, conn: _ClientConnection, msg: dict, t0: float
-    ) -> bool:
+    def _handle_message(self, conn: _ClientConnection, msg: dict) -> bool:
         """Dispatch one message; returns True on an orderly ``bye``."""
         op = msg["op"]
         if op == "register":
@@ -569,11 +555,6 @@ class PoEmServer(ForwardingCore):
             # Written now, not at the end of the pass: time between the
             # t_s3 stamp and the wire reads as path asymmetry.
             self._write(conn)
-        elif op == "packet":
-            self._ingest(
-                conn, messages.packet_from_wire(msg["packet"]),
-                self._m_rx_json, t0,
-            )
         elif op == "sync_report":
             # Forensics capture: the client reports every §4.1 round it
             # just ran (offset, delay, its t_s4 server-time estimate and
@@ -647,10 +628,6 @@ class PoEmServer(ForwardingCore):
                 self._clients[node_id] = conn
         conn.node_id = node_id
         conn.label = label
-        # Capability negotiation: a client asking for the binary
-        # packet/deliver encoding gets it confirmed here; old clients
-        # never set the flag and keep the JSON encoding.
-        conn.binary = bool(msg.get("binary", False))
         self._enqueue(
             conn,
             messages.encode_message(
@@ -658,11 +635,6 @@ class PoEmServer(ForwardingCore):
                     "op": "registered",
                     "node": int(node_id),
                     "reclaimed": conn.reclaimed,
-                    "binary": conn.binary,
-                    # Capability flag: this server understands the
-                    # ``sync_report`` op and records sync_samples for
-                    # the forensics plane (repro.analysis).
-                    "forensics": True,
                 }
             ),
         )
@@ -841,12 +813,7 @@ class PoEmServer(ForwardingCore):
         encode the frame onto the receiver's out-buffer."""
         conn = self._clients.get(receiver)
         if conn is not None:
-            if conn.binary:
-                frame = messages.encode_packet_binary("deliver", packet)
-            else:
-                frame = messages.encode_message(
-                    {"op": "deliver", "packet": messages.packet_to_wire(packet)}
-                )
+            frame = messages.encode_packet_binary("deliver", packet)
             self._enqueue(conn, frame, packet)
             if self._m_tx is not None:
                 self._m_tx.inc()

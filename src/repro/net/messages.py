@@ -1,7 +1,8 @@
 """Client↔server wire protocol of the real-time (TCP) deployment.
 
-JSON messages inside length-prefixed frames (:mod:`.framing`).  The
-operation set mirrors Fig 4's structure:
+Length-prefixed frames (:mod:`.framing`): JSON control messages, and
+``packet``/``deliver`` as 0xB1 binary frames (below).  The operation
+set mirrors Fig 4's structure:
 
 ==============  direction        purpose
 ``register``    client → server  map this connection to a VMN (position,
@@ -9,8 +10,10 @@ operation set mirrors Fig 4's structure:
 ``registered``  server → client  confirms, returns the allocated node id
 ``sync_req``    client → server  clock-sync step 1 (carries ``t_c1``)
 ``sync_rep``    server → client  clock-sync step 3 (``t_s3`` + echo)
-``packet``      client → server  a transmitted frame (with ``t_origin``)
+``packet``      client → server  a transmitted frame (with ``t_origin``;
+                                 0xB1 binary frame)
 ``deliver``     server → client  a forwarded frame arriving at this VMN
+                                 (0xB1 binary frame)
 ``scene_op``    client → server  a GUI-equivalent scene mutation (topology
                                  control from an operator console)
 ``ping``        either           liveness heartbeat (carries sender time
@@ -49,22 +52,17 @@ client *stale* after ``heartbeat_misses`` silent intervals — its VMN is
 quarantined (traffic drops as ``node-stale``) for a grace period before
 removal, so a transient stall does not tear routes out of the topology.
 
-Packets serialize all addressing and stamps; payload bytes ride latin-1.
+Binary packet frames
+--------------------
 
-Binary fast path
-----------------
-
-JSON is fine for control traffic (a handful of messages per client per
-session) but wasteful for the two high-rate operations, ``packet`` and
-``deliver``: every frame re-encodes field names and floats as text, and
-payload bytes pay a latin-1 round trip.  Those two ops therefore also
-have a struct-packed **binary encoding**, negotiated at registration: a
-client that sends ``"binary": true`` in its ``register`` message and
-sees ``"binary": true`` echoed in ``registered`` may send and will
-receive binary packet frames.  Old clients never set the flag and the
-server keeps talking JSON to them — the two encodings coexist on one
-port because a binary frame's first byte is the magic ``0xB1`` while a
-JSON message always starts with ``{`` (``0x7B``).
+``packet`` and ``deliver`` are the two high-rate operations, and they
+have one encoding: a struct-packed binary frame, with no field names,
+floats as float64 and payload bytes raw.  There is nothing to
+negotiate — ``register`` carries no capability flag.  JSON is for
+control traffic only (a handful of messages per client per session).
+Both kinds share one port: :func:`is_binary_frame` separates them by
+the first byte, the magic ``0xB1`` of a packet frame against the ``{``
+(``0x7B``) every JSON message starts with.
 
 Binary frame layout (inside the usual length prefix)::
 
@@ -98,8 +96,6 @@ from ..errors import ConfigurationError, TransportError
 __all__ = [
     "encode_message",
     "decode_message",
-    "packet_to_wire",
-    "packet_from_wire",
     "make_ping",
     "make_pong",
     "make_scene_snapshot",
@@ -155,7 +151,8 @@ def make_ping(t: float, overload: Optional[str] = None) -> dict[str, Any]:
 def make_pong(ping: dict[str, Any]) -> dict[str, Any]:
     """Answer a ``ping``, echoing its time-stamp so the sender can
     estimate heartbeat round-trip if it cares to."""
-    return {"op": "pong", "t": _opt_float(ping.get("t"))}
+    t = ping.get("t")
+    return {"op": "pong", "t": None if t is None else float(t)}
 
 
 # -- sharded-cluster control frames (parent ↔ worker pipes) --------------------
@@ -281,50 +278,7 @@ def make_worker_error(
     return msg
 
 
-def packet_to_wire(packet: Packet) -> dict[str, Any]:
-    """Packet → JSON-safe dict (used inside packet/deliver messages)."""
-    return {
-        "src": int(packet.source),
-        "dst": int(packet.destination),
-        "payload": packet.payload.decode("latin-1"),
-        "bits": packet.size_bits,
-        "seq": int(packet.seqno),
-        "ch": int(packet.channel),
-        "radio": int(packet.radio),
-        "kind": packet.kind,
-        "t_origin": packet.t_origin,
-        "t_receipt": packet.t_receipt,
-        "t_forward": packet.t_forward,
-        "t_delivered": packet.t_delivered,
-    }
-
-
-def packet_from_wire(raw: dict[str, Any]) -> Packet:
-    """Inverse of :func:`packet_to_wire`."""
-    try:
-        return Packet(
-            source=NodeId(int(raw["src"])),
-            destination=NodeId(int(raw["dst"])),
-            payload=str(raw["payload"]).encode("latin-1"),
-            size_bits=int(raw["bits"]),
-            seqno=SequenceNumber(int(raw["seq"])),
-            channel=ChannelId(int(raw["ch"])),
-            radio=RadioIndex(int(raw.get("radio", 0))),
-            kind=str(raw.get("kind", "data")),
-            t_origin=_opt_float(raw.get("t_origin")),
-            t_receipt=_opt_float(raw.get("t_receipt")),
-            t_forward=_opt_float(raw.get("t_forward")),
-            t_delivered=_opt_float(raw.get("t_delivered")),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TransportError(f"malformed packet dict: {raw!r}") from exc
-
-
-def _opt_float(v: Any) -> Optional[float]:
-    return None if v is None else float(v)
-
-
-# -- binary fast path ---------------------------------------------------------
+# -- binary packet frames -----------------------------------------------------
 
 BINARY_MAGIC = 0xB1
 """First byte of every binary frame (a JSON message starts with 0x7B)."""
@@ -356,7 +310,6 @@ def encode_packet_binary(op: str, packet: Packet) -> bytes:
     kind = packet.kind.encode("utf-8")
     if len(kind) > 255:
         raise TransportError(f"packet kind too long for binary wire: {packet.kind!r}")
-    t = packet.t_origin
     header = _BIN_HEADER.pack(
         BINARY_MAGIC,
         code,

@@ -304,3 +304,29 @@ class TestFlightRecorder:
         worker_artifact = emu.crash_artifacts[0]
         assert load_flight(worker_artifact)["role"] == "worker-0"
         assert health["cluster"]["crash_artifacts"][0] == worker_artifact
+
+    def test_crash_before_parent_send_still_ships_artifact(self, tmp_path):
+        """A worker that has already exited when the parent next sends
+        to it: the send hits the closed pipe, and the worker_error frame
+        still queued in that pipe must reach crash_artifacts before the
+        ClusterError is raised, not only at stop()."""
+        from repro.net.messages import encode_message
+
+        emu = ShardedEmulator(
+            n_workers=2, seed=0, flight_dir=str(tmp_path)
+        )
+        line_topology(emu, n=2)
+        emu.start()
+        emu._conns[0].send_bytes(encode_message({"op": "bogus"}))
+        emu._procs[0].join(timeout=10.0)
+        assert not emu._procs[0].is_alive()
+        try:
+            with pytest.raises(ClusterError):
+                emu.flush(1.0)
+            health = emu.health()
+            assert 0 in emu.crash_artifacts
+            worker_artifact = emu.crash_artifacts[0]
+            assert load_flight(worker_artifact)["role"] == "worker-0"
+            assert health["cluster"]["crash_artifacts"][0] == worker_artifact
+        finally:
+            emu.stop()

@@ -20,7 +20,8 @@ import pytest
 from repro.core.client import PoEmClient
 from repro.core.clock import VirtualClock
 from repro.core.geometry import Vec2
-from repro.core.packet import DropReason
+from repro.core.ids import ChannelId, NodeId
+from repro.core.packet import DropReason, Packet
 from repro.core.tcpserver import PoEmServer
 from repro.errors import TransportError
 from repro.models.radio import RadioConfig
@@ -152,20 +153,17 @@ class TestTruncatedFrames:
             good.connect()
             sock, victim = raw_register(srv.address, 30.0, 0.0)
             faulty = FaultyTransport(sock, FaultSpec(truncate=1.0), seed=1)
-            packet_msg = messages.encode_message(
-                {
-                    "op": "packet",
-                    "packet": {
-                        "source": victim,
-                        "destination": int(good.node_id),
-                        "seqno": 1,
-                        "channel": 1,
-                        "kind": "data",
-                        "payload": "cut me off",
-                        "size_bits": 80,
-                        "t_origin": 0.0,
-                    },
-                }
+            packet_msg = messages.encode_packet_binary(
+                "packet",
+                Packet(
+                    source=NodeId(victim),
+                    destination=good.node_id,
+                    payload=b"cut me off",
+                    size_bits=80,
+                    seqno=1,
+                    channel=ChannelId(1),
+                    t_origin=0.0,
+                ),
             )
             # The injected truncation cuts the frame mid-body and forces
             # the socket closed; our side surfaces it as a send failure.
@@ -337,7 +335,7 @@ class TestOutboxBackpressure:
             sock.connect(srv.address)
             framing.send_frame(sock, messages.encode_message({
                 "op": "register", "x": 10.0, "y": 0.0, "label": "",
-                "binary": True, "radios": [{"channel": 1, "range": 100.0}],
+                "radios": [{"channel": 1, "range": 100.0}],
             }))
             reader = framing.FrameReader(sock)
             registered = messages.decode_message(reader.recv_frame())

@@ -1,6 +1,8 @@
 """Tests for repro.net.messages — the client↔server wire protocol."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.ids import BROADCAST_NODE, ChannelId, NodeId
 from repro.core.packet import Packet
@@ -12,8 +14,25 @@ from repro.net.messages import (
     encode_message,
     encode_packet_binary,
     is_binary_frame,
-    packet_from_wire,
-    packet_to_wire,
+)
+
+INT64 = st.integers(-(2**63), 2**63 - 1)
+STAMP = st.none() | st.floats(allow_nan=False)
+
+packets = st.builds(
+    Packet,
+    source=INT64.map(NodeId),
+    destination=st.just(BROADCAST_NODE) | INT64.map(NodeId),
+    payload=st.binary(max_size=300),
+    size_bits=st.integers(1, 2**63 - 1),
+    seqno=INT64,
+    channel=st.integers(-(2**31), 2**31 - 1).map(ChannelId),
+    radio=st.integers(0, 2**16 - 1),
+    kind=st.text(max_size=255).filter(lambda k: len(k.encode()) <= 255),
+    t_origin=STAMP,
+    t_receipt=STAMP,
+    t_forward=STAMP,
+    t_delivered=STAMP,
 )
 
 
@@ -80,54 +99,17 @@ class TestMessages:
             decode_message(b'{"no_op": 1}')
 
 
-class TestPacketWire:
-    def _packet(self, **kw):
-        defaults = dict(
-            source=NodeId(1),
-            destination=NodeId(2),
-            payload=b"\x00\x01binary\xff",
-            size_bits=8192,
-            seqno=17,
-            channel=ChannelId(3),
-            kind="control",
-            t_origin=1.25,
-            t_receipt=None,
-            t_forward=2.5,
-        )
-        defaults.update(kw)
-        return Packet(**defaults)
-
-    def test_roundtrip_preserves_everything(self):
-        p = self._packet()
-        q = packet_from_wire(packet_to_wire(p))
-        assert q == p
-
-    def test_binary_payload_survives(self):
-        p = self._packet(payload=bytes(range(256)))
-        assert packet_from_wire(packet_to_wire(p)).payload == bytes(range(256))
-
-    def test_broadcast_destination(self):
-        p = self._packet(destination=BROADCAST_NODE)
-        assert packet_from_wire(packet_to_wire(p)).is_broadcast
-
-    def test_none_stamps_preserved(self):
-        p = self._packet(t_origin=None, t_forward=None)
-        q = packet_from_wire(packet_to_wire(p))
-        assert q.t_origin is None and q.t_forward is None
-
-    def test_json_roundtrip_through_message(self):
-        p = self._packet()
-        msg = {"op": "packet", "packet": packet_to_wire(p)}
-        decoded = decode_message(encode_message(msg))
-        assert packet_from_wire(decoded["packet"]) == p
-
-    def test_malformed_dict_rejected(self):
-        with pytest.raises(TransportError):
-            packet_from_wire({"src": 1})  # missing fields
+def _mutated_tail(case):
+    """A valid frame's bytes after the op byte, with a few overwritten."""
+    p, edits = case
+    tail = bytearray(encode_packet_binary("packet", p)[2:])
+    for pos, value in edits:
+        tail[pos % len(tail)] = value
+    return bytes(tail)
 
 
 class TestBinaryCodec:
-    """The struct-packed fast path must be a drop-in for the JSON codec."""
+    """The 0xB1 codec: the one encoding of ``packet`` and ``deliver``."""
 
     def _packet(self, **kw):
         defaults = dict(
@@ -183,23 +165,44 @@ class TestBinaryCodec:
         assert q.is_broadcast
         assert q.payload == bytes(range(256))
 
-    def test_matches_json_codec_field_for_field(self):
-        """Both codecs decode to the identical Packet, for every field
-        combination including absent stamps and utf-8 kinds."""
-        variants = [
-            self._packet(),
-            self._packet(t_origin=None, t_receipt=None, t_forward=None,
-                         t_delivered=None),
-            self._packet(destination=BROADCAST_NODE, kind="hello"),
-            self._packet(payload=b"", size_bits=1, seqno=2**40),
-            self._packet(kind="ké", t_delivered=1e-9),
-        ]
-        for p in variants:
-            via_json = packet_from_wire(packet_to_wire(p))
-            _, via_binary = decode_packet_binary(
-                encode_packet_binary("packet", p)
-            )
-            assert via_binary == via_json == p
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(op=st.sampled_from(["packet", "deliver"]), p=packets)
+    @example(op="deliver", p=Packet(
+        source=NodeId(1), destination=BROADCAST_NODE, payload=b"",
+        size_bits=1, seqno=0, channel=ChannelId(1), kind="é" * 127 + "a",
+    ))
+    def test_round_trip_is_exact(self, op, p):
+        """Every field combination — broadcast or unicast, absent or
+        present stamps, utf-8 kinds up to 255 bytes, empty or binary
+        payloads, both ops — decodes back to the same packet, and
+        re-encodes to the same bytes."""
+        frame = encode_packet_binary(op, p)
+        assert decode_packet_binary(frame) == (op, p)
+        assert encode_packet_binary(op, decode_packet_binary(frame)[1]) == frame
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        code=st.sampled_from([1, 2]) | st.integers(0, 255),
+        tail=st.binary(max_size=200)
+        | st.tuples(packets, st.lists(
+            st.tuples(st.integers(0, 2**16), st.integers(0, 255)),
+            min_size=1, max_size=4,
+        )).map(_mutated_tail),
+    )
+    def test_arbitrary_frames_decode_or_raise_transport_error(
+        self, code, tail
+    ):
+        """Whatever follows the magic and op bytes, decoding either
+        raises TransportError or yields a packet that survives its own
+        re-encode.  The re-encode need not be byte-identical: any NaN
+        bit pattern in a stamp decodes to None, which encodes back as
+        the one canonical NaN."""
+        frame = bytes([BINARY_MAGIC, code]) + tail
+        try:
+            op, p = decode_packet_binary(frame)
+        except TransportError:
+            return
+        assert decode_packet_binary(encode_packet_binary(op, p)) == (op, p)
 
     def test_empty_payload(self):
         p = self._packet(payload=b"", size_bits=64)
