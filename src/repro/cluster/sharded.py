@@ -57,7 +57,6 @@ from ..core.overload import DEFAULT_LAG_BUDGET, OverloadState, fidelity_verdict
 from ..core.packet import Packet, PacketRecord, PacketStamper
 from ..core.recording import MemoryRecorder, Recorder
 from ..core.scene import Scene, SceneEvent
-from ..core.supervision import SupervisedThread
 from ..errors import ClusterError, ProtocolError, TransportError
 from ..models.mobility import Bounds
 from ..models.radio import RadioConfig
@@ -70,7 +69,6 @@ from ..net.messages import (
     make_scene_moves,
     make_scene_snapshot,
     make_shutdown,
-    make_telemetry_pull,
 )
 from ..obs import flightrec
 from ..obs.flightrec import FlightRecorder
@@ -86,9 +84,8 @@ __all__ = ["ShardedEmulator", "ShardedHost"]
 #: How long (s) the parent waits on a worker ack before declaring it dead.
 _REPLY_TIMEOUT = 60.0
 
-#: Staleness threshold multiplier: a shard whose last sample is older
-#: than this many pull intervals is flagged ``stale`` in health output.
-STALE_AFTER_PULLS = 2.0
+#: Frames buffered per shard before ``submit`` ships them as one batch.
+_BATCH_FRAMES = 32
 
 
 class ShardedHost:
@@ -151,22 +148,15 @@ class ShardedEmulator:
         bounds: Optional[Bounds] = None,
         recorder: Optional[Recorder] = None,
         schedule_capacity: Optional[int] = None,
-        use_client_stamps: bool = True,
         telemetry: Optional[Telemetry] = None,
-        telemetry_interval: Optional[float] = None,
-        batch_frames: int = 32,
         flight_dir: Optional[str] = None,
         profile_hz: Optional[float] = None,
     ) -> None:
         if n_workers < 1:
             raise ClusterError(f"need at least one worker, got {n_workers}")
-        if batch_frames < 1:
-            raise ClusterError(f"batch_frames must be positive: {batch_frames}")
         self.n_workers = n_workers
         self.seed = seed
-        self.batch_frames = batch_frames
         self.schedule_capacity = schedule_capacity
-        self.use_client_stamps = use_client_stamps
         self.scene = Scene(bounds=bounds, seed=seed)
         self.recorder = recorder if recorder is not None else MemoryRecorder()
         self.recorder.attach_to_scene(self.scene)
@@ -200,17 +190,10 @@ class ShardedEmulator:
         self._snapshot_due = 1
         self.scene.add_listener(self._mark_dirty)
         # One lock serializes every pipe exchange (sends *and* the
-        # request/response barriers): the periodic telemetry puller must
-        # never interleave its frames with a flush/collect or a batch
-        # send, or the byte stream itself would corrupt.
+        # request/response barriers): frames of two callers' barriers or
+        # batch sends must never interleave on a pipe, or the byte
+        # stream itself would corrupt.
         self._io_lock = threading.RLock()
-        self.telemetry_interval = (
-            float(telemetry_interval) if telemetry_interval else None
-        )
-        self._puller: Optional[SupervisedThread] = None
-        self._pull_stop = threading.Event()
-        #: monotonic stamp of each worker's last health/telemetry sample.
-        self._last_report = [float("-inf")] * n_workers
         self.flight = FlightRecorder(role="parent", flight_dir=flight_dir)
         self.flight_dir = flight_dir
         if flightrec.get_default() is None:
@@ -228,20 +211,10 @@ class ShardedEmulator:
         self.dropped = 0
         self.transport_dropped = 0
         #: Last barrier's per-worker samples (telemetry + health + docs).
-        self.worker_stats: list[dict[str, Any]] = [
-            {
-                "worker": i,
-                "shard_ingested": 0,
-                "queue_depth": 0,
-                "busy_fraction": 0.0,
-                "counters": {},
-                "overload": None,
-                "deadline": None,
-                "stale": False,
-                "report_age": None,
-            }
-            for i in range(n_workers)
-        ]
+        self.worker_stats = [_unsampled(i) for i in range(n_workers)]
+        #: The last samples of workers a ``stop()`` retired: their work
+        #: stays in the cluster's totals after a restart.
+        self._retired: list[dict[str, Any]] = []
         self._m_depth = None
         self._m_busy = None
         self._m_shard_ingested = None
@@ -363,7 +336,6 @@ class ShardedEmulator:
                 worker_index=i,
                 n_workers=self.n_workers,
                 seed=self.seed,
-                use_client_stamps=self.use_client_stamps,
                 schedule_capacity=self.schedule_capacity,
                 telemetry_enabled=self.telemetry.enabled,
                 sample_every=sample_every,
@@ -384,24 +356,12 @@ class ShardedEmulator:
         if self.profiler is not None:
             self.profiler.start()
         self._sync_scene()
-        if self.telemetry_interval and self.telemetry.enabled:
-            self._pull_stop.clear()
-            self._puller = SupervisedThread(
-                "poem-telemetry-pull",
-                self._pull_loop,
-                restartable=False,
-            )
-            self._puller.start()
 
     def stop(self) -> None:
         """Shut the workers down (graceful ``shutdown``/``bye``, then
         join; stragglers are terminated).  Idempotent."""
         if not self._procs:
             return
-        if self._puller is not None:
-            self._pull_stop.set()
-            self._puller.stop(timeout=2.0)
-            self._puller = None
         release_profiler(self.profiler)
         self.flight.note("cluster-stop")
         bye = encode_message(make_shutdown())
@@ -442,6 +402,13 @@ class ShardedEmulator:
         self._procs = []
         self._conns = []
         self._buffers = [[] for _ in range(self.n_workers)]
+        # New workers count from zero: park the retiring ones' last
+        # samples and forget the delta baselines their counters set.
+        self._retired += [s for s in self.worker_stats if s["counters"]]
+        self.worker_stats = [_unsampled(i) for i in range(self.n_workers)]
+        self._last_shard_ingested = [0] * self.n_workers
+        for worker in range(self.n_workers):
+            self.telemetry.forget_source(worker)
         # New workers bootstrap from a full snapshot, never stale moves.
         with self._pending_lock:
             self._snapshot_due += 1
@@ -518,7 +485,7 @@ class ShardedEmulator:
             frame = encode_packet_binary("packet", packet)
         buffer = self._buffers[shard]
         buffer.append((frame, trace_id))
-        if len(buffer) >= self.batch_frames:
+        if len(buffer) >= _BATCH_FRAMES:
             self._send_batch(shard)
 
     def _send_to(self, worker: int, data: bytes) -> None:
@@ -683,12 +650,14 @@ class ShardedEmulator:
     ) -> list[dict[str, Any]]:
         """The one request/response round with every worker.
 
-        Sends ``request`` to all of them, then takes each one's reply in
-        worker order — it must be an ``expect`` frame echoing the
-        request's ``id`` (only ``flush`` carries one) — and folds the
-        sample it carries into telemetry/health.  Returns the replies.
+        Ships the buffered frames first, sends ``request`` to every
+        worker, then takes each one's reply in worker order — it must be
+        an ``expect`` frame echoing the request's ``id`` (only ``flush``
+        carries one) — and folds the sample it carries into
+        telemetry/health.  Returns the replies.
         """
         with self._io_lock:
+            self._flush_buffers()
             frame = encode_message(request)
             for worker in range(self.n_workers):
                 self._send_to(worker, frame)
@@ -716,9 +685,7 @@ class ShardedEmulator:
         if not self._procs:
             self.start()
         self._sync_scene()
-        with self._io_lock:
-            self._flush_buffers()
-            self._exchange(make_flush(t, next(self._flush_ids)), "flushed")
+        self._exchange(make_flush(t, next(self._flush_ids)), "flushed")
         if t > self._time:
             self._time = t
         self.scene.advance_time(self._time)
@@ -731,10 +698,9 @@ class ShardedEmulator:
     def _fold_worker_sample(self, worker: int, msg: dict[str, Any]) -> None:
         """Fold one worker's health+telemetry sample into the parent.
 
-        Called from every exchange that carries a sample — flush
-        barriers, ``collect`` replies, and the periodic telemetry pull —
-        so shard gauges and merged metrics refresh as soon as *any*
-        exchange happens, not only at barriers.
+        Called for every reply of a barrier — ``flushed`` and
+        ``worker_report`` — under ``_io_lock``, so shard gauges and
+        merged metrics refresh at each ``flush`` and ``collect``.
         """
         stats = self.worker_stats[worker]
         stats["shard_ingested"] = int(msg["shard_ingested"])
@@ -743,9 +709,6 @@ class ShardedEmulator:
         stats["counters"] = msg["engine"]
         stats["overload"] = msg["overload"]
         stats["deadline"] = msg["deadline"]
-        stats["stale"] = False
-        stats["report_age"] = 0.0
-        self._last_report[worker] = time.monotonic()
         if self._m_depth is not None:
             label = str(worker)
             self._m_depth.labels(label).set(stats["queue_depth"])
@@ -802,57 +765,16 @@ class ShardedEmulator:
         self.transport_dropped = t["transport_dropped"]
 
     def _totals(self) -> dict[str, int]:
-        """The ``engine`` section: the workers' last counters, summed."""
+        """The ``engine`` section: the workers' last counters, summed
+        with those of the workers a restart retired."""
         return {
-            key: sum(s["counters"].get(key, 0) for s in self.worker_stats)
+            key: sum(
+                s["counters"].get(key, 0)
+                for s in self._retired + self.worker_stats
+            )
             for key in ("ingested", "forwarded", "dropped",
                         "transport_dropped")
         }
-
-    # -- periodic telemetry pull --------------------------------------------------
-
-    def pull_telemetry(self) -> list[dict[str, Any]]:
-        """Ask every worker for a fresh health/telemetry sample *now*.
-
-        The between-barriers window: a stalled or runaway worker shows
-        up in ``/metrics``, ``/health`` and the console without waiting
-        for the next ``flush``.  Returns the refreshed per-worker stats.
-        """
-        if self._procs:
-            self._exchange(make_telemetry_pull(), "telemetry_report")
-        return [dict(s) for s in self.worker_stats]
-
-    def _pull_loop(self) -> None:
-        interval = self.telemetry_interval or 1.0
-        while not self._pull_stop.wait(interval):
-            try:
-                self.pull_telemetry()
-            except ClusterError:
-                # The failure is already flight-recorded; the next
-                # barrier will raise it on the caller's thread, which is
-                # where it can actually be handled.
-                return
-
-    def _refresh_staleness(self) -> None:
-        """Mark shards whose last sample outlived the pull budget.
-
-        With a periodic pull running, a healthy worker reports at least
-        every ``telemetry_interval``; one silent for
-        ``STALE_AFTER_PULLS×`` that is stalled (or the puller is).  With
-        no pull interval configured there is no cadence contract, so
-        only the age is reported.
-        """
-        now = time.monotonic()
-        interval = self.telemetry_interval
-        for worker, stats in enumerate(self.worker_stats):
-            last = self._last_report[worker]
-            age = (now - last) if last != float("-inf") else None
-            stats["report_age"] = age
-            stats["stale"] = bool(
-                interval is not None
-                and age is not None
-                and age > STALE_AFTER_PULLS * interval
-            )
 
     # -- collection ---------------------------------------------------------------
 
@@ -874,7 +796,6 @@ class ShardedEmulator:
         if not self._procs:
             self.start()
         with self._io_lock:
-            self._flush_buffers()
             self._exchange(make_collect(), "worker_report")
             # Each worker's record frame follows its report on its pipe.
             streams = [
@@ -939,8 +860,11 @@ class ShardedEmulator:
         """The cluster's ``deadline`` section: every worker's delivery
         buckets summed, judged by the one fidelity rule on the summed
         late/missed/shed counts and the worst state any worker reached.
-        Reads the last samples, so it is as fresh as the last exchange."""
-        sampled = [s for s in self.worker_stats if s["deadline"]]
+        Reads the last samples (retired workers' included), so it is as
+        fresh as the last exchange."""
+        sampled = [
+            s for s in self._retired + self.worker_stats if s["deadline"]
+        ]
         section = {
             "budget": sampled[0]["deadline"]["budget"]
             if sampled else DEFAULT_LAG_BUDGET,
@@ -963,7 +887,6 @@ class ShardedEmulator:
     def health(self) -> dict[str, Any]:
         """Same shape as the other deployments' ``health()``, plus the
         ``cluster`` section ``format_health`` renders per-shard."""
-        self._refresh_staleness()
         return {
             "running": self.started
             and all(p.is_alive() for p in self._procs),
@@ -981,7 +904,6 @@ class ShardedEmulator:
                 "n_workers": self.n_workers,
                 "alive": sum(1 for p in self._procs if p.is_alive()),
                 "shard_loads": self.shards.loads(),
-                "pull_interval": self.telemetry_interval,
                 "per_worker": [dict(s) for s in self.worker_stats],
                 "crash_artifacts": dict(self.crash_artifacts),
                 "profiler": (
@@ -996,6 +918,19 @@ class ShardedEmulator:
                 ),
             },
         }
+
+
+def _unsampled(worker: int) -> dict[str, Any]:
+    """A worker's stats before its first sample arrives."""
+    return {
+        "worker": worker,
+        "shard_ingested": 0,
+        "queue_depth": 0,
+        "busy_fraction": 0.0,
+        "counters": {},
+        "overload": None,
+        "deadline": None,
+    }
 
 
 def _merge_rows(streams: list[list[tuple]]) -> list[tuple]:

@@ -29,8 +29,6 @@ loop is strictly reactive:
   process's busy fraction and, when those planes are on, the registry
   snapshot, the trace spans completed since the last sample and the
   profiler snapshot, for the parent's cluster-wide merge;
-* ``telemetry_pull`` answers with the same sample *without* running the
-  clock (the parent's periodic pull between barriers);
 * ``collect`` answers with the same sample as a ``worker_report`` and
   drains the packet log into the binary record frame sent right after;
 * ``shutdown`` acks ``bye`` and exits the loop.
@@ -74,7 +72,6 @@ from ..net.messages import (
     decode_packet_binary,
     encode_message,
     make_flushed,
-    make_telemetry_report,
     make_worker_error,
     make_worker_report,
 )
@@ -93,7 +90,6 @@ class WorkerConfig:
     worker_index: int
     n_workers: int
     seed: Optional[int] = 0
-    use_client_stamps: bool = True
     schedule_capacity: Optional[int] = None
     telemetry_enabled: bool = False
     sample_every: int = Telemetry.DEFAULT_SAMPLE_EVERY
@@ -159,7 +155,7 @@ class _WorkerState(ForwardingCore):
             bounds=None,
             recorder=None,
             schedule_capacity=config.schedule_capacity,
-            use_client_stamps=config.use_client_stamps,
+            use_client_stamps=True,
             telemetry=telemetry,
             lag_budget=DEFAULT_LAG_BUDGET,
             profile_hz=config.profile_hz,
@@ -211,7 +207,6 @@ class _WorkerState(ForwardingCore):
     ) -> None:
         self._require_replica("packet batch")
         clock = self.clock
-        stamps = self.engine.use_client_stamps
         tracing = self._tracer is not None
         # One dwell measurement serves the whole batch: every frame in
         # it sat in the same pipe for the same interval.
@@ -228,7 +223,7 @@ class _WorkerState(ForwardingCore):
             else:
                 _op, packet = decode_packet_binary(frame)
             t = packet.t_origin
-            if stamps and t is not None and t > clock.now():
+            if t is not None and t > clock.now():
                 clock.run_until(t)
             self._virtual_ingest(packet.source, packet, tr)
         self.shard_ingested += len(entries)
@@ -332,11 +327,6 @@ def worker_main(conn, config: WorkerConfig) -> None:
                     "flush", t=float(msg["t"]),
                     shard_ingested=state.shard_ingested,
                 )
-            elif op == "telemetry_pull":
-                reply = make_telemetry_report(
-                    config.worker_index, **state.sample()
-                )
-                conn.send_bytes(encode_message(reply))
             elif op == "collect":
                 # Encoded first: a log that does not fit the frame must
                 # surface as worker_error, not after a report went out.

@@ -35,8 +35,6 @@ fast path, batched by :mod:`repro.cluster.ipc`):
 ``flush``           parent → worker  barrier: run the worker's clock/engine
                                      up to ``t`` and report back
 ``flushed``         worker → parent  barrier ack, with the worker's sample
-``telemetry_pull``  parent → worker  ask for a sample between barriers
-``telemetry_report``  worker → parent  the sample, clock untouched
 ``collect``         parent → worker  drain the worker's packet log
 ``worker_report``   worker → parent  the sample; the drained records follow
                                      as one binary record frame
@@ -104,8 +102,6 @@ __all__ = [
     "make_flushed",
     "make_collect",
     "make_worker_report",
-    "make_telemetry_pull",
-    "make_telemetry_report",
     "make_shutdown",
     "make_worker_error",
     "BINARY_MAGIC",
@@ -202,8 +198,8 @@ def make_flush(t: float, flush_id: int) -> dict[str, Any]:
 
 def _with_sample(msg: dict[str, Any], **sample: Any) -> dict[str, Any]:
     """Add a worker's health/telemetry sample to a reply: the one set
-    of fields ``flushed``, ``telemetry_report`` and ``worker_report``
-    all carry, so the parent refreshes on whichever arrives.
+    of fields ``flushed`` and ``worker_report`` both carry, so the
+    parent refreshes at every barrier.
 
     The sample (:meth:`repro.cluster.worker._WorkerState.sample`) is the
     worker core's ``health()`` sections — ``engine`` totals,
@@ -243,19 +239,6 @@ def make_worker_report(worker: int, **sample: Any) -> dict[str, Any]:
     (:func:`repro.cluster.ipc.encode_record_frame`)."""
     return _with_sample(
         {"op": "worker_report", "worker": int(worker)}, **sample
-    )
-
-
-def make_telemetry_pull() -> dict[str, Any]:
-    """Ask a worker for a fresh telemetry/health sample (no barrier)."""
-    return {"op": "telemetry_pull"}
-
-
-def make_telemetry_report(worker: int, **sample: Any) -> dict[str, Any]:
-    """The worker's answer to a ``telemetry_pull``: its sample
-    (:func:`_with_sample`), without running the clock anywhere."""
-    return _with_sample(
-        {"op": "telemetry_report", "worker": int(worker)}, **sample
     )
 
 

@@ -593,10 +593,11 @@ class SnapshotMerger:
 
     * **counters** sum across sources: the merger remembers the last
       value seen per ``(source, name, labels)`` and injects only the
-      positive delta, so folding the same worker repeatedly (every
-      barrier *and* every periodic pull) never double-counts.  A value
-      that went backwards means the source restarted — the full value is
-      re-injected.
+      positive delta, so folding the same worker at every barrier never
+      double-counts.  A value that went backwards means the source
+      restarted — the full value is re-injected; an owner that knows of
+      a restart calls :meth:`forget` so a restarted source whose first
+      value already exceeds its old one still counts in full.
     * **histograms** bucket-wise add (same delta discipline) through
       :meth:`Histogram.merge_folded`; bucket layouts must match or the
       sample is skipped.
@@ -608,7 +609,7 @@ class SnapshotMerger:
     of a different kind/labels) are skipped, not raised: merging is a
     telemetry-plane activity and must never take down the pipeline.
     Thread-safe: one lock around the whole fold keeps delta bookkeeping
-    consistent under a concurrent periodic pull + flush barrier.
+    consistent whichever thread folds.
     """
 
     def __init__(
@@ -640,6 +641,13 @@ class SnapshotMerger:
                         self.skipped_samples += 1
         self.folded_samples += folded
         return folded
+
+    def forget(self, source: object) -> None:
+        """Drop ``source``'s delta baselines: it restarted, so its next
+        snapshot counts from zero and folds in whole."""
+        with self._lock:
+            for key in [k for k in self._last if k[0] == str(source)]:
+                del self._last[key]
 
     def _fold_sample(
         self, source: str, name: str, kind: str, help_: str, sample: dict

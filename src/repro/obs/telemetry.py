@@ -44,8 +44,8 @@ class Telemetry:
         self.registry = (
             registry if registry is not None else MetricsRegistry(namespace)
         )
-        # Eager, not lazy: a racing periodic pull + flush barrier must
-        # share one merger or its delta bookkeeping double-counts.
+        # Eager, not lazy: every fold must share one merger or its delta
+        # bookkeeping double-counts.
         self._merger: Optional[SnapshotMerger] = (
             SnapshotMerger(self.registry) if enabled else None
         )
@@ -94,3 +94,10 @@ class Telemetry:
         if self._merger is None or not snap:
             return 0
         return self._merger.fold(source, snap)
+
+    def forget_source(self, source: object) -> None:
+        """``source`` of :meth:`fold_snapshot` restarted: its next
+        snapshot folds in whole
+        (:meth:`~repro.obs.metrics.SnapshotMerger.forget`)."""
+        if self._merger is not None:
+            self._merger.forget(source)

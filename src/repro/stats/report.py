@@ -387,23 +387,12 @@ def format_health(health: dict) -> str:
             f"  cluster         : {cluster.get('n_workers', 0)} workers"
             f" ({cluster.get('alive', 0)} alive)"
         )
-        if cluster.get("pull_interval"):
-            lines.append(
-                f"    telemetry pull  : every"
-                f" {float(cluster['pull_interval']):.2f}s"
-            )
         for w in cluster.get("per_worker", []):
-            # A shard whose last report is older than 2x the pull
-            # interval is flagged: its gauges below are lies by now.
-            mark = " STALE" if w.get("stale") else ""
-            age = w.get("report_age")
-            if mark and age is not None:
-                mark += f" (last report {float(age):.1f}s ago)"
             lines.append(
                 f"    shard {w.get('worker', '?')}: "
                 f"ingested {w.get('shard_ingested', 0)}  "
                 f"queue {w.get('queue_depth', 0)}  "
-                f"busy {float(w.get('busy_fraction', 0.0)):.1%}{mark}"
+                f"busy {float(w.get('busy_fraction', 0.0)):.1%}"
             )
         crash_artifacts = cluster.get("crash_artifacts") or {}
         for worker, path in sorted(crash_artifacts.items()):

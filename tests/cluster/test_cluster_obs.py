@@ -1,6 +1,6 @@
 """Acceptance tests for cluster-wide observability: cross-process trace
-propagation, merged worker telemetry, staleness flags, and the crash
-flight recorder.
+propagation, merged worker telemetry (across a restart too), and the
+crash flight recorder.
 
 These spawn real worker processes (small loads — 1-core CI boxes run
 them too).
@@ -92,26 +92,6 @@ class TestTracePropagation:
         assert "dwell" in hop.detail
         assert "shard-hop" in render_text(report)
 
-    def test_worker_spans_survive_without_flush(self):
-        """Spans ride the periodic-pull exchange too, not only barriers."""
-        telemetry = Telemetry(sample_every=1)
-        with ShardedEmulator(
-            n_workers=2, seed=5, telemetry=telemetry
-        ) as emu:
-            hosts = line_topology(emu, n=2)
-            hosts[0].transmit(
-                hosts[1].node_id, b"x", channel=ChannelId(1), t=0.01
-            )
-            emu.flush(0.5)  # barrier runs the pipeline...
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline:
-                emu.pull_telemetry()  # ...the pull ships the spans
-                if telemetry.recent_spans():
-                    break
-                time.sleep(0.02)
-        assert telemetry.recent_spans()
-
-
 class TestMergedTelemetry:
     def test_metrics_totals_equal_collected_work(self):
         """Acceptance: the parent's /metrics totals on a cluster run
@@ -152,70 +132,46 @@ class TestMergedTelemetry:
             httpd.stop()
         assert f"poem_engine_ingested_total {frames}" in body
 
-    def test_pull_refreshes_stats_without_a_barrier(self):
-        """The periodic-pull path must update shard gauges and fold
-        worker counters with no flush() in sight."""
+    @pytest.mark.parametrize("before, after", [(10, 4), (3, 12)])
+    def test_totals_survive_a_stop_start_restart(self, before, after):
+        """Workers born by a restart count from zero, yet the parent's
+        totals, deadline buckets, shard series and run summary cover
+        the whole run — also when the new workers' first count already
+        exceeds the retired ones' last."""
         telemetry = Telemetry()
-        with ShardedEmulator(
-            n_workers=2, seed=3, telemetry=telemetry, batch_frames=1
-        ) as emu:
-            hosts = line_topology(emu, n=4)
-            ring_load(hosts, frames=12)
-            total = 0
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline:
-                stats = emu.pull_telemetry()
-                total = sum(w["shard_ingested"] for w in stats)
-                if total == 12:
-                    break
-                time.sleep(0.02)
-            assert total == 12
-            ingested = telemetry.registry.get(
-                "poem_engine_ingested_total"
+        emu = ShardedEmulator(n_workers=1, seed=0, telemetry=telemetry)
+        hosts = line_topology(emu, n=2)
+        ring_load(hosts, frames=before)
+        emu.flush(0.5)
+        emu.collect()
+        emu.stop()
+        emu.start()
+        for i in range(after):
+            hosts[0].transmit(
+                hosts[1].node_id, b"x", channel=ChannelId(1),
+                t=0.6 + 0.01 * i,
             )
-            assert ingested is not None and ingested.value() == 12
-            assert all(
-                w["report_age"] is not None for w in emu.worker_stats
-            )
-            emu.flush(1.0)
-            emu.collect()
+        emu.flush(1.0)
+        emu.collect()
+        health = emu.health()
+        emu.record_run_summary()
+        emu.stop()
 
-    def test_stale_shard_is_flagged_in_health(self):
-        # Interval far longer than the test: the puller never fires, so
-        # report ages move only when we backdate them by hand.
-        with ShardedEmulator(
-            n_workers=2, seed=0, telemetry=Telemetry(),
-            telemetry_interval=60.0,
-        ) as emu:
-            line_topology(emu, n=2)
-            emu.flush(0.1)  # every shard reports: fresh
-            health = emu.health()
-            assert health["cluster"]["pull_interval"] == 60.0
-            assert not any(
-                w["stale"] for w in health["cluster"]["per_worker"]
-            )
-            assert "STALE" not in format_health(health)
-            # Shard 1 goes silent for > 2x the pull interval.
-            emu._last_report[1] = time.monotonic() - 300.0
-            health = emu.health()
-            flags = [w["stale"] for w in health["cluster"]["per_worker"]]
-            assert flags == [False, True]
-            pane = format_health(health)
-            assert "STALE" in pane and "last report" in pane
-            # The next barrier delivers a fresh report: staleness clears.
-            emu.flush(0.2)
-            health = emu.health()
-            assert not any(
-                w["stale"] for w in health["cluster"]["per_worker"]
-            )
-
-    def test_no_interval_means_never_stale(self):
-        with ShardedEmulator(n_workers=1, seed=0) as emu:
-            line_topology(emu, n=2)
-            health = emu.health()
-        assert not any(
-            w["stale"] for w in health["cluster"]["per_worker"]
-        )
+        total = before + after
+        assert health["engine"]["ingested"] == total
+        assert health["deadline"]["on_time"] == total
+        shard = health["cluster"]["per_worker"][0]
+        assert shard["shard_ingested"] == after  # the live worker's own
+        assert f"shard 0: ingested {after}" in format_health(health)
+        reg = telemetry.registry
+        assert reg.get("poem_engine_ingested_total").value() == total
+        assert reg.get("poem_shard_ingested_total").labels("0").value() \
+            == total
+        assert reg.get("poem_shard_queue_depth").labels("0").value() == 0
+        assert reg.get("poem_shard_busy_fraction").labels("0").value() \
+            == shard["busy_fraction"] > 0
+        text = render_text(analyze(emu.recorder))
+        assert "recorded at shutdown — consistent" in text
 
 
 class TestFlightRecorder:

@@ -14,6 +14,7 @@ graph.
 from __future__ import annotations
 
 import json
+import re
 import textwrap
 from pathlib import Path
 
@@ -22,7 +23,8 @@ import pytest
 import repro
 from repro.lint.callgraph import build_project
 from repro.lint.deep import load_baseline, run_deep
-from repro.lint.protocheck import protocol_findings
+from repro.lint.protocheck import build_protocol_model, protocol_findings
+from repro.net import messages
 from repro.lint.racecheck import race_findings
 from repro.lint.staticlocks import (
     build_lock_model,
@@ -320,6 +322,42 @@ def test_poem010_skipped_outside_cluster_scope(tmp_path):
     # Linting a tree without both endpoints must not fabricate drift.
     _write_tree(tmp_path, {"net/messages.py": PROTO_COMMON["net/messages.py"]})
     assert protocol_findings(build_project([tmp_path])) == []
+
+
+def _op_tables(doc: str) -> list[dict[str, str]]:
+    """Each ``=``-ruled op table of a docstring as op -> direction."""
+    tables: list[dict[str, str]] = []
+    rows = None
+    for line in doc.splitlines():
+        if line.startswith("=="):
+            if rows is None:
+                rows = {}
+            else:
+                tables.append(rows)
+                rows = None
+        elif rows is not None:
+            m = re.match(r"``(\w+)``\s+(\w+(?: → \w+)?)", line)
+            if m:
+                rows[m[1]] = m[2]
+    return tables
+
+
+def test_cluster_op_table_lists_exactly_the_sent_ops():
+    """The cluster op table of :mod:`repro.net.messages` cannot drift
+    from the code: per direction it names exactly the ops the protocol
+    model sees each endpoint send (the worker's ``bye`` sits in the
+    shared client/server table)."""
+    model = build_protocol_model(build_project([PKG_ROOT]))
+    shared, cluster = _op_tables(messages.__doc__)
+    assert shared["bye"] == "either"
+    for side, other in (("parent", "worker"), ("worker", "parent")):
+        listed = {op for op, d in cluster.items() if d == f"{side} → {other}"}
+        if side == "worker":
+            listed.add("bye")
+        assert listed == set(model.sends[side]), side
+    assert set(cluster) | {"bye"} == (
+        set(model.sends["parent"]) | set(model.sends["worker"])
+    )
 
 
 # ---------------------------------------------------------------------------

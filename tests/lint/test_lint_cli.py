@@ -114,7 +114,7 @@ def test_lint_deep_json_document(capsys):
     assert 20 < deep["static_lock_edges"] <= 58
     # Supervised threads, httpd, worker_main...; the TCP server's data
     # path and scene time are one root, PoEmServer._serve_loop.
-    assert 0 < len(deep["thread_roots"]) <= 11
+    assert 0 < len(deep["thread_roots"]) <= 10
     assert deep["stale_baseline_entries"] == []
     assert all(e["justification"] for e in deep["baselined"])
 

@@ -48,7 +48,6 @@ class TestMessages:
     def test_control_frames_carry_optional_profile(self):
         from repro.net.messages import (
             make_flushed,
-            make_telemetry_report,
             make_worker_report,
         )
 
@@ -64,9 +63,8 @@ class TestMessages:
         report = make_worker_report(0, profile=profile, **sample)
         assert report["profile"] == profile
         assert "records" not in report  # they ride the binary record frame
-        telem = make_telemetry_report(0, profile=profile, **sample)
-        assert decode_message(encode_message(telem))["profile"] == profile
-        # One sample, three carriers: whatever a worker samples rides
+        assert decode_message(encode_message(report))["profile"] == profile
+        # One sample, two carriers: whatever a worker samples rides
         # every reply under the same keys, apart from each op's own.
         full = dict(
             sample, profile=profile, telemetry={"metrics": []},
@@ -76,7 +74,6 @@ class TestMessages:
         for built in (
             make_flushed(2, 0, **full),
             make_worker_report(0, **full),
-            make_telemetry_report(0, **full),
         ):
             assert {k: v for k, v in built.items() if k not in own} == full
             assert built["worker"] == 0
