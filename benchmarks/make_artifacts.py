@@ -133,7 +133,7 @@ def build_profile_artifacts(out: Path):
     from repro.models.radio import RadioConfig
     from repro.obs.profiler import format_profile
     from repro.obs.telemetry import Telemetry
-    from repro.obs.timeline import timeline_from_recorder, write_timeline
+    from repro.obs.timeline import timeline_from_dataset, write_timeline
 
     radios = RadioConfig.single(1, 200.0)
     # sample_every=1: with a round-robin transmit script any stride >1
@@ -163,7 +163,7 @@ def build_profile_artifacts(out: Path):
         emu.record_run_summary()
         collapsed = emu.profile_collapsed()
         stacks = emu.profiler.folded() if emu.profiler else {}
-        timeline = timeline_from_recorder(
+        timeline = timeline_from_dataset(
             emu.recorder, profiler=emu.profiler
         )
     finally:

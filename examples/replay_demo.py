@@ -51,8 +51,7 @@ def record(db_path: str) -> None:
 
 def replay(db_path: str, svg_dir: Path) -> None:
     """Phase 2: reconstruct from the database alone."""
-    recorder = SqliteRecorder(db_path)
-    engine = ReplayEngine(recorder)
+    engine = ReplayEngine(db_path)
     print(engine.summary())
     print()
     for frame in engine.frames(fps=0.5):
@@ -64,7 +63,6 @@ def replay(db_path: str, svg_dir: Path) -> None:
         (svg_dir / f"frame_{n:03d}.svg").write_text(frame_to_svg(frame))
         n += 1
     print(f"wrote {n} SVG frames to {svg_dir}/")
-    recorder.close()
 
 
 def main() -> None:

@@ -49,7 +49,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .core.geometry import Vec2
-from .core.recording import SqliteRecorder, load_dataset
+from .core.recording import SqliteRecorder, load_dataset, load_scene_events
 from .core.server import InProcessEmulator
 from .errors import PoEmError
 from .models.radio import Radio, RadioConfig
@@ -298,24 +298,19 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     from .gui.ascii_view import render_frame
     from .gui.svg import frame_to_svg
 
-    recorder = SqliteRecorder(args.recording)
-    try:
-        replay = ReplayEngine(recorder)
-        print(replay.summary())
-        if not args.summary_only:
-            for frame in replay.frames(args.fps):
-                print(render_frame(frame, width=args.width,
-                                   height=args.height))
-        if args.svg:
-            out = Path(args.svg)
-            out.mkdir(parents=True, exist_ok=True)
-            n = 0
-            for frame in replay.frames(args.fps):
-                (out / f"frame_{n:04d}.svg").write_text(frame_to_svg(frame))
-                n += 1
-            print(f"wrote {n} SVG frames to {out}/")
-    finally:
-        recorder.close()
+    replay = ReplayEngine(args.recording)
+    print(replay.summary())
+    if not args.summary_only:
+        for frame in replay.frames(args.fps):
+            print(render_frame(frame, width=args.width, height=args.height))
+    if args.svg:
+        out = Path(args.svg)
+        out.mkdir(parents=True, exist_ok=True)
+        n = 0
+        for frame in replay.frames(args.fps):
+            (out / f"frame_{n:04d}.svg").write_text(frame_to_svg(frame))
+            n += 1
+        print(f"wrote {n} SVG frames to {out}/")
     return 0
 
 
@@ -354,31 +349,25 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     from .stats.report import build_report, format_report
 
-    recorder = SqliteRecorder(args.recording)
-    try:
-        print(format_report(build_report(recorder, top_flows=args.top_flows)))
-    finally:
-        recorder.close()
+    print(format_report(build_report(args.recording,
+                                     top_flows=args.top_flows)))
     return 0
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
     from .stats.export import export_jsonl, export_packets_csv, export_scene_csv
 
-    recorder = SqliteRecorder(args.recording)
-    try:
-        out = Path(args.out)
-        if args.format == "jsonl":
-            lines = export_jsonl(recorder, out)
-            print(f"wrote {lines} JSON lines to {out}")
-        else:
-            n_packets = export_packets_csv(recorder, out)
-            scene_path = out.with_name(out.stem + "_scene.csv")
-            n_events = export_scene_csv(recorder, scene_path)
-            print(f"wrote {n_packets} packet rows to {out} and "
-                  f"{n_events} scene rows to {scene_path}")
-    finally:
-        recorder.close()
+    dataset = load_dataset(args.recording)
+    out = Path(args.out)
+    if args.format == "jsonl":
+        lines = export_jsonl(dataset, out)
+        print(f"wrote {lines} JSON lines to {out}")
+    else:
+        n_packets = export_packets_csv(dataset, out)
+        scene_path = out.with_name(out.stem + "_scene.csv")
+        n_events = export_scene_csv(dataset, scene_path)
+        print(f"wrote {n_packets} packet rows to {out} and "
+              f"{n_events} scene rows to {scene_path}")
     return 0
 
 
@@ -427,15 +416,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     else:
         print(rendered, end="" if rendered.endswith("\n") else "\n")
     if args.timeline:
-        from .obs.timeline import timeline_from_recorder, write_timeline
+        from .obs.timeline import timeline_from_dataset, write_timeline
 
-        recorder = SqliteRecorder(args.recording)
-        try:
-            path = write_timeline(
-                args.timeline, timeline_from_recorder(recorder)
-            )
-        finally:
-            recorder.close()
+        path = write_timeline(args.timeline, timeline_from_dataset(dataset))
         print(f"wrote Perfetto timeline to {path} "
               "(load at https://ui.perfetto.dev)")
     if args.fail_degraded:
@@ -507,14 +490,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     else:
         if args.seconds:
             raise PoEmError("--seconds only applies to --live profiles")
-        recorder = SqliteRecorder(args.recording)
-        try:
-            snapshots = [
-                e.details for e in recorder.scene_events()
-                if e.kind == "profile"
-            ]
-        finally:
-            recorder.close()
+        snapshots = [
+            e.details for e in load_scene_events(args.recording)
+            if e.kind == "profile"
+        ]
         if not snapshots:
             raise PoEmError(
                 f"{args.recording}: no 'profile' scene event — was the "

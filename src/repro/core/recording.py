@@ -24,7 +24,9 @@ at once — the paper's two "recording threads" become serialized appends
 behind a lock (sqlite connections are per-thread-unsafe otherwise).
 
 :class:`RunDataset` is the read side: the one indexed snapshot of a
-finished recording that the run report and the forensics pass share.
+finished recording that replay, the run report, the exporters and the
+forensics pass share.  :func:`load_dataset` is the one way to read a
+recording, and :meth:`RunDataset.time_range` the one extent of a run.
 """
 
 from __future__ import annotations
@@ -34,8 +36,10 @@ import sqlite3
 import threading
 from abc import ABC, abstractmethod
 from collections import deque
+from contextlib import closing, contextmanager
 from itertools import chain
-from typing import Optional, Sequence, Union
+from pathlib import Path
+from typing import Iterator, Optional, Sequence, Union
 
 from ..errors import AnalysisError, RecordingError
 from .clock import SyncSample
@@ -45,7 +49,7 @@ from .scene import SceneEvent
 
 __all__ = [
     "Recorder", "MemoryRecorder", "SqliteRecorder", "RunDataset",
-    "load_dataset",
+    "load_dataset", "load_scene_events",
 ]
 
 _SCHEMA = """
@@ -408,25 +412,11 @@ class SqliteRecorder(Recorder):
 
     def packets(self) -> list[PacketRecord]:
         with self._lock:  # poem: ignore[POEM002] — serialized sqlite connection (see _lock note)
-            rows = self._conn.execute(
-                "SELECT record_id, seqno, source, destination, sender,"
-                " receiver, channel, kind, size_bits, t_origin, t_receipt,"
-                " t_forward, t_delivered, drop_reason FROM packets"
-                " ORDER BY record_id"
-            ).fetchall()
-        return [PacketRecord(*r) for r in rows]
+            return _read_packets(self._conn)
 
     def scene_events(self) -> list[SceneEvent]:
         with self._lock:  # poem: ignore[POEM002] — serialized sqlite connection (see _lock note)
-            rows = self._conn.execute(
-                "SELECT time, kind, node, details FROM scene_events"
-                " ORDER BY event_id"
-            ).fetchall()
-        return [
-            SceneEvent(time=r[0], kind=r[1], node=NodeId(r[2]),
-                       details=json.loads(r[3]))
-            for r in rows
-        ]
+            return _read_scene_events(self._conn)
 
     def record_span(self, span) -> None:
         with self._lock:  # poem: ignore[POEM002] — serialized sqlite connection (see _lock note)
@@ -447,23 +437,8 @@ class SqliteRecorder(Recorder):
                 raise RecordingError(f"span insert failed: {exc}") from exc
 
     def spans(self) -> list:
-        from ..obs.tracing import TraceSpan
-
         with self._lock:  # poem: ignore[POEM002] — serialized sqlite connection (see _lock note)
-            rows = self._conn.execute(
-                "SELECT trace_id, source, seqno, channel, sender, receiver,"
-                " t_start, t_forward, lag, outcome, stages FROM trace_spans"
-                " ORDER BY span_id"
-            ).fetchall()
-        return [
-            TraceSpan(
-                trace_id=r[0], source=r[1], seqno=r[2], channel=r[3],
-                sender=r[4], receiver=r[5], t_start=r[6], t_forward=r[7],
-                lag=r[8], outcome=r[9],
-                stages=tuple((s[0], s[1]) for s in json.loads(r[10])),
-            )
-            for r in rows
-        ]
+            return _read_spans(self._conn)
 
     def record_sync(self, sample: SyncSample) -> None:
         with self._lock:  # poem: ignore[POEM002] — serialized sqlite connection (see _lock note)
@@ -484,22 +459,96 @@ class SqliteRecorder(Recorder):
 
     def sync_samples(self) -> list[SyncSample]:
         with self._lock:  # poem: ignore[POEM002] — serialized sqlite connection (see _lock note)
-            rows = self._conn.execute(
-                "SELECT node, label, clock_offset, delay, t_server,"
-                " t_client, cause, residual FROM sync_samples"
-                " ORDER BY sample_id"
-            ).fetchall()
-        return [
-            SyncSample(
-                node=r[0], label=r[1], offset=r[2], delay=r[3],
-                t_server=r[4], t_client=r[5], cause=r[6], residual=r[7],
-            )
-            for r in rows
-        ]
+            return _read_sync_samples(self._conn)
 
     def close(self) -> None:
         with self._lock:
             self._conn.close()
+
+
+def _read_packets(conn: sqlite3.Connection) -> list[PacketRecord]:
+    rows = conn.execute(
+        "SELECT record_id, seqno, source, destination, sender,"
+        " receiver, channel, kind, size_bits, t_origin, t_receipt,"
+        " t_forward, t_delivered, drop_reason FROM packets"
+        " ORDER BY record_id"
+    ).fetchall()
+    return [PacketRecord(*r) for r in rows]
+
+
+def _read_scene_events(conn: sqlite3.Connection) -> list[SceneEvent]:
+    rows = conn.execute(
+        "SELECT time, kind, node, details FROM scene_events"
+        " ORDER BY event_id"
+    ).fetchall()
+    return [
+        SceneEvent(time=r[0], kind=r[1], node=NodeId(r[2]),
+                   details=json.loads(r[3]))
+        for r in rows
+    ]
+
+
+def _read_spans(conn: sqlite3.Connection) -> list:
+    from ..obs.tracing import TraceSpan
+
+    rows = conn.execute(
+        "SELECT trace_id, source, seqno, channel, sender, receiver,"
+        " t_start, t_forward, lag, outcome, stages FROM trace_spans"
+        " ORDER BY span_id"
+    ).fetchall()
+    return [
+        TraceSpan(
+            trace_id=r[0], source=r[1], seqno=r[2], channel=r[3],
+            sender=r[4], receiver=r[5], t_start=r[6], t_forward=r[7],
+            lag=r[8], outcome=r[9],
+            stages=tuple((s[0], s[1]) for s in json.loads(r[10])),
+        )
+        for r in rows
+    ]
+
+
+def _read_sync_samples(conn: sqlite3.Connection) -> list[SyncSample]:
+    rows = conn.execute(
+        "SELECT node, label, clock_offset, delay, t_server,"
+        " t_client, cause, residual FROM sync_samples"
+        " ORDER BY sample_id"
+    ).fetchall()
+    return [
+        SyncSample(
+            node=r[0], label=r[1], offset=r[2], delay=r[3],
+            t_server=r[4], t_client=r[5], cause=r[6], residual=r[7],
+        )
+        for r in rows
+    ]
+
+
+@contextmanager
+def _read_only(path: Union[str, Path]) -> Iterator[sqlite3.Connection]:
+    """A connection to the recording at ``path`` that writes nothing,
+    not even SQLite's side files: a recording whose writer closed it
+    cleanly has no ``-wal`` file and is opened ``immutable`` (no locks,
+    no ``-shm``); one that still has a ``-wal`` (a live or crashed
+    writer) is read through it.  A missing file, a file that is not
+    SQLite and a database without a ``packets`` table all raise
+    :class:`RecordingError`.
+    """
+    target = Path(path)
+    if not target.is_file():
+        raise RecordingError(f"no recording at {str(path)!r}")
+    wal = target.with_name(target.name + "-wal")
+    mode = "ro" if wal.exists() else "ro&immutable=1"
+    uri = f"{target.resolve().as_uri()}?mode={mode}"
+    try:
+        with closing(sqlite3.connect(uri, uri=True)) as conn:
+            if not conn.execute(
+                "SELECT 1 FROM sqlite_master WHERE name = 'packets'"
+            ).fetchone():
+                raise RecordingError(
+                    f"{str(path)!r} is not a PoEm recording (no packets table)"
+                )
+            yield conn
+    except sqlite3.Error as exc:
+        raise RecordingError(f"cannot read recording {str(path)!r}: {exc}") from exc
 
 
 class RunDataset:
@@ -524,7 +573,7 @@ class RunDataset:
         self.scene_events = scene_events
         self.spans = spans
         self.sync_samples = sync_samples
-        self.evicted = 0  # ring-bound evictions (set by from_recorder)
+        self.evicted = 0  # ring-bound evictions (set by load_dataset)
         # -- indexes --------------------------------------------------------
         self._by_record_id = {p.record_id: p for p in packets}
         self._spans_by_key: dict[tuple[int, int], list] = {}
@@ -537,17 +586,6 @@ class RunDataset:
             self._syncs_by_node.setdefault(s.node, []).append(s)
         for lst in self._syncs_by_node.values():
             lst.sort(key=lambda s: s.t_server)
-
-    @classmethod
-    def from_recorder(cls, recorder: Recorder) -> "RunDataset":
-        dataset = cls(
-            recorder.packets(),
-            recorder.scene_events(),
-            recorder.spans(),
-            recorder.sync_samples(),
-        )
-        dataset.evicted = int(getattr(recorder, "evicted", 0))
-        return dataset
 
     # -- basic partitions ----------------------------------------------------
 
@@ -631,25 +669,30 @@ class RunDataset:
         return None if event is None else dict(event.details)
 
     def time_range(self) -> tuple[float, float]:
-        """``(start, end)`` of the run on the server clock.
+        """``(start, end)`` of the run on the server clock, the one
+        extent replay, ``poem stats`` and ``poem analyze`` frame it by.
 
-        Start is the earliest receipt/scene time; end prefers the
-        ``run-summary`` stop stamp, falling back to the last observed
-        packet/scene time.
+        Start is the earliest receipt/forward/delivery or scene time,
+        but the earliest *surviving* packet stamp when the ring bound
+        evicted early records (the evicted stretch is not a quiet run
+        start).  End is the latest of those times, or the
+        ``run-summary`` stop stamp when later.
         """
-        times: list[float] = []
-        for p in self.packets:
-            for t in (p.t_receipt, p.t_forward, p.t_delivered):
-                if t is not None:
-                    times.append(t)
-        times.extend(e.time for e in self.scene_events)
+        stamps = [
+            t
+            for p in self.packets
+            for t in (p.t_receipt, p.t_forward, p.t_delivered)
+            if t is not None
+        ]
+        times = stamps + [e.time for e in self.scene_events]
         if not times:
             return (0.0, 0.0)
+        start = min(stamps) if self.evicted and stamps else min(times)
         end = max(times)
         summary = self._last_event("run-summary")
         if summary is not None:
             end = max(end, summary.time)
-        return (min(times), end)
+        return (start, end)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -659,20 +702,32 @@ class RunDataset:
         )
 
 
-def load_dataset(source: Union[str, Recorder, RunDataset]) -> RunDataset:
+def load_dataset(source: Union[str, Path, Recorder, RunDataset]) -> RunDataset:
     """Load a run from a :class:`Recorder` or a SQLite file path (a
     :class:`RunDataset` passes through).
 
-    A path is opened read-style via :class:`SqliteRecorder` (sqlite is
-    append-only here; opening an existing db never mutates recorded
-    rows) and closed again once the snapshot is taken.
+    A path is opened read-only and closed again once the snapshot is
+    taken; nothing is created or written, and a path that holds no
+    recording raises :class:`RecordingError`.
     """
     if isinstance(source, RunDataset):
         return source
     if isinstance(source, Recorder):
-        return RunDataset.from_recorder(source)
-    recorder = SqliteRecorder(str(source))
-    try:
-        return RunDataset.from_recorder(recorder)
-    finally:
-        recorder.close()
+        dataset = RunDataset(
+            source.packets(), source.scene_events(), source.spans(),
+            source.sync_samples(),
+        )
+        dataset.evicted = int(getattr(source, "evicted", 0))
+        return dataset
+    with _read_only(source) as conn:
+        return RunDataset(
+            _read_packets(conn), _read_scene_events(conn), _read_spans(conn),
+            _read_sync_samples(conn),
+        )
+
+
+def load_scene_events(path: Union[str, Path]) -> list[SceneEvent]:
+    """Only the scene log of the recording at ``path``, read through the
+    same non-writing open as :func:`load_dataset`."""
+    with _read_only(path) as conn:
+        return _read_scene_events(conn)

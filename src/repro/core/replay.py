@@ -4,7 +4,7 @@
 developed routing protocol, a GUI-based emulator that can replay the
 scenario after emulation ... will be preferred."
 
-:class:`ReplayEngine` reconstructs the run from the recorder's two logs:
+:class:`ReplayEngine` reconstructs the run from the recording's two logs:
 scene events rebuild node positions/radios at any time ``t`` (a fold of
 the event stream), and packet records provide the traffic that was in
 flight around ``t``.  Frames can be stepped at a fixed rate
@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from pathlib import Path
+from typing import Iterator, Optional, Union
 
 from ..errors import ReplayError
 from .ids import NodeId
 from .packet import PacketRecord
-from .recording import Recorder
+from .recording import Recorder, RunDataset, load_dataset
 from .scene import SceneEvent
 
 __all__ = ["ReplayNode", "ReplayFrame", "ReplayEngine"]
@@ -63,26 +64,39 @@ class ReplayFrame:
 
 
 class ReplayEngine:
-    """Scrubber over a finished recording.
+    """Scrubber over a finished recording (anything ``load_dataset``
+    takes), framed by the run's one extent, ``RunDataset.time_range()``.
 
     Ring-evicted recordings (a :class:`~repro.core.recording.
-    MemoryRecorder` with ``max_records``) replay honestly: the engine
-    starts at the earliest *surviving* packet time and stamps every
-    frame with :attr:`truncated_before` instead of silently presenting
-    the evicted stretch as an idle run start.  Scene events are never
-    evicted, so the scene fold stays exact.
+    MemoryRecorder` with ``capacity``) replay honestly: that extent
+    starts at the earliest *surviving* packet time, and every frame
+    carries :attr:`truncated_before` instead of presenting the evicted
+    stretch as an idle run start.  Scene events are never evicted, so
+    the scene fold stays exact.
     """
 
-    def __init__(self, recorder: Recorder) -> None:
-        self._events = recorder.scene_events()
-        self._packets = recorder.packets()
+    def __init__(self, source: Union[str, Path, Recorder, RunDataset]) -> None:
+        dataset = load_dataset(source)
+        self._events = dataset.scene_events
+        self._packets = dataset.packets
         if not self._events and not self._packets:
             raise ReplayError("recording is empty — nothing to replay")
+        self.start_time, self.end_time = dataset.time_range()
+        self.truncated_before: Optional[float] = (
+            self.start_time if dataset.evicted else None
+        )
         self._event_times = [e.time for e in self._events]
-        # Packets sorted by forward time for the in-flight query.
-        self._by_forward = sorted(
-            (p for p in self._packets if p.t_forward is not None),
+        # Delivered packets by forward time for the in-flight query,
+        # bounded by the longest receipt-to-forward hold.
+        self._in_flight = sorted(
+            (p for p in self._packets
+             if not p.dropped and p.t_forward is not None),
             key=lambda p: p.t_forward,
+        )
+        self._forward_times = [p.t_forward for p in self._in_flight]
+        self._max_hold = max(
+            (p.t_forward - _held_from(p) for p in self._in_flight),
+            default=0.0,
         )
         self._drops = sorted(
             (p for p in self._packets if p.dropped and p.t_receipt is not None),
@@ -94,45 +108,6 @@ class ReplayEngine:
             for p in self._packets
             if not p.dropped and p.t_delivered is not None
         )
-        self.truncated_before: Optional[float] = None
-        if getattr(recorder, "evicted", 0):
-            surviving = [
-                t
-                for p in self._packets
-                for t in (p.t_origin, p.t_receipt, p.t_forward)
-                if t is not None
-            ]
-            if surviving:
-                self.truncated_before = min(surviving)
-
-    # -- extent --------------------------------------------------------------
-
-    @property
-    def start_time(self) -> float:
-        times = []
-        if self._events:
-            times.append(self._events[0].time)
-        if self._packets:
-            stamps = [p.t_origin for p in self._packets if p.t_origin is not None]
-            if stamps:
-                times.append(min(stamps))
-        start = min(times) if times else 0.0
-        if self.truncated_before is not None:
-            # Evicted stretch: replaying it would misrepresent the run.
-            return max(start, self.truncated_before)
-        return start
-
-    @property
-    def end_time(self) -> float:
-        times = [self.start_time]
-        if self._events:
-            times.append(self._events[-1].time)
-        for p in self._packets:
-            for stamp in (p.t_delivered, p.t_forward, p.t_receipt):
-                if stamp is not None:
-                    times.append(stamp)
-                    break
-        return max(times)
 
     # -- reconstruction ---------------------------------------------------------
 
@@ -180,17 +155,13 @@ class ReplayEngine:
         # link-set / mobility-set don't change what replay draws.
 
     def in_flight_at(self, t: float) -> list[PacketRecord]:
-        """Delivered packets whose (receipt, forward] interval spans ``t``."""
-        out = []
-        for p in self._by_forward:
-            if p.t_forward < t:
-                continue
-            start = p.t_receipt if p.t_receipt is not None else p.t_forward
-            if start <= t and not p.dropped:
-                out.append(p)
-            if p.t_forward > t and start > t:
-                break
-        return out
+        """Delivered packets whose (receipt, forward] interval spans ``t``,
+        in forward-time order."""
+        lo = bisect.bisect_left(self._forward_times, t)
+        # Nothing held longer than _max_hold can span t; the slack only
+        # absorbs the rounding of t_forward - held_from + held_from.
+        hi = bisect.bisect_right(self._forward_times, t + self._max_hold + 1e-9)
+        return [p for p in self._in_flight[lo:hi] if _held_from(p) <= t]
 
     def drops_between(self, t0: float, t1: float) -> list[PacketRecord]:
         """Dropped packets with receipt time in ``[t0, t1)``."""
@@ -243,6 +214,12 @@ class ReplayEngine:
         if total:
             lines.append(f"  overall loss    : {dropped / total:.1%}")
         return "\n".join(lines)
+
+
+def _held_from(p: PacketRecord) -> float:
+    """When the server started holding ``p``: its receipt, else its
+    forward time."""
+    return p.t_receipt if p.t_receipt is not None else p.t_forward
 
 
 def _frame_times(start: float, end: float, step: float) -> Iterator[float]:

@@ -148,7 +148,6 @@ class PoEmServer(ForwardingCore):
         bounds: Optional[Bounds] = None,
         seed: Optional[int] = 0,
         schedule_capacity: Optional[int] = None,
-        use_client_stamps: bool = True,
         mobility_tick: float = 0.05,
         scan_poll: float = 0.002,
         heartbeat_interval: float = 0.5,
@@ -170,7 +169,7 @@ class PoEmServer(ForwardingCore):
             bounds=bounds,
             recorder=recorder,
             schedule_capacity=schedule_capacity,
-            use_client_stamps=use_client_stamps,
+            use_client_stamps=True,
             telemetry=telemetry,
             lag_budget=lag_budget,
             profile_hz=profile_hz,

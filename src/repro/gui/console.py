@@ -371,7 +371,7 @@ class PoEmConsole(cmd.Cmd):
         """
         try:
             from ..obs import profiler as profiler_mod
-            from ..obs.timeline import timeline_from_recorder, write_timeline
+            from ..obs.timeline import timeline_from_dataset, write_timeline
 
             path = arg.strip() or "poem-timeline.json"
             prof = getattr(self.emulator, "profiler", None)
@@ -382,7 +382,7 @@ class PoEmConsole(cmd.Cmd):
                 self._fail("emulator has no recorder to export from")
                 return
             write_timeline(
-                path, timeline_from_recorder(recorder, profiler=prof)
+                path, timeline_from_dataset(recorder, profiler=prof)
             )
             self._say(
                 f"timeline written to {path} — open in "

@@ -36,7 +36,7 @@ from .metrics import (
 from .tracing import PIPELINE_STAGES, PipelineTracer, Trace, TraceSpan, format_span
 from .telemetry import Telemetry
 from .profiler import SamplingProfiler, format_profile
-from .timeline import build_timeline, timeline_from_recorder, write_timeline
+from .timeline import build_timeline, timeline_from_dataset, write_timeline
 from .logging import JsonFormatter, configure, get_logger, log_event, set_level
 
 __all__ = [
@@ -55,7 +55,7 @@ __all__ = [
     "SamplingProfiler",
     "format_profile",
     "build_timeline",
-    "timeline_from_recorder",
+    "timeline_from_dataset",
     "write_timeline",
     "JsonFormatter",
     "configure",

@@ -29,7 +29,7 @@ Lane model (cluster runs):
   two timebases align.  Wall-clock stamps are normalized so t=0 is the
   first sampled event; emulation stamps are near zero already.
 
-Offline, :func:`timeline_from_recorder` rebuilds the same view from a
+Offline, :func:`timeline_from_dataset` rebuilds the same view from a
 recording: persisted trace spans, the ``cluster-run`` event's shard
 map (which is what maps spans onto worker lanes), and the ``profile``
 scene event if the run recorded one.  ``poem analyze --timeline`` and
@@ -45,7 +45,7 @@ from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 __all__ = [
     "PARENT_PID",
     "build_timeline",
-    "timeline_from_recorder",
+    "timeline_from_dataset",
     "write_timeline",
 ]
 
@@ -327,33 +327,29 @@ def build_timeline(
     }
 
 
-def timeline_from_recorder(
-    recorder: Any,
-    *,
-    profiler: Optional[Any] = None,
-    transitions: Iterable[Mapping[str, Any]] = (),
+def timeline_from_dataset(
+    source: Any, *, profiler: Optional[Any] = None
 ) -> dict[str, Any]:
-    """Build the timeline from a recording (offline ``poem analyze
-    --timeline`` and the live ``/timeline`` endpoint share this).
+    """Build the timeline from a recording: anything
+    :func:`~repro.core.recording.load_dataset` takes (offline ``poem
+    analyze --timeline`` passes the dataset it already loaded; the
+    console passes its live recorder).
 
     The ``cluster-run`` scene event's shard map, when present, is what
     puts each span's worker stages on the right shard lane.
     """
-    scene_events = list(recorder.scene_events())
-    shard_map: Optional[Mapping[Any, Any]] = None
-    for event in scene_events:
-        if _scene_get(event, "kind") == "cluster-run":
-            details = _scene_get(event, "details", {}) or {}
-            shard_map = details.get("shard_map") or shard_map
+    from ..core.recording import load_dataset
+
+    dataset = load_dataset(source)
+    cluster = dataset.cluster_run or {}
     samples: list[Sequence[Any]] = []
     if profiler is not None:
         samples = list(profiler.recent_samples())
     return build_timeline(
-        spans=recorder.spans(),
-        scene_events=scene_events,
+        spans=dataset.spans,
+        scene_events=dataset.scene_events,
         samples=samples,
-        transitions=transitions,
-        shard_map=shard_map,
+        shard_map=cluster.get("shard_map"),
     )
 
 

@@ -12,7 +12,9 @@ want the data in pandas/R/gnuplot instead.  Two formats:
   (``export_metrics_json``), the same data ``/metrics`` exposes in
   Prometheus text, for runs without a scraper attached.
 
-All writers stream; nothing is buffered wholesale.
+The record writers take what :func:`~repro.core.recording.load_dataset`
+takes and load the recording once, before the output file is opened;
+``export_jsonl`` then sorts both logs in memory to interleave them.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import json
 from pathlib import Path
 from typing import Union
 
-from ..core.recording import Recorder
+from ..core.recording import Recorder, RunDataset, load_dataset
 
 __all__ = [
     "export_packets_csv",
@@ -31,6 +33,8 @@ __all__ = [
     "export_metrics_json",
 ]
 
+Source = Union[str, Path, Recorder, RunDataset]
+
 PACKET_FIELDS = (
     "record_id", "seqno", "source", "destination", "sender", "receiver",
     "channel", "kind", "size_bits", "t_origin", "t_receipt", "t_forward",
@@ -38,36 +42,33 @@ PACKET_FIELDS = (
 )
 
 
-def export_packets_csv(recorder: Recorder, path: Union[str, Path]) -> int:
+def export_packets_csv(source: Source, path: Union[str, Path]) -> int:
     """Write the packet log as CSV; returns the row count."""
-    count = 0
+    packets = load_dataset(source).packets
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(PACKET_FIELDS)
-        for record in recorder.packets():
-            writer.writerow(
-                [getattr(record, field) for field in PACKET_FIELDS]
-            )
-            count += 1
-    return count
+        writer.writerows(
+            [getattr(record, field) for field in PACKET_FIELDS]
+            for record in packets
+        )
+    return len(packets)
 
 
-def export_scene_csv(recorder: Recorder, path: Union[str, Path]) -> int:
+def export_scene_csv(source: Source, path: Union[str, Path]) -> int:
     """Write the scene-event log as CSV (details JSON-encoded)."""
-    count = 0
+    events = load_dataset(source).scene_events
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("time", "kind", "node", "details"))
-        for event in recorder.scene_events():
-            writer.writerow(
-                (event.time, event.kind, int(event.node),
-                 json.dumps(event.details))
-            )
-            count += 1
-    return count
+        writer.writerows(
+            (event.time, event.kind, int(event.node), json.dumps(event.details))
+            for event in events
+        )
+    return len(events)
 
 
-def export_jsonl(recorder: Recorder, path: Union[str, Path]) -> int:
+def export_jsonl(source: Source, path: Union[str, Path]) -> int:
     """Write both logs as time-ordered JSON lines; returns line count.
 
     Each line is ``{"type": "packet"|"scene", "t": <sort time>, ...}``.
@@ -81,14 +82,15 @@ def export_jsonl(recorder: Recorder, path: Union[str, Path]) -> int:
                 return stamp
         return 0.0
 
+    dataset = load_dataset(source)
     entries: list[tuple[float, int, dict]] = []
-    for record in recorder.packets():
+    for record in dataset.packets:
         obj = {"type": "packet", "t": packet_time(record)}
         obj.update(
             {field: getattr(record, field) for field in PACKET_FIELDS}
         )
         entries.append((obj["t"], 0, obj))
-    for event in recorder.scene_events():
+    for event in dataset.scene_events:
         entries.append(
             (
                 event.time,

@@ -24,7 +24,7 @@ from ..core.overload import (
     degraded_intervals,
     fidelity_verdict,
 )
-from ..core.packet import DropReason
+from ..core.packet import DropReason, PacketRecord
 from ..core.recording import Recorder, RunDataset, load_dataset
 from .metrics import LatencyStats, jitter_stats, latency_stats
 
@@ -140,47 +140,38 @@ def build_report(
     lag_budget: Optional[float] = None,
 ) -> RunReport:
     """Compute the run report of one recording (a recorder, a SQLite
-    path, or a loaded :class:`RunDataset`).  Deliveries are bucketed
-    against ``lag_budget``, by default the run's own
+    path, or a loaded :class:`RunDataset`).  ``duration`` is the span
+    of :meth:`RunDataset.time_range`.  Deliveries are bucketed against
+    ``lag_budget``, by default the run's own
     (:func:`recorded_lag_budget`)."""
     dataset = load_dataset(source)
     if lag_budget is None:
         lag_budget = recorded_lag_budget(dataset)
     packets = dataset.packets
-    stamps = [
-        s
-        for p in packets
-        for s in (p.t_origin, p.t_delivered)
-        if s is not None
-    ]
-    duration = (max(stamps) - min(stamps)) if stamps else 0.0
+    start, end = dataset.time_range()
     dropped = [p for p in packets if p.dropped]
     reasons = Counter(p.drop_reason for p in dropped)
 
     # Per-flow stats over data records, keyed by (source, destination).
-    flow_keys = Counter(
-        (p.source, p.destination)
-        for p in packets
-        if p.kind == "data" and p.destination >= 0
-    )
+    by_flow: dict[tuple[int, int], list[PacketRecord]] = {}
+    for p in packets:
+        if p.kind == "data" and p.destination >= 0:
+            by_flow.setdefault((p.source, p.destination), []).append(p)
     flows = []
-    for (src, dst), _count in flow_keys.most_common(top_flows):
-        rows = [
-            p for p in packets
-            if p.kind == "data" and p.source == src and p.destination == dst
-        ]
-        # Offered = distinct frames (dedup fan-out rows by seqno).
-        offered = len({p.seqno for p in rows})
+    for (src, dst), _count in Counter(
+        {key: len(rows) for key, rows in by_flow.items()}
+    ).most_common(top_flows):
+        rows = by_flow[src, dst]
         delivered_rows = [
             p for p in rows if not p.dropped and p.receiver == dst
         ]
-        delivered = len({p.seqno for p in delivered_rows})
         flows.append(
             FlowStats(
                 source=src,
                 destination=dst,
-                offered=offered,
-                delivered=delivered,
+                # Offered = distinct frames (dedup fan-out rows by seqno).
+                offered=len({p.seqno for p in rows}),
+                delivered=len({p.seqno for p in delivered_rows}),
                 latency=latency_stats(delivered_rows),
                 jitter=jitter_stats(delivered_rows),
             )
@@ -222,7 +213,7 @@ def build_report(
         deadlines.note(lag)
 
     return RunReport(
-        duration=duration,
+        duration=end - start,
         total_records=len(packets),
         delivered=len(packets) - len(dropped),
         dropped=len(dropped),

@@ -11,7 +11,7 @@ import urllib.request
 
 import pytest
 
-from repro.analysis import RunDataset
+from repro.analysis import load_dataset
 from repro.analysis.report import analyze, render_text
 from repro.cli import main as cli_main
 from repro.cluster import ShardedEmulator
@@ -80,7 +80,7 @@ class TestTracePropagation:
         assert all((s.source, s.seqno) in keys for s in delivered_spans)
 
         # The recorder got the merged spans; lineage shows the hop.
-        dataset = RunDataset.from_recorder(recorder)
+        dataset = load_dataset(recorder)
         assert dataset.spans
         traced = next(
             r for r in dataset.delivered if dataset.spans_for(r)

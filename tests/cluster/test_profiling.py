@@ -17,7 +17,7 @@ from repro.obs import profiler as profiler_mod
 from repro.obs.telemetry import Telemetry
 from repro.obs.timeline import (
     PARENT_PID,
-    timeline_from_recorder,
+    timeline_from_dataset,
     write_timeline,
 )
 
@@ -95,7 +95,7 @@ class TestMergedClusterProfile:
     def test_timeline_has_a_lane_per_shard_and_hop_flows(self, tmp_path):
         emu = _profiled_cluster_run()
 
-        timeline = timeline_from_recorder(
+        timeline = timeline_from_dataset(
             emu.recorder, profiler=emu.profiler
         )
         path = write_timeline(tmp_path / "timeline.json", timeline)

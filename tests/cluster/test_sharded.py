@@ -12,7 +12,7 @@ from repro.analysis.anomalies import (
     Thresholds,
     detect_cluster_merge_inversions,
 )
-from repro.analysis import RunDataset
+from repro.analysis import RunDataset, load_dataset
 from repro.analysis.report import analyze
 from repro.cluster import ShardedEmulator
 from repro.core.geometry import Vec2
@@ -373,7 +373,7 @@ class TestForensics:
             emu.collect()
             emu.record_run_summary()
             recorder = emu.recorder
-        dataset = RunDataset.from_recorder(recorder)
+        dataset = load_dataset(recorder)
         assert dataset.cluster_run is not None
         assert dataset.cluster_run["n_workers"] == 4
         report = analyze(recorder)

@@ -117,6 +117,22 @@ class TestSqliteSpecific:
         with pytest.raises(RecordingError):
             SqliteRecorder("/nonexistent-dir-xyz/db.sqlite")
 
+    def test_load_dataset_reads_live_and_closed_recordings_in_place(
+        self, tmp_path
+    ):
+        from repro.core.recording import load_dataset
+
+        path = tmp_path / "odd #name?.sqlite"
+        writer = SqliteRecorder(str(path))
+        writer.record_packet(row(1))
+        live_files = sorted(tmp_path.iterdir())  # db + its -wal/-shm
+        assert len(load_dataset(path).packets) == 1  # read through the log
+        assert sorted(tmp_path.iterdir()) == live_files
+        writer.close()
+        assert list(tmp_path.iterdir()) == [path]
+        assert len(load_dataset(str(path)).packets) == 1
+        assert list(tmp_path.iterdir()) == [path]
+
 
 class TestBatchedHotPath:
     """record_many — the engine's batched interface; the recorder

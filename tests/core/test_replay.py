@@ -136,6 +136,44 @@ class TestTrafficReconstruction:
         frame = replay.frame_at(0.0)
         assert set(frame.nodes) == {n(1), n(2)}
 
+    def test_long_hold_received_earlier_is_in_flight(self):
+        # C is received after t and forwarded first; D was received
+        # before t with a longer hold and is still in flight at t.
+        recorder = MemoryRecorder()
+        recorder.record_many([
+            astuple(_held(1, t_receipt=1.05, t_forward=1.2))[1:],
+            astuple(_held(2, t_receipt=0.2, t_forward=1.3))[1:],
+        ])
+        (d,) = [p for p in recorder.packets() if p.seqno == 2]
+        assert ReplayEngine(recorder).in_flight_at(1.0) == [d]
+
+    def test_in_flight_matches_brute_force_over_mixed_delays(self):
+        import random
+
+        rng = random.Random(5)
+        records = []
+        for i in range(300):
+            t_receipt = rng.uniform(0.0, 10.0)
+            hold = rng.choice((0.001, 0.05, 0.4, 2.5)) * rng.random()
+            dropped = rng.random() < 0.1
+            records.append(_held(
+                i + 1, t_receipt=t_receipt, t_forward=t_receipt + hold,
+                drop_reason="loss-model" if dropped else None,
+            ))
+        recorder = MemoryRecorder()
+        recorder.record_many([astuple(r)[1:] for r in records])
+        replay = ReplayEngine(recorder)
+        packets = recorder.packets()
+        for t in [rng.uniform(-1.0, 13.0) for _ in range(200)] + [
+            p.t_forward for p in packets[:20]
+        ] + [p.t_receipt for p in packets[:20]]:
+            expected = sorted(
+                (p for p in packets
+                 if not p.dropped and p.t_receipt <= t <= p.t_forward),
+                key=lambda p: p.t_forward,
+            )
+            assert replay.in_flight_at(t) == expected, t
+
 
 # ---------------------------------------------------------------------------
 # Ring-evicted recordings + run-summary events (PR 4)
@@ -151,6 +189,17 @@ def _packet(i, t):
         receiver=2, channel=1, kind="data", size_bits=100,
         t_origin=t, t_receipt=t, t_forward=t + 0.001,
         t_delivered=t + 0.001, drop_reason=None,
+    )
+
+
+def _held(i, *, t_receipt, t_forward, drop_reason=None):
+    """A record the server held from ``t_receipt`` to ``t_forward``."""
+    return PacketRecord(
+        record_id=i, seqno=i, source=1, destination=2, sender=1,
+        receiver=2, channel=1, kind="data", size_bits=100,
+        t_origin=t_receipt, t_receipt=t_receipt, t_forward=t_forward,
+        t_delivered=None if drop_reason else t_forward,
+        drop_reason=drop_reason,
     )
 
 

@@ -5,7 +5,7 @@ import json
 from repro.obs.timeline import (
     PARENT_PID,
     build_timeline,
-    timeline_from_recorder,
+    timeline_from_dataset,
     write_timeline,
 )
 from repro.obs.tracing import TraceSpan
@@ -135,7 +135,7 @@ class TestBuildTimeline:
 
 
 class TestRecorderAndFile:
-    def test_timeline_from_recorder_uses_cluster_shard_map(self):
+    def test_timeline_from_dataset_uses_cluster_shard_map(self):
         from repro.core.ids import NodeId
         from repro.core.recording import MemoryRecorder
         from repro.core.scene import SceneEvent
@@ -150,7 +150,7 @@ class TestRecorderAndFile:
                 details={"shard_map": {"3": 1}, "n_workers": 2},
             )
         )
-        tl = timeline_from_recorder(rec)
+        tl = timeline_from_dataset(rec)
         xs = _by_ph(tl, "X")
         assert {e["pid"] for e in xs} == {PARENT_PID, 2 + 1}
 

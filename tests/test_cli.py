@@ -275,3 +275,54 @@ class TestConsoleCommand:
         out = capsys.readouterr().out
         assert "A" in out and "B" in out
         assert "# of Routing Entries: 1" in out
+
+
+#: Every offline reader, with the output path it would write if it
+#: ran (``{out}``).
+READERS = {
+    "stats": ["stats"],
+    "analyze": ["analyze", "--out", "{out}"],
+    "analyze-fail-degraded": ["analyze", "--fail-degraded"],
+    "analyze-timeline": ["analyze", "--timeline", "{out}"],
+    "replay": ["replay", "--svg", "{out}"],
+    "export-csv": ["export", "--out", "{out}"],
+    "export-jsonl": ["export", "--format", "jsonl", "--out", "{out}"],
+    "profile": ["profile", "--out", "{out}"],
+}
+
+
+def _reader_argv(name, recording, out):
+    cmd, *rest = READERS[name]
+    return [cmd, str(recording)] + [a.format(out=out) for a in rest]
+
+
+class TestReadingWritesNothing:
+    @pytest.mark.parametrize("name", sorted(READERS))
+    def test_missing_recording_fails_and_creates_nothing(
+        self, tmp_path, capsys, name
+    ):
+        argv = _reader_argv(name, tmp_path / "absent.sqlite",
+                            tmp_path / "out")
+        assert main(argv) == 1
+        assert "no recording" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", sorted(READERS))
+    def test_foreign_database_fails_and_stays_unchanged(
+        self, tmp_path, capsys, name
+    ):
+        import hashlib
+        import sqlite3
+
+        foreign = tmp_path / "other.db"
+        conn = sqlite3.connect(foreign)
+        conn.execute("CREATE TABLE notes (body TEXT)")
+        conn.execute("INSERT INTO notes VALUES ('keep me')")
+        conn.commit()
+        conn.close()
+        digest = hashlib.sha1(foreign.read_bytes()).hexdigest()
+        argv = _reader_argv(name, foreign, tmp_path / "out")
+        assert main(argv) == 1
+        assert "not a PoEm recording" in capsys.readouterr().err
+        assert hashlib.sha1(foreign.read_bytes()).hexdigest() == digest
+        assert list(tmp_path.iterdir()) == [foreign]
