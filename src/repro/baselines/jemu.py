@@ -108,8 +108,8 @@ class JEmuEmulator(InProcessEmulator):
             bounds=bounds,
             recorder=recorder,
             schedule_capacity=schedule_capacity,
-            use_client_stamps=False,  # the defining JEmu property
         )
+        self.engine.use_client_stamps = False  # the defining JEmu property
         self.service_time = service_time
         self._inbox: deque[tuple[VirtualNodeHost, Packet]] = deque()
         self._busy_until = 0.0

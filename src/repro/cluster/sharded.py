@@ -409,6 +409,8 @@ class ShardedEmulator:
         self._last_shard_ingested = [0] * self.n_workers
         for worker in range(self.n_workers):
             self.telemetry.forget_source(worker)
+            if self.profiler is not None:
+                self.profiler.forget_remote(worker)
         # New workers bootstrap from a full snapshot, never stale moves.
         with self._pending_lock:
             self._snapshot_due += 1
@@ -898,7 +900,6 @@ class ShardedEmulator:
             "schedule_depth": sum(
                 s["queue_depth"] for s in self.worker_stats
             ),
-            "records_evicted": getattr(self.recorder, "evicted", 0),
             "deadline": self._deadline(),
             "cluster": {
                 "n_workers": self.n_workers,

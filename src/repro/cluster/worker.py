@@ -155,7 +155,6 @@ class _WorkerState(ForwardingCore):
             bounds=None,
             recorder=None,
             schedule_capacity=config.schedule_capacity,
-            use_client_stamps=True,
             telemetry=telemetry,
             lag_budget=DEFAULT_LAG_BUDGET,
             profile_hz=config.profile_hz,

@@ -141,11 +141,6 @@ class ForwardingEngine:
             lambda: self.transport_dropped,
         )
         reg.counter_fn(
-            "poem_records_evicted_total",
-            "Packet records discarded by the MemoryRecorder ring bound",
-            lambda: getattr(self.recorder, "evicted", 0),
-        )
-        reg.counter_fn(
             "poem_deliveries_on_time_total",
             "Deliveries within the scheduler lag budget",
             lambda: self.deadlines.on_time,
@@ -489,21 +484,21 @@ class ForwardingEngine:
         """Real-time harvest step: deliver whatever is due at ``now``.
 
         The waiting happens in the caller's ``select`` (see
-        :meth:`ForwardSchedule.wait_ready`).  The overload controller's
-        ``fire_window`` widens the harvest under pressure (batched fire
-        windows trade per-frame precision for fewer wakeups); an empty
-        harvest feeds a quiet observation so degraded states decay.
+        :meth:`ForwardSchedule.wait_ready`); no frame is harvested
+        before its forward time.  An empty harvest feeds a quiet
+        observation so degraded states decay.
         """
-        ov = self.overload
-        due = self.schedule.wait_due(now, fire_window=ov.fire_window)
+        due = self.schedule.wait_due(now)
         if not due:
-            ov.observe(0.0, len(self.schedule))
+            self.overload.observe(0.0, len(self.schedule))
             return 0
         return self._deliver_batch(due, now)
 
     def _deliver_batch(self, due: list[ScheduledPacket], now: float) -> int:
-        """Deliver a batch of due entries with batched recording: one
-        counter-lock acquisition and one ``record_many`` per flush.
+        """Deliver a batch of entries due at ``now`` (every ``t_forward
+        ≤ now``, so every lag is ≥ 0 and every delivery is stamped
+        ``t_delivered = now``) with batched recording: one counter-lock
+        acquisition and one ``record_many`` per flush.
 
         The frame-level work is done once per entry (fan-out group):
         trace lookup, scheduler lag, the shed decision, the
@@ -544,8 +539,6 @@ class ForwardingEngine:
                 )
             t_forward = entry.t_forward
             lag = now - t_forward
-            if lag < 0.0:
-                lag = 0.0
             if lag > max_lag:
                 max_lag = lag
             if m_lag is not None:
@@ -555,8 +548,7 @@ class ForwardingEngine:
                 if tr is not None:
                     tracer.finalize(tr, "deadline-shed")
                 continue
-            t_delivered = t_forward if t_forward > now else now
-            packet = entry.packet.stamped(t_delivered=t_delivered)
+            packet = entry.packet.stamped(t_delivered=now)
             sender = int(entry.sender)
             seqno = int(packet.seqno)
             source = int(packet.source)
@@ -589,7 +581,7 @@ class ForwardingEngine:
                     append((
                         seqno, source, destination, sender, int(receiver),
                         channel, kind, size_bits, t_origin, t_receipt,
-                        t_forward, t_delivered, None,
+                        t_forward, now, None,
                     ))
             if len(rows) > n_rows:
                 deadlines.note(lag, len(rows) - n_rows)

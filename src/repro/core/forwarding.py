@@ -91,7 +91,7 @@ def record_run_summary(
 
     Offline analysis should not have to infer the run end from the last
     packet: the summary pins stop time, pipeline ``totals`` and the
-    ring-eviction count, plus whatever ``sections`` the deployment has
+    sync-sample count, plus whatever ``sections`` the deployment has
     (``overload``/``deadline`` where an engine is local; ``cluster``
     and the workers' summed ``deadline`` on the sharded parent).  A profiled run records its ``profile``
     event first, so ``poem profile <db>`` reads it back.  Both are about
@@ -112,7 +112,6 @@ def record_run_summary(
             node=NodeId(-1),
             details={
                 **totals,
-                "records_evicted": getattr(recorder, "evicted", 0),
                 "sync_samples": len(recorder.sync_samples()),
                 **sections,
             },
@@ -161,7 +160,6 @@ class ForwardingCore:
         bounds: Optional[Bounds],
         recorder: Optional[Recorder],
         schedule_capacity: Optional[int],
-        use_client_stamps: bool,
         telemetry: Optional[Telemetry],
         lag_budget: float,
         profile_hz: Optional[float],
@@ -187,7 +185,6 @@ class ForwardingCore:
             self.recorder,
             rng=np.random.default_rng(seed),
             schedule_capacity=schedule_capacity,
-            use_client_stamps=use_client_stamps,
             mac=mac,
             energy=energy,
             telemetry=self.telemetry,
@@ -228,7 +225,10 @@ class ForwardingCore:
         """Step 1 of a pipeline trace, for a shell whose tracer is on:
         the 1-in-N sampling decision and, when taken, the ``receive``
         stage since ``t0``.  Returns the trace to hand ``engine.ingest``
-        (None for an unsampled packet)."""
+        (None for an unsampled packet, and for every packet while the
+        overload controller sheds tracing)."""
+        if not self.overload.allow_tracing:
+            return None
         tr = self._tracer.maybe_start()
         if tr is not None:
             tr.bind(source, packet)
@@ -263,7 +263,6 @@ class ForwardingCore:
         return {
             "engine": self._engine_totals(),
             "schedule_depth": len(self.engine.schedule),
-            "records_evicted": getattr(self.recorder, "evicted", 0),
             **self._fidelity_sections(),
         }
 

@@ -19,7 +19,7 @@ steps down **one level at a time** after :data:`RECOVERY_OBSERVATIONS`
 consecutive quiet observations, so a bursty load cannot flap the
 controller.  Each state sheds the lowest-value work first:
 
-* ``PRESSURED`` — trace sampling off, modest fire-window batching;
+* ``PRESSURED`` — trace sampling off;
 * ``SATURATED`` — additionally: frames already late by more than the
   shed horizon dropped with the dedicated ``deadline-shed`` cause, and
   new ingest shed at the door once the schedule passes the admission
@@ -88,13 +88,6 @@ EWMA_ALPHA = 0.25
 RECOVERY_OBSERVATIONS = 5
 """Consecutive quiet observations required to step down one level."""
 
-FIRE_WINDOW_PRESSURED = 0.001
-"""Fire-window batching (s) under PRESSURED: near-due entries fire up to
-this much early, amortizing wakeups."""
-
-FIRE_WINDOW_SATURATED = 0.005
-"""Fire-window batching (s) under SATURATED."""
-
 
 class OverloadState:
     """The controller's three load regimes (ordered by severity)."""
@@ -115,7 +108,7 @@ class OverloadController:
     """EWMA-lag + depth state machine driving graceful degradation.
 
     Thread model: :meth:`observe` runs on the thread that flushes; the
-    degradation properties (``fire_window``, ``shed_horizon``,
+    degradation properties (``allow_tracing``, ``shed_horizon``,
     ``admission_limit``, ...) are read lock-free, possibly from other
     threads (the profiler, ``health()``) — reading the current state
     string is atomic, and every consumer tolerates a
@@ -260,15 +253,6 @@ class OverloadController:
     def allow_tracing(self) -> bool:
         """Trace sampling is the first work shed: NOMINAL only."""
         return self._state == OverloadState.NOMINAL
-
-    @property
-    def fire_window(self) -> float:
-        state = self._state
-        if state == OverloadState.SATURATED:
-            return FIRE_WINDOW_SATURATED
-        if state == OverloadState.PRESSURED:
-            return FIRE_WINDOW_PRESSURED
-        return 0.0
 
     @property
     def shed_horizon(self) -> Optional[float]:

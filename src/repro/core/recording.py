@@ -192,42 +192,26 @@ _ROW_FIELDS = 13  # fields of a PacketRow
 
 
 class MemoryRecorder(Recorder):
-    """In-memory recorder: an append-only chain of fixed-size segments.
+    """In-memory recorder: the whole run, kept as one flat list.
 
-    The packet log is stored as a list of *segments* of rows.  Appends
-    only ever touch the open tail segment, so:
-
-    * :meth:`record_many` appends a whole flush's rows under a single
-      lock acquisition;
-    * a segment, once full, is never mutated again — cheap to hand to
-      exporters/readers;
-    * with ``capacity`` set, the segment chain becomes a **ring**: the
-      oldest full segment is discarded when the total exceeds the cap
-      (bounded memory for long soak runs; :attr:`evicted` counts what
-      the ring overwrote).  Default is unbounded, preserving the paper's
-      complete-record semantics.
-
-    A segment is a flat list of the rows' fields, 13 per row: a field
-    costs one 8-byte slot and a row no object of its own (a 13-field
-    tuple costs 144 bytes), and none of the ints, floats, strings and
-    None it holds is an object the garbage collector tracks.  Ids are
-    implicit: the row at position ``i`` of the retained log has id
-    ``evicted + i + 1``.  Rows and records are rebuilt only when read.
+    The packet log is one flat list of the rows' fields, 13 per row: a
+    field costs one 8-byte slot and a row no object of its own (a
+    13-field tuple costs 144 bytes), and none of the ints, floats,
+    strings and None it holds is an object the garbage collector
+    tracks.  :meth:`record_many` appends a whole flush's rows under a
+    single lock acquisition.  Ids are implicit: the row at position
+    ``i`` has id ``i + 1``.  Rows and records are rebuilt only when
+    read.  Nothing is ever discarded, the paper's complete-record
+    semantics; a run too long to hold in memory records to
+    :class:`SqliteRecorder`.
     """
-
-    SEGMENT_SIZE = 4096
 
     #: Bound on retained trace spans (they are *sampled*, so a small ring
     #: covers hours of traffic at default 1-in-128 sampling).
     SPAN_CAPACITY = 4096
 
-    def __init__(self, capacity: Optional[int] = None) -> None:
-        if capacity is not None and capacity <= 0:
-            raise RecordingError(f"capacity must be positive, got {capacity}")
-        self._capacity = capacity
-        self._segments: list[list] = [[]]
-        self._count = 0
-        self.evicted = 0  # records discarded by the ring bound
+    def __init__(self) -> None:
+        self._fields: list = []
         self._events: list[SceneEvent] = []
         self._syncs: list[SyncSample] = []
         self._spans: deque = deque(maxlen=self.SPAN_CAPACITY)
@@ -236,43 +220,16 @@ class MemoryRecorder(Recorder):
     # -- appends (lock held) ---------------------------------------------------
 
     def _extend(self, rows: Sequence[PacketRow]) -> int:
-        first = self.evicted + self._count + 1
-        segments = self._segments
-        size = self.SEGMENT_SIZE
-        done, n = 0, len(rows)
-        while done < n:
-            tail = segments[-1]
-            room = size - len(tail) // _ROW_FIELDS
-            if room == 0:
-                segments.append([])
-                continue
-            batch = rows[done : done + room]
-            before = len(tail)
-            tail.extend(chain.from_iterable(batch))
-            if len(tail) - before != _ROW_FIELDS * len(batch):
-                del tail[before:]
-                self._count += done
-                raise RecordingError(
-                    f"a packet row has {_ROW_FIELDS} fields"
-                )
-            done += room
-        self._count += n
-        capacity = self._capacity
-        while (
-            capacity is not None
-            and self._count > capacity
-            and len(segments) > 1
-        ):
-            del segments[0]
-            self._count -= size
-            self.evicted += size
-        return first
+        fields = self._fields
+        before = len(fields)
+        fields.extend(chain.from_iterable(rows))
+        if len(fields) - before != _ROW_FIELDS * len(rows):
+            del fields[before:]
+            raise RecordingError(f"a packet row has {_ROW_FIELDS} fields")
+        return before // _ROW_FIELDS + 1
 
     def _rows(self) -> list[PacketRow]:
-        out: list[PacketRow] = []
-        for segment in self._segments:
-            out.extend(zip(*[iter(segment)] * _ROW_FIELDS))
-        return out
+        return list(zip(*[iter(self._fields)] * _ROW_FIELDS))
 
     def record_packet(self, row: PacketRow) -> int:
         with self._lock:
@@ -288,20 +245,17 @@ class MemoryRecorder(Recorder):
 
     def __len__(self) -> int:
         with self._lock:
-            return self._count
+            return len(self._fields) // _ROW_FIELDS
 
     def rows(self) -> list[PacketRow]:
-        """Every retained row, in record order (no records built)."""
+        """Every row, in record order (no records built)."""
         with self._lock:
             return self._rows()
 
     def packets(self) -> list[PacketRecord]:
         with self._lock:
-            first = self.evicted + 1
             rows = self._rows()
-        return [
-            PacketRecord(first + i, *row) for i, row in enumerate(rows)
-        ]
+        return [PacketRecord(i, *row) for i, row in enumerate(rows, 1)]
 
     def scene_events(self) -> list[SceneEvent]:
         with self._lock:
@@ -573,7 +527,6 @@ class RunDataset:
         self.scene_events = scene_events
         self.spans = spans
         self.sync_samples = sync_samples
-        self.evicted = 0  # ring-bound evictions (set by load_dataset)
         # -- indexes --------------------------------------------------------
         self._by_record_id = {p.record_id: p for p in packets}
         self._spans_by_key: dict[tuple[int, int], list] = {}
@@ -586,6 +539,7 @@ class RunDataset:
             self._syncs_by_node.setdefault(s.node, []).append(s)
         for lst in self._syncs_by_node.values():
             lst.sort(key=lambda s: s.t_server)
+        self._extent = self._compute_extent()
 
     # -- basic partitions ----------------------------------------------------
 
@@ -672,27 +626,27 @@ class RunDataset:
         """``(start, end)`` of the run on the server clock, the one
         extent replay, ``poem stats`` and ``poem analyze`` frame it by.
 
-        Start is the earliest receipt/forward/delivery or scene time,
-        but the earliest *surviving* packet stamp when the ring bound
-        evicted early records (the evicted stretch is not a quiet run
-        start).  End is the latest of those times, or the
-        ``run-summary`` stop stamp when later.
+        Start is the earliest receipt/forward/delivery or scene time.
+        End is the latest of those times, or the ``run-summary`` stop
+        stamp when later.  Computed once, when the snapshot is taken.
         """
-        stamps = [
+        return self._extent
+
+    def _compute_extent(self) -> tuple[float, float]:
+        times = [
             t
             for p in self.packets
             for t in (p.t_receipt, p.t_forward, p.t_delivered)
             if t is not None
         ]
-        times = stamps + [e.time for e in self.scene_events]
+        times += [e.time for e in self.scene_events]
         if not times:
             return (0.0, 0.0)
-        start = min(stamps) if self.evicted and stamps else min(times)
         end = max(times)
         summary = self._last_event("run-summary")
         if summary is not None:
             end = max(end, summary.time)
-        return (start, end)
+        return (min(times), end)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -713,12 +667,10 @@ def load_dataset(source: Union[str, Path, Recorder, RunDataset]) -> RunDataset:
     if isinstance(source, RunDataset):
         return source
     if isinstance(source, Recorder):
-        dataset = RunDataset(
+        return RunDataset(
             source.packets(), source.scene_events(), source.spans(),
             source.sync_samples(),
         )
-        dataset.evicted = int(getattr(source, "evicted", 0))
-        return dataset
     with _read_only(source) as conn:
         return RunDataset(
             _read_packets(conn), _read_scene_events(conn), _read_spans(conn),

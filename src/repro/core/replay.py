@@ -56,23 +56,11 @@ class ReplayFrame:
     """Delivered records with ``t_delivered ≤ time``."""
     dropped_so_far: int = 0
     """Dropped records with ``t_receipt ≤ time``."""
-    truncated_before: Optional[float] = None
-    """When the recorder's ring bound evicted early packet records, the
-    earliest *surviving* packet time: traffic before this instant
-    existed but is gone from the recording, so the frame must not be
-    read as "the run was quiet back then"."""
 
 
 class ReplayEngine:
     """Scrubber over a finished recording (anything ``load_dataset``
     takes), framed by the run's one extent, ``RunDataset.time_range()``.
-
-    Ring-evicted recordings (a :class:`~repro.core.recording.
-    MemoryRecorder` with ``capacity``) replay honestly: that extent
-    starts at the earliest *surviving* packet time, and every frame
-    carries :attr:`truncated_before` instead of presenting the evicted
-    stretch as an idle run start.  Scene events are never evicted, so
-    the scene fold stays exact.
     """
 
     def __init__(self, source: Union[str, Path, Recorder, RunDataset]) -> None:
@@ -82,9 +70,6 @@ class ReplayEngine:
         if not self._events and not self._packets:
             raise ReplayError("recording is empty — nothing to replay")
         self.start_time, self.end_time = dataset.time_range()
-        self.truncated_before: Optional[float] = (
-            self.start_time if dataset.evicted else None
-        )
         self._event_times = [e.time for e in self._events]
         # Delivered packets by forward time for the in-flight query,
         # bounded by the longest receipt-to-forward hold.
@@ -178,7 +163,6 @@ class ReplayEngine:
             recent_drops=self.drops_between(t - drop_window, t),
             delivered_so_far=bisect.bisect_right(self._delivery_times, t),
             dropped_so_far=bisect.bisect_right(self._drop_times, t),
-            truncated_before=self.truncated_before,
         )
 
     def frames(

@@ -195,19 +195,15 @@ class ForwardSchedule:
     #: instead of sleeping.
     SPIN_WAIT = 0.0002
 
-    def wait_due(
-        self, now: float, *, fire_window: float = 0.0
-    ) -> list[ScheduledPacket]:
-        """Real-time harvest: every entry due at ``now``, in order.
+    def wait_due(self, now: float) -> list[ScheduledPacket]:
+        """Real-time harvest: every entry due at ``now``, in order; none
+        is ever harvested before its deadline.
 
-        ``fire_window`` widens the cutoff: entries due within it are
-        harvested together even if slightly early — the overload
-        controller's batching lever (0 keeps exact-deadline semantics).
         Never blocks; the waiting is :meth:`wait_ready`'s.  It keeps its
         own name beside :meth:`pop_due` because it is the boundary the
         end-to-end benchmark times harvest lag at.
         """
-        return self.pop_due(now + fire_window)
+        return self.pop_due(now)
 
     def wait_ready(
         self,

@@ -170,7 +170,6 @@ class InProcessEmulator(ForwardingCore):
         bounds: Optional[Bounds] = None,
         recorder: Optional[Recorder] = None,
         schedule_capacity: Optional[int] = None,
-        use_client_stamps: bool = True,
         mac=None,
         energy=None,
         telemetry: Optional[Telemetry] = None,
@@ -188,7 +187,6 @@ class InProcessEmulator(ForwardingCore):
             bounds=bounds,
             recorder=recorder,
             schedule_capacity=schedule_capacity,
-            use_client_stamps=use_client_stamps,
             mac=mac,
             energy=energy,
             telemetry=telemetry,

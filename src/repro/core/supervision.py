@@ -226,7 +226,7 @@ class SupervisedThread:
 
 @dataclass(frozen=True)
 class FailureEvent:
-    """One recorded crash (kept even after its thread deregisters)."""
+    """One recorded crash (kept in a bounded log, apart from its thread)."""
 
     time: float
     thread: str
@@ -262,17 +262,6 @@ class HealthRegistry:
             self._threads[name] = st
         st.start()
         return st
-
-    def register(self, st: SupervisedThread) -> SupervisedThread:
-        with self._lock:
-            self._threads[st.name] = st
-        return st
-
-    def deregister(self, name: str) -> None:
-        """Forget a finished per-connection thread (its failures remain
-        in the event log)."""
-        with self._lock:
-            self._threads.pop(name, None)
 
     # -- failure log ---------------------------------------------------------------
 

@@ -169,7 +169,6 @@ class PoEmServer(ForwardingCore):
             bounds=bounds,
             recorder=recorder,
             schedule_capacity=schedule_capacity,
-            use_client_stamps=True,
             telemetry=telemetry,
             lag_budget=lag_budget,
             profile_hz=profile_hz,

@@ -203,7 +203,7 @@ def _with_sample(msg: dict[str, Any], **sample: Any) -> dict[str, Any]:
 
     The sample (:meth:`repro.cluster.worker._WorkerState.sample`) is the
     worker core's ``health()`` sections — ``engine`` totals,
-    ``schedule_depth``, ``records_evicted``, ``overload``, ``deadline``
+    ``schedule_depth``, ``overload``, ``deadline``
     — plus the shard fields ``busy_fraction``, ``shard_ingested`` and
     one per optional plane: ``telemetry``, the worker registry's
     :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`, folded in

@@ -594,10 +594,9 @@ class SnapshotMerger:
     * **counters** sum across sources: the merger remembers the last
       value seen per ``(source, name, labels)`` and injects only the
       positive delta, so folding the same worker at every barrier never
-      double-counts.  A value that went backwards means the source
-      restarted — the full value is re-injected; an owner that knows of
-      a restart calls :meth:`forget` so a restarted source whose first
-      value already exceeds its old one still counts in full.
+      double-counts.  The owner of a restarted source calls
+      :meth:`forget`, so the new process's values, which begin again at
+      zero, count in full.
     * **histograms** bucket-wise add (same delta discipline) through
       :meth:`Histogram.merge_folded`; bucket layouts must match or the
       sample is skipped.
@@ -659,8 +658,6 @@ class SnapshotMerger:
             key = (source, name, tuple(sorted(labels.items())))
             last = float(self._last.get(key, 0.0))
             delta = value - last
-            if delta < 0:  # source restarted: its counter began again at 0
-                delta = value
             self._last[key] = value
             if delta > 0:
                 child.inc(delta)
@@ -684,13 +681,11 @@ class SnapshotMerger:
                 return False
             key = (source, name, tuple(sorted(labels.items())))
             last = self._last.get(key)
-            if last is not None and all(
-                c >= lc for c, lc in zip(counts, last[0])
-            ):
+            if last is None:  # first sight, or forgotten at a restart
+                d_counts, d_total = counts, total
+            else:
                 d_counts = [c - lc for c, lc in zip(counts, last[0])]
                 d_total = total - last[1]
-            else:  # first sight, or the source restarted
-                d_counts, d_total = counts, total
             self._last[key] = (counts, total)
             if any(d_counts):
                 child.merge_folded(d_counts, d_total)

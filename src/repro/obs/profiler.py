@@ -16,8 +16,8 @@ sampling profiler in the flamegraph tradition:
   "poem-loop spent 41% of samples in ``engine.flush_wait``";
 * :meth:`SamplingProfiler.collapsed` renders the table in the
   collapsed-stack format that ``flamegraph.pl`` and speedscope ingest
-  directly, and :meth:`SamplingProfiler.thread_summary` reduces it to a
-  per-thread self-time table for consoles;
+  directly, and :func:`summarize_folded` reduces a table to a
+  per-thread self-time summary for consoles;
 * the sampler **degrades with the overload plane exactly like
   tracing**: given an :class:`~repro.core.overload.OverloadController`,
   sampling pauses whenever the controller has left NOMINAL (its
@@ -34,8 +34,8 @@ health sections plus the shard fields,
 :meth:`repro.cluster.worker._WorkerState.sample`); the parent
 folds them through
 :class:`ProfileMerger` — the same last-seen delta-merge idiom as
-:class:`~repro.obs.metrics.SnapshotMerger`, including the
-restart-re-inject rule — so one merged profile covers the whole
+:class:`~repro.obs.metrics.SnapshotMerger`, baselines forgotten when
+``stop()`` retires the workers — so one merged profile covers the whole
 cluster, worker roles kept distinct by the ``role`` root frame.
 
 Overhead model (see docs/observability.md): one sample costs one
@@ -262,11 +262,6 @@ class SamplingProfiler:
         ]
         return "\n".join(lines) + ("\n" if lines else "")
 
-    def thread_summary(self) -> dict[str, dict[str, Any]]:
-        """Per-thread self-time: how many samples each ``role;thread``
-        lane took, and which leaf frames they were executing."""
-        return summarize_folded(self.folded())
-
     def recent_samples(self) -> list[tuple[float, str, str]]:
         """The bounded ring of recent local samples (timeline feed)."""
         with self._lock:
@@ -315,6 +310,12 @@ class SamplingProfiler:
         with self._lock:
             self._merger.fold(source, stacks)
 
+    def forget_remote(self, source: Any) -> None:
+        """``source`` of :meth:`fold_remote` restarted: its next table
+        counts from zero (:meth:`ProfileMerger.forget`)."""
+        with self._lock:
+            self._merger.forget(source)
+
 
 class ProfileMerger:
     """Delta-merge cumulative remote stack tables into one sink table.
@@ -322,9 +323,9 @@ class ProfileMerger:
     The :class:`~repro.obs.metrics.SnapshotMerger` idiom, applied to
     folded stacks: remember the last value seen per ``(source, stack)``
     and add only the growth, so re-sending a cumulative table (every
-    barrier does) never double-counts.  A value *below* the last seen
-    means the remote process restarted — its whole count is new work
-    and is re-injected in full.
+    barrier does) never double-counts.  The owner of a restarted
+    source calls :meth:`forget`, so the new process's counts, which
+    begin again at zero, fold in whole.
     """
 
     def __init__(self, sink: MutableMapping[str, int]) -> None:
@@ -336,11 +337,15 @@ class ProfileMerger:
         sink = self._sink
         for key, raw in stacks.items():
             value = int(raw)
-            prev = last.get((source, key), 0)
-            delta = value - prev if value >= prev else value
+            delta = value - last.get((source, key), 0)
             if delta > 0:
                 sink[key] = sink.get(key, 0) + delta
             last[(source, key)] = value
+
+    def forget(self, source: Any) -> None:
+        """Drop ``source``'s baselines: it restarted."""
+        for key in [k for k in self._last if k[0] == source]:
+            del self._last[key]
 
 
 # -- folded-table helpers ------------------------------------------------------

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 __all__ = ["TraceSpan", "Trace", "PipelineTracer", "PIPELINE_STAGES",
-           "IPC_STAGES", "format_span", "span_from_dict"]
+           "IPC_STAGES", "format_span"]
 
 PIPELINE_STAGES = (
     "receive",
@@ -289,27 +289,6 @@ class PipelineTracer:
         with self._lock:
             self._recent.clear()
             self._inflight.clear()
-
-
-def span_from_dict(d: dict) -> TraceSpan:
-    """Inverse of :meth:`TraceSpan.as_dict` (worker→parent ship-back)."""
-    return TraceSpan(
-        trace_id=int(d["trace_id"]),
-        source=int(d["source"]),
-        seqno=int(d["seqno"]),
-        channel=int(d["channel"]),
-        sender=int(d["sender"]),
-        receiver=None if d.get("receiver") is None else int(d["receiver"]),
-        t_start=float(d["t_start"]),
-        outcome=str(d["outcome"]),
-        stages=tuple(
-            (str(name), float(dur)) for name, dur in d.get("stages", [])
-        ),
-        t_forward=(
-            None if d.get("t_forward") is None else float(d["t_forward"])
-        ),
-        lag=None if d.get("lag") is None else float(d["lag"]),
-    )
 
 
 def format_span(span: TraceSpan) -> str:

@@ -73,10 +73,6 @@ class RunReport:
     data_records: int
     flows: list[FlowStats] = field(default_factory=list)
     nodes: list[NodeActivity] = field(default_factory=list)
-    records_evicted: int = 0
-    """Records the recorder's ring bound discarded before this report —
-    when non-zero, the totals above describe a *suffix* of the run."""
-
     lag_budget: float = DEFAULT_LAG_BUDGET
     deadline_on_time: int = 0
     deadline_late: int = 0
@@ -222,7 +218,6 @@ def build_report(
         data_records=sum(1 for p in packets if p.kind == "data"),
         flows=flows,
         nodes=nodes,
-        records_evicted=dataset.evicted,
         lag_budget=lag_budget,
         deadline_on_time=deadlines.on_time,
         deadline_late=deadlines.late,
@@ -249,11 +244,6 @@ def format_report(report: RunReport) -> str:
         lines.append(
             f"  transport drops : {report.transport_dropped} "
             "(stale peers / outbox overflow — not the radio medium)"
-        )
-    if report.records_evicted:
-        lines.append(
-            f"  evicted records : {report.records_evicted} "
-            "(ring bound — stats cover a suffix of the run)"
         )
     fid = (
         f"  fidelity        : {report.fidelity} "
@@ -368,10 +358,6 @@ def format_health(health: dict) -> str:
         if deadline.get("verdict"):
             line += f"  {deadline['verdict']}"
         lines.append(line)
-    if health.get("records_evicted"):
-        lines.append(
-            f"  evicted records : {health['records_evicted']} (ring bound)"
-        )
     cluster = health.get("cluster")
     if cluster:
         lines.append(

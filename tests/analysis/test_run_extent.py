@@ -37,17 +37,7 @@ def summary_run():
     return _run(MemoryRecorder(), nodes=2, sends=40, until=2.0)
 
 
-def ring_evicted_run():
-    """A ring-bounded recorder that evicted its early packet records."""
-    recorder = _run(
-        MemoryRecorder(capacity=MemoryRecorder.SEGMENT_SIZE),
-        nodes=5, sends=3000, until=3.5,
-    )
-    assert recorder.evicted > 0
-    return recorder
-
-
-@pytest.mark.parametrize("make", [summary_run, ring_evicted_run])
+@pytest.mark.parametrize("make", [summary_run])
 def test_stats_analyze_and_replay_share_one_extent(make):
     recorder = make()
     report = analyze(recorder)
@@ -61,12 +51,3 @@ def test_stats_analyze_and_replay_share_one_extent(make):
 def test_summary_run_extent_covers_the_run_not_its_traffic():
     replay = ReplayEngine(summary_run())
     assert (replay.start_time, replay.end_time) == (0.0, 2.0)
-
-
-def test_evicted_stretch_is_outside_the_extent():
-    recorder = ring_evicted_run()
-    earliest = min(p.t_receipt for p in recorder.packets())
-    report = analyze(recorder)
-    assert report.start == earliest
-    assert report.aggregates[0].t0 >= earliest
-    assert ReplayEngine(recorder).truncated_before == earliest

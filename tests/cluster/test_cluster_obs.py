@@ -174,6 +174,23 @@ class TestMergedTelemetry:
         assert "recorded at shutdown — consistent" in text
 
 
+    def test_profiles_survive_a_stop_start_restart(self):
+        """A worker born by a restart profiles from zero: a stack seen 3
+        times before ``stop()`` and 12 times by the new worker merges to
+        15, not 12."""
+        emu = ShardedEmulator(n_workers=1, seed=0, profile_hz=50.0)
+        key = "worker-0;MainThread;restart_probe"
+        try:
+            emu.start()
+            emu.profiler.fold_remote(0, {"stacks": {key: 3}})
+            emu.stop()
+            emu.start()
+            emu.profiler.fold_remote(0, {"stacks": {key: 12}})
+            assert emu.profiler.folded()[key] == 15
+        finally:
+            emu.stop()
+
+
 class TestFlightRecorder:
     def test_worker_kill_dumps_readable_artifact(self, tmp_path, capsys):
         """Acceptance: killing a worker mid-run produces a flight

@@ -540,6 +540,31 @@ class TestOverloadPlane:
         assert engine.deadlines.total == 1
         assert engine.forwarded == 1
 
+    @pytest.mark.parametrize(
+        "state, lag", [("pressured", 0.08), ("saturated", 1.0)]
+    )
+    def test_degraded_harvest_never_delivers_early(self, state, lag):
+        """Out of NOMINAL the real-time harvest stays exact: an entry due
+        1 ms after the harvest is not delivered with it, and every
+        delivery is stamped and recorded at the harvest instant."""
+        engine, ov, recorder, _ = self.build()
+        forwards = [
+            e.t_forward
+            for seq in (1, 2, 3)
+            for e in engine.ingest(
+                n(1), packet(1, 2, t_origin=0.001 * seq, seq=seq)
+            )
+        ]
+        ov.observe(lag, 0)
+        for i, t_forward in enumerate(forwards):
+            assert ov.state == state
+            now = t_forward + 0.0005
+            assert engine.flush_wait(now) == 1
+            row = recorder.packets()[i]
+            assert (row.seqno, row.t_forward) == (i + 1, t_forward)
+            assert row.t_delivered == now
+        assert engine.deadlines.on_time == 3
+
     def test_nominal_flush_buckets_deadlines(self):
         engine, ov, _, clock = self.build()
         engine.ingest(n(1), packet(1, 2, t_origin=0.0, seq=1))

@@ -8,8 +8,6 @@ import pytest
 
 from repro.core.overload import (
     EWMA_ALPHA,
-    FIRE_WINDOW_PRESSURED,
-    FIRE_WINDOW_SATURATED,
     RECOVERY_OBSERVATIONS,
     DeadlineAccounting,
     OverloadController,
@@ -60,7 +58,6 @@ def test_starts_nominal_with_full_shedding_off():
     assert c.state == OverloadState.NOMINAL
     assert c.severity == 0
     assert c.allow_tracing
-    assert c.fire_window == 0.0
     assert c.shed_horizon is None
     assert c.admission_limit is None
 
@@ -73,11 +70,12 @@ def test_escalation_is_immediate():
 
 
 def test_pressured_sheds_tracing_and_batches():
+    """PRESSURED sheds trace sampling, and nothing else: the harvest it
+    batches stays exact (the controller has no fire window)."""
     c = make_controller()
     c.observe(PRESSURING_LAG, 0)
     assert c.state == OverloadState.PRESSURED
     assert not c.allow_tracing
-    assert c.fire_window == FIRE_WINDOW_PRESSURED
     # PRESSURED does not yet shed frames.
     assert c.shed_horizon is None
     assert c.admission_limit is None
@@ -87,7 +85,7 @@ def test_saturated_engages_every_lever():
     c = make_controller(capacity=100)
     c.observe(SATURATING_LAG, 0)
     assert c.state == OverloadState.SATURATED
-    assert c.fire_window == FIRE_WINDOW_SATURATED
+    assert not c.allow_tracing
     assert c.shed_horizon == pytest.approx(0.10)
     assert c.admission_limit == 80
 

@@ -184,35 +184,10 @@ class TestBatchedHotPath:
 class TestMemorySegments:
     def test_segment_rollover_preserves_order(self):
         r = MemoryRecorder()
-        n = MemoryRecorder.SEGMENT_SIZE + 10
+        n = 4096 + 10
         assert r.record_many([row(i + 1) for i in range(n)]) == 1
         assert len(r) == n
         assert [p.record_id for p in r.packets()] == list(range(1, n + 1))
-
-    def test_ring_capacity_bounds_memory(self):
-        """With a capacity, the segment chain becomes a ring: old full
-        segments are discarded and counted in ``evicted``."""
-        r = MemoryRecorder(capacity=MemoryRecorder.SEGMENT_SIZE)
-        n = MemoryRecorder.SEGMENT_SIZE * 3
-        for i in range(n):
-            r.record_packet(row(i + 1))
-        assert len(r) <= MemoryRecorder.SEGMENT_SIZE * 2
-        assert r.evicted == n - len(r)
-        # The survivors are the *newest* records, still in order.
-        ids = [p.record_id for p in r.packets()]
-        assert ids == list(range(n - len(r) + 1, n + 1))
-
-    def test_unbounded_by_default(self):
-        r = MemoryRecorder()
-        for i in range(10):
-            r.record_packet(row(i + 1))
-        assert r.evicted == 0
-        assert len(r) == 10
-
-    def test_invalid_capacity(self):
-        from repro.errors import RecordingError
-        with pytest.raises(RecordingError):
-            MemoryRecorder(capacity=0)
 
     def test_row_of_wrong_arity_is_refused(self):
         """Rows are stored as flat fields, so a short row would shift
@@ -229,8 +204,7 @@ class TestMemorySegments:
 class TestRecorderParity:
     """One row sequence, every backend: identical records, ids included.
     The recorder owns the ids: ``record_many`` returns the first, ids
-    count on across batches, across ring evictions and across reopening
-    a SQLite file."""
+    count on across batches and across reopening a SQLite file."""
 
     @staticmethod
     def batches():
@@ -271,21 +245,15 @@ class TestRecorderParity:
             expected_firsts.append(next_id)
             next_id += len(b)
         memory = MemoryRecorder()
-        ring = MemoryRecorder(capacity=MemoryRecorder.SEGMENT_SIZE)
         sqlite = SqliteRecorder(str(tmp_path / "parity.sqlite"))
         try:
-            for backend in (memory, ring, sqlite):
+            for backend in (memory, sqlite):
                 assert self.feed(backend, batches) == expected_firsts
             reference = sqlite.packets()
             assert [p.record_id for p in reference] == list(range(1, n + 1))
             assert memory.packets() == reference
             assert len(memory) == len(sqlite) == n
-            # The ring keeps the newest records under their own ids.
-            kept = ring.packets()
-            assert ring.evicted > 0 and len(ring) == len(kept)
-            assert kept == reference[ring.evicted :]
-            # Ids continue after eviction and after reopening the file.
-            assert ring.record_many(batches[0]) == n + 1
+            # Ids continue after more appends and after reopening the file.
             assert memory.record_many(batches[0]) == n + 1
         finally:
             sqlite.close()
@@ -294,7 +262,6 @@ class TestRecorderParity:
             assert len(reopened) == n
             assert reopened.record_many(batches[0]) == n + 1
             assert reopened.packets() == memory.packets()
-            assert ring.packets() == memory.packets()[ring.evicted :]
         finally:
             reopened.close()
 

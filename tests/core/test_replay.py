@@ -176,20 +176,11 @@ class TestTrafficReconstruction:
 
 
 # ---------------------------------------------------------------------------
-# Ring-evicted recordings + run-summary events (PR 4)
+# Held records + run-summary events
 # ---------------------------------------------------------------------------
 
 from repro.core.packet import PacketRecord
 from repro.core.scene import SceneEvent
-
-
-def _packet(i, t):
-    return PacketRecord(
-        record_id=i, seqno=i, source=1, destination=2, sender=1,
-        receiver=2, channel=1, kind="data", size_bits=100,
-        t_origin=t, t_receipt=t, t_forward=t + 0.001,
-        t_delivered=t + 0.001, drop_reason=None,
-    )
 
 
 def _held(i, *, t_receipt, t_forward, drop_reason=None):
@@ -201,52 +192,6 @@ def _held(i, *, t_receipt, t_forward, drop_reason=None):
         t_delivered=None if drop_reason else t_forward,
         drop_reason=drop_reason,
     )
-
-
-def _ring_recording():
-    """A bounded recorder whose early packets were evicted; scene events
-    (never evicted) still cover the whole run."""
-    recorder = MemoryRecorder(capacity=MemoryRecorder.SEGMENT_SIZE)
-    scene = Scene()
-    recorder.attach_to_scene(scene)
-    scene.add_node(n(1), Vec2(0, 0), RadioConfig.single(1, 100.0), label="A")
-    scene.add_node(n(2), Vec2(50, 0), RadioConfig.single(1, 100.0), label="B")
-    total = MemoryRecorder.SEGMENT_SIZE * 3
-    for i in range(total):
-        recorder.record_packet(astuple(_packet(i + 1, t=i * 0.001))[1:])
-    assert recorder.evicted > 0
-    return recorder
-
-
-class TestRingEvictedReplay:
-    def test_truncation_marker_set(self):
-        recorder = _ring_recording()
-        replay = ReplayEngine(recorder)
-        survivors = recorder.packets()
-        earliest = min(p.t_origin for p in survivors)
-        assert replay.truncated_before == pytest.approx(earliest)
-
-    def test_start_time_clamped_to_surviving_traffic(self):
-        recorder = _ring_recording()
-        replay = ReplayEngine(recorder)
-        # Scene events start at t=0 but the replay must not present the
-        # evicted stretch as an idle run start.
-        assert replay.start_time == pytest.approx(replay.truncated_before)
-        assert replay.start_time > 0.0
-
-    def test_frames_carry_marker_and_scene_stays_exact(self):
-        recorder = _ring_recording()
-        replay = ReplayEngine(recorder)
-        frame = replay.frame_at(replay.start_time + 0.01)
-        assert frame.truncated_before == replay.truncated_before
-        # Scene events are never evicted: both nodes reconstruct.
-        assert set(frame.nodes) == {n(1), n(2)}
-
-    def test_unbounded_recording_has_no_marker(self):
-        recorder, _scene = recorded_scene()
-        replay = ReplayEngine(recorder)
-        assert replay.truncated_before is None
-        assert replay.frame_at(0.0).truncated_before is None
 
 
 class TestRunSummaryEvent:

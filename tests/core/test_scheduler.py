@@ -268,21 +268,15 @@ class TestHybridWait:
         assert s._oversleep < 0.5  # re-measured on this wake-up
         assert len(s.wait_due(now=elapsed)) == 1
 
-    def test_fire_window_harvests_near_due_entries(self):
-        """A fire window widens the immediate harvest: entries due within
-        it return without any wait (the overload batching lever)."""
+    def test_zero_fire_window_keeps_exact_semantics(self):
+        """The harvest has no fire window: an entry due 4 ms after
+        ``now`` stays queued until its own deadline."""
         s = ForwardSchedule()
         s.push(entry(1.0, seq=1))
         s.push(entry(1.004, seq=2))
-        s.push(entry(2.0, seq=3))
-        got = s.wait_due(now=1.0, fire_window=0.005)
-        assert [e.packet.seqno for e in got] == [1, 2]
-        assert len(s) == 1
-
-    def test_zero_fire_window_keeps_exact_semantics(self):
-        s = ForwardSchedule()
-        s.push(entry(1.004))
-        assert s.wait_due(now=1.0) == []
+        assert [e.packet.seqno for e in s.wait_due(now=1.0)] == [1]
+        assert s.wait_due(now=1.003) == []
+        assert [e.packet.seqno for e in s.wait_due(now=1.004)] == [2]
 
 
 class TestFanOutGroups:
@@ -342,7 +336,7 @@ class TestFanOutGroups:
     )
     def test_matches_a_flat_pair_schedule(self, capacity, ops):
         """Random groups and interleaved ``push_many`` / ``pop_due`` /
-        ``wait_due(fire_window)`` against a reference model that lists
+        ``wait_due`` against a reference model that lists
         every (packet, receiver) pair on its own: the same accepted
         counts, the same ``len()`` and the same popped pair order."""
         s = ForwardSchedule(capacity)
@@ -367,14 +361,11 @@ class TestFanOutGroups:
                     order += 1
                 assert s.push_many(groups) == len(want)
             else:
-                cut = float(arg) if op == "pop" else arg - 0.5
-                if op == "pop":
-                    got = s.pop_due(cut)
-                else:
-                    got = s.wait_due(cut, fire_window=0.5)
+                cut = float(arg)
+                got = s.pop_due(cut) if op == "pop" else s.wait_due(cut)
                 flat.sort()
-                want = [(sq, r) for t, _, sq, r in flat if t <= float(arg)]
-                flat = [p for p in flat if p[0] > float(arg)]
+                want = [(sq, r) for t, _, sq, r in flat if t <= cut]
+                flat = [p for p in flat if p[0] > cut]
                 assert [
                     (int(e.packet.seqno), int(r))
                     for e in got for r in e.receivers

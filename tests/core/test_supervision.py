@@ -187,22 +187,6 @@ class TestHealthRegistry:
         assert snap["threads"]["worker"]["alive"]
         done.set()
 
-    def test_failures_survive_deregistration(self):
-        reg = HealthRegistry()
-
-        def target():
-            raise RuntimeError("recorded forever")
-
-        st = reg.spawn("ephemeral", target, restartable=False)
-        assert wait_for(lambda: not st.is_alive())
-        assert wait_for(lambda: len(reg.failures()) == 1)
-        reg.deregister("ephemeral")
-        snap = reg.health()
-        assert "ephemeral" not in snap["threads"]
-        assert any(
-            e["thread"] == "ephemeral" for e in snap["recent_failures"]
-        )
-
     def test_event_log_bounded(self):
         reg = HealthRegistry(max_events=4)
         for i in range(10):

@@ -27,10 +27,10 @@ TOTALS = {"ingested", "forwarded", "dropped", "transport_dropped"}
 CLIENT_KEYS = {"label", "last_seen", "stale", "overflow", "outbox_depth"}
 HEALTH_KEYS = {
     "running", "time", "threads", "recent_failures", "clients",
-    "quarantined", "engine", "schedule_depth", "records_evicted",
+    "quarantined", "engine", "schedule_depth",
 }
 CORE_HEALTH_KEYS = {"overload", "deadline"}  # where the engine is local
-SUMMARY_KEYS = TOTALS | {"records_evicted", "sync_samples"}
+SUMMARY_KEYS = TOTALS | {"sync_samples"}
 
 
 def run_inproc():

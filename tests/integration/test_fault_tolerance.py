@@ -42,9 +42,17 @@ def wait_for(predicate, timeout=8.0, poll=0.02):
     return False
 
 
-def raw_register(address, x, y, label="", timeout=5.0):
-    """Register a bare socket as a VMN; returns (socket, node_id)."""
-    sock = socket.create_connection(address, timeout=timeout)
+def raw_register(address, x, y, label="", timeout=5.0, rcvbuf=None):
+    """Register a bare socket as a VMN; returns (socket, node_id).
+
+    ``rcvbuf`` sets ``SO_RCVBUF`` before the connect: the window the
+    handshake advertises is sized from it, so setting it afterwards
+    leaves the loopback window large."""
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    if rcvbuf is not None:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, rcvbuf)
+    sock.settimeout(timeout)
+    sock.connect(address)
     framing.send_frame(
         sock,
         messages.encode_message(
@@ -222,19 +230,27 @@ class TestOutboxBackpressure:
                                 sync_rounds=2)
             sender.connect()
             # The slow client registers but never reads: once the kernel
-            # buffers fill, the sender thread blocks and the bounded
-            # outbox starts displacing its oldest frames.
-            slow, slow_node = raw_register(srv.address, 10.0, 0.0)
-            slow.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            # buffers fill, the loop holds an unsent tail for it and the
+            # bounded outbox starts displacing its oldest frames.
+            slow, slow_node = raw_register(
+                srv.address, 10.0, 0.0, rcvbuf=4096
+            )
             payload = b"#" * 32768
-            for _ in range(80):
-                sender.transmit(slow_node, payload, channel=1)
+
+            def overflowed():
+                return srv.health()["clients"].get(slow_node, {}).get(
+                    "overflow", 0
+                ) > 0
+
+            # Transmit in bounded rounds until the buffers, however large
+            # the host made them, are full and the outbox overflows.
+            deadline = time.monotonic() + 10.0
+            while not overflowed() and time.monotonic() < deadline:
+                for _ in range(20):
+                    sender.transmit(slow_node, payload, channel=1)
+                wait_for(overflowed, timeout=0.25)
             assert wait_for(
-                lambda: srv.health()["clients"]
-                .get(slow_node, {})
-                .get("overflow", 0)
-                > 0,
-                timeout=10.0,
+                overflowed, timeout=max(deadline - time.monotonic(), 0.0)
             ), f"health: {srv.health()['clients']}"
 
             # Overflow reaches the recorder as transport-overflow drops…

@@ -4,7 +4,8 @@ The core property: running a workload split across K worker registries
 and folding their snapshots into a parent must equal running the same
 workload on a single registry — exactly, for counter values and
 histogram bucket counts.  Plus the delta discipline (repeated folds
-never double-count, restarts re-inject) and a merge-under-fold race.
+never double-count, forgotten restarts count in full) and a
+merge-under-fold race.
 """
 
 import random
@@ -119,18 +120,19 @@ class TestMergeEqualsSingleProcess:
         assert total == pytest.approx(0.555)
 
     def test_counter_restart_reinjects_full_value(self):
-        parent = MetricsRegistry()
-        merger = SnapshotMerger(parent)
-
-        worker = MetricsRegistry()
-        worker.counter("poem_ops_total").inc(10)
-        merger.fold(0, worker.snapshot())
-        # Worker restarts: a fresh registry, counter reborn at 3 < 10.
-        worker = MetricsRegistry()
-        worker.counter("poem_ops_total").inc(3)
-        merger.fold(0, worker.snapshot())
-
-        assert parent.get("poem_ops_total").value() == pytest.approx(13.0)
+        """The owner forgets a restarted source, so the new process's
+        count folds in whole — also when it already exceeds the old."""
+        for before, after in ((10, 3), (3, 12)):
+            parent = MetricsRegistry()
+            merger = SnapshotMerger(parent)
+            worker = MetricsRegistry()
+            worker.counter("poem_ops_total").inc(before)
+            merger.fold(0, worker.snapshot())
+            merger.forget(0)
+            worker = MetricsRegistry()  # the restarted worker's registry
+            worker.counter("poem_ops_total").inc(after)
+            merger.fold(0, worker.snapshot())
+            assert parent.get("poem_ops_total").value() == before + after
 
     def test_gauges_land_as_per_shard_series(self):
         parent = MetricsRegistry()

@@ -148,9 +148,10 @@ class TestMergeAndDefault:
         merger.fold("w0", {"w0;MainThread;f": 5})
         merger.fold("w0", {"w0;MainThread;f": 8})  # cumulative resend
         assert sink == {"w0;MainThread;f": 8}
-        # A count going backwards means a restarted process: re-inject.
-        merger.fold("w0", {"w0;MainThread;f": 2})
-        assert sink == {"w0;MainThread;f": 10}
+        # A restarted process counts from zero once its owner forgets it.
+        merger.forget("w0")
+        merger.fold("w0", {"w0;MainThread;f": 12})
+        assert sink == {"w0;MainThread;f": 20}
         # Distinct sources never collide.
         merger.fold("w1", {"w1;MainThread;f": 3})
         assert sink["w1;MainThread;f"] == 3

@@ -97,6 +97,28 @@ class TestVirtualTransportTrace:
         assert span.lag is not None and span.lag >= 0.0
         assert span.t_forward is not None
 
+    def test_degraded_core_sheds_trace_sampling(self):
+        """Out of NOMINAL the transport samples no trace: a frame
+        received then leaves no span, though one received in NOMINAL
+        does."""
+        from repro.core.server import InProcessEmulator
+        from repro.models.radio import RadioConfig as RC
+
+        emu = InProcessEmulator(
+            seed=0, telemetry=Telemetry(sample_every=1)
+        )
+        a = emu.add_node(Vec2(0, 0), RC.single(1, 200.0))
+        b = emu.add_node(Vec2(100, 0), RC.single(1, 200.0))
+        a.transmit(b.node_id, b"hi", channel=ChannelId(1))
+        emu.run_until(1.0)
+        assert len(emu.recorder.spans()) == 1
+        emu.overload.observe(1.0, 0)  # SATURATED
+        a.transmit(b.node_id, b"hi", channel=ChannelId(1))
+        emu.run_until(2.0)
+        assert emu.engine.forwarded == 2
+        assert len(emu.recorder.spans()) == 1
+        assert len(emu.telemetry.recent_spans()) == 1
+
     def test_spans_persist_through_memory_recorder(self):
         emu, hosts = make_chain(2)
         # make_chain builds a default-telemetry emulator; re-check spans
