@@ -277,6 +277,12 @@ def test_virtual_round_64(benchmark):
     pass, the entries ``ForwardSchedule.push_many`` takes per 1000
     delivered frames: 1000 when every (packet, receiver) pair was its
     own entry, about one per frame since a fan-out group is one entry.
+    ``count_packet_copies_per_frame`` counts ``Packet._copy`` calls per
+    ingested frame (3 when a frame was stamped at receipt, at forward
+    and at delivery; 2 since a group's copy carries both ingest stamps),
+    and ``count_record_rows_per_1k_records`` the rows handed to
+    ``record_many`` per 1000 records (1000 when every record was a row
+    of its own; a delivered group and a run of drops are one row each).
     """
     link = LinkModel(
         loss=PacketLossModel(p0=0.1, p1=0.9, d0=50.0, radio_range=200.0)
@@ -313,11 +319,36 @@ def test_virtual_round_64(benchmark):
         entries[0] += len(batch)
         return push_many(batch)
 
+    copies = [0]
+    copy = Packet._copy
+
+    def counting_copy(packet):
+        copies[0] += 1
+        return copy(packet)
+
+    rows = [0]
+    record_many = emu.recorder.record_many
+
+    def counting_record_many(batch):
+        rows[0] += len(batch)
+        return record_many(batch)
+
     emu.clock.call_at = counting_call_at
     emu.engine.schedule.push_many = counting_push_many
-    for _ in range(10):
-        one_round()
+    emu.recorder.record_many = counting_record_many
+    Packet._copy = counting_copy
+    try:
+        for _ in range(10):
+            one_round()
+    finally:
+        Packet._copy = copy
     assert emu.engine.ingested == 640
+    benchmark.extra_info["count_packet_copies_per_frame"] = round(
+        copies[0] / emu.engine.ingested, 3
+    )
+    benchmark.extra_info["count_record_rows_per_1k_records"] = round(
+        1000.0 * rows[0] / len(emu.recorder), 3
+    )
     benchmark.extra_info["count_timers_per_1k_deliveries"] = round(
         1000.0 * armed[0] / emu.engine.forwarded, 3
     )

@@ -194,11 +194,14 @@ class ForwardingEngine:
 
         Hot-path shape (the ≥2× claim of the perf overhaul): one cached
         :class:`~repro.core.neighbor.Fanout` read (no table or distance
-        reconstruction in steady state), one vectorized loss draw and one
-        vectorized forward-time computation over the whole broadcast
-        fan-out, one :meth:`ForwardSchedule.push_many` lock acquisition,
-        one counter-lock acquisition, and at most one batched recorder
-        call per ingest.
+        reconstruction in steady state) whose link plan — loss
+        probabilities, delays, bandwidths — is computed on the row's
+        first use, one vectorized loss draw and one forward-time
+        expression over the whole broadcast fan-out, one stamped
+        ``Packet`` copy per schedule entry, one
+        :meth:`ForwardSchedule.push_many` lock acquisition, one
+        counter-lock acquisition, and at most one batched recorder call
+        per ingest.
 
         ``trace`` is a sampled pipeline trace started by the transport
         layer (its ``receive`` stage already recorded); when the engine
@@ -223,8 +226,9 @@ class ForwardingEngine:
             t_receipt = packet.t_origin
         else:
             t_receipt = now
-        packet = packet.stamped(t_receipt=t_receipt)
-        drops: list[tuple[Optional[NodeId], str, Packet]] = []
+        # (receivers, reason, packet): one run of drops, recorded as one
+        # row; packet None is the frame as received, stamped t_receipt.
+        drops: list[tuple[tuple, str, Optional[Packet]]] = []
 
         # Admission control: while SATURATED, shed whole frames at the
         # door once the schedule passes the admission depth — the drop
@@ -233,14 +237,14 @@ class ForwardingEngine:
         limit = ov.admission_limit  # None unless SATURATED
         if limit is not None and len(self.schedule) >= limit:
             ov.note_shed()
-            drops.append((None, DropReason.DEADLINE_SHED, packet))
-            return self._commit_ingest(packet, sender, [], drops, tr)
+            drops.append(((None,), DropReason.DEADLINE_SHED, None))
+            return self._commit_ingest(packet, sender, t_receipt, [], drops, tr)
 
         # Quarantined sender (liveness layer): topology kept, traffic cut.
         quarantined = self.scene.quarantined_snapshot()
         if quarantined and sender in quarantined:
-            drops.append((None, DropReason.NODE_STALE, packet))
-            return self._commit_ingest(packet, sender, [], drops, tr)
+            drops.append(((None,), DropReason.NODE_STALE, None))
+            return self._commit_ingest(packet, sender, t_receipt, [], drops, tr)
 
         channel = packet.channel
         if tr is None:
@@ -251,15 +255,15 @@ class ForwardingEngine:
             tr.stage("neighbor_lookup", _perf() - _t0)
         radio = fan.radio
         if radio is None:
-            drops.append((None, DropReason.NO_SUCH_CHANNEL, packet))
-            return self._commit_ingest(packet, sender, [], drops, tr)
+            drops.append(((None,), DropReason.NO_SUCH_CHANNEL, None))
+            return self._commit_ingest(packet, sender, t_receipt, [], drops, tr)
 
         # Power consumption (§7 extension): a dead battery cannot transmit.
         if self.energy is not None and not self.energy.charge_tx(
             sender, packet.size_bits
         ):
-            drops.append((None, DropReason.NO_ENERGY, packet))
-            return self._commit_ingest(packet, sender, [], drops, tr)
+            drops.append(((None,), DropReason.NO_ENERGY, None))
+            return self._commit_ingest(packet, sender, t_receipt, [], drops, tr)
 
         # Medium access (§7 extension): one airtime reservation per
         # transmission.  The medium is occupied for the frame's nominal
@@ -267,23 +271,26 @@ class ForwardingEngine:
         airtime = packet.size_bits / radio.link.bandwidth.peak
         decision = self.mac.admit(channel, sender, t_receipt, airtime)
         if decision.collided:
-            drops.append((None, DropReason.COLLISION, packet))
-            return self._commit_ingest(packet, sender, [], drops, tr)
+            drops.append(((None,), DropReason.COLLISION, None))
+            return self._commit_ingest(packet, sender, t_receipt, [], drops, tr)
         if decision.start != t_receipt:
             t_receipt = decision.start  # CSMA deferral shifts the frame
-            packet = packet.stamped(t_receipt=t_receipt)
 
         _t_drop = _perf() if tr is not None else 0.0  # Step 3 stage timer
+        at: Optional[list[int]] = None  # the targets' row positions; None: all
         if packet.is_broadcast:
             targets: tuple[NodeId, ...] = fan.targets
-            dists = fan.distances
         else:
             idx = fan.index.get(packet.destination)
             if idx is None:
-                drops.append((packet.destination, DropReason.NOT_NEIGHBOR, packet))
-                return self._commit_ingest(packet, sender, [], drops, tr)
+                drops.append(
+                    ((packet.destination,), DropReason.NOT_NEIGHBOR, None)
+                )
+                return self._commit_ingest(
+                    packet, sender, t_receipt, [], drops, tr
+                )
             targets = (packet.destination,)
-            dists = fan.distances[idx : idx + 1]
+            at = [idx]
 
         # Quarantined receivers hear nothing (checked before any RNG draw,
         # matching the scalar path's stream consumption).
@@ -292,23 +299,25 @@ class ForwardingEngine:
                 i for i, t in enumerate(targets) if t not in quarantined
             ]
             if len(keep) != len(targets):
-                drops.extend(
-                    (t, DropReason.NODE_STALE, packet)
-                    for t in targets
-                    if t in quarantined
-                )
+                drops.append((
+                    tuple(t for t in targets if t in quarantined),
+                    DropReason.NODE_STALE, None,
+                ))
                 targets = tuple(targets[i] for i in keep)
-                dists = dists[keep]
+                at = keep if at is None else [at[i] for i in keep]
 
-        scheduled: list[ScheduledPacket] = []
+        # Runs of consecutive accepted receivers sharing a forward time
+        # (every receiver, when the link's bandwidth does not depend on
+        # distance): one schedule entry each.
+        runs: list[tuple[float, list[NodeId]]] = []
+        lost: list[NodeId] = []
         n = len(targets)
-        drops_before = len(drops)  # loss-model drops of the fan-out follow
         if n == 1:
             # Scalar fast path: unicast (and 1-neighbor broadcasts) skip
             # ndarray round trips and keep the historical RNG stream.
-            r = float(dists[0])
+            r = float(fan.distances[0 if at is None else at[0]])
             if radio.link.should_drop(self._rng, r):
-                drops.append((targets[0], DropReason.LOSS_MODEL, packet))
+                lost.append(targets[0])
             else:
                 t_forward = radio.link.forward_time(
                     t_receipt, packet.size_bits, r
@@ -317,49 +326,37 @@ class ForwardingEngine:
                 # saw it (client stamps may lag the server clock).
                 if t_forward < t_receipt:
                     t_forward = t_receipt
-                scheduled.append(
-                    ScheduledPacket(
-                        t_forward, packet.with_forward(t_forward),
-                        (targets[0],), sender,
-                    )
-                )
+                runs.append((t_forward, [targets[0]]))
         elif n:
-            # Vectorized fan-out: one RNG call, one forward-time einsum.
-            drop_mask = radio.link.should_drop_many(self._rng, dists)
-            t_fwd = radio.link.forward_time_many(
-                t_receipt, packet.size_bits, dists
-            )
+            # Vectorized fan-out over the row's cached link plan: one RNG
+            # call, one forward-time expression.
+            p, delay, bw = fan.link_plan()
+            if at is not None:
+                p, delay, bw = p[at], delay[at], bw[at]
+            drop_mask = radio.link.loss.draw_drops(self._rng, p)
+            t_fwd = t_receipt + delay + packet.size_bits / bw
             np.maximum(t_fwd, t_receipt, out=t_fwd)  # causality floor
             t_fwd_list = t_fwd.tolist()
             mask_list = drop_mask.tolist() if drop_mask.any() else None
-            # One schedule entry per run of accepted receivers sharing a
-            # forward time (every receiver, when the link's bandwidth
-            # does not depend on distance), each with one stamped copy.
-            run: list[NodeId] = []
-            tf_run = None
             for i, target in enumerate(targets):
                 if mask_list is not None and mask_list[i]:
-                    drops.append((target, DropReason.LOSS_MODEL, packet))
+                    lost.append(target)
                     continue
                 tf = t_fwd_list[i]
-                if tf != tf_run:
-                    if run:
-                        scheduled.append(
-                            ScheduledPacket(
-                                tf_run, packet.with_forward(tf_run),
-                                tuple(run), sender,
-                            )
-                        )
-                    run = []
-                    tf_run = tf
-                run.append(target)
-            if run:
-                scheduled.append(
-                    ScheduledPacket(
-                        tf_run, packet.with_forward(tf_run), tuple(run),
-                        sender,
-                    )
-                )
+                if runs and runs[-1][0] == tf:
+                    runs[-1][1].append(target)
+                else:
+                    runs.append((tf, [target]))
+        if lost:
+            drops.append((tuple(lost), DropReason.LOSS_MODEL, None))
+        # One stamped copy per group carries both of its ingest stamps.
+        scheduled = [
+            ScheduledPacket(
+                tf, packet.stamped(t_receipt=t_receipt, t_forward=tf),
+                tuple(group), sender,
+            )
+            for tf, group in runs
+        ]
         if tr is not None:
             tr.stage("drop_decision", _perf() - _t_drop)
         if scheduled:
@@ -369,19 +366,19 @@ class ForwardingEngine:
                 _t0 = _perf()
                 accepted = self.schedule.push_many(scheduled)
                 tr.stage("schedule_push", _perf() - _t0)
-            # The pairs offered are the targets the loss model kept.
-            if accepted != n - (len(drops) - drops_before):
-                # Each rejected pair carries its group's forwarded
-                # packet, so the drop record keeps its t_forward stamp.
-                drops.extend(
-                    [
-                        (receiver, DropReason.QUEUE_OVERFLOW, entry.packet)
-                        for entry in scheduled
-                        for receiver in entry.receivers
-                    ][accepted:]
-                )
+            if accepted != n - len(lost):
+                # Each rejected run carries its group's forwarded packet,
+                # so the drop record keeps its t_forward stamp.
+                skip = accepted
+                for entry in scheduled:
+                    if skip < len(entry.receivers):
+                        drops.append((
+                            entry.receivers[skip:],
+                            DropReason.QUEUE_OVERFLOW, entry.packet,
+                        ))
+                    skip = max(skip - len(entry.receivers), 0)
                 scheduled = take_pairs(scheduled, accepted)
-        return self._commit_ingest(packet, sender, scheduled, drops, tr)
+        return self._commit_ingest(packet, sender, t_receipt, scheduled, drops, tr)
 
     def arm_flush(self, entries: list[ScheduledPacket]) -> None:
         """Virtual-clock Step 5: wake the scan once per forward instant.
@@ -419,43 +416,41 @@ class ForwardingEngine:
         self,
         packet: Packet,
         sender: NodeId,
+        t_receipt: float,
         scheduled: list[ScheduledPacket],
-        drops: list[tuple[Optional[NodeId], str, Packet]],
+        drops: list[tuple[tuple, str, Optional[Packet]]],
         trace: Optional[Trace] = None,
     ) -> list[ScheduledPacket]:
         """Fold one ingest's counter updates and drop rows into a single
         lock acquisition and at most one recorder call.
 
-        Each drop tuple carries the packet instance to record — for
-        pre-schedule drops that is the receipt-stamped base packet, but
-        a rejected schedule suffix carries its per-entry forwarded copy
-        so the record keeps the ``t_forward`` stamp."""
-        n_drops = len(drops)
-        if n_drops:
-            n_transport = sum(
-                1 for _, r, _p in drops if r in DropReason.TRANSPORT
-            )
-            with self._lock:
-                self.ingested += 1
-                self.dropped += n_drops
-                self.transport_dropped += n_transport
-            fam = self._m_drop_family
+        Each drop run is one row (see :data:`~repro.core.packet.PacketRow`)
+        of the frame as received, stamped ``t_receipt`` — or, for a
+        rejected schedule suffix, of its group's forwarded copy, so the
+        record keeps the ``t_forward`` stamp."""
+        n_drops = n_transport = 0
+        fam = self._m_drop_family
+        for receivers, reason, _p in drops:
+            k = len(receivers)
+            n_drops += k
+            if reason in DropReason.TRANSPORT:
+                n_transport += k
             if fam is not None:
-                per_reason: dict[str, int] = {}
-                for _, reason, _p in drops:
-                    per_reason[reason] = per_reason.get(reason, 0) + 1
-                for reason, n in per_reason.items():
-                    fam.labels(reason).inc(n)
-        else:
-            with self._lock:
-                self.ingested += 1
+                fam.labels(reason).inc(k)
+        with self._lock:
+            self.ingested += 1
+            self.dropped += n_drops
+            self.transport_dropped += n_transport
         if trace is not None and self._tracer is not None:
             self._tracer.commit(trace, scheduled, drops)
-        if n_drops:
+        if drops:
             self.recorder.record_many(
                 [
-                    packet_row(p, sender, receiver, reason)
-                    for receiver, reason, p in drops
+                    packet_row(
+                        packet if p is None else p, sender, receivers,
+                        reason, t_receipt,
+                    )
+                    for receivers, reason, p in drops
                 ]
             )
         return scheduled
@@ -504,9 +499,10 @@ class ForwardingEngine:
         trace lookup, scheduler lag, the shed decision, the
         delivery-stamped copy, one count-weighted observation of the
         scheduler-lag histogram (``now − t_forward``, the deadline-slack
-        metric).  Each receiver's deliveries land in the lag's
-        deadline-accounting bucket where their rows are built, so the
-        live buckets count exactly the recorded deliveries.  A sampled
+        metric), and one row for the receivers that got the frame (see
+        :data:`~repro.core.packet.PacketRow`).  Those deliveries land in
+        the lag's deadline-accounting bucket where the row is built, so
+        the live buckets count exactly the recorded deliveries.  A sampled
         trace follows the first receiver of the first entry of its
         packet and records its ``scan_wakeup`` / ``send`` / ``record``
         stage durations.
@@ -515,7 +511,7 @@ class ForwardingEngine:
         than the shed horizon are dropped as ``deadline-shed`` —
         delivering them would only push the backlog further behind real
         time.  A shed frame is a drop, not a delivery: it gets a drop
-        row per receiver and no deadline bucket.
+        record per receiver and no deadline bucket.
         """
         if not due:
             return 0
@@ -526,9 +522,9 @@ class ForwardingEngine:
         deliver = self._deliver
         shed_horizon = ov.shed_horizon
         max_lag = 0.0
+        count = 0
         shed: list[ScheduledPacket] = []
         rows: list[PacketRow] = []
-        append = rows.append
         finished_traces: list[Trace] = []
         for entry in due:
             receivers = entry.receivers
@@ -537,8 +533,7 @@ class ForwardingEngine:
                 tr = tracer.inflight_pop(
                     (int(entry.packet.source), int(entry.packet.seqno))
                 )
-            t_forward = entry.t_forward
-            lag = now - t_forward
+            lag = now - entry.t_forward
             if lag > max_lag:
                 max_lag = lag
             if m_lag is not None:
@@ -549,43 +544,37 @@ class ForwardingEngine:
                     tracer.finalize(tr, "deadline-shed")
                 continue
             packet = entry.packet.stamped(t_delivered=now)
-            sender = int(entry.sender)
-            seqno = int(packet.seqno)
-            source = int(packet.source)
-            destination = int(packet.destination)
-            channel = int(packet.channel)
-            kind = packet.kind
-            size_bits = packet.size_bits
-            t_origin = packet.t_origin
-            t_receipt = packet.t_receipt
-            n_rows = len(rows)
-            for receiver in receivers:
-                if tr is None:
-                    ok = deliver(entry, receiver, packet)
-                else:
-                    tr.lag = lag
-                    tr.receiver = int(receiver)
-                    tr.stage("scan_wakeup", lag)
-                    _t0 = _perf()
-                    ok = deliver(entry, receiver, packet)
-                    tr.stage("send", _perf() - _t0)
-                    if ok:
-                        finished_traces.append(tr)
-                    else:
-                        # Dropped at delivery time (node removed or
-                        # quarantined, retro-collision, drained receiver);
-                        # the drop row was already written by _deliver.
-                        tracer.finalize(tr, "dropped-at-delivery")
-                    tr = None
+            got = []
+            rest = receivers
+            if tr is not None:
+                # The trace follows the group's first receiver.
+                receiver = receivers[0]
+                tr.lag = lag
+                tr.receiver = int(receiver)
+                tr.stage("scan_wakeup", lag)
+                _t0 = _perf()
+                ok = deliver(entry, receiver, packet)
+                tr.stage("send", _perf() - _t0)
                 if ok:
-                    append((
-                        seqno, source, destination, sender, int(receiver),
-                        channel, kind, size_bits, t_origin, t_receipt,
-                        t_forward, now, None,
-                    ))
-            if len(rows) > n_rows:
-                deadlines.note(lag, len(rows) - n_rows)
-        count = len(rows)
+                    got.append(receiver)
+                    finished_traces.append(tr)
+                else:
+                    # Dropped at delivery time (node removed or
+                    # quarantined, retro-collision, drained receiver);
+                    # the drop row was already written by _deliver.
+                    tracer.finalize(tr, "dropped-at-delivery")
+                rest = receivers[1:]
+            got += [r for r in rest if deliver(entry, r, packet)]
+            if got:
+                # One row for the group: its own receivers tuple when
+                # every receiver got the frame.
+                k = len(got)
+                rows.append(packet_row(
+                    packet, entry.sender,
+                    receivers if k == len(receivers) else tuple(got),
+                ))
+                count += k
+                deadlines.note(lag, k)
         if count:
             with self._lock:
                 self.forwarded += count
@@ -597,13 +586,7 @@ class ForwardingEngine:
                     tr.stage("record", record_dur)
                     tracer.finalize(tr, "delivered")
         if shed:
-            shed_rows = [
-                packet_row(e.packet, e.sender, receiver,
-                           DropReason.DEADLINE_SHED)
-                for e in shed
-                for receiver in e.receivers
-            ]
-            n = len(shed_rows)
+            n = sum(len(e.receivers) for e in shed)
             with self._lock:
                 self.dropped += n
                 self.transport_dropped += n
@@ -611,7 +594,13 @@ class ForwardingEngine:
             if fam is not None:
                 fam.labels(DropReason.DEADLINE_SHED).inc(n)
             ov.note_shed(n)
-            self.recorder.record_many(shed_rows)
+            self.recorder.record_many(
+                [
+                    packet_row(e.packet, e.sender, e.receivers,
+                               DropReason.DEADLINE_SHED)
+                    for e in shed
+                ]
+            )
         ov.observe(max_lag, len(self.schedule))
         return count
 

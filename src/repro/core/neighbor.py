@@ -33,7 +33,7 @@ ground-truth predicate.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -73,7 +73,10 @@ class Fanout:
     ``index``
         target → position in ``targets`` (the unicast fast path);
     ``neighbors``
-        ``targets`` as the frozenset ``neighbors()`` hands out.
+        ``targets`` as the frozenset ``neighbors()`` hands out;
+    ``plan``
+        the link's per-target loss probabilities, delays and bandwidths,
+        filled in by the first :meth:`link_plan` call.
     """
 
     radio: Optional[Radio]
@@ -81,6 +84,24 @@ class Fanout:
     distances: np.ndarray
     index: dict[NodeId, int]
     neighbors: frozenset[NodeId]
+    plan: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
+        default=None, compare=False, repr=False
+    )
+
+    def link_plan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(loss probability, delay, bandwidth)`` per target, computed
+        once per row: a row is a pure function of its radio and
+        distances, so every fan-out along it reuses the arrays."""
+        plan = self.plan
+        if plan is None:
+            link, r = self.radio.link, self.distances
+            plan = (
+                link.loss.loss_probability_array(r),
+                link.delay.delay_array(r),
+                link.bandwidth.bandwidth_array(r),
+            )
+            object.__setattr__(self, "plan", plan)
+        return plan
 
 
 _NO_RADIO = Fanout(None, (), np.empty(0, dtype=float), {}, frozenset())

@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Union
 
 from ..errors import ConfigurationError
 from .ids import BROADCAST_NODE, ChannelId, NodeId, RadioIndex, SequenceNumber
@@ -112,13 +112,6 @@ class Packet:
         _set(new, "t_delivered", self.t_delivered)
         return new
 
-    def with_forward(self, t_forward: float) -> "Packet":
-        """Hot-loop special case of :meth:`stamped`: copy with only
-        ``t_forward`` replaced, no kwargs dict or field-name check."""
-        new = self._copy()
-        object.__setattr__(new, "t_forward", t_forward)
-        return new
-
     def transit_latency(self) -> Optional[float]:
         """End-to-end latency ``t_delivered - t_origin`` if both known."""
         if self.t_delivered is None or self.t_origin is None:
@@ -189,22 +182,36 @@ PacketRow = tuple
 """A :class:`PacketRecord`'s fields minus ``record_id``, in field order:
 what the write path appends (the recorder assigns the id) and what the
 cluster's record frame ships.  ``PacketRecord(record_id, *row)`` is the
-record."""
+record.
+
+A row whose ``receiver`` field holds a tuple of nodes stands for one
+record per element, in order, each with that node as its receiver: the
+engine records a fan-out group, or a run of one packet's drops for one
+reason, as one such row.  Every recorder expands it; a third-party
+:class:`~repro.core.recording.Recorder` must too."""
 
 
 def packet_row(
     packet: Packet,
     sender: NodeId,
-    receiver: Optional[NodeId],
+    receiver: Union[None, NodeId, tuple[NodeId, ...]],
     drop_reason: Optional[str] = None,
+    t_receipt: Optional[float] = None,
 ) -> PacketRow:
-    """The row of one ``(packet, receiver)`` outcome on hop ``sender``."""
+    """The row of ``packet``'s outcome at ``receiver`` on hop ``sender``:
+    one record, or one per node when ``receiver`` is a tuple (a 1-tuple
+    is stored as its node).  ``t_receipt`` stamps a packet that does not
+    carry its receipt time yet."""
+    if type(receiver) is tuple and len(receiver) == 1:
+        receiver = receiver[0]
+    if receiver is not None and type(receiver) is not tuple:
+        receiver = int(receiver)
     return (
         int(packet.seqno), int(packet.source), int(packet.destination),
-        int(sender), None if receiver is None else int(receiver),
-        int(packet.channel), packet.kind, packet.size_bits,
-        packet.t_origin, packet.t_receipt, packet.t_forward,
-        packet.t_delivered, drop_reason,
+        int(sender), receiver, int(packet.channel), packet.kind,
+        packet.size_bits, packet.t_origin,
+        packet.t_receipt if t_receipt is None else t_receipt,
+        packet.t_forward, packet.t_delivered, drop_reason,
     )
 
 

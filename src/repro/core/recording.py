@@ -124,7 +124,12 @@ class Recorder(ABC):
     @abstractmethod
     def record_many(self, rows: Sequence[PacketRow]) -> int:
         """Append a batch of packet rows under one acquisition (the hot
-        path); returns the first one's record id."""
+        path); returns the first one's record id.
+
+        A row whose receiver field is a tuple of nodes is one record per
+        element, in order (see :data:`~repro.core.packet.PacketRow`): the
+        engine hands over a fan-out group as one such row, and every
+        recorder must expand it."""
 
     @abstractmethod
     def record_scene(self, event: SceneEvent) -> None:
@@ -189,21 +194,47 @@ class Recorder(ABC):
 
 
 _ROW_FIELDS = 13  # fields of a PacketRow
+_RECEIVER = 4  # the receiver field of a PacketRow
+
+
+def expand_rows(rows: Sequence[PacketRow]) -> list[PacketRow]:
+    """``rows`` with every grouped row (a tuple receiver) expanded to one
+    row per receiver, in order."""
+    out: list[PacketRow] = []
+    for row in rows:
+        receivers = row[_RECEIVER]
+        if type(receivers) is tuple:
+            head, tail = row[:_RECEIVER], row[_RECEIVER + 1:]
+            out.extend(head + (r,) + tail for r in receivers)
+        else:
+            out.append(row)
+    return out
+
+
+def _count_records(rows: Sequence[PacketRow]) -> int:
+    """The records ``rows`` stand for; a row without 13 fields is refused."""
+    n = 0
+    for row in rows:
+        if len(row) != _ROW_FIELDS:
+            raise RecordingError(f"a packet row has {_ROW_FIELDS} fields")
+        receivers = row[_RECEIVER]
+        n += len(receivers) if type(receivers) is tuple else 1
+    return n
 
 
 class MemoryRecorder(Recorder):
     """In-memory recorder: the whole run, kept as one flat list.
 
-    The packet log is one flat list of the rows' fields, 13 per row: a
-    field costs one 8-byte slot and a row no object of its own (a
-    13-field tuple costs 144 bytes), and none of the ints, floats,
-    strings and None it holds is an object the garbage collector
-    tracks.  :meth:`record_many` appends a whole flush's rows under a
-    single lock acquisition.  Ids are implicit: the row at position
-    ``i`` has id ``i + 1``.  Rows and records are rebuilt only when
-    read.  Nothing is ever discarded, the paper's complete-record
-    semantics; a run too long to hold in memory records to
-    :class:`SqliteRecorder`.
+    The packet log is one flat list of the rows' fields, 13 per row, as
+    given: a fan-out group's delivery arrives as one row whose receiver
+    field is the group's receivers tuple, so it costs 13 slots, not 13
+    per record.  A field costs one 8-byte slot and a row no object of
+    its own (a 13-field tuple costs 144 bytes).  :meth:`record_many`
+    appends a whole flush's rows under a single lock acquisition and
+    keeps a record count, so ids are implicit: the ``i``-th record has
+    id ``i + 1``.  Rows are expanded and records built only when read.
+    Nothing is ever discarded, the paper's complete-record semantics; a
+    run too long to hold in memory records to :class:`SqliteRecorder`.
     """
 
     #: Bound on retained trace spans (they are *sampled*, so a small ring
@@ -212,6 +243,7 @@ class MemoryRecorder(Recorder):
 
     def __init__(self) -> None:
         self._fields: list = []
+        self._count = 0  # records, not rows
         self._events: list[SceneEvent] = []
         self._syncs: list[SyncSample] = []
         self._spans: deque = deque(maxlen=self.SPAN_CAPACITY)
@@ -220,16 +252,11 @@ class MemoryRecorder(Recorder):
     # -- appends (lock held) ---------------------------------------------------
 
     def _extend(self, rows: Sequence[PacketRow]) -> int:
-        fields = self._fields
-        before = len(fields)
-        fields.extend(chain.from_iterable(rows))
-        if len(fields) - before != _ROW_FIELDS * len(rows):
-            del fields[before:]
-            raise RecordingError(f"a packet row has {_ROW_FIELDS} fields")
-        return before // _ROW_FIELDS + 1
-
-    def _rows(self) -> list[PacketRow]:
-        return list(zip(*[iter(self._fields)] * _ROW_FIELDS))
+        n = _count_records(rows)  # a refused batch changes nothing
+        first = self._count + 1
+        self._fields.extend(chain.from_iterable(rows))
+        self._count += n
+        return first
 
     def record_packet(self, row: PacketRow) -> int:
         with self._lock:
@@ -245,17 +272,16 @@ class MemoryRecorder(Recorder):
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._fields) // _ROW_FIELDS
+            return self._count
 
     def rows(self) -> list[PacketRow]:
-        """Every row, in record order (no records built)."""
+        """One row per record, in record order (no records built)."""
         with self._lock:
-            return self._rows()
+            rows = list(zip(*[iter(self._fields)] * _ROW_FIELDS))
+        return expand_rows(rows)
 
     def packets(self) -> list[PacketRecord]:
-        with self._lock:
-            rows = self._rows()
-        return [PacketRecord(i, *row) for i, row in enumerate(rows, 1)]
+        return [PacketRecord(i, *row) for i, row in enumerate(self.rows(), 1)]
 
     def scene_events(self) -> list[SceneEvent]:
         with self._lock:
@@ -321,7 +347,9 @@ class SqliteRecorder(Recorder):
     )
 
     def record_many(self, rows: Sequence[PacketRow]) -> int:
-        """One ``executemany`` + one commit for a whole batch."""
+        """One ``executemany`` + one commit for a whole batch, grouped
+        rows expanded first."""
+        rows = expand_rows(rows)
         with self._lock:  # poem: ignore[POEM002] — serialized sqlite connection (see _lock note)
             first = self._next_id
             if not rows:
@@ -336,16 +364,7 @@ class SqliteRecorder(Recorder):
             return first
 
     def record_packet(self, row: PacketRow) -> int:
-        with self._lock:  # poem: ignore[POEM002] — serialized sqlite connection (see _lock note)
-            try:
-                self._conn.execute(self._INSERT_PACKET, row)
-                self._conn.commit()
-            except sqlite3.Error as exc:
-                self._conn.rollback()
-                raise RecordingError(f"packet insert failed: {exc}") from exc
-            record_id = self._next_id
-            self._next_id += 1
-            return record_id
+        return self.record_many((row,))
 
     def __len__(self) -> int:
         with self._lock:  # poem: ignore[POEM002] — serialized sqlite connection (see _lock note)

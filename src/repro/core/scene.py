@@ -596,8 +596,9 @@ class Scene:
         return state
 
     def __contains__(self, node_id: NodeId) -> bool:
-        with self._lock:
-            return node_id in self._nodes
+        # Lock-free (hot path, once per delivered receiver): one dict
+        # membership test is atomic, as quarantined_snapshot's read is.
+        return node_id in self._nodes
 
     def __len__(self) -> int:
         with self._lock:

@@ -132,18 +132,19 @@ class VirtualNodeHost(ProtocolHost):
 
     def _receive_from_server(self, packet: Packet) -> None:
         delay = self.downlink.sample(self._rng)
-
-        def arrive() -> None:
-            self.received.append(packet)
-            if self.protocol is not None:
-                self.protocol.on_packet(packet)
-            elif self.on_app_packet is not None:
-                self.on_app_packet(packet)
-
         if delay <= 0.0:
-            arrive()
+            self._arrive(packet)
         else:
-            self._emulator.clock.call_after(delay, arrive)
+            self._emulator.clock.call_after(
+                delay, lambda: self._arrive(packet)
+            )
+
+    def _arrive(self, packet: Packet) -> None:
+        self.received.append(packet)
+        if self.protocol is not None:
+            self.protocol.on_packet(packet)
+        elif self.on_app_packet is not None:
+            self.on_app_packet(packet)
 
     def attach_protocol(self, protocol: RoutingProtocol) -> None:
         """Embed a routing protocol in this client and start it."""

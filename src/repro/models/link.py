@@ -123,34 +123,26 @@ class PacketLossModel:
             return True
         return bool(rng.random() < p)
 
-    def should_drop_many(
-        self, rng: np.random.Generator, r: np.ndarray
-    ) -> np.ndarray:
-        """Vectorized Bernoulli drop decisions: one RNG call for a whole
-        broadcast fan-out (the §3.2 Step 3 hot loop, batched).
+    @staticmethod
+    def draw_drops(rng: np.random.Generator, p: np.ndarray) -> np.ndarray:
+        """Bernoulli drop decisions for loss probabilities ``p``: one RNG
+        call for a whole broadcast fan-out (the §3.2 Step 3 hot loop,
+        batched).
 
-        Stream compatibility with the scalar path: no random numbers are
-        consumed when every probability is degenerate (all ≤ 0 or all
-        ≥ 1) — exactly like :meth:`should_drop`, which skips the draw for
-        degenerate ``p``.  In the mixed regime one ``rng.random(n)`` call
-        consumes the same underlying stream as ``n`` scalar draws, and
-        degenerate elements are forced to their deterministic outcome.
+        Stream compatibility with :meth:`should_drop`, which skips the
+        draw for a degenerate ``p``: no random numbers are consumed when
+        every probability is degenerate (all ≤ 0 or all ≥ 1).  Otherwise
+        one ``rng.random(n)`` call consumes the same stream as ``n``
+        scalar draws; a draw in ``[0, 1)`` never drops at ``p = 0`` and
+        always drops at ``p = 1``, so degenerate elements keep their
+        deterministic outcome.
         """
-        r = np.asarray(r, dtype=float)
-        n = r.shape[0]
-        if n == 0:
-            return np.zeros(0, dtype=bool)
-        p = self.loss_probability_array(r)
-        if p.max() <= 0.0:
+        n = p.shape[0]
+        if n == 0 or p.max() <= 0.0:
             return np.zeros(n, dtype=bool)
         if p.min() >= 1.0:
             return np.ones(n, dtype=bool)
-        draws = rng.random(n)
-        out = draws < p
-        # Degenerate elements keep their deterministic scalar outcome.
-        out[p <= 0.0] = False
-        out[p >= 1.0] = True
-        return out
+        return rng.random(n) < p
 
 
 @dataclass(frozen=True, slots=True)
@@ -213,12 +205,6 @@ class BandwidthModel:
         """``packet_size / bandwidth`` at distance ``r`` (seconds)."""
         return size_bits / self.bandwidth(r)
 
-    def serialization_time_array(
-        self, size_bits: int, r: np.ndarray
-    ) -> np.ndarray:
-        """Vectorized :meth:`serialization_time` over many distances."""
-        return size_bits / self.bandwidth_array(r)
-
 
 @dataclass(frozen=True, slots=True)
 class DelayModel:
@@ -272,29 +258,8 @@ class LinkModel:
             + self.bandwidth.serialization_time(size_bits, r)
         )
 
-    def forward_time_many(
-        self, t_receipt: float, size_bits: int, r: np.ndarray
-    ) -> np.ndarray:
-        """Vectorized :meth:`forward_time` over a broadcast fan-out.
-
-        One numpy expression replaces N scalar delay/bandwidth
-        evaluations — the batched half of §3.2 Step 3.
-        """
-        r = np.asarray(r, dtype=float)
-        return (
-            t_receipt
-            + self.delay.delay_array(r)
-            + self.bandwidth.serialization_time_array(size_bits, r)
-        )
-
     def should_drop(self, rng: np.random.Generator, r: float) -> bool:
         return self.loss.should_drop(rng, r)
-
-    def should_drop_many(
-        self, rng: np.random.Generator, r: np.ndarray
-    ) -> np.ndarray:
-        """Vectorized loss decisions for a whole fan-out (one RNG call)."""
-        return self.loss.should_drop_many(rng, r)
 
 
 DEFAULT_LINK = LinkModel()

@@ -4,6 +4,8 @@ import threading
 from dataclasses import astuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.ids import NodeId
 from repro.core.packet import PacketRecord
@@ -190,8 +192,8 @@ class TestMemorySegments:
         assert [p.record_id for p in r.packets()] == list(range(1, n + 1))
 
     def test_row_of_wrong_arity_is_refused(self):
-        """Rows are stored as flat fields, so a short row would shift
-        every later one: it is refused and leaves the log intact."""
+        """A short row is refused with its whole batch and leaves the
+        log intact."""
         from repro.errors import RecordingError
         r = MemoryRecorder()
         r.record_many([row(1), row(2)])
@@ -264,6 +266,80 @@ class TestRecorderParity:
             assert reopened.packets() == memory.packets()
         finally:
             reopened.close()
+
+
+def grouped_row(seqno, receiver, drop):
+    """A row whose receiver field may be None, a node or a tuple."""
+    t = seqno * 1e-3
+    return (
+        seqno, 1, 2, 3, receiver, 1, "data", 100, t, t, t + 0.1,
+        None if drop else t + 0.2, drop,
+    )
+
+
+def expanded(rows):
+    """The reference expansion: one row per receiver of a tuple."""
+    out = []
+    for r in rows:
+        if isinstance(r[4], tuple):
+            out += [r[:4] + (node,) + r[5:] for node in r[4]]
+        else:
+            out.append(r)
+    return out
+
+
+_receivers = st.one_of(
+    st.none(),
+    st.integers(0, 40),
+    st.lists(st.integers(0, 40), min_size=1, max_size=4).map(tuple),
+)
+_batches = st.lists(
+    st.lists(
+        st.builds(
+            grouped_row, st.integers(1, 500), _receivers,
+            st.sampled_from([None, "loss-model"]),
+        ),
+        max_size=5,
+    ),
+    max_size=6,
+)
+
+
+class TestGroupedRows:
+    """A row with a tuple receiver is one record per receiver, in order:
+    every backend agrees with a plain list of the expanded rows on the
+    records, their ids, the count and the rows."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(batches=_batches)
+    def test_backends_match_the_expanded_list(self, batches):
+        from repro.errors import RecordingError
+
+        memory, sqlite = MemoryRecorder(), SqliteRecorder(":memory:")
+        reference: list = []
+        try:
+            for batch in batches:
+                first = len(reference) + 1
+                assert memory.record_many(batch) == first
+                assert sqlite.record_many(batch) == first
+                reference += expanded(batch)
+            want = [PacketRecord(i, *r) for i, r in enumerate(reference, 1)]
+            assert memory.packets() == want
+            assert sqlite.packets() == want
+            assert memory.rows() == reference
+            assert len(memory) == len(sqlite) == len(reference)
+            bad = (batches[0] if batches else []) + [
+                grouped_row(1, (1, 2), None)[:12]
+            ]
+            for backend in (memory, sqlite):
+                with pytest.raises(RecordingError):
+                    backend.record_many(bad)
+                assert len(backend) == len(reference)
+                assert backend.record_packet(grouped_row(9, 5, None)) == (
+                    len(reference) + 1
+                )
+        finally:
+            sqlite.close()
 
 
 # ---------------------------------------------------------------------------

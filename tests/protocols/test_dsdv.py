@@ -1,8 +1,11 @@
 """Tests for the proactive (DSDV-style) protocol."""
 
+from collections import deque
+
 import pytest
 
 from repro.core.geometry import Vec2
+from repro.core.ids import ChannelId
 from repro.protocols.dsdv import DsdvProtocol
 
 from ..conftest import FAST_TUNING, make_chain
@@ -32,23 +35,28 @@ class TestDsdvConvergence:
         ]
 
     def test_routes_are_shortest_paths(self):
-        """On a converged static scene, metrics match BFS (networkx)."""
-        import networkx as nx
-
+        """On a converged static scene, every reachable node has a route
+        and its metric is the hop count a BFS over the emulator's own
+        neighbor tables finds."""
         emu, hosts = dsdv_chain(5, spacing=100.0, radio_range=150.0)
         emu.run_until(8.0)
-        g = nx.Graph()
-        for i in range(5):
-            g.add_node(i + 1)
-        for i in range(4):
-            g.add_edge(i + 1, i + 2)
+        channel = ChannelId(1)
+        now = hosts[0].now()
         for host in hosts:
-            now = hosts[0].now()
-            for entry in host.protocol.table.entries(now):
-                expected = nx.shortest_path_length(
-                    g, int(host.node_id), int(entry.destination)
-                )
-                assert entry.metric == expected
+            hops = {host.node_id: 0}
+            frontier = deque([host.node_id])
+            while frontier:
+                node = frontier.popleft()
+                for peer in emu.neighbors.neighbors(node, channel):
+                    if peer not in hops:
+                        hops[peer] = hops[node] + 1
+                        frontier.append(peer)
+            entries = host.protocol.table.entries(now)
+            assert {e.destination for e in entries} == set(hops) - {
+                host.node_id
+            }
+            for entry in entries:
+                assert entry.metric == hops[entry.destination]
 
     def test_data_follows_routes(self):
         emu, hosts = dsdv_chain(3)
