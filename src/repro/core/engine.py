@@ -86,6 +86,12 @@ class ForwardingEngine:
         self.deliver: Optional[DeliverFn] = None
         self.use_client_stamps = use_client_stamps
         self.mac = mac if mac is not None else IdealMac()
+        # Delivery-time collision hooks, None where the MAC's class keeps
+        # MacModel's always-False default.
+        self._mac_hooks = [
+            None if getattr(type(self.mac), h) is getattr(MacModel, h)
+            else getattr(self.mac, h) for h in ("was_collided", "receiver_corrupted")
+        ]
         self.energy = energy
         # Overload-resilience plane: the controller and the deadline
         # buckets judge against the one lag budget.
@@ -192,16 +198,13 @@ class ForwardingEngine:
         forward-time formula.  Setting it False reproduces the JEmu-style
         server-arrival anchoring used by the Fig 2 baseline.
 
-        Hot-path shape (the ≥2× claim of the perf overhaul): one cached
-        :class:`~repro.core.neighbor.Fanout` read (no table or distance
-        reconstruction in steady state) whose link plan — loss
-        probabilities, delays, bandwidths — is computed on the row's
-        first use, one vectorized loss draw and one forward-time
-        expression over the whole broadcast fan-out, one stamped
-        ``Packet`` copy per schedule entry, one
-        :meth:`ForwardSchedule.push_many` lock acquisition, one
-        counter-lock acquisition, and at most one batched recorder call
-        per ingest.
+        Hot-path shape: one cached :class:`~repro.core.neighbor.Fanout`
+        read whose link plan (plain Python values) is computed on the
+        row's first use; per broadcast at most one ``rng.random(n)``
+        call, one forward-time expression per plan segment and a loop
+        comparing draws to loss probabilities; no ``Packet`` copy (the
+        entries carry the stamps); one ``push_many``, one counter-lock
+        acquisition and at most one batched recorder call.
 
         ``trace`` is a sampled pipeline trace started by the transport
         layer (its ``receive`` stage already recorded); when the engine
@@ -226,9 +229,10 @@ class ForwardingEngine:
             t_receipt = packet.t_origin
         else:
             t_receipt = now
-        # (receivers, reason, packet): one run of drops, recorded as one
-        # row; packet None is the frame as received, stamped t_receipt.
-        drops: list[tuple[tuple, str, Optional[Packet]]] = []
+        # (receivers, reason, t_forward): one run of drops, recorded as
+        # one row of the frame as received, stamped t_receipt (and the
+        # group's t_forward, when not None).
+        drops: list[tuple[tuple, str, Optional[float]]] = []
 
         # Admission control: while SATURATED, shed whole frames at the
         # door once the schedule passes the admission depth — the drop
@@ -309,12 +313,12 @@ class ForwardingEngine:
         # Runs of consecutive accepted receivers sharing a forward time
         # (every receiver, when the link's bandwidth does not depend on
         # distance): one schedule entry each.
-        runs: list[tuple[float, list[NodeId]]] = []
+        runs: list[tuple[float, tuple[NodeId, ...]]] = []
         lost: list[NodeId] = []
         n = len(targets)
         if n == 1:
             # Scalar fast path: unicast (and 1-neighbor broadcasts) skip
-            # ndarray round trips and keep the historical RNG stream.
+            # the row plan and keep the historical RNG stream.
             r = float(fan.distances[0 if at is None else at[0]])
             if radio.link.should_drop(self._rng, r):
                 lost.append(targets[0])
@@ -326,35 +330,39 @@ class ForwardingEngine:
                 # saw it (client stamps may lag the server clock).
                 if t_forward < t_receipt:
                     t_forward = t_receipt
-                runs.append((t_forward, [targets[0]]))
+                runs.append((t_forward, targets))
         elif n:
-            # Vectorized fan-out over the row's cached link plan: one RNG
-            # call, one forward-time expression.
-            p, delay, bw = fan.link_plan()
-            if at is not None:
-                p, delay, bw = p[at], delay[at], bw[at]
-            drop_mask = radio.link.loss.draw_drops(self._rng, p)
-            t_fwd = t_receipt + delay + packet.size_bits / bw
-            np.maximum(t_fwd, t_receipt, out=t_fwd)  # causality floor
-            t_fwd_list = t_fwd.tolist()
-            mask_list = drop_mask.tolist() if drop_mask.any() else None
-            for i, target in enumerate(targets):
-                if mask_list is not None and mask_list[i]:
-                    lost.append(target)
-                    continue
-                tf = t_fwd_list[i]
-                if runs and runs[-1][0] == tf:
-                    runs[-1][1].append(target)
+            # The row's cached plan: one forward time per segment, and one
+            # RNG call only when some target's loss is not degenerate —
+            # the stream n scalar draws would consume.
+            p, p_min, p_max, segments = fan.link_plan(at)
+            u = None
+            if p_min >= 1.0:
+                lost += targets
+                segments = ()
+            elif p_max > 0.0:
+                u = self._rng.random(n).tolist()
+            size = packet.size_bits
+            for lo, hi, delay, bw in segments:
+                tf = t_receipt + delay + size / bw
+                if tf < t_receipt:
+                    tf = t_receipt  # causality floor
+                if u is None:
+                    group = targets[lo:hi]
                 else:
-                    runs.append((tf, [target]))
+                    kept = []
+                    for i in range(lo, hi):
+                        (lost if u[i] < p[i] else kept).append(targets[i])
+                    group = tuple(kept)
+                if runs and runs[-1][0] == tf:
+                    runs[-1] = (tf, runs[-1][1] + group)
+                elif group:
+                    runs.append((tf, group))
         if lost:
             drops.append((tuple(lost), DropReason.LOSS_MODEL, None))
-        # One stamped copy per group carries both of its ingest stamps.
+        # The frame as received; its stamps are set once, at delivery.
         scheduled = [
-            ScheduledPacket(
-                tf, packet.stamped(t_receipt=t_receipt, t_forward=tf),
-                tuple(group), sender,
-            )
+            ScheduledPacket(tf, packet, group, sender, t_receipt)
             for tf, group in runs
         ]
         if tr is not None:
@@ -367,14 +375,14 @@ class ForwardingEngine:
                 accepted = self.schedule.push_many(scheduled)
                 tr.stage("schedule_push", _perf() - _t0)
             if accepted != n - len(lost):
-                # Each rejected run carries its group's forwarded packet,
-                # so the drop record keeps its t_forward stamp.
+                # Each rejected run carries its group's forward time, so
+                # the drop record keeps its t_forward stamp.
                 skip = accepted
                 for entry in scheduled:
                     if skip < len(entry.receivers):
                         drops.append((
                             entry.receivers[skip:],
-                            DropReason.QUEUE_OVERFLOW, entry.packet,
+                            DropReason.QUEUE_OVERFLOW, entry.t_forward,
                         ))
                     skip = max(skip - len(entry.receivers), 0)
                 scheduled = take_pairs(scheduled, accepted)
@@ -418,19 +426,18 @@ class ForwardingEngine:
         sender: NodeId,
         t_receipt: float,
         scheduled: list[ScheduledPacket],
-        drops: list[tuple[tuple, str, Optional[Packet]]],
+        drops: list[tuple[tuple, str, Optional[float]]],
         trace: Optional[Trace] = None,
     ) -> list[ScheduledPacket]:
         """Fold one ingest's counter updates and drop rows into a single
         lock acquisition and at most one recorder call.
 
         Each drop run is one row (see :data:`~repro.core.packet.PacketRow`)
-        of the frame as received, stamped ``t_receipt`` — or, for a
-        rejected schedule suffix, of its group's forwarded copy, so the
-        record keeps the ``t_forward`` stamp."""
+        of the frame as received, stamped ``t_receipt`` — and, for a
+        rejected schedule suffix, its group's ``t_forward``."""
         n_drops = n_transport = 0
         fam = self._m_drop_family
-        for receivers, reason, _p in drops:
+        for receivers, reason, _tf in drops:
             k = len(receivers)
             n_drops += k
             if reason in DropReason.TRANSPORT:
@@ -446,11 +453,8 @@ class ForwardingEngine:
         if drops:
             self.recorder.record_many(
                 [
-                    packet_row(
-                        packet if p is None else p, sender, receivers,
-                        reason, t_receipt,
-                    )
-                    for receivers, reason, p in drops
+                    packet_row(packet, sender, receivers, reason, t_receipt, tf)
+                    for receivers, reason, tf in drops
                 ]
             )
         return scheduled
@@ -496,16 +500,22 @@ class ForwardingEngine:
         acquisition and one ``record_many`` per flush.
 
         The frame-level work is done once per entry (fan-out group):
-        trace lookup, scheduler lag, the shed decision, the
-        delivery-stamped copy, one count-weighted observation of the
-        scheduler-lag histogram (``now − t_forward``, the deadline-slack
-        metric), and one row for the receivers that got the frame (see
+        trace lookup, scheduler lag, the shed decision, the one stamped
+        copy (``t_receipt``, ``t_forward`` and ``t_delivered`` set
+        together), one count-weighted observation of the scheduler-lag
+        histogram (``now − t_forward``, the deadline-slack metric), and
+        one row for the receivers that got the frame (see
         :data:`~repro.core.packet.PacketRow`).  Those deliveries land in
         the lag's deadline-accounting bucket where the row is built, so
-        the live buckets count exactly the recorded deliveries.  A sampled
-        trace follows the first receiver of the first entry of its
-        packet and records its ``scan_wakeup`` / ``send`` / ``record``
-        stage durations.
+        the live buckets count exactly the recorded deliveries.
+
+        One loop walks each group's receivers and runs every check per
+        receiver, after the deliveries before it: a delivery callback can
+        remove a node, drain a battery or relay inline and retro-collide
+        this very frame.  The MAC hooks are asked only when the MAC's
+        class overrides them.  A failed check writes its drop row at
+        once.  A sampled trace follows the first receiver of its packet's
+        first entry (``scan_wakeup`` / ``send`` / ``record`` stages).
 
         Under a SATURATED overload controller, entries already later
         than the shed horizon are dropped as ``deadline-shed`` —
@@ -519,7 +529,11 @@ class ForwardingEngine:
         m_lag = self._m_lag
         ov = self.overload
         deadlines = self.deadlines
-        deliver = self._deliver
+        scene = self.scene
+        nodes = scene._nodes  # one dict membership test is atomic
+        was_collided, corrupted = self._mac_hooks
+        energy = self.energy
+        deliver = self.deliver
         shed_horizon = ov.shed_horizon
         max_lag = 0.0
         count = 0
@@ -533,7 +547,8 @@ class ForwardingEngine:
                 tr = tracer.inflight_pop(
                     (int(entry.packet.source), int(entry.packet.seqno))
                 )
-            lag = now - entry.t_forward
+            t_forward = entry.t_forward
+            lag = now - t_forward
             if lag > max_lag:
                 max_lag = lag
             if m_lag is not None:
@@ -543,34 +558,55 @@ class ForwardingEngine:
                 if tr is not None:
                     tracer.finalize(tr, "deadline-shed")
                 continue
-            packet = entry.packet.stamped(t_delivered=now)
-            got = []
-            rest = receivers
+            frame, sender, t_receipt = entry.packet, entry.sender, entry.t_receipt
+            packet = frame.stamped(
+                t_receipt=t_receipt, t_forward=t_forward, t_delivered=now
+            )
             if tr is not None:
-                # The trace follows the group's first receiver.
-                receiver = receivers[0]
                 tr.lag = lag
-                tr.receiver = int(receiver)
+                tr.receiver = int(receivers[0])
                 tr.stage("scan_wakeup", lag)
                 _t0 = _perf()
-                ok = deliver(entry, receiver, packet)
-                tr.stage("send", _perf() - _t0)
-                if ok:
-                    got.append(receiver)
-                    finished_traces.append(tr)
+            got = []
+            for receiver in receivers:
+                if receiver not in nodes:
+                    reason = DropReason.NODE_REMOVED
+                elif scene._quarantined and receiver in scene._quarantined:
+                    reason = DropReason.NODE_STALE
+                elif t_receipt is not None and (
+                    was_collided is not None
+                    and was_collided(frame.channel, sender, t_receipt)
+                    or corrupted is not None
+                    and corrupted(frame.channel, sender, t_receipt, receiver,
+                                  scene)
+                ):
+                    reason = DropReason.COLLISION
+                elif energy is not None and not energy.charge_rx(
+                    receiver, frame.size_bits
+                ):
+                    reason = DropReason.NO_ENERGY
                 else:
-                    # Dropped at delivery time (node removed or
-                    # quarantined, retro-collision, drained receiver);
-                    # the drop row was already written by _deliver.
-                    tracer.finalize(tr, "dropped-at-delivery")
-                rest = receivers[1:]
-            got += [r for r in rest if deliver(entry, r, packet)]
+                    reason = None
+                    if deliver is not None:
+                        deliver(receiver, packet)
+                    got.append(receiver)
+                if reason is not None:
+                    self._record_drop(
+                        frame, sender, receiver, reason, t_receipt, t_forward
+                    )
+                if tr is not None:
+                    tr.stage("send", _perf() - _t0)
+                    if reason is None:
+                        finished_traces.append(tr)
+                    else:
+                        tracer.finalize(tr, "dropped-at-delivery")
+                    tr = None
             if got:
                 # One row for the group: its own receivers tuple when
                 # every receiver got the frame.
                 k = len(got)
                 rows.append(packet_row(
-                    packet, entry.sender,
+                    packet, sender,
                     receivers if k == len(receivers) else tuple(got),
                 ))
                 count += k
@@ -597,7 +633,8 @@ class ForwardingEngine:
             self.recorder.record_many(
                 [
                     packet_row(e.packet, e.sender, e.receivers,
-                               DropReason.DEADLINE_SHED)
+                               DropReason.DEADLINE_SHED, e.t_receipt,
+                               e.t_forward)
                     for e in shed
                 ]
             )
@@ -607,50 +644,6 @@ class ForwardingEngine:
     def next_forward_time(self) -> Optional[float]:
         """When the next scheduled frame becomes due (None when idle)."""
         return self.schedule.peek_time()
-
-    def _deliver(
-        self, entry: ScheduledPacket, receiver: NodeId, delivered: Packet
-    ) -> bool:
-        """Deliver ``entry``'s frame to one of its receivers as
-        ``delivered`` (its delivery-stamped packet); False when it cannot
-        be delivered (the drop is recorded here; the delivery row is
-        written by the caller's batched path).
-
-        Every check runs per receiver: a delivery callback can run a
-        relay's transmit inline, and its medium access can retro-collide
-        the very frame being delivered."""
-        sender = entry.sender
-        packet = entry.packet
-        if receiver not in self.scene:
-            self._record_drop(packet, sender, receiver, DropReason.NODE_REMOVED)
-            return False
-        # A receiver quarantined after scheduling hears nothing either.
-        if receiver in self.scene.quarantined_snapshot():
-            self._record_drop(packet, sender, receiver, DropReason.NODE_STALE)
-            return False
-        # ALOHA-style retroactive collision: a later overlapping frame may
-        # have corrupted this one after it was scheduled.
-        if packet.t_receipt is not None and self.mac.was_collided(
-            packet.channel, sender, packet.t_receipt
-        ):
-            self._record_drop(packet, sender, receiver, DropReason.COLLISION)
-            return False
-        # Spatially-adjudicated collision (hidden terminal): corrupted only
-        # at receivers that hear both overlapping transmissions.
-        if packet.t_receipt is not None and self.mac.receiver_corrupted(
-            packet.channel, sender, packet.t_receipt, receiver, self.scene,
-        ):
-            self._record_drop(packet, sender, receiver, DropReason.COLLISION)
-            return False
-        # Receiving costs energy too; a drained receiver hears nothing.
-        if self.energy is not None and not self.energy.charge_rx(
-            receiver, packet.size_bits
-        ):
-            self._record_drop(packet, sender, receiver, DropReason.NO_ENERGY)
-            return False
-        if self.deliver is not None:
-            self.deliver(receiver, delivered)
-        return True
 
     def record_transport_drop(
         self,
@@ -674,6 +667,8 @@ class ForwardingEngine:
         sender: NodeId,
         receiver: Optional[NodeId],
         reason: str,
+        t_receipt: Optional[float] = None,
+        t_forward: Optional[float] = None,
     ) -> None:
         with self._lock:
             self.dropped += 1
@@ -683,5 +678,5 @@ class ForwardingEngine:
         if fam is not None:
             fam.labels(reason).inc()
         self.recorder.record_packet(
-            packet_row(packet, sender, receiver, reason)
+            packet_row(packet, sender, receiver, reason, t_receipt, t_forward)
         )

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Optional
 
 import numpy as np
@@ -69,14 +70,14 @@ class Fanout:
         matching the engine's historical ``sorted(neighborhood)``);
     ``distances``
         ``D(sender, target)`` per target, same order, precomputed so the
-        loss/forward-time math vectorizes over the whole neighborhood;
+        link model is evaluated over the whole neighborhood at once;
     ``index``
         target → position in ``targets`` (the unicast fast path);
     ``neighbors``
         ``targets`` as the frozenset ``neighbors()`` hands out;
     ``plan``
-        the link's per-target loss probabilities, delays and bandwidths,
-        filled in by the first :meth:`link_plan` call.
+        the row's link plan as plain Python values, filled in by the
+        first :meth:`link_plan` call.
     """
 
     radio: Optional[Radio]
@@ -84,24 +85,39 @@ class Fanout:
     distances: np.ndarray
     index: dict[NodeId, int]
     neighbors: frozenset[NodeId]
-    plan: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
-        default=None, compare=False, repr=False
-    )
+    plan: Optional[tuple] = field(default=None, compare=False, repr=False)
 
-    def link_plan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(loss probability, delay, bandwidth)`` per target, computed
-        once per row: a row is a pure function of its radio and
-        distances, so every fan-out along it reuses the arrays."""
+    def link_plan(self, at: Optional[list[int]] = None) -> tuple:
+        """``(loss, p_min, p_max, segments)``: per-target loss
+        probabilities, their min and max, and the targets as ``(lo, hi,
+        delay, bandwidth)`` segments of one delay and bandwidth.  Computed
+        once per row; for ascending row positions ``at``, that subset's."""
         plan = self.plan
         if plan is None:
             link, r = self.radio.link, self.distances
-            plan = (
-                link.loss.loss_probability_array(r),
-                link.delay.delay_array(r),
-                link.bandwidth.bandwidth_array(r),
-            )
+            loss = link.loss.loss_probability_array(r).tolist()
+            keys = list(zip(link.delay.delay_array(r).tolist(),
+                            link.bandwidth.bandwidth_array(r).tolist()))
+            plan = (loss, min(loss, default=0.0), max(loss, default=0.0),
+                    _segments(keys))
             object.__setattr__(self, "plan", plan)
-        return plan
+        if at is None:
+            return plan
+        keys = [seg[2:] for seg in plan[3] for _ in range(seg[0], seg[1])]
+        loss = [plan[0][i] for i in at]
+        return loss, min(loss), max(loss), _segments([keys[i] for i in at])
+
+
+def _segments(keys: list) -> tuple:
+    """Runs of equal ``(delay, bandwidth)`` keys as ``(lo, hi, *key)``."""
+    if keys and keys.count(keys[0]) == len(keys):  # a constant link
+        return ((0, len(keys), *keys[0]),)
+    out, lo = [], 0
+    for key, run in groupby(keys):
+        hi = lo + len(list(run))
+        out.append((lo, hi, *key))
+        lo = hi
+    return tuple(out)
 
 
 _NO_RADIO = Fanout(None, (), np.empty(0, dtype=float), {}, frozenset())

@@ -81,8 +81,7 @@ class Packet:
         Implemented as a hand-rolled slot copy rather than
         ``dataclasses.replace`` — ``replace`` re-introspects the field
         list and re-runs ``__init__``/``__post_init__`` on every call,
-        which dominated the ingest profile (one copy per scheduled
-        receiver).
+        which once dominated the ingest profile.
         """
         bad = stamps.keys() - _STAMP_FIELDS
         if bad:
@@ -197,11 +196,12 @@ def packet_row(
     receiver: Union[None, NodeId, tuple[NodeId, ...]],
     drop_reason: Optional[str] = None,
     t_receipt: Optional[float] = None,
+    t_forward: Optional[float] = None,
 ) -> PacketRow:
     """The row of ``packet``'s outcome at ``receiver`` on hop ``sender``:
     one record, or one per node when ``receiver`` is a tuple (a 1-tuple
-    is stored as its node).  ``t_receipt`` stamps a packet that does not
-    carry its receipt time yet."""
+    is stored as its node).  ``t_receipt`` and ``t_forward`` stamp a
+    packet that does not carry those times yet."""
     if type(receiver) is tuple and len(receiver) == 1:
         receiver = receiver[0]
     if receiver is not None and type(receiver) is not tuple:
@@ -211,7 +211,8 @@ def packet_row(
         int(sender), receiver, int(packet.channel), packet.kind,
         packet.size_bits, packet.t_origin,
         packet.t_receipt if t_receipt is None else t_receipt,
-        packet.t_forward, packet.t_delivered, drop_reason,
+        packet.t_forward if t_forward is None else t_forward,
+        packet.t_delivered, drop_reason,
     )
 
 

@@ -35,9 +35,10 @@ import json
 import sqlite3
 import threading
 from abc import ABC, abstractmethod
+from array import array
 from collections import deque
 from contextlib import closing, contextmanager
-from itertools import chain
+from itertools import islice
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, Union
 
@@ -195,6 +196,7 @@ class Recorder(ABC):
 
 _ROW_FIELDS = 13  # fields of a PacketRow
 _RECEIVER = 4  # the receiver field of a PacketRow
+_GROUPED = object()  # receiver field of a grouped row kept as node ids
 
 
 def expand_rows(rows: Sequence[PacketRow]) -> list[PacketRow]:
@@ -229,7 +231,9 @@ class MemoryRecorder(Recorder):
     given: a fan-out group's delivery arrives as one row whose receiver
     field is the group's receivers tuple, so it costs 13 slots, not 13
     per record.  A field costs one 8-byte slot and a row no object of
-    its own (a 13-field tuple costs 144 bytes).  :meth:`record_many`
+    its own (a 13-field tuple costs 144 bytes).  A grouped row's ``k``
+    receivers go, count first, to one flat array of 4-byte ids when they
+    fit (``4k + 4`` bytes, not a tuple's ``8k + 40``).  :meth:`record_many`
     appends a whole flush's rows under a single lock acquisition and
     keeps a record count, so ids are implicit: the ``i``-th record has
     id ``i + 1``.  Rows are expanded and records built only when read.
@@ -243,6 +247,7 @@ class MemoryRecorder(Recorder):
 
     def __init__(self) -> None:
         self._fields: list = []
+        self._ids = array("i")  # grouped rows' receivers, count first
         self._count = 0  # records, not rows
         self._events: list[SceneEvent] = []
         self._syncs: list[SyncSample] = []
@@ -254,7 +259,16 @@ class MemoryRecorder(Recorder):
     def _extend(self, rows: Sequence[PacketRow]) -> int:
         n = _count_records(rows)  # a refused batch changes nothing
         first = self._count + 1
-        self._fields.extend(chain.from_iterable(rows))
+        fields, ids = self._fields, self._ids
+        for row in rows:
+            fields += row
+            receivers = row[_RECEIVER]
+            if type(receivers) is tuple:
+                try:
+                    ids += array("i", (len(receivers), *receivers))
+                except (TypeError, OverflowError):
+                    continue  # kept as the tuple
+                fields[_RECEIVER - _ROW_FIELDS] = _GROUPED
         self._count += n
         return first
 
@@ -278,7 +292,12 @@ class MemoryRecorder(Recorder):
         """One row per record, in record order (no records built)."""
         with self._lock:
             rows = list(zip(*[iter(self._fields)] * _ROW_FIELDS))
-        return expand_rows(rows)
+            ids = iter(self._ids.tolist())
+        return expand_rows([
+            row[:_RECEIVER] + (tuple(islice(ids, next(ids))),)
+            + row[_RECEIVER + 1:] if row[_RECEIVER] is _GROUPED else row
+            for row in rows
+        ])
 
     def packets(self) -> list[PacketRecord]:
         return [PacketRecord(i, *row) for i, row in enumerate(self.rows(), 1)]

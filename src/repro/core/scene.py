@@ -596,8 +596,7 @@ class Scene:
         return state
 
     def __contains__(self, node_id: NodeId) -> bool:
-        # Lock-free (hot path, once per delivered receiver): one dict
-        # membership test is atomic, as quarantined_snapshot's read is.
+        # Lock-free: one dict membership test is atomic.
         return node_id in self._nodes
 
     def __len__(self) -> int:

@@ -47,13 +47,15 @@ class ScheduledPacket:
     ingest that share a forward time, so the schedule lists a frame once,
     not once per receiver.  ``sender`` is the node that transmitted this
     hop's frame (it differs from ``packet.source`` on relayed hops) — the
-    packet log records both.
+    packet log records both.  ``packet`` is the frame as received: its
+    ``t_receipt`` rides here, beside ``t_forward``, until delivery.
     """
 
     t_forward: float
     packet: Packet
     receivers: tuple[NodeId, ...]
     sender: NodeId
+    t_receipt: Optional[float] = None
 
 
 def take_pairs(
@@ -72,7 +74,7 @@ def take_pairs(
             taken.append(
                 ScheduledPacket(
                     entry.t_forward, entry.packet, entry.receivers[:n],
-                    entry.sender,
+                    entry.sender, entry.t_receipt,
                 )
             )
         break

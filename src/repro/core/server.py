@@ -94,7 +94,8 @@ class VirtualNodeHost(ProtocolHost):
     def now(self) -> float:
         """The client's synchronized emulation clock (offset models the
         residual sync error of §4.1)."""
-        return self._emulator.clock.now() + self.clock_offset
+        now = self._emulator.clock.now()
+        return now + self.clock_offset if self.clock_offset else now
 
     def transmit(
         self,
@@ -129,15 +130,6 @@ class VirtualNodeHost(ProtocolHost):
             self.on_app_packet(packet)
 
     # -- emulator-side delivery ---------------------------------------------------
-
-    def _receive_from_server(self, packet: Packet) -> None:
-        delay = self.downlink.sample(self._rng)
-        if delay <= 0.0:
-            self._arrive(packet)
-        else:
-            self._emulator.clock.call_after(
-                delay, lambda: self._arrive(packet)
-            )
 
     def _arrive(self, packet: Packet) -> None:
         self.received.append(packet)
@@ -304,8 +296,17 @@ class InProcessEmulator(ForwardingCore):
 
     def _deliver_to_host(self, receiver: NodeId, packet: Packet) -> None:
         host = self._hosts.get(receiver)
-        if host is not None:
-            host._receive_from_server(packet)
+        if host is None:
+            return
+        dl = host.downlink  # a zero downlink draws no latency
+        if (dl.base or dl.jitter) and (delay := dl.sample(host._rng)) > 0.0:
+            self.clock.call_after(delay, lambda: host._arrive(packet))
+            return
+        host.received.append(packet)  # arrives now: _arrive, inline
+        if host.protocol is not None:
+            host.protocol.on_packet(packet)
+        elif host.on_app_packet is not None:
+            host.on_app_packet(packet)
 
     # -- health (same shape as PoEmServer.health, minus real threads) -------------
 

@@ -175,6 +175,9 @@ class PoEmServer(ForwardingCore):
         )
         self.overload.on_transition = self._on_overload_transition
         self.engine.deliver = self._deliver
+        # Last delivered packet and its frame, rebound as one pair (only
+        # the loop delivers; POEM008 cannot tell engines' `deliver` apart).
+        self._deliver_frame = (None, b"")  # poem: ignore[POEM008]
         self._ids = IdAllocator()
         self._mobility_tick = mobility_tick
         self._scan_poll = scan_poll
@@ -811,8 +814,13 @@ class PoEmServer(ForwardingCore):
         encode the frame onto the receiver's out-buffer."""
         conn = self._clients.get(receiver)
         if conn is not None:
-            frame = messages.encode_packet_binary("deliver", packet)
-            self._enqueue(conn, frame, packet)
+            # A delivered group is one packet object: encode it once.
+            memo = self._deliver_frame
+            if memo[0] is not packet:
+                memo = self._deliver_frame = (
+                    packet, messages.encode_packet_binary("deliver", packet)
+                )
+            self._enqueue(conn, memo[1], packet)
             if self._m_tx is not None:
                 self._m_tx.inc()
 

@@ -123,27 +123,6 @@ class PacketLossModel:
             return True
         return bool(rng.random() < p)
 
-    @staticmethod
-    def draw_drops(rng: np.random.Generator, p: np.ndarray) -> np.ndarray:
-        """Bernoulli drop decisions for loss probabilities ``p``: one RNG
-        call for a whole broadcast fan-out (the §3.2 Step 3 hot loop,
-        batched).
-
-        Stream compatibility with :meth:`should_drop`, which skips the
-        draw for a degenerate ``p``: no random numbers are consumed when
-        every probability is degenerate (all ≤ 0 or all ≥ 1).  Otherwise
-        one ``rng.random(n)`` call consumes the same stream as ``n``
-        scalar draws; a draw in ``[0, 1)`` never drops at ``p = 0`` and
-        always drops at ``p = 1``, so degenerate elements keep their
-        deterministic outcome.
-        """
-        n = p.shape[0]
-        if n == 0 or p.max() <= 0.0:
-            return np.zeros(n, dtype=bool)
-        if p.min() >= 1.0:
-            return np.ones(n, dtype=bool)
-        return rng.random(n) < p
-
 
 @dataclass(frozen=True, slots=True)
 class BandwidthModel:

@@ -31,6 +31,13 @@ def packet(src, dst, *, channel=1, bits=1000, t_origin=None, seq=1):
     )
 
 
+def forwarded(entry):
+    """A schedule entry's frame with the stamps it carries beside it."""
+    return entry.packet.stamped(
+        t_receipt=entry.t_receipt, t_forward=entry.t_forward
+    )
+
+
 def build_engine(*, link=None, capacity=None, use_client_stamps=True, seed=0,
                  lag_budget=0.010):
     link = link or LinkModel(
@@ -71,14 +78,15 @@ class TestIngest:
         clock.call_at(5.0, lambda: None)
         clock.run()  # server clock at 5.0
         (e,) = engine.ingest(n(1), packet(1, 2, t_origin=1.0))
-        assert e.packet.t_receipt == 1.0
+        assert e.t_receipt == 1.0
+        assert e.packet.t_receipt is None  # stamped at delivery only
 
     def test_server_stamp_mode(self):
         engine, _, clock = build_engine(use_client_stamps=False)
         clock.call_at(5.0, lambda: None)
         clock.run()
         (e,) = engine.ingest(n(1), packet(1, 2, t_origin=1.0))
-        assert e.packet.t_receipt == 5.0  # JEmu-style anchoring
+        assert e.t_receipt == 5.0  # JEmu-style anchoring
 
     def test_broadcast_reaches_all_neighbors(self):
         engine, _, _ = build_engine()
@@ -220,7 +228,7 @@ class TestSharedStampedCopies:
         (group,) = entries  # one schedule entry for the whole fan-out
         assert group.receivers == (n(1), n(3))
         assert delivered[0][1] is delivered[1][1]
-        assert [(r, e.packet) for r, e in pairs(entries)] == [
+        assert [(r, forwarded(e)) for r, e in pairs(entries)] == [
             (r, fwd) for r, fwd, _ in ref
         ]
         assert delivered == [(r, done) for r, _, done in ref]
@@ -238,9 +246,9 @@ class TestSharedStampedCopies:
         # n(1) is 50 away, n(3) is 40 away: different serialization time.
         assert [len(e.receivers) for e in entries] == [1, 1]
         assert entries[0].t_forward > entries[1].t_forward
-        for e in entries:
-            assert e.packet.t_forward == e.t_forward
-        assert entries[0].packet is not entries[1].packet
+        # Both groups carry the frame as received; each delivered group
+        # gets its own stamped copy.
+        assert entries[0].packet is entries[1].packet
         assert delivered[0][1] is not delivered[1][1]
         # pop order is by forward time: n(3) first.
         assert delivered == [(r, done) for r, _, done in reversed(ref)]
@@ -260,8 +268,9 @@ class TestSharedStampedCopies:
         original = packet(2, 1, t_origin=1.0)
         (a,) = engine.ingest(n(2), original)
         (b,) = engine.ingest(n(2), original)
-        assert a.packet == b.packet and a.packet is not b.packet
-        assert a.packet is not original and original.t_forward is None
+        # Entries carry the frame as received; deliveries are copies.
+        assert a.packet is original and b.packet is original
+        assert original.t_forward is None
         assert engine.flush_due(now=50.0) == 2
         assert delivered[0] == delivered[1]
         assert delivered[0] is not delivered[1]
@@ -342,7 +351,7 @@ class TestBatchRecords:
     def test_constant_bandwidth_fanout_sharing_one_packet(self):
         engine, entries = self.fan_out(None)
         (group,) = entries
-        done = group.packet.stamped(t_delivered=50.0)
+        done = forwarded(group).stamped(t_delivered=50.0)
         assert engine.recorder.packets() == records(
             [(done, n(2), r, None) for r in group.receivers]
         )
@@ -353,15 +362,15 @@ class TestBatchRecords:
         by_time = sorted(entries, key=lambda e: e.t_forward)  # pop order
         assert engine.recorder.packets() == records(
             [
-                (e.packet.stamped(t_delivered=50.0), n(2), r, None)
+                (forwarded(e).stamped(t_delivered=50.0), n(2), r, None)
                 for r, e in pairs(by_time)
             ]
         )
 
     def test_base_drops_mixed_with_rejected_schedule_suffix(self):
         """One ingest: a stale receiver (dropped from the receipt-stamped
-        base packet) and a rejected suffix entry (dropped from its own
-        forwarded copy, so the row keeps its ``t_forward``)."""
+        base packet) and a rejected suffix entry (its row keeps the
+        entry's ``t_forward``)."""
         engine, scene, _ = build_engine(link=self.DISTANCE_LINK, capacity=1)
         radios = RadioConfig.of(
             [Radio(ChannelId(1), 100.0, self.DISTANCE_LINK)]
@@ -381,7 +390,7 @@ class TestBatchRecords:
         assert got == records(
             [
                 (base, n(2), n(1), DropReason.NODE_STALE),
-                (rejected.packet, n(2), rejected.receivers[0],
+                (forwarded(rejected), n(2), rejected.receivers[0],
                  DropReason.QUEUE_OVERFLOW),
             ]
         )

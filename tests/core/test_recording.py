@@ -292,6 +292,9 @@ _receivers = st.one_of(
     st.none(),
     st.integers(0, 40),
     st.lists(st.integers(0, 40), min_size=1, max_size=4).map(tuple),
+    # Ids beyond 4 bytes: MemoryRecorder keeps such a group as its tuple.
+    st.lists(st.sampled_from([-1, 7, 2**31, 2**62]), min_size=2,
+             max_size=4).map(tuple),
 )
 _batches = st.lists(
     st.lists(

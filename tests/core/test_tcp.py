@@ -495,3 +495,38 @@ class TestBinaryNegotiation:
         finally:
             for c in clients:
                 c.close()
+
+    def test_broadcast_group_encodes_its_deliver_frame_once(
+        self, server, monkeypatch
+    ):
+        """A 1 -> 3 broadcast is one delivered group: the server encodes
+        its ``deliver`` frame once, the three outboxes share the bytes,
+        and every client decodes exactly those bytes."""
+        encoded = []
+        encode = messages.encode_packet_binary
+
+        def counting_encode(op, packet):
+            frame = encode(op, packet)
+            if op == "deliver":
+                encoded.append(frame)
+            return frame
+
+        monkeypatch.setattr(messages, "encode_packet_binary", counting_encode)
+        clients = [
+            PoEmClient(server.address, Vec2(10.0 * i, 0),
+                       RadioConfig.single(1, 100.0))
+            for i in range(4)
+        ]
+        try:
+            for c in clients:
+                c.connect()
+            clients[0].transmit(BROADCAST_NODE, b"group", channel=1)
+            assert wait_for(
+                lambda: all(len(c.received) == 1 for c in clients[1:])
+            )
+            assert len(encoded) == 1
+            for c in clients[1:]:
+                assert encode("deliver", c.received[0]) == encoded[0]
+        finally:
+            for c in clients:
+                c.close()
