@@ -1,12 +1,20 @@
 #!/usr/bin/env python
 """Micro-benchmark regression gate (see docs/performance.md).
 
-Compares a fresh ``pytest-benchmark --benchmark-json`` run against the
+Compares fresh ``pytest-benchmark --benchmark-json`` runs against the
 newest baseline entry in ``BENCH_micro.json`` at the repo root and exits
 non-zero when any benchmark's **min** time regressed beyond the
 tolerance.  Min is used rather than mean: on shared CI runners the mean
 is dominated by scheduling noise while the min approximates the true
 cost of the code path.
+
+Given several fresh runs of one suite (CI passes two), the gate reads
+one figure per benchmark across them (:func:`merge_runs`): each timing
+is the min over the runs, each ``count_*`` the max, and every other
+exported figure (``p99_*``, ratios) the lower median — an observed
+value, for two runs the lower of the two.  A host stall in one run
+then costs nothing, while a slow-down present in both runs still
+fails.
 
 Cross-machine comparisons are inherently apples-to-oranges, so the
 checker can *normalize* both sides by a calibration benchmark
@@ -49,14 +57,16 @@ Two more ``extra_info`` conventions:
 Usage::
 
     # gate (exit 1 on regression)
-    python benchmarks/check_regression.py fresh.json [--tolerance 0.30]
-        [--normalize NAME]
+    python benchmarks/check_regression.py fresh.json [fresh2.json ...]
+        [--tolerance 0.30] [--normalize NAME]
 
     # refresh the committed baseline after a deliberate perf change
-    python benchmarks/check_regression.py fresh.json --update "label"
+    python benchmarks/check_regression.py fresh.json [fresh2.json ...]
+        --update "label"
 
 The baseline file keeps a *history* of labelled entries; the gate
-always compares against the newest one, and ``--update`` appends.
+always compares against the newest one, and ``--update`` appends the
+merged runs with the host's ``cpu_count``.
 """
 
 from __future__ import annotations
@@ -64,6 +74,8 @@ from __future__ import annotations
 import argparse
 import datetime as _dt
 import json
+import os
+import statistics
 import sys
 from pathlib import Path
 
@@ -134,6 +146,32 @@ def load_fresh(path: Path) -> dict[str, dict[str, float]]:
     return out
 
 
+def merge_runs(
+    runs: list[dict[str, dict[str, float]]]
+) -> dict[str, dict[str, float]]:
+    """One figure per benchmark over repeated runs of one suite: the min
+    of each timing, the max of each ``count_*``, the lower median of the
+    rest."""
+    merged: dict[str, dict[str, float]] = {}
+    for name in sorted(set().union(*runs)):
+        present = [run[name] for run in runs if name in run]
+        entry: dict[str, float] = {}
+        for key in sorted(set().union(*present)):
+            values = [stats[key] for stats in present if key in stats]
+            if key in ("mean_us", "min_us"):
+                entry[key] = min(values)
+            elif _is_count(key):
+                entry[key] = max(values)
+            else:
+                entry[key] = statistics.median_low(values)
+        merged[name] = entry
+    return merged
+
+
+def load_runs(paths: list[str]) -> dict[str, dict[str, float]]:
+    return merge_runs([load_fresh(Path(p)) for p in paths])
+
+
 def load_baseline() -> dict:
     if not BASELINE_PATH.exists():
         raise SystemExit(
@@ -170,7 +208,7 @@ def normalize(
 
 
 def check(args: argparse.Namespace) -> int:
-    fresh = load_fresh(Path(args.results))
+    fresh = load_runs(args.results)
     baseline = load_baseline()
     entry = newest_entry(baseline)
     tolerance = (
@@ -189,6 +227,8 @@ def check(args: argparse.Namespace) -> int:
         f"regression gate vs baseline {entry['label']!r} "
         f"({entry['date']}), tolerance {tolerance:.0%}"
         + (f", normalized by {args.normalize}" if args.normalize else "")
+        + (f", over {len(args.results)} runs" if len(args.results) > 1
+           else "")
     )
     for name, base in sorted(base_cmp.items()):
         got = fresh_cmp.get(name)
@@ -301,7 +341,7 @@ def check(args: argparse.Namespace) -> int:
 
 
 def update(args: argparse.Namespace) -> int:
-    fresh = load_fresh(Path(args.results))
+    fresh = load_runs(args.results)
     if BASELINE_PATH.exists():
         baseline = json.loads(BASELINE_PATH.read_text())
     else:
@@ -310,6 +350,8 @@ def update(args: argparse.Namespace) -> int:
         {
             "label": args.update,
             "date": _dt.date.today().isoformat(),
+            "cpu_count": os.cpu_count(),
+            "runs": len(args.results),
             "benchmarks": {
                 name: {k: round(v, 4) for k, v in stats.items()}
                 for name, stats in sorted(fresh.items())
@@ -323,7 +365,10 @@ def update(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("results", help="pytest-benchmark --benchmark-json output")
+    parser.add_argument(
+        "results", nargs="+",
+        help="pytest-benchmark --benchmark-json output, one per run",
+    )
     parser.add_argument(
         "--tolerance",
         type=float,

@@ -38,8 +38,9 @@ from typing import Optional
 import numpy as np
 
 from ..core.clock import VirtualClock
-from ..core.geometry import Vec2, distance
+from ..core.geometry import Vec2
 from ..core.ids import ChannelId, IdAllocator, NodeId
+from ..core.neighbor import ChannelIndexedNeighborTables
 from ..core.packet import DropReason, Packet, PacketStamper, packet_row
 from ..core.recording import MemoryRecorder, Recorder
 from ..core.scene import Scene, SceneEvent
@@ -194,6 +195,7 @@ class MobiEmuEmulator:
         self.clock = VirtualClock()
         self.scene = Scene(seed=seed)  # ground truth, in the controller
         self.scene.bind_time_source(self.clock.now)
+        self.neighbors = ChannelIndexedNeighborTables(self.scene)
         self.recorder = recorder if recorder is not None else MemoryRecorder()
         self._stations: dict[NodeId, MobiEmuStation] = {}
         self._ids = IdAllocator()
@@ -284,15 +286,12 @@ class MobiEmuEmulator:
         else:
             self._record(packet, station.node_id, None, DropReason.NOT_NEIGHBOR)
             return
+        # Reality's row: who truly hears the station, and Step 3 per target.
+        fan = self.neighbors.fanout(station.node_id, packet.channel)
+        t_receipt = packet.t_origin  # distributed stamping: local, exact
         for target in targets:
-            truly_neighbor = (
-                target in self.scene
-                and station.node_id in self.scene
-                and self.scene.is_neighbor(
-                    station.node_id, target, packet.channel
-                )
-            )
-            if not truly_neighbor:
+            idx = fan.index.get(target)
+            if idx is None:
                 # The station believed a link that reality lacks: the frame
                 # radiates into the void — Fig 3's expired-scene error.
                 self.misdirected += 1
@@ -300,19 +299,17 @@ class MobiEmuEmulator:
                     packet, station.node_id, target, DropReason.NOT_NEIGHBOR
                 )
                 continue
-            radio = self.scene.radio_on_channel(station.node_id, packet.channel)
-            r = self.scene.distance_between(station.node_id, target)
-            if radio.link.should_drop(self._rng, r):
+            lost, runs = fan.forward(
+                self._rng, [idx],
+                t_receipt if t_receipt is not None else self.clock.now(),
+                packet.size_bits,
+            )
+            if lost:
                 self._record(
                     packet, station.node_id, target, DropReason.LOSS_MODEL
                 )
                 continue
-            t_receipt = packet.t_origin  # distributed stamping: local, exact
-            t_arrive = radio.link.forward_time(
-                t_receipt if t_receipt is not None else self.clock.now(),
-                packet.size_bits,
-                r,
-            )
+            t_arrive = runs[0][0]
             stamped = packet.stamped(t_receipt=t_receipt, t_forward=t_arrive)
             self.delivered += 1
             self._record(stamped.stamped(t_delivered=t_arrive),
@@ -348,12 +345,7 @@ class MobiEmuEmulator:
             channel = next(iter(self.scene.channels_of(node_id)), None)
             if channel is None:
                 continue
-            truth = {
-                other
-                for other in self.scene.node_ids()
-                if other != node_id
-                and self.scene.is_neighbor(node_id, other, channel)
-            }
+            truth = self.neighbors.neighbors(node_id, channel)
             believed = station.replica_neighbors()
             report[node_id] = len(truth ^ believed)
         return report

@@ -199,12 +199,14 @@ class ForwardingEngine:
         server-arrival anchoring used by the Fig 2 baseline.
 
         Hot-path shape: one cached :class:`~repro.core.neighbor.Fanout`
-        read whose link plan (plain Python values) is computed on the
-        row's first use; per broadcast at most one ``rng.random(n)``
-        call, one forward-time expression per plan segment and a loop
-        comparing draws to loss probabilities; no ``Packet`` copy (the
-        entries carry the stamps); one ``push_many``, one counter-lock
-        acquisition and at most one batched recorder call.
+        read, and Step 3 decided by that row
+        (:meth:`~repro.core.neighbor.Fanout.forward`) for every frame,
+        unicast or broadcast: at most one ``rng.random(n)`` call and one
+        forward-time expression per segment of the row's cached link
+        plan, which a unicast or a quarantined broadcast indexes by row
+        position.  No ``Packet`` copy (the entries carry the stamps);
+        one ``push_many``, one counter-lock acquisition and at most one
+        batched recorder call.
 
         ``trace`` is a sampled pipeline trace started by the transport
         layer (its ``receive`` stage already recorded); when the engine
@@ -282,9 +284,7 @@ class ForwardingEngine:
 
         _t_drop = _perf() if tr is not None else 0.0  # Step 3 stage timer
         at: Optional[list[int]] = None  # the targets' row positions; None: all
-        if packet.is_broadcast:
-            targets: tuple[NodeId, ...] = fan.targets
-        else:
+        if not packet.is_broadcast:
             idx = fan.index.get(packet.destination)
             if idx is None:
                 drops.append(
@@ -293,73 +293,26 @@ class ForwardingEngine:
                 return self._commit_ingest(
                     packet, sender, t_receipt, [], drops, tr
                 )
-            targets = (packet.destination,)
             at = [idx]
 
-        # Quarantined receivers hear nothing (checked before any RNG draw,
-        # matching the scalar path's stream consumption).
+        # Quarantined receivers hear nothing (checked before any RNG draw).
         if quarantined:
-            keep = [
-                i for i, t in enumerate(targets) if t not in quarantined
-            ]
-            if len(keep) != len(targets):
+            row = fan.targets
+            live = range(len(row)) if at is None else at
+            keep = [i for i in live if row[i] not in quarantined]
+            if len(keep) != len(live):
                 drops.append((
-                    tuple(t for t in targets if t in quarantined),
+                    tuple(row[i] for i in live if row[i] in quarantined),
                     DropReason.NODE_STALE, None,
                 ))
-                targets = tuple(targets[i] for i in keep)
-                at = keep if at is None else [at[i] for i in keep]
+                at = keep
 
-        # Runs of consecutive accepted receivers sharing a forward time
-        # (every receiver, when the link's bandwidth does not depend on
-        # distance): one schedule entry each.
-        runs: list[tuple[float, tuple[NodeId, ...]]] = []
-        lost: list[NodeId] = []
-        n = len(targets)
-        if n == 1:
-            # Scalar fast path: unicast (and 1-neighbor broadcasts) skip
-            # the row plan and keep the historical RNG stream.
-            r = float(fan.distances[0 if at is None else at[0]])
-            if radio.link.should_drop(self._rng, r):
-                lost.append(targets[0])
-            else:
-                t_forward = radio.link.forward_time(
-                    t_receipt, packet.size_bits, r
-                )
-                # Causality floor: a frame cannot leave before the server
-                # saw it (client stamps may lag the server clock).
-                if t_forward < t_receipt:
-                    t_forward = t_receipt
-                runs.append((t_forward, targets))
-        elif n:
-            # The row's cached plan: one forward time per segment, and one
-            # RNG call only when some target's loss is not degenerate —
-            # the stream n scalar draws would consume.
-            p, p_min, p_max, segments = fan.link_plan(at)
-            u = None
-            if p_min >= 1.0:
-                lost += targets
-                segments = ()
-            elif p_max > 0.0:
-                u = self._rng.random(n).tolist()
-            size = packet.size_bits
-            for lo, hi, delay, bw in segments:
-                tf = t_receipt + delay + size / bw
-                if tf < t_receipt:
-                    tf = t_receipt  # causality floor
-                if u is None:
-                    group = targets[lo:hi]
-                else:
-                    kept = []
-                    for i in range(lo, hi):
-                        (lost if u[i] < p[i] else kept).append(targets[i])
-                    group = tuple(kept)
-                if runs and runs[-1][0] == tf:
-                    runs[-1] = (tf, runs[-1][1] + group)
-                elif group:
-                    runs.append((tf, group))
+        # Step 3, decided by the row: the receivers the loss model drops,
+        # and runs of consecutive accepted receivers sharing a forward
+        # time, one schedule entry each.
+        lost, runs = fan.forward(self._rng, at, t_receipt, packet.size_bits)
         if lost:
-            drops.append((tuple(lost), DropReason.LOSS_MODEL, None))
+            drops.append((lost, DropReason.LOSS_MODEL, None))
         # The frame as received; its stamps are set once, at delivery.
         scheduled = [
             ScheduledPacket(tf, packet, group, sender, t_receipt)
@@ -374,7 +327,8 @@ class ForwardingEngine:
                 _t0 = _perf()
                 accepted = self.schedule.push_many(scheduled)
                 tr.stage("schedule_push", _perf() - _t0)
-            if accepted != n - len(lost):
+            offered = len(fan.targets if at is None else at) - len(lost)
+            if accepted != offered:
                 # Each rejected run carries its group's forward time, so
                 # the drop record keeps its t_forward stamp.
                 skip = accepted

@@ -56,7 +56,8 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class Fanout:
-    """Broadcast fan-out of one (sender, channel) pair: one table row.
+    """Fan-out of one (sender, channel) pair: one table row, and the one
+    place §3.2 Step 3 is decided (:meth:`forward`).
 
     ``fanout()`` hands back the identical object for as long as nothing
     the row holds has changed, so in steady state the forwarding engine
@@ -72,12 +73,14 @@ class Fanout:
         ``D(sender, target)`` per target, same order, precomputed so the
         link model is evaluated over the whole neighborhood at once;
     ``index``
-        target → position in ``targets`` (the unicast fast path);
+        target → position in ``targets`` (how a unicast finds its row
+        position);
     ``neighbors``
         ``targets`` as the frozenset ``neighbors()`` hands out;
     ``plan``
         the row's link plan as plain Python values, filled in by the
-        first :meth:`link_plan` call.
+        first :meth:`link_plan` call.  Its format is known to this
+        class alone.
     """
 
     radio: Optional[Radio]
@@ -87,11 +90,12 @@ class Fanout:
     neighbors: frozenset[NodeId]
     plan: Optional[tuple] = field(default=None, compare=False, repr=False)
 
-    def link_plan(self, at: Optional[list[int]] = None) -> tuple:
-        """``(loss, p_min, p_max, segments)``: per-target loss
-        probabilities, their min and max, and the targets as ``(lo, hi,
-        delay, bandwidth)`` segments of one delay and bandwidth.  Computed
-        once per row; for ascending row positions ``at``, that subset's."""
+    def link_plan(self) -> tuple:
+        """``(loss, p_min, p_max, segments, keys)``: per-target loss
+        probabilities, their min and max, the targets as ``(lo, hi,
+        delay, bandwidth)`` segments of one delay and bandwidth, and the
+        per-target ``(delay, bandwidth)`` keys.  Computed once per row,
+        with one numpy pass of each link model."""
         plan = self.plan
         if plan is None:
             link, r = self.radio.link, self.distances
@@ -99,13 +103,58 @@ class Fanout:
             keys = list(zip(link.delay.delay_array(r).tolist(),
                             link.bandwidth.bandwidth_array(r).tolist()))
             plan = (loss, min(loss, default=0.0), max(loss, default=0.0),
-                    _segments(keys))
+                    _segments(keys), keys)
             object.__setattr__(self, "plan", plan)
-        if at is None:
-            return plan
-        keys = [seg[2:] for seg in plan[3] for _ in range(seg[0], seg[1])]
-        loss = [plan[0][i] for i in at]
-        return loss, min(loss), max(loss), _segments([keys[i] for i in at])
+        return plan
+
+    def forward(
+        self,
+        rng: np.random.Generator,
+        at: Optional[list[int]],
+        t_receipt: float,
+        size_bits: int,
+    ) -> tuple[tuple[NodeId, ...], list[tuple[float, tuple[NodeId, ...]]]]:
+        """§3.2 Step 3 for one frame sent to the targets at ascending row
+        positions ``at`` (None: the whole row).
+
+        Returns ``(lost, runs)``: the targets the loss model drops, and
+        the others as runs of consecutive targets sharing one
+        ``t_forward = t_receipt + delay + size_bits / bandwidth``.  It
+        draws ``rng.random(n)`` once, and only when some target's loss
+        probability is neither 0 nor 1.  A target is lost when its draw
+        is below its probability.  The forward time is computed once per
+        plan segment; a subset (a unicast, a broadcast with quarantined
+        targets) indexes the plan's per-target lists, one segment per
+        target.  It is never before ``t_receipt``, since a size is
+        positive, a delay non-negative and a bandwidth positive and
+        finite.
+        """
+        p, p_min, p_max, segments, keys = self.link_plan()
+        targets = self.targets
+        if at is not None:
+            p = [p[i] for i in at]
+            p_min, p_max = (min(p), max(p)) if p else (0.0, 0.0)
+            targets = tuple([targets[i] for i in at])
+            segments = [(j, j + 1, *keys[i]) for j, i in enumerate(at)]
+        runs: list[tuple[float, tuple[NodeId, ...]]] = []
+        if p_min >= 1.0:
+            return targets, runs
+        u = rng.random(len(p)).tolist() if p_max > 0.0 else None
+        lost: list[NodeId] = []
+        for lo, hi, delay, bw in segments:
+            tf = t_receipt + delay + size_bits / bw
+            if u is None:
+                group = targets[lo:hi]
+            else:
+                kept = []
+                for i in range(lo, hi):
+                    (lost if u[i] < p[i] else kept).append(targets[i])
+                group = tuple(kept)
+            if runs and runs[-1][0] == tf:
+                runs[-1] = (tf, runs[-1][1] + group)
+            elif group:
+                runs.append((tf, group))
+        return tuple(lost), runs
 
 
 def _segments(keys: list) -> tuple:

@@ -28,6 +28,15 @@ Step 3)::
 
 Units: distances in the paper's abstract "(unit)", bandwidth in bits/s,
 delay in seconds, sizes in bits.
+
+The models hold parameters and evaluate them; they decide nothing.  Step 3
+itself, the drop draw and the forward time, is computed in one place:
+:meth:`repro.core.neighbor.Fanout.forward`, over a row plan built once
+from the ``*_array`` forms, for unicasts and broadcasts alike (so the
+Gaussian bandwidth's ``exp`` is always numpy's).  The scalar
+``loss_probability`` / ``bandwidth`` / ``delay`` are the reference the
+array forms are tested against.  Every parameter must be finite, so
+every forward time is a number no earlier than its receipt time.
 """
 
 from __future__ import annotations
@@ -72,11 +81,14 @@ class PacketLossModel:
                 f"p1 ({self.p1}) must be >= p0 ({self.p0}): loss cannot "
                 "decrease with distance"
             )
-        if self.d0 < 0:
-            raise ConfigurationError(f"d0 must be non-negative, got {self.d0}")
-        if self.radio_range <= 0:
+        if not (math.isfinite(self.d0) and self.d0 >= 0):
             raise ConfigurationError(
-                f"radio_range must be positive, got {self.radio_range}"
+                f"d0 must be finite and non-negative, got {self.d0}"
+            )
+        if not (math.isfinite(self.radio_range) and self.radio_range > 0):
+            raise ConfigurationError(
+                f"radio_range must be finite and positive, got "
+                f"{self.radio_range}"
             )
         if self.d0 > self.radio_range and self.p1 != self.p0:
             raise ConfigurationError(
@@ -109,19 +121,10 @@ class PacketLossModel:
         return min(self.p0 + self.kp * (r - self.d0), self.p1)
 
     def loss_probability_array(self, r: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`loss_probability` for analysis/benchmarks."""
+        """Vectorized :meth:`loss_probability` (the row plan's form)."""
         r = np.asarray(r, dtype=float)
         return np.clip(self.p0 + self.kp * np.maximum(r - self.d0, 0.0),
                        self.p0, self.p1)
-
-    def should_drop(self, rng: np.random.Generator, r: float) -> bool:
-        """Bernoulli drop decision at distance ``r``."""
-        p = self.loss_probability(r)
-        if p <= 0.0:
-            return False
-        if p >= 1.0:
-            return True
-        return bool(rng.random() < p)
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,19 +140,23 @@ class BandwidthModel:
     radio_range: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.peak <= 0:
-            raise ConfigurationError(f"peak bandwidth must be positive: {self.peak}")
+        if not (math.isfinite(self.peak) and self.peak > 0):
+            raise ConfigurationError(
+                f"peak bandwidth must be finite and positive: {self.peak}"
+            )
         edge = self.peak if self.edge is None else self.edge
         object.__setattr__(self, "edge", edge)
-        if edge <= 0:
-            raise ConfigurationError(f"edge bandwidth must be positive: {edge}")
+        if not (math.isfinite(edge) and edge > 0):
+            raise ConfigurationError(
+                f"edge bandwidth must be finite and positive: {edge}"
+            )
         if edge > self.peak:
             raise ConfigurationError(
                 f"edge bandwidth ({edge}) cannot exceed peak ({self.peak})"
             )
-        if self.radio_range <= 0:
+        if not (math.isfinite(self.radio_range) and self.radio_range > 0):
             raise ConfigurationError(
-                f"radio_range must be positive: {self.radio_range}"
+                f"radio_range must be finite and positive: {self.radio_range}"
             )
 
     @property
@@ -180,10 +187,6 @@ class BandwidthModel:
             return np.full_like(r, self.peak)
         return np.maximum(self.peak * np.exp(-self.kb * r * r), self.edge)
 
-    def serialization_time(self, size_bits: int, r: float) -> float:
-        """``packet_size / bandwidth`` at distance ``r`` (seconds)."""
-        return size_bits / self.bandwidth(r)
-
 
 @dataclass(frozen=True, slots=True)
 class DelayModel:
@@ -198,8 +201,12 @@ class DelayModel:
     per_unit: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.base < 0 or self.per_unit < 0:
-            raise ConfigurationError("delay components must be non-negative")
+        if not all(math.isfinite(v) and v >= 0
+                   for v in (self.base, self.per_unit)):
+            raise ConfigurationError(
+                "delay components must be finite and non-negative: "
+                f"{self.base}, {self.per_unit}"
+            )
 
     def delay(self, r: float) -> float:
         if r < 0:
@@ -228,17 +235,6 @@ class LinkModel:
         default_factory=lambda: BandwidthModel(peak=11e6)
     )
     delay: DelayModel = field(default_factory=DelayModel)
-
-    def forward_time(self, t_receipt: float, size_bits: int, r: float) -> float:
-        """§3.2 Step 3: ``t_forward = t_receipt + delay + size/bandwidth``."""
-        return (
-            t_receipt
-            + self.delay.delay(r)
-            + self.bandwidth.serialization_time(size_bits, r)
-        )
-
-    def should_drop(self, rng: np.random.Generator, r: float) -> bool:
-        return self.loss.should_drop(rng, r)
 
 
 DEFAULT_LINK = LinkModel()

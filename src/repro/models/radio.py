@@ -14,6 +14,7 @@ the channel, changing the radio range") can retune them live.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
@@ -35,8 +36,10 @@ class Radio:
     def __post_init__(self) -> None:
         if int(self.channel) < 0:
             raise ChannelError(f"channel id must be non-negative: {self.channel}")
-        if self.range <= 0:
-            raise ConfigurationError(f"radio range must be positive: {self.range}")
+        if not (math.isfinite(self.range) and self.range > 0):
+            raise ConfigurationError(
+                f"radio range must be finite and positive: {self.range}"
+            )
 
     def retuned(self, channel: ChannelId) -> "Radio":
         """Copy of this radio switched to another channel."""

@@ -1,13 +1,13 @@
 """The row link plan against the numpy formulation it replaced.
 
-``ForwardingEngine.ingest`` decides a broadcast fan-out over the row's
-cached plan in plain Python: per-target loss probabilities compared to
-one ``rng.random(n)`` draw, and one forward time per segment of targets
-sharing a delay and a bandwidth.  The oracle here is the vectorized
-formulation it replaced (``rng.random(n) < p``, one ``t_forward``
-expression over arrays, ``np.maximum`` as the causality floor); both
-must lose the same receivers, schedule the same ``(t_forward, group)``
-entries and leave the RNG in the same state.
+``Fanout.forward`` decides §3.2 Step 3 for every frame, broadcast or
+unicast, over the row's cached plan in plain Python: per-target loss
+probabilities compared to one ``rng.random(n)`` draw, and one forward
+time per segment of targets sharing a delay and a bandwidth.  The oracle
+here is the vectorized formulation (``rng.random(n) < p``, one
+``t_forward`` expression over arrays, ``np.maximum`` as a causality
+floor that never binds); both must lose the same receivers, schedule the
+same ``(t_forward, group)`` entries and leave the RNG in the same state.
 """
 
 import numpy as np
@@ -61,6 +61,8 @@ def oracle(rng, fan, at, t_receipt, size_bits):
         p, delay, bw = p[at], delay[at], bw[at]
         targets = tuple(targets[i] for i in at)
     n = len(targets)
+    if n == 0:
+        return [], []
     if p.max() <= 0.0:
         mask = np.zeros(n, dtype=bool)
     elif p.min() >= 1.0:
@@ -82,7 +84,7 @@ def oracle(rng, fan, at, t_receipt, size_bits):
 
 def fanout_case():
     """A sender and its targets: link choice, target distances and
-    angles, quarantined targets (at least two targets stay live)."""
+    angles, quarantined targets (any number, all of them included)."""
 
     @st.composite
     def build(draw):
@@ -95,11 +97,11 @@ def fanout_case():
             )
         else:
             distance = st.floats(0.0, RANGE - 1.0)
-        n = draw(st.integers(2, 10))
+        n = draw(st.integers(1, 10))
         places = draw(st.lists(
             st.tuples(distance, st.floats(0.0, 6.28)), min_size=n, max_size=n,
         ))
-        stale = draw(st.lists(st.integers(0, n - 1), max_size=n - 2,
+        stale = draw(st.lists(st.integers(0, n - 1), max_size=n,
                               unique=True))
         return loss, bandwidth, delay, places, stale
 
@@ -109,7 +111,9 @@ def fanout_case():
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(
     case=fanout_case(),
-    t_receipts=st.lists(st.floats(0.0, 1e4), min_size=1, max_size=3),
+    # Receipt at 0.0 keeps a bandwidth's last bit in t_forward.
+    t_receipts=st.lists(st.just(0.0) | st.floats(0.0, 1e4), min_size=1,
+                        max_size=3),
     size_bits=st.integers(1, 12_000),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -135,16 +139,22 @@ def test_plan_matches_the_vectorized_formulation(case, t_receipts, size_bits,
     reference_rng = np.random.default_rng(seed)
     fan = neighbors.fanout(SENDER, CH)
     quarantined = scene.quarantined_snapshot()
-    at = [i for i, t in enumerate(fan.targets) if t not in quarantined]
-    if len(at) == len(fan.targets):
-        at = None
-    if len(fan.targets if at is None else at) < 2:
-        return  # the scalar path, not the plan
-    # Repeated frames: the first builds the plan, the rest reuse it.
-    for seq, t_receipt in enumerate(t_receipts, 1):
+    live = [i for i, t in enumerate(fan.targets) if t not in quarantined]
+    # Per receipt time a broadcast, then a unicast to each target: the
+    # first frame builds the plan, the rest reuse it.
+    frames = [
+        (t_receipt, destination)
+        for t_receipt in t_receipts
+        for destination in (BROADCAST_NODE, *fan.targets)
+    ]
+    for seq, (t_receipt, destination) in enumerate(frames, 1):
+        if destination == BROADCAST_NODE:
+            at = None if len(live) == len(fan.targets) else live
+        else:
+            at = [i for i in live if fan.targets[i] == destination]
         before = len(engine.recorder)
         entries = engine.ingest(SENDER, Packet(
-            source=SENDER, destination=BROADCAST_NODE, payload=b"x",
+            source=SENDER, destination=destination, payload=b"x",
             size_bits=size_bits, seqno=seq, channel=CH, t_origin=t_receipt,
         ))
         lost = [
@@ -169,9 +179,15 @@ def test_constant_link_row_is_one_segment():
     for i, x in enumerate((0.0, 40.0, 80.0, 120.0), 1):
         scene.add_node(NodeId(i), Vec2(x, 0.0), radios)
     fan = ChannelIndexedNeighborTables(scene).fanout(NodeId(1), CH)
-    loss, p_min, p_max, segments = fan.link_plan()
+    loss, p_min, p_max, segments, keys = fan.link_plan()
     assert segments == ((0, 3, 0.01, 1e6),)
+    assert keys == [(0.01, 1e6)] * 3
     assert (p_min, p_max) == (min(loss), max(loss)) and len(loss) == 3
     assert fan.link_plan() is fan.link_plan()  # computed once per row
-    # A subset of the row keeps its segments, re-indexed into the subset.
-    assert fan.link_plan([0, 2])[3] == ((0, 2, 0.01, 1e6),)
+    # A subset indexes the row's lists; on a constant link its kept
+    # targets still leave in one run.
+    lost, runs = fan.forward(np.random.default_rng(0), [0, 2], 1.0, 8)
+    assert len(runs) <= 1
+    assert all(tf == 1.0 + 0.01 + 8 / 1e6 for tf, _ in runs)
+    kept = runs[0][1] if runs else ()
+    assert sorted(lost + kept) == [fan.targets[0], fan.targets[2]]

@@ -222,6 +222,37 @@ class TestServerRobustness:
                         RadioConfig.single(1, 100.0)) as late:
             assert late.node_id in server.scene
 
+    @pytest.mark.parametrize("radio", [
+        {"channel": 1, "range": 100.0, "link": {"bw_peak": float("nan")}},
+        {"channel": 1, "range": 100.0, "link": {"delay": float("inf")}},
+        {"channel": 1, "range": float("nan")},
+    ], ids=["nan-bandwidth", "inf-delay", "nan-range"])
+    def test_non_finite_register_drops_only_that_client(self, server, radio):
+        """JSON carries NaN and Infinity.  A register with a non-finite
+        link or radio parameter adds no node and closes only its own
+        connection; it would otherwise schedule frames at a NaN forward
+        time.  Another pair still delivers."""
+        sock = socket.create_connection(server.address, timeout=5.0)
+        try:
+            framing.send_frame(sock, messages.encode_message({
+                "op": "register", "x": 0.0, "y": 50.0, "label": "",
+                "radios": [radio],
+            }))
+            reader = framing.FrameReader(sock)
+            while reader.recv_frame() is not None:
+                pass  # the server closed this connection
+        finally:
+            sock.close()
+        assert any("finite" in f["error"]
+                   for f in server.health()["recent_failures"])
+        assert list(server.scene.node_ids()) == []
+        with PoEmClient(server.address, Vec2(0, 0),
+                        RadioConfig.single(1, 100.0)) as a, \
+             PoEmClient(server.address, Vec2(40, 0),
+                        RadioConfig.single(1, 100.0)) as b:
+            a.transmit(b.node_id, b"after-nan", channel=1)
+            assert wait_for(lambda: len(b.received) == 1)
+
     def test_double_start_rejected(self, server):
         from repro.errors import TransportError
 

@@ -1,4 +1,9 @@
-"""Tests for repro.models.link — the §4.3.2 link models."""
+"""Tests for repro.models.link — the §4.3.2 link models.
+
+The models decide nothing themselves: Step 3 (the drop draw and the
+forward time) is :meth:`Fanout.forward` over a row plan built from
+them, so the behaviour tests here send frames through a row.
+"""
 
 import math
 
@@ -7,15 +12,30 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.ids import ChannelId, NodeId
+from repro.core.neighbor import Fanout
 from repro.errors import ConfigurationError
 from repro.models.link import (
+    DEFAULT_LINK,
     BandwidthModel,
     DelayModel,
     LinkModel,
     PacketLossModel,
 )
+from repro.models.radio import Radio
 
 PAPER_LOSS = PacketLossModel(p0=0.1, p1=0.9, d0=50.0, radio_range=200.0)
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+def row(link, *distances):
+    """A row whose targets 1, 2, ... sit at ``distances`` from the sender."""
+    targets = tuple(NodeId(i) for i in range(1, len(distances) + 1))
+    return Fanout(
+        Radio(ChannelId(1), 1000.0, link), targets,
+        np.array(distances, dtype=float),
+        {t: i for i, t in enumerate(targets)}, frozenset(targets),
+    )
 
 
 class TestPacketLossModel:
@@ -52,17 +72,34 @@ class TestPacketLossModel:
             assert p == pytest.approx(PAPER_LOSS.loss_probability(float(r)))
 
     def test_should_drop_extremes(self):
+        """Loss 0 never drops and loss 1 always does, neither drawing."""
         rng = np.random.default_rng(0)
-        never = PacketLossModel(p0=0.0, p1=0.0, radio_range=100)
-        always = PacketLossModel(p0=1.0, p1=1.0, radio_range=100)
-        assert not any(never.should_drop(rng, 50.0) for _ in range(100))
-        assert all(always.should_drop(rng, 50.0) for _ in range(100))
+        state = rng.bit_generator.state
+        never = row(LinkModel(loss=PacketLossModel(radio_range=100)), 50.0)
+        always = row(LinkModel(loss=PacketLossModel(
+            p0=1.0, p1=1.0, radio_range=100)), 50.0)
+        for _ in range(100):
+            assert never.forward(rng, [0], 0.0, 8)[0] == ()
+            assert always.forward(rng, [0], 0.0, 8) == ((NodeId(1),), [])
+        assert rng.bit_generator.state == state
 
     def test_should_drop_statistics(self):
+        """Loss 0.5 drops about half of 10 000 unicasts."""
         rng = np.random.default_rng(1)
-        m = PacketLossModel(p0=0.5, p1=0.5, radio_range=100)
-        hits = sum(m.should_drop(rng, 10.0) for _ in range(10_000))
+        fan = row(LinkModel(loss=PacketLossModel(
+            p0=0.5, p1=0.5, radio_range=100)), 10.0)
+        hits = sum(bool(fan.forward(rng, [0], 0.0, 8)[0])
+                   for _ in range(10_000))
         assert 4700 <= hits <= 5300
+
+    def test_non_finite_rejected(self):
+        for v in NON_FINITE:
+            with pytest.raises(ConfigurationError):
+                PacketLossModel(d0=v, radio_range=100)
+            with pytest.raises(ConfigurationError):
+                PacketLossModel(radio_range=v)
+            with pytest.raises(ConfigurationError):
+                PacketLossModel(p0=v, p1=v)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -116,8 +153,13 @@ class TestBandwidthModel:
         assert m.bandwidth(500) == pytest.approx(1e6)
 
     def test_serialization_time(self):
-        m = BandwidthModel(peak=1e6, radio_range=100)
-        assert m.serialization_time(1_000_000, 0) == pytest.approx(1.0)
+        """A megabit at 1 Mbit/s leaves one second after its receipt."""
+        fan = row(LinkModel(bandwidth=BandwidthModel(peak=1e6,
+                                                     radio_range=100)), 0.0)
+        rng = np.random.default_rng(0)
+        assert fan.forward(rng, None, 0.0, 1_000_000) == (
+            (), [(1.0, (NodeId(1),))]
+        )
 
     def test_array_matches_scalar(self):
         m = BandwidthModel(peak=11e6, edge=2e6, radio_range=150.0)
@@ -135,6 +177,15 @@ class TestBandwidthModel:
         with pytest.raises(ConfigurationError):
             BandwidthModel(peak=1e6, radio_range=0)
 
+    def test_non_finite_rejected(self):
+        for v in NON_FINITE:
+            with pytest.raises(ConfigurationError):
+                BandwidthModel(peak=v)
+            with pytest.raises(ConfigurationError):
+                BandwidthModel(peak=1e6, edge=v)
+            with pytest.raises(ConfigurationError):
+                BandwidthModel(peak=1e6, radio_range=v)
+
 
 class TestDelayModel:
     def test_constant(self):
@@ -150,28 +201,49 @@ class TestDelayModel:
         with pytest.raises(ConfigurationError):
             DelayModel().delay(-1)
 
+    def test_non_finite_rejected(self):
+        for v in NON_FINITE:
+            with pytest.raises(ConfigurationError):
+                DelayModel(base=v)
+            with pytest.raises(ConfigurationError):
+                DelayModel(per_unit=v)
+
 
 class TestLinkModel:
+    """§3.2 Step 3 over a row: ``Fanout.forward``."""
+
     def test_forward_time_formula(self):
         """§3.2 Step 3 verbatim."""
         link = LinkModel(
             bandwidth=BandwidthModel(peak=1e6, radio_range=100),
             delay=DelayModel(base=0.05),
         )
-        t = link.forward_time(t_receipt=2.0, size_bits=10_000, r=30.0)
-        assert t == pytest.approx(2.0 + 0.05 + 10_000 / 1e6)
+        rng = np.random.default_rng(0)
+        lost, runs = row(link, 30.0).forward(rng, [0], 2.0, 10_000)
+        assert lost == () and runs == [(2.0 + 0.05 + 10_000 / 1e6,
+                                        (NodeId(1),))]
 
     def test_forward_time_uses_distance_bandwidth(self):
         link = LinkModel(
             bandwidth=BandwidthModel(peak=1e6, edge=1e5, radio_range=100),
         )
-        near = link.forward_time(0.0, 100_000, r=0.0)
-        far = link.forward_time(0.0, 100_000, r=100.0)
+        rng = np.random.default_rng(0)
+        _, [(near, _), (far, _)] = row(link, 0.0, 100.0).forward(
+            rng, None, 0.0, 100_000
+        )
         assert far > near  # lower bandwidth at distance → later forward
+        # A unicast is the broadcast's target, to the last bit.
+        assert row(link, 0.0, 100.0).forward(rng, [1], 0.0, 100_000) == (
+            (), [(far, (NodeId(2),))]
+        )
 
     def test_default_is_benign(self):
-        from repro.models.link import DEFAULT_LINK
-
+        """Lossless, no delay, 11 Mbit/s: no draw and no drop."""
         rng = np.random.default_rng(0)
-        assert not DEFAULT_LINK.should_drop(rng, 50.0)
+        state = rng.bit_generator.state
+        fan = row(DEFAULT_LINK, 50.0)
+        assert fan.forward(rng, [0], 1.0, 11_000) == (
+            (), [(1.0 + 11_000 / 11e6, (NodeId(1),))]
+        )
+        assert rng.bit_generator.state == state
         assert DEFAULT_LINK.delay.delay(10) == 0.0

@@ -28,6 +28,9 @@ class TestRadio:
             Radio(ch(-1), 100.0)
         with pytest.raises(ConfigurationError):
             Radio(ch(1), 0.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                Radio(ch(1), bad)
 
 
 class TestRadioConfig:
