@@ -9,16 +9,21 @@ it connects, registers its VMN (position + radios), synchronizes its
 emulation clock with the server (§4.1 — several rounds, keeping the
 minimum-delay sample, Cristian-style), stamps every outgoing packet with
 the synchronized clock (*parallel time-stamping*), and dispatches
-delivered frames to the embedded protocol on a receiver thread.  Reads
-go through the socket's :class:`~repro.net.framing.FrameReader` (one
-``recv`` serves every frame that arrived with it); writes stay one
+delivered frames to the embedded protocol.  One receiver thread is the
+socket's only reader, from :meth:`~PoEmClient.connect` to ``close``: it
+dials, runs the handshake, and decodes every frame through one
+dispatcher, :meth:`~PoEmClient._handle`, which queues each ``registered``
+/ ``sync_rep`` reply with the local instant it was read (the §4.1
+``t_c4``).  A sync wait on that thread reads the socket itself and holds
+the deliveries it meets for the loop to dispatch, in wire order.  Reads
+go through a :class:`~repro.net.framing.FrameReader`; writes stay one
 ``sendall`` per frame, the unit of fault of ``FaultyTransport``.
 
 Fault tolerance: the client answers the server's ``ping`` heartbeats, and
 with ``auto_reconnect=True`` it survives a dropped connection — the
-receiver thread retries the connection with exponential backoff plus
-jitter, re-registers under its prior label (reclaiming its quarantined
-VMN within the server's grace period), re-runs the §4.1 clock sync, and
+receiver thread redials with exponential backoff plus jitter,
+re-registers under its prior label (reclaiming its quarantined VMN
+within the server's grace period), re-runs the §4.1 clock sync, and
 resumes the embedded protocol.  Frames transmitted during the outage are
 counted in :attr:`outage_drops` (radio silence, not an error).  The
 ``transport_wrapper`` hook lets tests interpose a
@@ -35,6 +40,7 @@ import queue
 import random
 import socket
 import threading
+from collections import deque
 from typing import Callable, Optional
 
 from ..errors import TransportError
@@ -99,9 +105,7 @@ class PoEmClient(ProtocolHost):
         self._transport_wrapper = transport_wrapper
 
         self._sock = None  # socket.socket or a transport wrapper around one
-        # De-framer of the installed socket; whoever owns the socket's
-        # read side (handshake caller, then the receiver thread) uses it.
-        self._reader: Optional[framing.FrameReader] = None
+        self._reader: Optional[framing.FrameReader] = None  # receiver only
         self._send_lock = threading.Lock()
         self._node_id: Optional[NodeId] = None
         self._local_clock: EmulationClock = (
@@ -115,13 +119,15 @@ class PoEmClient(ProtocolHost):
         self._running = False
         self._outage = threading.Event()  # set while the link is down
         self._stop_evt = threading.Event()  # aborts reconnect backoff
-        self._early_deliveries: list[Packet] = []
-        self._sync_replies: "queue.Queue[dict]" = queue.Queue()
+        # (reply, t_read) for every registered / sync_rep, in wire order.
+        self._replies: "queue.Queue[tuple[dict, float]]" = queue.Queue()
+        # Deliver frames a receiver-thread wait read; dispatched next.
+        self._held: deque[bytes] = deque()
+        self._dialed: "queue.Queue[Optional[BaseException]]" = queue.Queue()
         self.protocol: Optional[RoutingProtocol] = None
         self.received: list[Packet] = []
         self.app_received: list[Packet] = []
         self.on_app_packet: Optional[Callable[[Packet], None]] = None
-        self._recv_lock = threading.Lock()
         self.reconnects = 0
         #: Last overload state piggybacked on a server heartbeat
         #: (``"pressured"``/``"saturated"``), or None while nominal.
@@ -155,63 +161,69 @@ class PoEmClient(ProtocolHost):
     # -- connection lifecycle -------------------------------------------------------
 
     def connect(self) -> NodeId:
-        """Register with the server and synchronize the emulation clock."""
-        if self._sock is not None:
+        """Register with the server and synchronize the emulation clock.
+
+        The receiver thread dials and runs the handshake; this waits for
+        its outcome and re-raises its error.
+        """
+        if self._running:
             raise TransportError("client already connected")
-        self._install_socket(
-            socket.create_connection(self._address, timeout=self._connect_timeout)
-        )
-        self._handshake(cause="register")
         self._running = True
         self._stop_evt.clear()
         # Supervised, non-restartable: _receive_loop owns its own
         # reconnect logic; a crash *escaping* the loop is a real bug and
-        # must land in the thread's health record, not vanish.
+        # must land in the thread's health record, not vanish.  Assigned
+        # before start: the handshake asks whether it runs on it.
         self._receiver = SupervisedThread(
-            f"poem-client-{self._node_id}",
+            f"poem-client-{self._label or hex(id(self))}",
             self._receive_loop,
             restartable=False,
-        ).start()
-        # Replay any frames that raced the handshake.
-        for early in self._early_deliveries:
-            self._dispatch_packet(early)
-        self._early_deliveries.clear()
+        )
+        self._receiver.start()
+        error = self._dialed.get()
+        if error is not None:
+            self._receiver.join()
+            self._receiver = None
+            raise error
         return self._node_id
 
-    def _install_socket(self, sock: socket.socket) -> None:
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        if self._transport_wrapper is not None:
-            self._sock = self._transport_wrapper(sock)
-        else:
-            self._sock = sock
-        self._reader = framing.FrameReader(self._sock)
+    def _dial(self, cause: str) -> None:
+        """Connect, register (or re-register) this VMN and run the clock
+        sync, on the receiver thread; a failure leaves no socket behind.
 
-    def _handshake(self, cause: str = "register") -> None:
-        """Register (or re-register) this VMN and run the clock sync.
-
-        Runs on whichever thread owns the socket exclusively: the caller
-        of :meth:`connect`, or the receiver thread during a reconnect.
         ``cause`` labels the §4.1 sync samples this handshake produces
         (``register`` or ``reconnect``) in the forensics log.
         """
-        self._send(
-            {
-                "op": "register",
-                "x": self._position.x,
-                "y": self._position.y,
-                "label": self._label,
-                "radios": [
-                    {"channel": int(r.channel), "range": r.range}
-                    for r in self._radios.radios
-                ],
-            }
+        sock = socket.create_connection(
+            self._address, timeout=self._connect_timeout
         )
-        msg = self._recv_expect("registered")
-        self._node_id = NodeId(int(msg["node"]))
-        self.reclaimed = bool(msg.get("reclaimed", False))
-        self._stamper = PacketStamper(self._node_id)
-        self.synchronize(cause=cause)
-        self._sock.settimeout(None)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            wrap = self._transport_wrapper
+            self._sock = sock if wrap is None else wrap(sock)
+            self._reader = framing.FrameReader(self._sock)
+            self._send(
+                {
+                    "op": "register",
+                    "x": self._position.x,
+                    "y": self._position.y,
+                    "label": self._label,
+                    "radios": [
+                        {"channel": int(r.channel), "range": r.range}
+                        for r in self._radios.radios
+                    ],
+                }
+            )
+            msg, _ = self._await("registered")
+            self._node_id = NodeId(int(msg["node"]))
+            self.reclaimed = bool(msg.get("reclaimed", False))
+            self._stamper = PacketStamper(self._node_id)
+            self.synchronize(cause=cause)
+            self._sock.settimeout(None)
+        except BaseException:
+            self._sock = None
+            sock.close()
+            raise
 
     def synchronize(
         self, rounds: Optional[int] = None, *, cause: str = "resync"
@@ -231,29 +243,12 @@ class PoEmClient(ProtocolHost):
         called explicitly.
         """
         rounds = rounds if rounds is not None else self._sync_rounds
-        # When a live receiver thread owns the socket, sync replies are
-        # routed to us through the queue so there is exactly one reader.
-        # During the initial handshake — and during a *reconnect*
-        # handshake, which runs on the receiver thread itself — we read
-        # the socket directly.
-        receiver_owns_socket = (
-            self._receiver is not None
-            and self._receiver.is_alive()
-            and not self._receiver.is_current()
-        )
         best: Optional[SyncResult] = None
         collected: list[tuple[SyncResult, float]] = []
         for _ in range(max(rounds, 1)):
             t_c1 = self._local_clock.now()
             self._send({"op": "sync_req", "t_c1": t_c1})
-            if receiver_owns_socket:
-                try:
-                    msg = self._sync_replies.get(timeout=self._connect_timeout)
-                except queue.Empty:
-                    raise TransportError("sync_rep timed out") from None
-            else:
-                msg = self._recv_expect("sync_rep")
-            t_c4 = self._local_clock.now()
+            msg, t_c4 = self._await("sync_rep", t_c1)
             result = estimate_offset(
                 SyncReply(t_s3=float(msg["t_s3"]), echo=float(msg["echo"])),
                 t_c4,
@@ -406,66 +401,82 @@ class PoEmClient(ProtocolHost):
         with self._send_lock:  # poem: ignore[POEM002]
             framing.send_frame(self._sock, payload)
 
-    def _recv_expect(self, op: str) -> dict:
-        """Handshake-time receive: buffer deliveries that race us, answer
-        heartbeats, and hand back the awaited message."""
-        assert self._reader is not None
+    def _await(self, op: str, since: float = 0.0) -> tuple[dict, float]:
+        """The next ``op`` reply and the local instant it was read.
+
+        On the receiver thread this reads the socket itself and holds
+        the deliveries it meets; elsewhere it waits on the reply queue.
+        A ``sync_rep`` whose echo is below ``since`` (the ``t_c1`` just
+        sent) answers an abandoned round and is skipped.
+        """
+        on_receiver = self._receiver is not None and self._receiver.is_current()
         while True:
-            frame = self._reader.recv_frame()
-            if frame is None:
-                raise TransportError("server closed during handshake")
+            while on_receiver and self._replies.empty():
+                frame = self._next_frame()
+                if messages.is_binary_frame(frame):
+                    self._held.append(frame)
+                else:
+                    self._handle(frame)
+            try:
+                msg, t_read = self._replies.get(timeout=self._connect_timeout)
+            except queue.Empty:
+                raise TransportError(f"{op} timed out") from None
+            if msg["op"] == op and (op != "sync_rep" or msg["echo"] >= since):
+                return msg, t_read
+
+    def _next_frame(self) -> bytes:
+        frame = self._reader.recv_frame()
+        if frame is None:
+            raise TransportError("server closed the connection")
+        return frame
+
+    def _receive_loop(self) -> None:
+        try:
+            self._dial("register")
+        except BaseException as exc:  # re-raised by connect()
+            self._running = False
+            self._dialed.put(exc)
+            return
+        self._dialed.put(None)
+        held = self._held
+        while self._running:
+            try:
+                frame = held.popleft() if held else self._next_frame()
+            except TransportError:
+                if not (self._running and self._auto_reconnect
+                        and self._reconnect()):
+                    return
+                continue
+            self._handle(frame)
+
+    def _handle(self, frame: bytes) -> None:
+        """The one decoder: dispatch a delivery, answer a ping, or queue
+        a ``registered`` / ``sync_rep`` reply with the instant it was read."""
+        try:
             if messages.is_binary_frame(frame):
                 bin_op, packet = messages.decode_packet_binary(frame)
                 if bin_op == "deliver":
-                    self._early_deliveries.append(packet)
-                    continue
-                raise TransportError(
-                    f"expected {op!r}, got binary {bin_op!r}"
-                )
+                    if self._m_rx is not None:
+                        self._m_rx.inc()
+                    self.received.append(packet)
+                    if self.protocol is not None:
+                        self.protocol.on_packet(packet)
+                    elif self.on_app_packet is not None:
+                        self.on_app_packet(packet)
+                return
+            t_read = self._local_clock.now()
             msg = messages.decode_message(frame)
-            if msg["op"] == op:
-                return msg
-            if msg["op"] == "ping":
-                self.server_overload = msg.get("overload")
-                try:
-                    self._send(messages.make_pong(msg))
-                except TransportError:
-                    pass
-                continue
-            if msg["op"] in ("pong", "sync_rep"):
-                continue  # stale heartbeat answer / sync from before a drop
-            raise TransportError(f"expected {op!r}, got {msg['op']!r}")
-
-    def _receive_loop(self) -> None:
-        while self._running:
+        except TransportError:
+            return  # a corrupted frame, or a link lost under a callback
+        op = msg.get("op")
+        if op in ("registered", "sync_rep"):
+            self._replies.put((msg, t_read))
+        elif op == "ping":
+            self.server_overload = msg.get("overload")
             try:
-                frame = self._reader.recv_frame()
+                self._send(messages.make_pong(msg))
             except TransportError:
-                frame = None
-            if frame is None:
-                if not self._running or not self._auto_reconnect:
-                    return
-                if not self._reconnect():
-                    return
-                continue
-            try:
-                if messages.is_binary_frame(frame):
-                    bin_op, packet = messages.decode_packet_binary(frame)
-                    if bin_op == "deliver":
-                        self._dispatch_packet(packet)
-                    continue
-                msg = messages.decode_message(frame)
-            except TransportError:
-                continue  # corrupted frame payload: skip it
-            op = msg.get("op")
-            if op == "sync_rep":
-                self._sync_replies.put(msg)
-            elif op == "ping":
-                self.server_overload = msg.get("overload")
-                try:
-                    self._send(messages.make_pong(msg))
-                except TransportError:
-                    pass  # the dead socket surfaces on the next recv
+                pass  # the dead socket surfaces on the next recv
 
     # -- reconnect ------------------------------------------------------------------
 
@@ -497,21 +508,8 @@ class PoEmClient(ProtocolHost):
                 return False
             delay = min(delay * 2.0, self._reconnect_cap)
             try:
-                sock = socket.create_connection(
-                    self._address, timeout=self._connect_timeout
-                )
-            except OSError:
-                continue
-            try:
-                self._install_socket(sock)
-                # Re-register + fresh §4.1 clock sync, logged as such.
-                self._handshake(cause="reconnect")
+                self._dial("reconnect")  # sync samples logged as such
             except (TransportError, OSError):
-                self._sock = None
-                try:
-                    sock.close()
-                except OSError:
-                    pass
                 continue
             self.reconnects += 1
             self._outage.clear()
@@ -521,9 +519,6 @@ class PoEmClient(ProtocolHost):
                 label=self._label, reclaimed=self.reclaimed,
                 attempt=_attempt + 1,
             )
-            for early in self._early_deliveries:
-                self._dispatch_packet(early)
-            self._early_deliveries.clear()
             return True
         # Budget exhausted: give up like a powered-off node.
         log_event(
@@ -535,13 +530,3 @@ class PoEmClient(ProtocolHost):
         self._outage.clear()
         self._running = False
         return False
-
-    def _dispatch_packet(self, packet: Packet) -> None:
-        if self._m_rx is not None:
-            self._m_rx.inc()
-        with self._recv_lock:
-            self.received.append(packet)
-        if self.protocol is not None:
-            self.protocol.on_packet(packet)
-        elif self.on_app_packet is not None:
-            self.on_app_packet(packet)

@@ -38,6 +38,7 @@ their tables.  Reading it is lock-free.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -145,6 +146,13 @@ class NodeState:
         self.quarantined = False  # stale client: topology kept, traffic dropped
 
 
+def _require_finite(position: Vec2) -> None:
+    """A NaN or infinite coordinate compares false with every range, so
+    its node would silently be no one's neighbor: refuse it instead."""
+    if not (math.isfinite(position.x) and math.isfinite(position.y)):
+        raise ConfigurationError(f"position must be finite: {position}")
+
+
 class Scene:
     """The mutable, observable network scene.
 
@@ -240,6 +248,7 @@ class Scene:
         label: str = "",
     ) -> NodeState:
         """Create a VMN (a client connecting maps to exactly one of these)."""
+        _require_finite(position)
         with self._lock:
             self._sync_time()
             if node_id in self._nodes:
@@ -346,8 +355,11 @@ class Scene:
         The batch form of :meth:`move_node` — what a shard worker applies
         a ``scene_moves`` frame through.  Listeners see it exactly like a
         mobility tick of :meth:`advance_time` (see :meth:`_apply_moves`);
-        an unknown node raises before anything moved.
+        an unknown node or a non-finite position raises before anything
+        moved.
         """
+        for _, position in moves:
+            _require_finite(position)
         with self._lock:
             self._sync_time()
             bounds = self.bounds

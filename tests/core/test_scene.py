@@ -5,7 +5,9 @@ import pytest
 from repro.core.geometry import Vec2
 from repro.core.ids import ChannelId, NodeId, RadioIndex
 from repro.core.scene import Scene
-from repro.errors import SceneError, UnknownNodeError, UnknownRadioError
+from repro.errors import (
+    ConfigurationError, SceneError, UnknownNodeError, UnknownRadioError,
+)
 from repro.models.link import LinkModel, PacketLossModel
 from repro.models.mobility import Bounds, ConstantVelocity, Stationary
 from repro.models.radio import Radio, RadioConfig
@@ -60,6 +62,12 @@ class TestLifecycle:
         with pytest.raises(SceneError):
             s.add_node(n(1), Vec2(200, 0), RadioConfig.single(1, 10))
 
+    @pytest.mark.parametrize("x,y", [(float("nan"), 0.0), (0.0, float("inf"))])
+    def test_non_finite_position_rejected_on_add(self, scene, x, y):
+        with pytest.raises(ConfigurationError, match="finite"):
+            scene.add_node(n(4), Vec2(x, y), RadioConfig.single(1, 10))
+        assert n(4) not in scene
+
 
 class TestMutations:
     def test_move(self, scene):
@@ -71,6 +79,19 @@ class TestMutations:
         s.add_node(n(1), Vec2(50, 50), RadioConfig.single(1, 10))
         s.move_node(n(1), Vec2(500, 50))
         assert s.position(n(1)) == Vec2(100, 50)
+
+    def test_non_finite_move_moves_nothing(self, scene):
+        """One bad position in a batch fails the whole batch: no node
+        moved, no event, no version bump."""
+        events = []
+        scene.add_listener(events.append)
+        version = scene.version
+        with pytest.raises(ConfigurationError, match="finite"):
+            scene.move_nodes([(n(1), Vec2(5, 5)),
+                              (n(2), Vec2(float("-inf"), 0))])
+        assert scene.position(n(1)) == Vec2(0, 0)
+        assert scene.position(n(2)) == Vec2(50, 0)
+        assert events == [] and scene.version == version
 
     def test_set_channel(self, scene):
         scene.set_radio_channel(n(1), RadioIndex(0), ChannelId(5))

@@ -222,21 +222,26 @@ class TestServerRobustness:
                         RadioConfig.single(1, 100.0)) as late:
             assert late.node_id in server.scene
 
-    @pytest.mark.parametrize("radio", [
-        {"channel": 1, "range": 100.0, "link": {"bw_peak": float("nan")}},
-        {"channel": 1, "range": 100.0, "link": {"delay": float("inf")}},
-        {"channel": 1, "range": float("nan")},
-    ], ids=["nan-bandwidth", "inf-delay", "nan-range"])
-    def test_non_finite_register_drops_only_that_client(self, server, radio):
+    @pytest.mark.parametrize("fields", [
+        {"radios": [{"channel": 1, "range": 100.0,
+                     "link": {"bw_peak": float("nan")}}]},
+        {"radios": [{"channel": 1, "range": 100.0,
+                     "link": {"delay": float("inf")}}]},
+        {"radios": [{"channel": 1, "range": float("nan")}]},
+        {"x": float("nan")},
+        {"y": float("-inf")},
+    ], ids=["nan-bandwidth", "inf-delay", "nan-range", "nan-x", "inf-y"])
+    def test_non_finite_register_drops_only_that_client(self, server, fields):
         """JSON carries NaN and Infinity.  A register with a non-finite
-        link or radio parameter adds no node and closes only its own
-        connection; it would otherwise schedule frames at a NaN forward
-        time.  Another pair still delivers."""
+        position, link or radio parameter adds no node and closes only
+        its own connection; it would otherwise schedule frames at a NaN
+        forward time, or place a node no one can hear.  Another pair
+        still delivers."""
         sock = socket.create_connection(server.address, timeout=5.0)
         try:
             framing.send_frame(sock, messages.encode_message({
                 "op": "register", "x": 0.0, "y": 50.0, "label": "",
-                "radios": [radio],
+                "radios": [{"channel": 1, "range": 100.0}], **fields,
             }))
             reader = framing.FrameReader(sock)
             while reader.recv_frame() is not None:

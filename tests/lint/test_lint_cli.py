@@ -111,10 +111,12 @@ def test_lint_deep_json_document(capsys):
     assert deep["functions"] > 500
     # Ceilings as well as floors: a change that grows the lock graph or
     # adds a thread root fails here until the ceiling is raised on purpose.
-    assert 20 < deep["static_lock_edges"] <= 58
+    assert 20 < deep["static_lock_edges"] <= 56
     # Supervised threads, httpd, worker_main...; the TCP server's data
-    # path and scene time are one root, PoEmServer._serve_loop.
+    # path and scene time are one root, PoEmServer._serve_loop, and each
+    # client socket has one reader, PoEmClient._receive_loop.
     assert 0 < len(deep["thread_roots"]) <= 10
+    assert "core.client.PoEmClient._receive_loop" in deep["thread_roots"]
     assert deep["stale_baseline_entries"] == []
     assert all(e["justification"] for e in deep["baselined"])
 
