@@ -10,14 +10,15 @@ emulation clock with the server (§4.1 — several rounds, keeping the
 minimum-delay sample, Cristian-style), stamps every outgoing packet with
 the synchronized clock (*parallel time-stamping*), and dispatches
 delivered frames to the embedded protocol.  One receiver thread is the
-socket's only reader, from :meth:`~PoEmClient.connect` to ``close``: it
-dials, runs the handshake, and decodes every frame through one
-dispatcher, :meth:`~PoEmClient._handle`, which queues each ``registered``
-/ ``sync_rep`` reply with the local instant it was read (the §4.1
-``t_c4``).  A sync wait on that thread reads the socket itself and holds
-the deliveries it meets for the loop to dispatch, in wire order.  Reads
-go through a :class:`~repro.net.framing.FrameReader`; writes stay one
-``sendall`` per frame, the unit of fault of ``FaultyTransport``.
+client's only event thread, from :meth:`~PoEmClient.connect` to
+``close``: it dials, runs the handshake, runs the protocol's timers and
+decodes every frame through one dispatcher, :meth:`~PoEmClient._handle`,
+which queues each ``registered`` / ``sync_rep`` reply with the local
+instant it was read (the §4.1 ``t_c4``).  It waits in one place,
+:meth:`~PoEmClient._wait`, so timers fire between frames, in a handshake
+and in a reconnect backoff alike.  A sync wait on that thread holds the
+deliveries it meets for the loop to dispatch, in wire order.  Writes
+stay one ``sendall`` per frame, the unit of fault of ``FaultyTransport``.
 
 Fault tolerance: the client answers the server's ``ping`` heartbeats, and
 with ``auto_reconnect=True`` it survives a dropped connection — the
@@ -35,19 +36,24 @@ for the forensics plane's clock audit to catch.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import logging
+import math
 import queue
 import random
+import select
 import socket
 import threading
+import time
 from collections import deque
 from typing import Callable, Optional
 
-from ..errors import TransportError
+from ..errors import ClockError, TransportError
 from ..models.radio import RadioConfig
 from ..net import framing, messages
 from ..obs.logging import get_logger, log_event
-from ..protocols.base import ProtocolHost, RoutingProtocol, ThreadTimerService, TimerService
+from ..protocols.base import ProtocolHost, RoutingProtocol, TimerHandle, TimerService
 from .clock import (
     EmulationClock,
     RealTimeClock,
@@ -64,6 +70,56 @@ from .supervision import SupervisedThread
 __all__ = ["PoEmClient"]
 
 _log = get_logger("client")
+
+
+class _Timers(TimerService):
+    """A client's protocol timers: a heap of (deadline, seq) under one
+    lock, run by the receiver's wait with the callbacks outside it."""
+
+    def __init__(self, wake: Callable[[], None]) -> None:
+        self._lock = threading.Lock()
+        self._heap: list[tuple[float, int]] = []
+        self._fns: dict[int, Callable[[], None]] = {}  # seq -> armed callback
+        self._seq = itertools.count()
+        self._wake = wake  # called when a new timer becomes the head
+
+    def call_after(self, delay: float, fn: Callable[[], None]) -> TimerHandle:
+        if delay != delay:
+            raise ClockError("NaN timer delay")
+        when = time.monotonic() + max(delay, 0.0)
+        with self._lock:
+            seq = next(self._seq)
+            self._fns[seq] = fn
+            heapq.heappush(self._heap, (when, seq))
+            head = self._heap[0][1] == seq
+        if head:
+            self._wake()
+        return TimerHandle(seq)
+
+    def cancel(self, handle: TimerHandle) -> None:
+        with self._lock:
+            self._fns.pop(handle.key, None)  # its heap entry is skipped
+
+    def cancel_all(self) -> None:
+        with self._lock:
+            self._fns.clear()
+            self._heap.clear()
+
+    def run_due(self) -> float:
+        """Run the callbacks that fell due, in deadline order; return the
+        next deadline (``inf`` when none is armed)."""
+        heap, fns = self._heap, self._fns
+        while heap:
+            with self._lock:
+                if not heap or heap[0][0] > time.monotonic():
+                    return heap[0][0] if heap else math.inf
+                fn = fns.pop(heapq.heappop(heap)[1], None)
+            if fn is not None:
+                try:
+                    fn()
+                except TransportError:
+                    pass  # a link lost under the callback
+        return math.inf
 
 
 class PoEmClient(ProtocolHost):
@@ -114,11 +170,11 @@ class PoEmClient(ProtocolHost):
         self.clock = SynchronizedClock(self._local_clock)
         self.last_sync: Optional[SyncResult] = None
         self._stamper: Optional[PacketStamper] = None
-        self._timers = ThreadTimerService()
+        self._timers = _Timers(self._wake)
         self._receiver: Optional[SupervisedThread] = None
         self._running = False
         self._outage = threading.Event()  # set while the link is down
-        self._stop_evt = threading.Event()  # aborts reconnect backoff
+        self._wake_r = self._wake_w = None  # select wake pair, per connect()
         # (reply, t_read) for every registered / sync_rep, in wire order.
         self._replies: "queue.Queue[tuple[dict, float]]" = queue.Queue()
         # Deliver frames a receiver-thread wait read; dispatched next.
@@ -168,8 +224,9 @@ class PoEmClient(ProtocolHost):
         """
         if self._running:
             raise TransportError("client already connected")
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_w.setblocking(False)
         self._running = True
-        self._stop_evt.clear()
         # Supervised, non-restartable: _receive_loop owns its own
         # reconnect logic; a crash *escaping* the loop is a real bug and
         # must land in the thread's health record, not vanish.  Assigned
@@ -183,7 +240,7 @@ class PoEmClient(ProtocolHost):
         error = self._dialed.get()
         if error is not None:
             self._receiver.join()
-            self._receiver = None
+            self.close()  # closes the wake pair
             raise error
         return self._node_id
 
@@ -291,7 +348,7 @@ class PoEmClient(ProtocolHost):
             self.protocol = None
         self._timers.cancel_all()
         self._running = False
-        self._stop_evt.set()  # abort any reconnect backoff sleep
+        self._wake()  # ends the receiver's wait, a reconnect backoff too
         if self._sock is not None:
             try:
                 self._send({"op": "bye"})
@@ -307,6 +364,9 @@ class PoEmClient(ProtocolHost):
         if receiver is not None:
             receiver.join(timeout=2.0)  # no-op from the receiver itself
             self._receiver = None
+        if self._wake_r is not None:
+            self._wake_r.close()
+            self._wake_w.close()
 
     def __enter__(self) -> "PoEmClient":
         self.connect()
@@ -395,9 +455,10 @@ class PoEmClient(ProtocolHost):
     def _send_raw(self, payload: bytes) -> None:
         if self._sock is None:
             raise TransportError("client not connected")
-        # The lock exists precisely to serialize this write: protocol
-        # timers and the receiver thread share one socket, and a frame
-        # must hit the wire atomically.  Nothing else contends on it.
+        # The lock exists precisely to serialize this write: application
+        # threads (``send_data``, a traffic sender) and the receiver
+        # (pongs, timers) share one socket, and a frame must hit the wire
+        # atomically.  Nothing else contends on it.
         with self._send_lock:  # poem: ignore[POEM002]
             framing.send_frame(self._sock, payload)
 
@@ -410,9 +471,12 @@ class PoEmClient(ProtocolHost):
         sent) answers an abandoned round and is skipped.
         """
         on_receiver = self._receiver is not None and self._receiver.is_current()
+        until = time.monotonic() + self._connect_timeout
         while True:
             while on_receiver and self._replies.empty():
-                frame = self._next_frame()
+                frame = self._wait(until)
+                if frame is None:  # no reply in time, or closed
+                    raise TransportError(f"{op} timed out")
                 if messages.is_binary_frame(frame):
                     self._held.append(frame)
                 else:
@@ -424,11 +488,45 @@ class PoEmClient(ProtocolHost):
             if msg["op"] == op and (op != "sync_rep" or msg["echo"] >= since):
                 return msg, t_read
 
-    def _next_frame(self) -> bytes:
-        frame = self._reader.recv_frame()
-        if frame is None:
-            raise TransportError("server closed the connection")
-        return frame
+    def _wake(self) -> None:
+        """End the receiver's select; a no-op on the receiver itself."""
+        receiver = self._receiver
+        if self._wake_w is not None and not (receiver and receiver.is_current()):
+            try:
+                self._wake_w.send(b"\0")
+            except OSError:  # closed by close(), or full: awake anyway
+                pass
+
+    def _wait(self, until: float = math.inf) -> Optional[bytes]:
+        """The receiver's one wait: run timers as they fall due and
+        return the next frame; None at ``until`` or once closed.  Selects
+        over the socket (none in a reconnect backoff) and the wake pair,
+        and only when no whole frame is buffered."""
+        wake = self._wake_r
+        while self._running:
+            head = self._timers.run_due()
+            sock, reader = self._sock, self._reader
+            if sock is not None and reader.has_frame:
+                return reader.recv_frame()
+            now = time.monotonic()
+            if now >= until:
+                return None
+            timeout = min(head, until) - now
+            try:
+                ready = select.select(
+                    [wake] if sock is None else [sock, wake], [], [],
+                    None if timeout == math.inf else max(timeout, 0.0),
+                )[0]
+            except (OSError, ValueError) as exc:  # closed under the select
+                raise TransportError(f"select failed: {exc}") from exc
+            if wake in ready:
+                wake.recv(4096)
+            if sock in ready:
+                frame = reader.recv_frame()
+                if frame is None:
+                    raise TransportError("server closed the connection")
+                return frame
+        return None
 
     def _receive_loop(self) -> None:
         try:
@@ -441,7 +539,12 @@ class PoEmClient(ProtocolHost):
         held = self._held
         while self._running:
             try:
-                frame = held.popleft() if held else self._next_frame()
+                if not held:
+                    frame = self._wait()
+                    if frame is None:  # closed
+                        return
+                    held.append(frame)  # behind any a timer's sync held
+                frame = held.popleft()
             except TransportError:
                 if not (self._running and self._auto_reconnect
                         and self._reconnect()):
@@ -502,8 +605,7 @@ class PoEmClient(ProtocolHost):
             sleep_for = delay * (
                 1.0 + self._reconnect_jitter * self._reconnect_rng.random()
             )
-            if self._stop_evt.wait(min(sleep_for, self._reconnect_cap)):
-                return False
+            self._wait(time.monotonic() + min(sleep_for, self._reconnect_cap))
             if not self._running:
                 return False
             delay = min(delay * 2.0, self._reconnect_cap)

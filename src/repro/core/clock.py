@@ -124,9 +124,10 @@ class VirtualClock(EmulationClock):
 
         Scheduling at the current time is allowed (the callback runs on the
         next loop step); scheduling in the past is an error because it
-        would silently reorder causality.
+        would silently reorder causality, and so is NaN, which compares
+        below nothing and would stall the queue.
         """
-        if when < self._now:
+        if not when >= self._now:
             raise ClockError(
                 f"cannot schedule at t={when} (virtual clock already at {self._now})"
             )
@@ -136,8 +137,8 @@ class VirtualClock(EmulationClock):
 
     def call_after(self, delay: float, fn: Callable[[], None]) -> ScheduledCall:
         """Schedule ``fn`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise ClockError(f"negative delay: {delay}")
+        if not delay >= 0:
+            raise ClockError(f"negative or NaN delay: {delay}")
         return self.call_at(self._now + delay, fn)
 
     def cancel(self, handle: ScheduledCall) -> None:
@@ -173,7 +174,7 @@ class VirtualClock(EmulationClock):
         The clock finishes exactly at ``deadline`` even if the queue drains
         early, so periodic processes observe a consistent end time.
         """
-        if deadline < self._now:
+        if not deadline >= self._now:
             raise ClockError(
                 f"deadline {deadline} is before current time {self._now}"
             )

@@ -219,9 +219,9 @@ def packet_row(
 class PacketStamper:
     """Allocates per-sender sequence numbers and origin time-stamps.
 
-    Lives in the **client** (one per VMN).  Thread-safe because a client
-    may host a protocol with its own timer threads under the real-time
-    stack.
+    Lives in the **client** (one per VMN).  Thread-safe because on the
+    real-time stack the receiver thread (protocol timers and relays) and
+    application threads both transmit.
     """
 
     def __init__(self, node: NodeId) -> None:

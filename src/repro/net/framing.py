@@ -182,6 +182,11 @@ class FrameReader:
         self._buf = FrameBuffer()
         self._ready: deque[bytes] = deque()
 
+    @property
+    def has_frame(self) -> bool:
+        """A whole frame is buffered: :meth:`recv_frame` will not read."""
+        return bool(self._ready)
+
     def recv_frame(self) -> Optional[bytes]:
         """The next frame; None on orderly peer close."""
         ready = self._ready

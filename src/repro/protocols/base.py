@@ -25,7 +25,6 @@ point, kept testable.
 
 from __future__ import annotations
 
-import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -39,7 +38,6 @@ __all__ = [
     "TimerHandle",
     "TimerService",
     "VirtualTimerService",
-    "ThreadTimerService",
     "ProtocolHost",
     "RoutingProtocol",
     "AppDeliverFn",
@@ -97,45 +95,6 @@ class VirtualTimerService(TimerService):
         for call in list(self._handles):
             self._clock.cancel(call)
         self._handles.clear()
-
-
-class ThreadTimerService(TimerService):
-    """Timers via ``threading.Timer`` (real-time stack)."""
-
-    def __init__(self) -> None:
-        self._timers: dict[int, threading.Timer] = {}
-        self._next = 0
-        self._lock = threading.Lock()
-
-    def call_after(self, delay: float, fn: Callable[[], None]) -> TimerHandle:
-        with self._lock:
-            key = self._next
-            self._next += 1
-
-        def wrapper() -> None:
-            with self._lock:
-                self._timers.pop(key, None)
-            fn()
-
-        timer = threading.Timer(max(delay, 0.0), wrapper)
-        timer.daemon = True
-        with self._lock:
-            self._timers[key] = timer
-        timer.start()
-        return TimerHandle(key)
-
-    def cancel(self, handle: TimerHandle) -> None:
-        with self._lock:
-            timer = self._timers.pop(handle.key, None)
-        if timer is not None:
-            timer.cancel()
-
-    def cancel_all(self) -> None:
-        with self._lock:
-            timers = list(self._timers.values())
-            self._timers.clear()
-        for t in timers:
-            t.cancel()
 
 
 class ProtocolHost(ABC):
@@ -198,9 +157,10 @@ class RoutingProtocol(ABC):
     """Base class of the real protocol implementations under test.
 
     Lifecycle: ``start(host)`` → any number of ``on_packet`` / ``send_data``
-    / timer callbacks → ``stop()``.  Implementations must be reentrant for
-    the real-time stack (timer threads) — the bundled protocols serialize
-    on a per-instance lock.
+    / timer callbacks → ``stop()``.  On the real-time stack ``on_packet``
+    and timer callbacks run on the client's receiver thread while
+    application threads call ``send_data`` and ``route_summary``, so the
+    bundled protocols serialize on a per-instance lock.
     """
 
     def __init__(self) -> None:

@@ -151,6 +151,28 @@ class TestVirtualClock:
         with pytest.raises(ClockError):
             clock.run_until(4.0)
 
+    def test_nan_times_rejected(self):
+        """NaN compares below nothing: accepted, it would sit at the head
+        of the queue and stall every later timer."""
+        clock = VirtualClock()
+        nan = float("nan")
+        with pytest.raises(ClockError):
+            clock.call_at(nan, lambda: None)
+        with pytest.raises(ClockError):
+            clock.call_after(nan, lambda: None)
+        with pytest.raises(ClockError):
+            clock.run_until(nan)
+        assert clock.now() == 0.0 and clock.pending() == 0
+
+    def test_later_timer_fires_after_rejected_nan(self):
+        clock = VirtualClock()
+        fired = []
+        with pytest.raises(ClockError):
+            clock.call_after(float("nan"), lambda: fired.append("nan"))
+        clock.call_after(1.0, lambda: fired.append(clock.now()))
+        clock.run_until(5.0)
+        assert fired == [1.0] and clock.pending() == 0
+
     def test_callbacks_can_schedule(self):
         clock = VirtualClock()
         seen = []

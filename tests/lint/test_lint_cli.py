@@ -114,9 +114,12 @@ def test_lint_deep_json_document(capsys):
     assert 20 < deep["static_lock_edges"] <= 56
     # Supervised threads, httpd, worker_main...; the TCP server's data
     # path and scene time are one root, PoEmServer._serve_loop, and each
-    # client socket has one reader, PoEmClient._receive_loop.
-    assert 0 < len(deep["thread_roots"]) <= 10
+    # client's socket and protocol timers have one thread,
+    # PoEmClient._receive_loop: no timer thread is a root any more.
+    assert 0 < len(deep["thread_roots"]) <= 9
     assert "core.client.PoEmClient._receive_loop" in deep["thread_roots"]
+    assert ("protocols.base.ThreadTimerService.call_after.wrapper"
+            not in deep["thread_roots"])
     assert deep["stale_baseline_entries"] == []
     assert all(e["justification"] for e in deep["baselined"])
 

@@ -231,6 +231,20 @@ class TestFrameReader:
             a.close()
             b.close()
 
+    def test_has_frame_only_for_a_whole_buffered_frame(self):
+        a, b = socket.socketpair()
+        try:
+            reader = FrameReader(b)
+            assert not reader.has_frame
+            a.sendall(pack_frame(b"x") + pack_frame(b"y") + b"\x00\x00")
+            assert reader.recv_frame() == b"x"
+            assert reader.has_frame
+            assert reader.recv_frame() == b"y"
+            assert not reader.has_frame  # half a header is not a frame
+        finally:
+            a.close()
+            b.close()
+
     def test_midframe_close_raises(self):
         a, b = socket.socketpair()
         try:

@@ -5,17 +5,15 @@ import time
 
 import pytest
 
+from repro.core.client import PoEmClient
 from repro.core.clock import VirtualClock
 from repro.core.geometry import Vec2
 from repro.core.ids import NodeId
 from repro.core.server import InProcessEmulator
-from repro.errors import ProtocolError
+from repro.core.tcpserver import PoEmServer
+from repro.errors import ClockError, ProtocolError
 from repro.models.radio import RadioConfig
-from repro.protocols.base import (
-    RoutingProtocol,
-    ThreadTimerService,
-    VirtualTimerService,
-)
+from repro.protocols.base import RoutingProtocol, VirtualTimerService
 
 
 class Recorderoto(RoutingProtocol):
@@ -79,29 +77,42 @@ class TestVirtualTimerService:
         assert timers._handles == set()
 
 
-class TestThreadTimerService:
-    def test_fires(self):
-        timers = ThreadTimerService()
+@pytest.fixture
+def client_timers():
+    """The real-time stack's timers: a connected client's ``timers()``."""
+    with PoEmServer(seed=0) as srv, \
+         PoEmClient(srv.address, Vec2(0, 0), RadioConfig.single(1, 100),
+                    sync_rounds=1) as client:
+        yield client.timers()
+
+
+class TestClientTimers:
+    def test_fires(self, client_timers):
         event = threading.Event()
-        timers.call_after(0.02, event.set)
+        client_timers.call_after(0.02, event.set)
         assert event.wait(2.0)
 
-    def test_cancel(self):
-        timers = ThreadTimerService()
+    def test_cancel(self, client_timers):
         fired = []
-        handle = timers.call_after(0.2, lambda: fired.append(1))
-        timers.cancel(handle)
+        handle = client_timers.call_after(0.2, lambda: fired.append(1))
+        client_timers.cancel(handle)
         time.sleep(0.3)
         assert fired == []
 
-    def test_cancel_all(self):
-        timers = ThreadTimerService()
+    def test_cancel_all(self, client_timers):
         fired = []
         for _ in range(3):
-            timers.call_after(0.2, lambda: fired.append(1))
-        timers.cancel_all()
+            client_timers.call_after(0.2, lambda: fired.append(1))
+        client_timers.cancel_all()
         time.sleep(0.3)
         assert fired == []
+
+    def test_negative_delay_fires_now_and_nan_is_refused(self, client_timers):
+        event = threading.Event()
+        client_timers.call_after(-1.0, event.set)
+        assert event.wait(2.0)
+        with pytest.raises(ClockError):
+            client_timers.call_after(float("nan"), event.set)
 
 
 class TestProtocolLifecycle:
