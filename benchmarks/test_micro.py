@@ -184,30 +184,57 @@ def test_neighbor_full_rebuild_100(benchmark):
     benchmark(tables.rebuild)
 
 
+def mobile_lattice(link=None):
+    """64 RandomWaypoint nodes on one channel, each roaming a 60x60 cell
+    around its home on an 8x8 lattice (as in ``benchmarks/e2e``'s mobile
+    mesh), and the neighbor tables subscribed to the scene."""
+    scene = Scene(bounds=Bounds(0.0, 0.0, 480.0, 480.0), seed=2)
+    for i in range(64):
+        node = NodeId(i + 1)
+        x, y = 30.0 + 60.0 * (i % 8), 30.0 + 60.0 * (i // 8)
+        scene.add_node(node, Vec2(x, y), RadioConfig.single(1, 150.0, link))
+        cell = Bounds(x - 30.0, y - 30.0, x + 30.0, y + 30.0)
+        scene.set_mobility(node, RandomWaypoint(cell, 5.0, 15.0))
+    return scene, ChannelIndexedNeighborTables(scene)
+
+
 def test_mobility_tick_64(benchmark):
     """One mobility tick: 64 RandomWaypoint nodes on one channel, every
     one of them moving, ``advance_time(+0.05)`` — trajectory evaluation,
     64 ``node-moved`` events and the neighbor tables absorbing them.
 
-    Each node roams a 60x60 cell around its lattice home (as in
-    ``benchmarks/e2e``'s mobile mesh), so density — and the work per
-    tick — does not drift with the emulated time the timer happens to
-    run through.
+    Each node roams a cell around its lattice home, so density — and the
+    work per tick — does not drift with the emulated time the timer
+    happens to run through.
     """
-    scene = Scene(bounds=Bounds(0.0, 0.0, 480.0, 480.0), seed=2)
-    for i in range(64):
-        node = NodeId(i + 1)
-        x, y = 30.0 + 60.0 * (i % 8), 30.0 + 60.0 * (i // 8)
-        scene.add_node(node, Vec2(x, y), RadioConfig.single(1, 150.0))
-        cell = Bounds(x - 30.0, y - 30.0, x + 30.0, y + 30.0)
-        scene.set_mobility(node, RandomWaypoint(cell, 5.0, 15.0))
-    ChannelIndexedNeighborTables(scene)  # subscribes itself to the scene
+    scene, _ = mobile_lattice()
 
     def tick():
         moved = scene.advance_time(scene.time + 0.05)
         assert len(moved) == 64
 
     benchmark(tick)
+    benchmark.extra_info["cpu_count"] = multiprocessing.cpu_count()
+
+
+def test_cold_row_plan_64(benchmark):
+    """One cold row and its link plan on the mobile lattice of
+    ``test_mobility_tick_64`` under Table 3 loss: ``row()`` then
+    ``link_plan()`` for an inner node, what the engine pays for a
+    sender's first frame after a tick moved its row."""
+    link = LinkModel(
+        loss=PacketLossModel(p0=0.1, p1=0.9, d0=50.0, radio_range=200.0)
+    )
+    scene, tables = mobile_lattice(link)
+    scene.advance_time(0.05)
+    table = tables._tables[ChannelId(1)]
+    i = table.slot[NodeId(28)]
+
+    def cold():
+        return table.row(i).link_plan()
+
+    assert len(cold()[0]) >= 12
+    benchmark(cold)
     benchmark.extra_info["cpu_count"] = multiprocessing.cpu_count()
 
 

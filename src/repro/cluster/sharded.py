@@ -499,29 +499,32 @@ class ShardedEmulator:
         ``BrokenPipeError`` racing the barrier's own detection.  A
         worker that died of a pipeline error wrote ``worker_error``
         before it exited; that frame is still queued in the pipe, and
-        its artifact path goes into the failure.
+        its error and artifact path go into the failure.
         """
         try:
             self._conns[worker].send_bytes(data)
         except (OSError, ValueError) as exc:
+            reason = f"shard worker {worker} pipe closed: {exc}"
+            error = self._queued_error(worker)
+            if error:
+                reason = (f"shard worker {worker} failed: "
+                          f"{error.get('error')} ({reason})")
             raise self._worker_failure(
-                worker,
-                f"shard worker {worker} pipe closed: {exc}",
-                worker_flight=self._queued_flight(worker),
+                worker, reason, worker_flight=error.get("flight")
             ) from exc
 
-    def _queued_flight(self, worker: int) -> Optional[str]:
-        """The artifact path of a ``worker_error`` left in a dead
-        worker's pipe, or None."""
+    def _queued_error(self, worker: int) -> dict[str, Any]:
+        """The ``worker_error`` frame left in a dead worker's pipe, or
+        an empty dict."""
         conn = self._conns[worker]
         try:
             while conn.poll(0.1):
                 msg = decode_message(conn.recv_bytes())
                 if msg.get("op") == "worker_error":
-                    return msg.get("flight")
+                    return msg
         except (EOFError, OSError, TransportError):
             pass  # drained to EOF with no worker_error in it
-        return None
+        return {}
 
     def _send_batch(self, shard: int) -> None:
         buffer = self._buffers[shard]

@@ -100,8 +100,12 @@ class Fanout:
         if plan is None:
             link, r = self.radio.link, self.distances
             loss = link.loss.loss_probability_array(r).tolist()
-            keys = list(zip(link.delay.delay_array(r).tolist(),
-                            link.bandwidth.bandwidth_array(r).tolist()))
+            delay, bandwidth = link.delay, link.bandwidth
+            if delay.per_unit == 0.0 and bandwidth.is_constant:
+                keys = [(float(delay.base), float(bandwidth.peak))] * len(loss)
+            else:
+                keys = list(zip(delay.delay_array(r).tolist(),
+                                bandwidth.bandwidth_array(r).tolist()))
             plan = (loss, min(loss, default=0.0), max(loss, default=0.0),
                     _segments(keys), keys)
             object.__setattr__(self, "plan", plan)
@@ -131,6 +135,12 @@ class Fanout:
         """
         p, p_min, p_max, segments, keys = self.link_plan()
         targets = self.targets
+        if at is not None and len(at) == 1:  # one target: no lists built
+            i = at[0]
+            if p[i] >= 1.0 or (p[i] > 0.0 and rng.random(1)[0] < p[i]):
+                return (targets[i],), []
+            delay, bw = keys[i]
+            return (), [(t_receipt + delay + size_bits / bw, (targets[i],))]
         if at is not None:
             p = [p[i] for i in at]
             p_min, p_max = (min(p), max(p)) if p else (0.0, 0.0)
@@ -275,29 +285,32 @@ class NeighborScheme(ABC):
 class _ChannelTable:
     """``NS(k)`` and the rows of ``NT(·, k)`` read so far, for one channel.
 
-    Everything but ``pos`` and ``rows`` is shared with the tables a move
-    derives from this one.
+    Everything but ``xs``, ``ys`` and ``rows`` is shared with the tables
+    a move derives from this one.
     """
 
     members: tuple[NodeId, ...]  # NS(k), ascending
     slot: dict[NodeId, int]  # member -> its index in the fields below
     radios: list[Radio]
     range2: np.ndarray  # R(A, k)², per member
-    pos: np.ndarray  # (n, 2)
+    xs: np.ndarray  # x per member, contiguous
+    ys: np.ndarray  # y per member, contiguous
     rows: dict[NodeId, Fanout]
 
-    def hears(self, senders, targets=slice(None)):
-        """``D(A, B)²`` and the predicate ``D(A, B) <= R(A, k)`` for each
-        sender slot (one, or a list: one result row each) × target slot."""
-        x, y = self.pos[:, 0], self.pos[:, 1]
-        dx = x[targets] - x[senders, None]
-        dy = y[targets] - y[senders, None]
-        dist2 = dx * dx + dy * dy
-        return dist2, dist2 <= self.range2[senders, None]
+    def hears(self, senders: list[int], targets: list[int]):
+        """``D(A, B) <= R(A, k)`` for each sender slot (one result row
+        each) × target slot."""
+        xs, ys = self.xs, self.ys
+        dx = xs[targets] - xs[senders, None]
+        dy = ys[targets] - ys[senders, None]
+        return dx * dx + dy * dy <= self.range2[senders, None]
 
     def row(self, i: int) -> Fanout:
         """``NT(members[i], k)`` in one vectorized pass."""
-        dist2, within = self.hears(i)
+        dx = self.xs - self.xs[i]
+        dy = self.ys - self.ys[i]
+        dist2 = dx * dx + dy * dy
+        within = dist2 <= self.range2[i]
         within[i] = False
         hit = np.flatnonzero(within)
         targets = tuple([self.members[j] for j in hit.tolist()])
@@ -366,13 +379,13 @@ class ChannelIndexedNeighborTables(NeighborScheme):
             self._tables.pop(channel, None)
             return 0
         radios = [scene.radio_on_channel(m, channel) for m in members]
+        xs, ys = scene.positions_array(list(members)).T.copy()
         self._tables[channel] = _ChannelTable(
             members,
             {m: i for i, m in enumerate(members)},
             radios,
             np.array([r.range * r.range for r in radios]),
-            scene.positions_array(list(members)),
-            {},
+            xs, ys, {},
         )
         return len(members)
 
@@ -385,10 +398,10 @@ class ChannelIndexedNeighborTables(NeighborScheme):
         """
         old = self._tables[channel]
         at = [old.slot[m] for m in movers]
-        pos = old.pos.copy()
-        pos[at] = self.scene.positions_array(movers)
+        xs, ys = old.xs.copy(), old.ys.copy()
+        xs[at], ys[at] = self.scene.positions_array(movers).T
         new = _ChannelTable(
-            old.members, old.slot, old.radios, old.range2, pos, {}
+            old.members, old.slot, old.radios, old.range2, xs, ys, {}
         )
         moved = set(movers)
         # list(): a reader on another thread may be filling old.rows.
@@ -397,7 +410,7 @@ class ChannelIndexedNeighborTables(NeighborScheme):
             if node not in moved and moved.isdisjoint(fan.neighbors)
         ]
         if stayed:
-            _, reached = new.hears([old.slot[n] for n, _ in stayed], at)
+            reached = new.hears([old.slot[n] for n, _ in stayed], at)
             new.rows.update(
                 row for row, hit in zip(stayed, reached.any(axis=1)) if not hit
             )

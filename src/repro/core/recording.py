@@ -249,7 +249,7 @@ class MemoryRecorder(Recorder):
         self._fields: list = []
         self._ids = array("i")  # grouped rows' receivers, count first
         self._count = 0  # records, not rows
-        self._events: list[SceneEvent] = []
+        self._events: list = []  # SceneEvent, or a plain move's tuple
         self._syncs: list[SyncSample] = []
         self._spans: deque = deque(maxlen=self.SPAN_CAPACITY)
         self._lock = threading.Lock()
@@ -281,6 +281,11 @@ class MemoryRecorder(Recorder):
             return self._extend(rows)
 
     def record_scene(self, event: SceneEvent) -> None:
+        # A plain move, a mobility tick's bulk, is kept as the tuple
+        # (time, node, x, y): 4 slots instead of an event and its dict.
+        d = event.details
+        if event.kind == "node-moved" and tuple(d) == ("x", "y"):
+            event = (event.time, event.node, d["x"], d["y"])
         with self._lock:
             self._events.append(event)
 
@@ -304,7 +309,12 @@ class MemoryRecorder(Recorder):
 
     def scene_events(self) -> list[SceneEvent]:
         with self._lock:
-            return list(self._events)
+            events = list(self._events)
+        return [
+            SceneEvent(e[0], "node-moved", e[1], {"x": e[2], "y": e[3]})
+            if type(e) is tuple else e
+            for e in events
+        ]
 
     def record_span(self, span) -> None:
         # deque.append with maxlen is atomic; no lock needed.

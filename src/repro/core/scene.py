@@ -226,15 +226,19 @@ class Scene:
 
     def _emit(
         self,
-        event: SceneEvent,
+        *events: SceneEvent,
         tick_movers: Optional[dict[ChannelId, list[NodeId]]] = None,
     ) -> None:
+        """Hand ``events`` (one mutation, or one tick's moves) to every
+        listener in order, over one copy of the listener list."""
         # Saved and restored, not cleared: a listener that mutates the
         # scene re-entrantly emits a plain single event inside the tick.
         outer, self._tick_movers = self._tick_movers, tick_movers
         try:
-            for listener in list(self._listeners):
-                listener(event)
+            listeners = list(self._listeners)
+            for event in events:
+                for listener in listeners:
+                    listener(event)
         finally:
             self._tick_movers = outer
 
@@ -391,17 +395,17 @@ class Scene:
         movers: dict[ChannelId, list[NodeId]] = {}
         for node_id, state, position in staged:
             state.position = position
-            for channel in state.radios.channels:
-                movers.setdefault(channel, []).append(node_id)
+            for radio in state.radios:
+                ids = movers.setdefault(radio.channel, [])
+                if not ids or ids[-1] != node_id:  # two radios, one channel
+                    ids.append(node_id)
             events.append(
                 SceneEvent(
                     t, "node-moved", node_id,
                     {"x": position.x, "y": position.y},
                 )
             )
-        batch = movers if len(events) > 1 else None
-        for event in events:
-            self._emit(event, batch)
+        self._emit(*events, tick_movers=movers if len(events) > 1 else None)
         self._bump()
 
     def set_radio_channel(

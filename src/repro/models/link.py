@@ -121,10 +121,13 @@ class PacketLossModel:
         return min(self.p0 + self.kp * (r - self.d0), self.p1)
 
     def loss_probability_array(self, r: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`loss_probability` (the row plan's form)."""
+        """Vectorized :meth:`loss_probability` (the row plan's form).
+
+        Only ``p1`` needs a clamp: ``kp >= 0``, so the ramp never goes
+        below ``p0``."""
         r = np.asarray(r, dtype=float)
-        return np.clip(self.p0 + self.kp * np.maximum(r - self.d0, 0.0),
-                       self.p0, self.p1)
+        return np.minimum(self.p0 + self.kp * np.maximum(r - self.d0, 0.0),
+                          self.p1)
 
 
 @dataclass(frozen=True, slots=True)

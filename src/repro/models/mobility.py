@@ -29,7 +29,8 @@ scenes are reproducible from a seed — the reproducibility the paper's
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -129,6 +130,12 @@ class MobilityLeg:
     direction: float
     speed: float
     move_time: float
+    #: ``(cos, sin)`` of ``direction``, computed once per leg.
+    heading: tuple[float, float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        rad = math.radians(self.direction)
+        object.__setattr__(self, "heading", (math.cos(rad), math.sin(rad)))
 
     @property
     def duration(self) -> float:
@@ -142,8 +149,9 @@ class MobilityLeg:
         """Position ``elapsed`` seconds into the leg, starting from ``start``."""
         if elapsed <= self.pause_time:
             return start
-        moving = min(elapsed - self.pause_time, self.move_time)
-        return start + Vec2.from_polar(self.speed * moving, self.direction)
+        moving = self.speed * min(elapsed - self.pause_time, self.move_time)
+        cos, sin = self.heading
+        return Vec2(start.x + moving * cos, start.y + moving * sin)
 
 
 class MobilityModel:
@@ -356,9 +364,11 @@ def _reflect(v: float, lo: float, hi: float) -> float:
 class Trajectory:
     """Lazily evaluated piecewise trajectory of one node.
 
-    Legs are drawn from the model on demand and memoized, so evaluating
-    ``position_at(t)`` for increasing ``t`` is amortized O(1) and two
+    Legs are drawn from the model on demand and memoized, so two
     evaluations at the same time always agree (determinism for replay).
+    A cursor holds the leg of the last query: a query inside that leg is
+    O(1), one outside it (the next leg, or back in time) binary-searches
+    the memoized legs.
     """
 
     def __init__(
@@ -377,9 +387,15 @@ class Trajectory:
         self._legs: list[tuple[float, Vec2, MobilityLeg]] = []
         self._horizon = t0
         self._next_start = self._constrain(start)
+        # The leg of the last query, with its end: (start, end, start
+        # position, leg).  Empty at first, so the first query misses.
+        self._cursor: tuple = (t0, t0, None, None)
 
     def _constrain(self, p: Vec2) -> Vec2:
-        return self.bounds.apply(p) if self.bounds is not None else p
+        b = self.bounds
+        if b is None or (b.x_min <= p.x <= b.x_max and b.y_min <= p.y <= b.y_max):
+            return p
+        return b.apply(p)
 
     def _extend_to(self, t: float) -> None:
         while self._horizon <= t:
@@ -396,20 +412,20 @@ class Trajectory:
 
     def position_at(self, t: float) -> Vec2:
         """Node position at emulation time ``t`` (>= trajectory start)."""
-        if t < self._t0:
-            raise ConfigurationError(
-                f"time {t} precedes trajectory start {self._t0}"
-            )
-        self._extend_to(t)
-        # Binary search over memoized legs.
-        lo, hi = 0, len(self._legs) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self._legs[mid][0] <= t:
-                lo = mid
-            else:
-                hi = mid - 1
-        leg_start, start_pos, leg = self._legs[lo]
+        if t >= self._horizon:
+            self._extend_to(t)
+        leg_start, leg_end, start_pos, leg = self._cursor
+        if not leg_start <= t < leg_end:
+            if t < self._t0:
+                raise ConfigurationError(
+                    f"time {t} precedes trajectory start {self._t0}"
+                )
+            # The last leg starting at or before t; it ends where the
+            # next one starts (the horizon grew by its duration).
+            i = bisect_right(self._legs, t, key=lambda entry: entry[0]) - 1
+            leg_start, start_pos, leg = self._legs[i]
+            leg_end = leg_start + leg.duration
+            self._cursor = leg_start, leg_end, start_pos, leg
         return self._constrain(leg.position_at(start_pos, t - leg_start))
 
     def sample(self, t_start: float, t_end: float, step: float) -> list[Vec2]:

@@ -340,6 +340,21 @@ class TestFailureAndLifecycle:
             emu.flush(1.0)
         emu.stop()  # must not hang on the dead worker
 
+    def test_worker_error_surfaces_after_the_worker_exited(self):
+        """The same poisoning, with the worker joined before the flush:
+        the flush's first write finds the pipe closed, and the failure
+        still names the worker's own error, read from the frame it left
+        queued."""
+        emu = ShardedEmulator(n_workers=2, seed=0)
+        line_topology(emu, n=2)
+        emu.start()
+        emu._conns[0].send_bytes(encode_message({"op": "bogus"}))
+        emu._procs[0].join(timeout=10.0)
+        assert not emu._procs[0].is_alive()
+        with pytest.raises(ClusterError, match="bogus.*pipe closed"):
+            emu.flush(1.0)
+        emu.stop()
+
     def test_transmit_validates_channel(self):
         with ShardedEmulator(n_workers=1, seed=0) as emu:
             hosts = line_topology(emu, n=2)

@@ -10,6 +10,8 @@ floor that never binds); both must lose the same receivers, schedule the
 same ``(t_forward, group)`` entries and leave the RNG in the same state.
 """
 
+from itertools import groupby
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -191,3 +193,73 @@ def test_constant_link_row_is_one_segment():
     assert all(tf == 1.0 + 0.01 + 8 / 1e6 for tf, _ in runs)
     kept = runs[0][1] if runs else ()
     assert sorted(lost + kept) == [fan.targets[0], fan.targets[2]]
+
+
+def build_fanout(case):
+    """The sender's row for a :func:`fanout_case` (quarantine ignored)."""
+    loss, bandwidth, delay, places, _ = case
+    link = LinkModel(LOSSES[loss], BANDWIDTHS[bandwidth], DELAYS[delay])
+    radios = RadioConfig.of([Radio(CH, RANGE, link)])
+    scene = Scene(seed=0)
+    scene.add_node(SENDER, Vec2(0.0, 0.0), radios)
+    for i, (d, angle) in enumerate(places):
+        scene.add_node(
+            NodeId(i + 2),
+            Vec2(d * float(np.cos(angle)), d * float(np.sin(angle))),
+            radios,
+        )
+    return ChannelIndexedNeighborTables(scene).fanout(SENDER, CH)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(case=fanout_case())
+def test_plan_equals_the_numpy_formulation(case):
+    """The plan's loss list, keys and segments, bit for bit, against the
+    numpy formulation: ``np.clip`` to ``[p0, p1]``, and every key from
+    ``delay_array`` and ``bandwidth_array`` (constant or not)."""
+    fan = build_fanout(case)
+    loss_model = fan.radio.link.loss
+    r = fan.distances
+    want_loss = np.clip(
+        loss_model.p0 + loss_model.kp * np.maximum(r - loss_model.d0, 0.0),
+        loss_model.p0, loss_model.p1,
+    ).tolist()
+    want_keys = list(zip(fan.radio.link.delay.delay_array(r).tolist(),
+                         fan.radio.link.bandwidth.bandwidth_array(r).tolist()))
+    want_segments, lo = [], 0
+    for key, run in groupby(want_keys):
+        hi = lo + len(list(run))
+        want_segments.append((lo, hi, *key))
+        lo = hi
+    loss, p_min, p_max, segments, keys = fan.link_plan()
+    assert [p.hex() for p in loss] == [p.hex() for p in want_loss]
+    assert (p_min, p_max) == (min(want_loss, default=0.0),
+                              max(want_loss, default=0.0))
+    assert [(d.hex(), b.hex()) for d, b in keys] == [
+        (d.hex(), b.hex()) for d, b in want_keys
+    ]
+    assert list(segments) == want_segments
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    case=fanout_case(),
+    t_receipt=st.just(0.0) | st.floats(0.0, 1e4),
+    size_bits=st.integers(1, 12_000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_target_forward_matches_the_oracle(case, t_receipt, size_bits,
+                                               seed):
+    """``forward`` at one row position (``at`` of length 1: a unicast, or
+    a broadcast with one live target) against the oracle, RNG included."""
+    fan = build_fanout(case)
+    rng = np.random.default_rng(seed)
+    reference_rng = np.random.default_rng(seed)
+    for i in range(len(fan.targets)):
+        lost, runs = fan.forward(rng, [i], t_receipt, size_bits)
+        want_lost, want_runs = oracle(
+            reference_rng, fan, [i], t_receipt, size_bits
+        )
+        assert list(lost) == want_lost
+        assert runs == want_runs
+        assert rng.bit_generator.state == reference_rng.bit_generator.state

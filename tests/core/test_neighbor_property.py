@@ -297,3 +297,57 @@ def test_neighbors_returns_cached_identical_object():
             scene.move_node(NodeId(2), Vec2(10, 0))  # restore for next cls
         finally:
             scheme.detach()
+
+
+def hears_2d(pos, range2, i):
+    """Row ``i`` the way the tables once computed it: one ``(n, 2)``
+    position array, column views and 2-D indexing.  Returns
+    ``(target slots, distances)``."""
+    x, y = pos[:, 0], pos[:, 1]
+    dx = x[slice(None)] - x[i, None]
+    dy = y[slice(None)] - y[i, None]
+    dist2 = dx * dx + dy * dy
+    within = dist2 <= range2[i, None]
+    within[i] = False
+    hit = np.flatnonzero(within)
+    return hit.tolist(), np.sqrt(dist2[hit])
+
+
+_spot = st.floats(min_value=-500.0, max_value=500.0, allow_nan=False)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    places=st.lists(
+        st.tuples(_spot, _spot, st.floats(min_value=1.0, max_value=400.0)),
+        min_size=1, max_size=12,
+    ),
+    moves=st.lists(
+        st.lists(st.tuples(st.integers(0, 11), _spot, _spot), max_size=6),
+        max_size=4,
+    ),
+)
+def test_row_is_bit_equal_to_the_2d_formulation(places, moves):
+    """A cold row from the 1-D coordinate arrays equals the 2-D
+    formulation bit for bit, on a fresh table and on the tables that
+    moves derive from it."""
+    scene = Scene(seed=0)
+    nodes = [NodeId(i + 1) for i in range(len(places))]
+    for node, (x, y, r) in zip(nodes, places):
+        scene.add_node(node, Vec2(x, y), RadioConfig.single(1, r))
+    tables = ChannelIndexedNeighborTables(scene)
+    channel = CHANNELS[0]
+    for tick in [[]] + moves:
+        staged = {nodes[i % len(nodes)]: Vec2(x, y) for i, x, y in tick}
+        scene.move_nodes(list(staged.items()))
+        table = tables._tables[channel]
+        pos = scene.positions_array(list(table.members))
+        for i, member in enumerate(table.members):
+            fan = table.row(i)
+            slots, distances = hears_2d(pos, table.range2, i)
+            assert fan.targets == tuple(table.members[j] for j in slots)
+            assert fan.distances.tobytes() == distances.tobytes()
+            # And what the engine reads (kept or rebuilt) agrees too.
+            assert tables.fanout(member, channel).distances.tobytes() == (
+                distances.tobytes()
+            )

@@ -1,6 +1,9 @@
 """Tests for repro.core.recording — both recorder backends."""
 
+import hashlib
+import json
 import threading
+import tracemalloc
 from dataclasses import astuple
 
 import pytest
@@ -12,6 +15,8 @@ from repro.core.packet import PacketRecord
 from repro.core.recording import MemoryRecorder, SqliteRecorder
 from repro.core.scene import Scene, SceneEvent
 from repro.core.geometry import Vec2
+from repro.core.server import InProcessEmulator
+from repro.models.mobility import Bounds, RandomWaypoint
 from repro.models.radio import RadioConfig
 
 
@@ -266,6 +271,94 @@ class TestRecorderParity:
             assert reopened.packets() == memory.packets()
         finally:
             reopened.close()
+
+
+    @staticmethod
+    def mobile_run(recorder):
+        """Eight RandomWaypoint nodes ticked every 0.05 s for 3 s, plus
+        a drag-and-drop, a multi-node move, a retune and a quarantine;
+        returns the recorder's scene log."""
+        area = Bounds(0.0, 0.0, 200.0, 200.0)
+        emu = InProcessEmulator(seed=4, bounds=area, recorder=recorder)
+        hosts = [
+            emu.add_node(Vec2(20.0 + 20.0 * i, 40.0 + 10.0 * (i % 3)),
+                         RadioConfig.single(1, 80.0))
+            for i in range(8)
+        ]
+        for host in hosts[1:]:
+            emu.scene.set_mobility(host.node_id,
+                                   RandomWaypoint(area, 5.0, 15.0, 0.2))
+        emu.enable_mobility_tick(0.05)
+        emu.run_for(1.0)
+        emu.scene.move_node(hosts[0].node_id, Vec2(100.0, 100.0))
+        emu.scene.move_nodes([(hosts[0].node_id, Vec2(90.0, 90.0)),
+                              (hosts[1].node_id, Vec2(10.0, 10.0))])
+        emu.scene.set_radio_channel(hosts[2].node_id, 0, 2)
+        emu.scene.quarantine_node(hosts[3].node_id)
+        emu.run_for(2.0)
+        events = recorder.scene_events()
+        emu.shutdown()
+        return events
+
+    def test_mobile_run_scene_events_match(self, tmp_path):
+        memory = self.mobile_run(MemoryRecorder())
+        sqlite = SqliteRecorder(str(tmp_path / "mobile.sqlite"))
+        try:
+            assert memory == self.mobile_run(sqlite)
+        finally:
+            sqlite.close()
+        moves = [e for e in memory if e.kind == "node-moved"]
+        assert len(moves) > 400
+        assert all(list(e.details) == ["x", "y"] for e in moves)
+        # The log the recorder kept before plain moves were stored
+        # compactly: same events, same order, same bits.
+        digest = hashlib.sha256("\n".join(
+            f"{float(e.time).hex()} {e.kind} {int(e.node)} "
+            f"{json.dumps(e.details, sort_keys=True)}"
+            for e in memory
+        ).encode()).hexdigest()
+        assert digest == MOBILE_RUN_DIGEST
+
+    def test_plain_move_is_compact(self):
+        recorder = MemoryRecorder()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for tick in range(100):  # 100 ticks of 64 moves
+                t = tick * 0.05
+                for n in range(1, 65):
+                    recorder.record_scene(SceneEvent(
+                        t, "node-moved", NodeId(n),
+                        {"x": 1.5 * n + t, "y": 2.5 * n - t},
+                    ))
+            used = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert used / 6400 <= 160  # bytes kept per move
+        events = recorder.scene_events()
+        assert events[-1] == SceneEvent(
+            99 * 0.05, "node-moved", NodeId(64),
+            {"x": 1.5 * 64 + 99 * 0.05, "y": 2.5 * 64 - 99 * 0.05},
+        )
+
+    def test_other_moves_are_kept_as_given(self):
+        recorder = MemoryRecorder()
+        kept = [
+            SceneEvent(1.0, "node-moved", NodeId(1),
+                       {"x": 1.0, "y": 2.0, "cause": "drag"}),
+            SceneEvent(2.0, "node-moved", NodeId(2), {"y": 2.0, "x": 1.0}),
+            SceneEvent(3.0, "node-added", NodeId(3), {"x": 1.0, "y": 2.0}),
+        ]
+        for event in kept:
+            recorder.record_scene(event)
+        assert all(a is b for a, b in zip(recorder.scene_events(), kept))
+
+
+#: ``TestRecorderParity.mobile_run``'s scene log, digested as the test
+#: does, recorded before plain moves were stored compactly.
+MOBILE_RUN_DIGEST = (
+    "c1f941d4c2ae73877e115c50d78d2bc71abcc77699f4571702955783e4e8538f"
+)
 
 
 def grouped_row(seqno, receiver, drop):

@@ -236,3 +236,82 @@ class TestTrajectory:
                 expected = leg.position_at(start_pos, t - leg_start)
                 assert p == expected
                 break
+
+
+def bisected_position(traj, t):
+    """Position at ``t`` by binary search over the memoized legs and the
+    leg formula written out (``from_polar``, then the bounds policy):
+    the reference for the cursor in :meth:`Trajectory.position_at`."""
+    legs = traj._legs
+    lo, hi = 0, len(legs) - 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if legs[mid][0] <= t:
+            lo = mid
+        else:
+            hi = mid - 1
+    leg_start, start, leg = legs[lo]
+    elapsed = t - leg_start
+    if elapsed <= leg.pause_time:
+        p = start
+    else:
+        moving = min(elapsed - leg.pause_time, leg.move_time)
+        p = start + Vec2.from_polar(leg.speed * moving, leg.direction)
+    return p if traj.bounds is None else traj.bounds.apply(p)
+
+
+class TestTrajectoryCursor:
+    """The cursor and the per-leg heading are bit-equal to a binary search
+    over the legs, for any order of query times."""
+
+    MODELS = {
+        "waypoint": lambda area: RandomWaypoint(area, 1.0, 30.0,
+                                                Uniform(0.0, 1.0)),
+        "walk": lambda area: RandomWalk(1.0, 40.0, time_step=0.3),
+        "velocity": lambda area: ConstantVelocity(25.0, 37.0, leg_time=0.7),
+        "stationary": lambda area: Stationary(),
+    }
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        model=st.sampled_from(sorted(MODELS)),
+        policy=st.sampled_from([None, "reflect", "clamp", "wrap"]),
+        seed=st.integers(0, 2**32 - 1),
+        t0=st.sampled_from([0.0, 2.5]),
+        # Unsorted offsets: queries go back in time and repeat.
+        offsets=st.lists(
+            st.floats(0.0, 30.0) | st.sampled_from([0.0, 0.3, 0.7, 1.4]),
+            min_size=1, max_size=40,
+        ),
+    )
+    def test_matches_binary_search(self, model, policy, seed, t0, offsets):
+        area = Bounds(0.0, 0.0, 40.0, 30.0, policy or "reflect")
+        traj = Trajectory(
+            Vec2(10.0, 20.0), self.MODELS[model](area),
+            np.random.default_rng(seed),
+            bounds=None if policy is None else area, t0=t0,
+        )
+        times = [t0 + dt for dt in offsets]
+        got = [traj.position_at(t) for t in times]
+        for t, p in zip(times, got):
+            want = bisected_position(traj, t)
+            assert (p.x.hex(), p.y.hex()) == (want.x.hex(), want.y.hex())
+        # Legs are drawn in horizon order whatever the query order, so a
+        # trajectory queried in ascending order agrees too.
+        ordered = Trajectory(
+            Vec2(10.0, 20.0), self.MODELS[model](area),
+            np.random.default_rng(seed),
+            bounds=None if policy is None else area, t0=t0,
+        )
+        by_time = {t: ordered.position_at(t) for t in sorted(times)}
+        assert got == [by_time[t] for t in times]
+
+    def test_query_back_in_time_and_before_start(self):
+        traj = Trajectory(Vec2(0, 0), RandomWalk(1.0, 2.0, 0.5),
+                          np.random.default_rng(3), t0=1.0)
+        late = traj.position_at(9.0)
+        early = traj.position_at(1.2)
+        assert early == bisected_position(traj, 1.2)
+        assert traj.position_at(9.0) == late
+        with pytest.raises(ConfigurationError):
+            traj.position_at(0.5)
