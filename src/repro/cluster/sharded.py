@@ -514,8 +514,7 @@ class ShardedEmulator:
             ) from exc
 
     def _queued_error(self, worker: int) -> dict[str, Any]:
-        """The ``worker_error`` frame left in a dead worker's pipe, or
-        an empty dict."""
+        """The ``worker_error`` frame left in a dead worker's pipe, or {}."""
         conn = self._conns[worker]
         try:
             while conn.poll(0.1):

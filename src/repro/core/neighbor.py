@@ -94,18 +94,13 @@ class Fanout:
         """``(loss, p_min, p_max, segments, keys)``: per-target loss
         probabilities, their min and max, the targets as ``(lo, hi,
         delay, bandwidth)`` segments of one delay and bandwidth, and the
-        per-target ``(delay, bandwidth)`` keys.  Computed once per row,
-        with one numpy pass of each link model."""
+        per-target ``(delay, bandwidth)`` keys of
+        :meth:`LinkModel.plan_keys`.  Computed once per row."""
         plan = self.plan
         if plan is None:
             link, r = self.radio.link, self.distances
             loss = link.loss.loss_probability_array(r).tolist()
-            delay, bandwidth = link.delay, link.bandwidth
-            if delay.per_unit == 0.0 and bandwidth.is_constant:
-                keys = [(float(delay.base), float(bandwidth.peak))] * len(loss)
-            else:
-                keys = list(zip(delay.delay_array(r).tolist(),
-                                bandwidth.bandwidth_array(r).tolist()))
+            keys = link.plan_keys(r)
             plan = (loss, min(loss, default=0.0), max(loss, default=0.0),
                     _segments(keys), keys)
             object.__setattr__(self, "plan", plan)
@@ -135,7 +130,7 @@ class Fanout:
         """
         p, p_min, p_max, segments, keys = self.link_plan()
         targets = self.targets
-        if at is not None and len(at) == 1:  # one target: no lists built
+        if at is not None and len(at) == 1:  # a unicast: same test, no lists
             i = at[0]
             if p[i] >= 1.0 or (p[i] > 0.0 and rng.random(1)[0] < p[i]):
                 return (targets[i],), []

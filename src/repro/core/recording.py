@@ -281,8 +281,7 @@ class MemoryRecorder(Recorder):
             return self._extend(rows)
 
     def record_scene(self, event: SceneEvent) -> None:
-        # A plain move, a mobility tick's bulk, is kept as the tuple
-        # (time, node, x, y): 4 slots instead of an event and its dict.
+        # A plain move (a tick's bulk) is kept as (time, node, x, y).
         d = event.details
         if event.kind == "node-moved" and tuple(d) == ("x", "y"):
             event = (event.time, event.node, d["x"], d["y"])

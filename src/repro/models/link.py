@@ -121,10 +121,8 @@ class PacketLossModel:
         return min(self.p0 + self.kp * (r - self.d0), self.p1)
 
     def loss_probability_array(self, r: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`loss_probability` (the row plan's form).
-
-        Only ``p1`` needs a clamp: ``kp >= 0``, so the ramp never goes
-        below ``p0``."""
+        """Vectorized :meth:`loss_probability`; ``kp >= 0``, so only
+        ``p1`` clamps."""
         r = np.asarray(r, dtype=float)
         return np.minimum(self.p0 + self.kp * np.maximum(r - self.d0, 0.0),
                           self.p1)
@@ -238,6 +236,15 @@ class LinkModel:
         default_factory=lambda: BandwidthModel(peak=11e6)
     )
     delay: DelayModel = field(default_factory=DelayModel)
+
+    def plan_keys(self, r: np.ndarray) -> list[tuple[float, float]]:
+        """``(delay, bandwidth)`` at each distance in ``r``, as floats: a
+        row plan's keys.  A link constant in both repeats one key."""
+        delay, bandwidth = self.delay, self.bandwidth
+        if delay.per_unit == 0.0 and bandwidth.is_constant:
+            return [(float(delay.base), float(bandwidth.peak))] * len(r)
+        return list(zip(delay.delay_array(r).tolist(),
+                        bandwidth.bandwidth_array(r).tolist()))
 
 
 DEFAULT_LINK = LinkModel()

@@ -393,7 +393,7 @@ class Trajectory:
 
     def _constrain(self, p: Vec2) -> Vec2:
         b = self.bounds
-        if b is None or (b.x_min <= p.x <= b.x_max and b.y_min <= p.y <= b.y_max):
+        if b is None or b.contains(p):
             return p
         return b.apply(p)
 
